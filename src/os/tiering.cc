@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstddef>
 #include <limits>
+#include <type_traits>
 #include <utility>
 
 #include "src/os/policy_registry.h"
@@ -63,41 +65,63 @@ uint64_t TieredMemory::LowTierPages() const {
   return total;
 }
 
-void TieredMemory::BuildColdPool(uint64_t k) {
-  // Select the `k` coldest DRAM-resident pages with a bounded max-heap
-  // streamed over the DRAM resident list and the packed heat column. The
-  // (heat, id) pairs form a total order (ids are unique), so the k-smallest
-  // set — and its ascending order after sort_heap — is exactly what a
-  // full-scan partial_sort would produce.
-  const float* heat_col = allocator_.heat_column();
-  const topology::NodeId* node_col = allocator_.node_column();
-  const uint64_t want = std::min<uint64_t>(k, allocator_.DramResidentCount());
-  cold_pool_.clear();
-  cold_pool_.reserve(want);
-  // Stream the packed node/heat columns in id order — sequential loads the
-  // prefetcher can follow, unlike chasing the unordered resident list. The
-  // k-smallest set is iteration-order independent, so the selection is
-  // unchanged.
-  const uint64_t page_count = allocator_.page_count();
-  for (PageId id = 0; id < page_count; ++id) {
-    if (node_col[id] < 0 || !allocator_.IsDramNode(node_col[id])) {
-      continue;
-    }
-    const std::pair<float, PageId> entry(heat_col[id], id);
-    if (cold_pool_.size() < want) {
-      cold_pool_.push_back(entry);
-      std::push_heap(cold_pool_.begin(), cold_pool_.end());
-    } else if (entry < cold_pool_.front()) {
-      std::pop_heap(cold_pool_.begin(), cold_pool_.end());
-      cold_pool_.back() = entry;
-      std::push_heap(cold_pool_.begin(), cold_pool_.end());
-    }
+ColdPoolSelector::ColdPoolSelector(std::vector<Entry>& pool, uint64_t k)
+    : pool_(pool),
+      k_(k),
+      // Before the first cut every entry is accepted: real pages sort below
+      // (+inf, kInvalidPage). With k = 0 nothing sorts below (-inf, 0).
+      cut_(k == 0 ? Entry(-std::numeric_limits<float>::infinity(), 0)
+                  : Entry(std::numeric_limits<float>::infinity(), kInvalidPage)) {
+  pool_.clear();
+  // The buffer peaks at 2k entries. One allocation up front (a no-op once
+  // the daemon's reused buffer is that large) replaces a chain of doubling
+  // reallocations, whose freed blocks slowed the process's later
+  // allocations: Spark cell set-up ran ~15% slower with them.
+  pool_.reserve(2 * k);
+}
+
+void ColdPoolSelector::Shrink() {
+  const auto kth = pool_.begin() + static_cast<std::ptrdiff_t>(k_ - 1);
+  std::nth_element(pool_.begin(), kth, pool_.end());
+  cut_ = *kth;
+  pool_.resize(k_);
+}
+
+void ColdPoolSelector::Finish() {
+  if (pool_.size() > k_) {
+    std::nth_element(pool_.begin(), pool_.begin() + static_cast<std::ptrdiff_t>(k_),
+                     pool_.end());
+    pool_.resize(k_);
   }
-  std::sort_heap(cold_pool_.begin(), cold_pool_.end());  // Coldest first.
+  std::sort(pool_.begin(), pool_.end());  // Coldest first; (heat, id) has no ties.
+}
+
+uint64_t TieredMemory::ColdPoolSize(uint64_t batch) const {
+  return std::min<uint64_t>(std::max<uint64_t>(4 * batch, 4096),
+                            allocator_.DramResidentCount());
+}
+
+void TieredMemory::InstallColdPool(ColdPoolSelector& selector) {
+  selector.Finish();
   cold_pool_next_ = 0;
   cold_pool_valid_ = true;
-  cold_pool_floor_ =
-      cold_pool_.empty() ? std::pair<float, PageId>(0.0f, 0) : cold_pool_.back();
+  cold_pool_floor_ = cold_pool_.empty() ? ColdPoolSelector::Entry(0.0f, 0) : cold_pool_.back();
+}
+
+void TieredMemory::BuildColdPool(uint64_t k) {
+  // Stream the packed node/heat columns in id order — sequential loads the
+  // prefetcher can follow. The k-smallest set is iteration-order
+  // independent, so the selection matches any other walk.
+  const float* heat_col = allocator_.heat_column();
+  const topology::NodeId* node_col = allocator_.node_column();
+  ColdPoolSelector selector(cold_pool_, k);
+  const uint64_t page_count = allocator_.page_count();
+  for (PageId id = 0; id < page_count; ++id) {
+    if (node_col[id] >= 0 && allocator_.IsDramNode(node_col[id])) {
+      selector.Offer({heat_col[id], id});
+    }
+  }
+  InstallColdPool(selector);
 }
 
 uint64_t TieredMemory::DemoteColdPages(uint64_t count) {
@@ -127,7 +151,7 @@ uint64_t TieredMemory::DemoteColdPages(uint64_t count) {
     return 0;
   }
   if (!cold_pool_valid_ || cold_pool_.size() - cold_pool_next_ < want) {
-    BuildColdPool(std::max<uint64_t>(4 * want, 4096));
+    BuildColdPool(ColdPoolSize(count));
   }
 
   uint64_t demoted = 0;
@@ -255,6 +279,8 @@ TieredMemory::TickResult TieredMemory::Tick(double dt_seconds) {
     return result;
   }
   const uint64_t budget_pages = decision.budget_pages;
+  // Cold pages freed per demotion call; the cold pool holds a few batches.
+  const uint64_t demote_batch = std::clamp<uint64_t>(budget_pages / 8, 16, 4096);
 
   // Migration-outcome instrumentation for this tick (observational only).
   tick_ping_pong_ = 0;
@@ -270,21 +296,18 @@ TieredMemory::TickResult TieredMemory::Tick(double dt_seconds) {
   const float* heat_col = allocator_.heat_column();
   ArenaVector<std::pair<float, PageId>> hot{
       ArenaAllocator<std::pair<float, PageId>>(&tick_arena_)};
-  if (decision.scan == CandidateScan::kHotnessRanked) {
-    // One sequential pass over the packed node/heat columns does double
-    // duty: CXL pages become promotion candidates, DRAM pages feed the
-    // demotion cold pool (the configs that tick the daemon over-commit
-    // DRAM, so the promotion loop below demotes almost every tick — eager
-    // building folds that scan into this one). With nothing resident on
-    // CXL there is nothing to promote and nothing the pool is for; skip.
+  if (allocator_.CxlResidentCount() > 0) {
+    // One sequential pass over the packed node/heat/epoch columns per tick,
+    // whatever the scan kind: CXL pages are tested as promotion candidates
+    // and DRAM pages feed the demotion cold pool (the configs that tick the
+    // daemon over-commit DRAM, so the promotion loop below demotes almost
+    // every tick). Candidates are appended in id order. With nothing
+    // resident on CXL there is nothing to promote and nothing the pool is
+    // for; skip.
     const topology::NodeId* node_col = allocator_.node_column();
     const uint32_t* epoch_col = allocator_.epoch_column();
-    if (allocator_.CxlResidentCount() > 0) {
-      const uint64_t batch = std::clamp<uint64_t>(budget_pages / 8, 16, 4096);
-      const uint64_t pool_k = std::min<uint64_t>(std::max<uint64_t>(4 * batch, 4096),
-                                                 allocator_.DramResidentCount());
-      cold_pool_.clear();
-      cold_pool_.reserve(pool_k);
+    ColdPoolSelector pool(cold_pool_, ColdPoolSize(demote_batch));
+    const auto scan = [&](auto is_candidate, auto count_stamps) {
       const uint64_t page_count = allocator_.page_count();
       for (PageId id = 0; id < page_count; ++id) {
         const topology::NodeId node = node_col[id];
@@ -292,42 +315,57 @@ TieredMemory::TickResult TieredMemory::Tick(double dt_seconds) {
           continue;
         }
         if (allocator_.IsDramNode(node)) {
-          // Migration-outcome feedback, folded into the scan the daemon
-          // already runs: was this DRAM page promoted within the stamp
-          // window, and if so, did the current interval touch it?
-          const uint32_t stamp = promote_epoch_[id];
-          if (stamp != 0) {
-            const uint32_t age = epoch_ - (stamp - 1);
-            if (age >= 1 && age <= kPromoteStampWindowTicks) {
-              ++tick_recent_promoted_;
-              if (epoch_col[id] == epoch_) {
-                ++tick_recent_promoted_hot_;
+          if constexpr (decltype(count_stamps)::value) {
+            // Migration-outcome feedback: was this DRAM page promoted within
+            // the stamp window, and if so, did the current interval touch it?
+            const uint32_t stamp = promote_epoch_[id];
+            if (stamp != 0) {
+              const uint32_t age = epoch_ - (stamp - 1);
+              if (age >= 1 && age <= kPromoteStampWindowTicks) {
+                ++tick_recent_promoted_;
+                if (epoch_col[id] == epoch_) {
+                  ++tick_recent_promoted_hot_;
+                }
               }
             }
           }
-          const std::pair<float, PageId> entry(heat_col[id], id);
-          if (cold_pool_.size() < pool_k) {
-            cold_pool_.push_back(entry);
-            std::push_heap(cold_pool_.begin(), cold_pool_.end());
-          } else if (entry < cold_pool_.front()) {
-            std::pop_heap(cold_pool_.begin(), cold_pool_.end());
-            cold_pool_.back() = entry;
-            std::push_heap(cold_pool_.begin(), cold_pool_.end());
-          }
-          continue;
-        }
-        // NB: heat is compared against the double threshold (as before) —
-        // narrowing the threshold to float would flip borderline candidates.
-        if (heat_col[id] >= decision.hot_threshold && !quarantined(id)) {
+          pool.Offer({heat_col[id], id});
+        } else if (is_candidate(id)) {
           hot.emplace_back(heat_col[id], id);
         }
       }
-      std::sort_heap(cold_pool_.begin(), cold_pool_.end());
-      cold_pool_next_ = 0;
-      cold_pool_valid_ = true;
-      cold_pool_floor_ =
-          cold_pool_.empty() ? std::pair<float, PageId>(0.0f, 0) : cold_pool_.back();
+    };
+    switch (decision.scan) {
+      case CandidateScan::kHotnessRanked:
+        // NB: heat is compared against the double threshold (as before) —
+        // narrowing the threshold to float would flip borderline candidates.
+        // Only this scan feeds the promotion-outcome observation.
+        scan([&](PageId id) { return heat_col[id] >= decision.hot_threshold && !quarantined(id); },
+             std::true_type{});
+        break;
+      case CandidateScan::kRecency:
+        // MRU balancing: everything touched since the last scan qualifies,
+        // in scan order — no hotness ranking. This is precisely why the
+        // earlier patch "may not accurately identify high-demand pages"
+        // (§2.3): the budget is spent on recently-touched pages regardless
+        // of their heat.
+        scan([&](PageId id) {
+               return epoch_col[id] == epoch_ && heat_col[id] > 0.0f && !quarantined(id);
+             },
+             std::false_type{});
+        break;
+      case CandidateScan::kSecondAccess:
+        // TPP-like: second observed access promotes. With the default
+        // sampling rate a page needs ~2 sampled hits; accumulated heat >= 2
+        // approximates the active-list check. No ordering, no rate limiting
+        // (see below).
+        scan([&](PageId id) { return heat_col[id] >= 2.0f && !quarantined(id); },
+             std::false_type{});
+        break;
     }
+    InstallColdPool(pool);
+  }
+  if (decision.scan == CandidateScan::kHotnessRanked) {
     // Hottest first, page id breaking heat ties: the rate-limit budget
     // truncates this list, so tie order decides *which* pages promote —
     // without the tie-break that choice is implementation-defined
@@ -335,33 +373,6 @@ TieredMemory::TickResult TieredMemory::Tick(double dt_seconds) {
     std::sort(hot.begin(), hot.end(), [](const auto& a, const auto& b) {
       return a.first != b.first ? a.first > b.first : a.second < b.second;
     });
-  } else if (decision.scan == CandidateScan::kRecency) {
-    // MRU balancing: everything touched since the last scan qualifies, in
-    // scan order — no hotness ranking. This is precisely why the earlier
-    // patch "may not accurately identify high-demand pages" (§2.3): the
-    // budget is spent on recently-touched pages regardless of their heat.
-    // Promotion order is the scan order, so this scan keeps the id-ordered
-    // walk (streaming the packed columns).
-    const topology::NodeId* node_col = allocator_.node_column();
-    const uint32_t* epoch_col = allocator_.epoch_column();
-    for (PageId id = 0; id < allocator_.page_count(); ++id) {
-      if (node_col[id] >= 0 && !allocator_.IsDramNode(node_col[id]) &&
-          epoch_col[id] == epoch_ && heat_col[id] > 0.0f && !quarantined(id)) {
-        hot.emplace_back(heat_col[id], id);
-      }
-    }
-  } else {
-    // TPP-like: second observed access promotes. With the default sampling
-    // rate a page needs ~2 sampled hits; accumulated heat >= 2 approximates
-    // the active-list check. No ordering, no rate limiting (see below);
-    // id-ordered walk for the same promotion order as before.
-    const topology::NodeId* node_col = allocator_.node_column();
-    for (PageId id = 0; id < allocator_.page_count(); ++id) {
-      if (node_col[id] >= 0 && !allocator_.IsDramNode(node_col[id]) && heat_col[id] >= 2.0f &&
-          !quarantined(id)) {
-        hot.emplace_back(heat_col[id], id);
-      }
-    }
   }
   result.candidates = hot.size();
   allocator_.mutable_counters().pgpromote_candidate += hot.size();
@@ -389,8 +400,7 @@ TieredMemory::TickResult TieredMemory::Tick(double dt_seconds) {
     if (target < 0) {
       // DRAM full: demote cold pages to make room (kswapd-style), which
       // consumes migration bandwidth too. Demote in small batches.
-      const uint64_t batch = std::clamp<uint64_t>(budget_pages / 8, 16, 4096);
-      const uint64_t freed = DemoteColdPages(batch);
+      const uint64_t freed = DemoteColdPages(demote_batch);
       result.demoted_pages += freed;
       result.migrated_bytes += static_cast<double>(freed) * page_bytes;
       target = pick_dram();
@@ -408,8 +418,7 @@ TieredMemory::TickResult TieredMemory::Tick(double dt_seconds) {
       // the pool — drop it so the next demotion batch rescans. Promoted
       // pages are hot by construction, so this almost never fires.
       if (cold_pool_valid_ &&
-          (cold_pool_.empty() ||
-           std::pair<float, PageId>(heat_col[id], id) <= cold_pool_floor_)) {
+          (cold_pool_.empty() || ColdPoolSelector::Entry(heat_col[id], id) <= cold_pool_floor_)) {
         cold_pool_valid_ = false;
       }
     } else {
@@ -448,7 +457,7 @@ TieredMemory::TickResult TieredMemory::Tick(double dt_seconds) {
   // Demotion under DRAM pressure even without promotions (watermark).
   uint64_t watermark_demoted = 0;
   if (allocator_.DramFreeFraction() < config_.demotion_free_watermark) {
-    const uint64_t freed = DemoteColdPages(std::clamp<uint64_t>(budget_pages / 8, 16, 4096));
+    const uint64_t freed = DemoteColdPages(demote_batch);
     watermark_demoted = freed;
     result.demoted_pages += freed;
     result.migrated_bytes += static_cast<double>(freed) * page_bytes;

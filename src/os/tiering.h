@@ -24,6 +24,7 @@
 #include <memory>
 #include <string>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "src/fault/fault.h"
@@ -99,6 +100,44 @@ void DeclareTieringKnobs(KnobSet& knobs);
 // back to TieringConfig defaults). An explicitly set vm.numa_balancing_mode
 // overrides vm.tiering_policy for one release (deprecated-alias semantics).
 TieringConfig TieringConfigFromKnobs(const KnobSet& knobs);
+
+// Exact k-smallest selection over unique (heat, id) pairs — how the daemon
+// picks its demotion cold pool. An offered entry is buffered only while it
+// sorts below a falling cut; when the buffer reaches 2k entries,
+// nth_element keeps the k smallest and the k-th of them becomes the new
+// cut, so each accepted entry costs O(1) amortised. Finish() sorts the
+// survivors ascending. Ids are unique, so (heat, id) is a total order with
+// one k-smallest set: the output is the sequence a bounded max-heap plus
+// sort_heap, or a full partial_sort, would produce.
+class ColdPoolSelector {
+ public:
+  using Entry = std::pair<float, PageId>;
+
+  // Selects into `pool`, which is cleared but keeps its capacity (the
+  // daemon reuses one buffer across ticks). `pool` must outlive the
+  // selector.
+  ColdPoolSelector(std::vector<Entry>& pool, uint64_t k);
+
+  void Offer(const Entry& entry) {
+    if (entry < cut_) {
+      pool_.push_back(entry);
+      if (pool_.size() == 2 * k_) {
+        Shrink();
+      }
+    }
+  }
+
+  // Leaves the k smallest offered entries (all of them, if fewer) in
+  // `pool`, ascending.
+  void Finish();
+
+ private:
+  void Shrink();
+
+  std::vector<Entry>& pool_;
+  size_t k_;
+  Entry cut_;
+};
 
 class TieredMemory {
  public:
@@ -177,9 +216,17 @@ class TieredMemory {
   // pages actually demoted.
   uint64_t DemoteColdPages(uint64_t count);
 
-  // Rebuilds cold_pool_ with the `k` coldest DRAM-resident pages (ascending
-  // (heat, id) order) and resets the consumption cursor.
+  // Pool size for demotion batches of `batch` pages: four batches of
+  // headroom (at least 4096 pages), capped at the DRAM-resident count.
+  uint64_t ColdPoolSize(uint64_t batch) const;
+
+  // Refills cold_pool_ with the `k` coldest DRAM-resident pages by a
+  // dedicated scan — only when a tick's demotions drain the pool its
+  // candidate scan built.
   void BuildColdPool(uint64_t k);
+
+  // Finishes `selector` into cold_pool_ and resets the consumption cursor.
+  void InstallColdPool(ColdPoolSelector& selector);
 
   // Appends one tick's worth of telemetry (no-op without a sink).
   void EmitTickTelemetry(const TickResult& result, double dt_seconds);
@@ -209,24 +256,23 @@ class TieredMemory {
   uint64_t tick_recent_promoted_ = 0;       // Recently promoted pages seen in DRAM.
   uint64_t tick_recent_promoted_hot_ = 0;   // ...of those, re-accessed this interval.
 
-  // Per-tick transients (candidate lists, demotion selection heaps) bump-
-  // allocate here; Reset() at each Tick() entry recycles the blocks, so
+  // Per-tick transients (candidate lists) bump-allocate here; Reset() at each Tick() entry recycles the blocks, so
   // steady-state ticks do no heap allocation.
   Arena tick_arena_;
 
   // Demotion cold pool: the coldest DRAM pages in ascending (heat, id)
-  // order, built by one scan and consumed across the several DemoteColdPages
-  // calls a single Tick makes (heat is constant within a tick, so the
-  // remaining pool entries stay the exact k-smallest of the shrinking DRAM
-  // set). Invalidated at every tick start (decay/access change heat) and
-  // whenever a page enters DRAM whose (heat, id) sorts at or below the
-  // pool's floor — such a page would belong in the pool (cheap test, rare:
-  // promoted pages are hot by construction).
-  std::vector<std::pair<float, PageId>> cold_pool_;
+  // order, selected by a ColdPoolSelector inside each tick's one candidate
+  // scan and consumed across the several DemoteColdPages calls a single Tick
+  // makes (heat is constant within a tick, so the remaining pool entries
+  // stay the exact k-smallest of the shrinking DRAM set). Invalidated at
+  // every tick start (decay/access change heat) and whenever a page enters
+  // DRAM whose (heat, id) sorts at or below the pool's floor — such a page
+  // would belong in the pool (cheap test, rare: promoted pages are hot by
+  // construction). An invalid or drained pool is refilled by BuildColdPool.
+  std::vector<ColdPoolSelector::Entry> cold_pool_;
   size_t cold_pool_next_ = 0;
   bool cold_pool_valid_ = false;
-  bool cold_pool_complete_ = false;  // Pool covered the whole DRAM set.
-  std::pair<float, PageId> cold_pool_floor_{0.0f, 0};
+  ColdPoolSelector::Entry cold_pool_floor_{0.0f, 0};
 
   // Telemetry (observational only).
   telemetry::MetricRegistry* telemetry_ = nullptr;
