@@ -39,10 +39,13 @@ struct Page {
 // Reference views over one page's columns, returned by PageAllocator::page().
 // Field names match `Page`, so `allocator.page(id).heat` reads identically
 // whether the backing store is AoS or SoA. Bind with `auto`; the views hold
-// references into the allocator's columns and must not outlive it.
+// references into the allocator's columns and must not outlive it. Heat is
+// read-only even here: only TieredMemory writes it (sampled accesses,
+// quarantine, decay) and only PageAllocator::Allocate resets it, which is
+// what keeps the daemon's warm set a superset of the pages with heat > 0.
 struct PageView {
   topology::NodeId& node;
-  float& heat;
+  const float& heat;
   uint32_t& last_decay_epoch;
 };
 

@@ -8,13 +8,14 @@
 //
 // Page metadata is stored structure-of-arrays: the placement, hotness and
 // recency columns are separate dense vectors indexed by PageId, so the
-// tiering daemon's promotion scan and decay pass stream over packed columns
-// instead of striding through per-page structs. Callers keep the record-like
-// view through page(), which returns a PageView of references into the
-// columns (same field names as the old `Page` struct, so call sites read
-// unchanged). Tier-wide scans stream the node column in id order (freed
-// slots have node < 0), which the prefetcher handles better than any
-// resident-id list; per-tier occupancy is derived from per-node counts.
+// tiering daemon reads a page's columns by id without striding through
+// per-page structs. It visits only the pages its warm set marks (the ones
+// that may have heat > 0), in id order; when nearly every page is warm,
+// those visits are runs of consecutive ids over the packed columns. Callers
+// keep the record-like view through page(), which returns a PageView of
+// references into the columns (same field names as the old `Page` struct,
+// so call sites read unchanged). Freed slots have node < 0; per-tier
+// occupancy is derived from per-node counts.
 #ifndef CXL_EXPLORER_SRC_OS_PAGE_ALLOCATOR_H_
 #define CXL_EXPLORER_SRC_OS_PAGE_ALLOCATOR_H_
 
@@ -58,17 +59,16 @@ class PageAllocator {
     return ConstPageView{node_[id], heat_[id], last_epoch_[id]};
   }
 
-  // Raw column access for streaming scans (daemon promotion scan, decay
-  // pass). Indexed by PageId over [0, page_count()); freed slots have
-  // node < 0.
+  // Raw read-only column access for the daemon's passes. Indexed by PageId
+  // over [0, page_count()); freed slots have node < 0. The heat column is
+  // written only through TieredMemory (see PageView).
   const topology::NodeId* node_column() const { return node_.data(); }
   const float* heat_column() const { return heat_.data(); }
-  float* mutable_heat_column() { return heat_.data(); }
   const uint32_t* epoch_column() const { return last_epoch_.data(); }
 
   // Pages currently resident on DRAM / CXL nodes (sums of per-node
-  // occupancy). The daemon's tier-wide scans stream the packed columns in id
-  // order and use these only to bound selection sizes.
+  // occupancy). The daemon bounds its selection sizes with these, and
+  // derives the count of zero-heat DRAM pages from the DRAM one.
   uint64_t DramResidentCount() const;
   uint64_t CxlResidentCount() const;
 
@@ -86,7 +86,7 @@ class PageAllocator {
 
   uint64_t allocated_pages() const { return allocated_; }
   // Total page slots ever created (freed slots included); PageIds are dense
-  // in [0, page_count()), so daemons scan this range and skip node < 0.
+  // in [0, page_count()), and freed slots have node < 0.
   uint64_t page_count() const { return node_.size(); }
   const VmCounters& counters() const { return counters_; }
   VmCounters& mutable_counters() { return counters_; }
@@ -94,6 +94,11 @@ class PageAllocator {
   const topology::Platform& platform() const { return platform_; }
 
  private:
+  // The one heat writer: sampled accesses, quarantine and decay keep its
+  // warm set in step with every write.
+  friend class TieredMemory;
+  float* mutable_heat_column() { return heat_.data(); }
+
   // Picks a fallback node with space, preferring DRAM over CXL.
   topology::NodeId FallbackNode() const;
 

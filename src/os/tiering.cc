@@ -1,11 +1,11 @@
 #include "src/os/tiering.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstddef>
 #include <limits>
-#include <type_traits>
 #include <utility>
 
 #include "src/os/policy_registry.h"
@@ -20,6 +20,40 @@ namespace {
 // migration-outcome feedback. Small enough that the signal tracks the
 // current regime, large enough to span the heat-decay half-life.
 constexpr uint32_t kPromoteStampWindowTicks = 8;
+
+// Warm-set geometry. A word with kDenseWordBits or more bits set is dense.
+// Runs of dense words are walked id by id, and every page in them is
+// handled alike, zero heat included: a straight loop over consecutive ids
+// costs per page what a loop over the whole column costs, and the decay one
+// vectorises. Sparse words are walked bit by bit, and a page found there at
+// heat 0 leaves the set. Bit-by-bit walking of a nearly full word is far
+// slower per page than the straight loop; a sparse word walked straight
+// reads columns it need not touch.
+constexpr PageId kWordBits = 64;
+constexpr int kDenseWordBits = 16;
+constexpr uint32_t kDenseRefreshTicks = 8;
+
+uint64_t Bit(PageId id) { return uint64_t{1} << (id % kWordBits); }
+
+// std::popcount is a dozen instructions without a hardware popcount in the
+// target ISA, so full words, the common dense case, skip it.
+int WarmBits(uint64_t word) {
+  return word == ~uint64_t{0} ? static_cast<int>(kWordBits) : std::popcount(word);
+}
+
+// Whether `word`, the warm set's word `w`, is dense. Only words covering
+// existing page slots count.
+bool IsDense(uint64_t word, size_t w, uint64_t page_count) {
+  return WarmBits(word) >= kDenseWordBits && (w + 1) * kWordBits <= page_count;
+}
+
+// End of the run of dense words starting at the dense word `w`.
+size_t DenseRunEnd(const std::vector<uint64_t>& warm, size_t w, uint64_t page_count) {
+  do {
+    ++w;
+  } while (w < warm.size() && IsDense(warm[w], w, page_count));
+  return w;
+}
 }  // namespace
 
 const char* TieringConfig::PolicyName() const {
@@ -27,9 +61,21 @@ const char* TieringConfig::PolicyName() const {
 }
 
 TieredMemory::TieredMemory(PageAllocator& allocator, TieringConfig config)
-    : allocator_(allocator),
-      config_(std::move(config)),
-      promote_epoch_(allocator.page_count(), 0) {
+    : allocator_(allocator), config_(std::move(config)) {
+  // Pages the allocator already holds may carry heat from an earlier daemon:
+  // start the warm set as their superset. A fresh allocator's heat is all
+  // zero, which one vectorisable pass confirms.
+  GrowPageSets();
+  const float* heat_col = allocator_.heat_column();
+  int any_heat = 0;
+  for (PageId id = 0; id < allocator_.page_count(); ++id) {
+    any_heat |= heat_col[id] != 0.0f;
+  }
+  for (PageId id = 0; any_heat != 0 && id < allocator_.page_count(); ++id) {
+    if (heat_col[id] != 0.0f) {
+      warm_[id / kWordBits] |= Bit(id);
+    }
+  }
   auto policy = PolicyRegistry::BuiltIns().Create(config_.PolicyName(), config_);
   if (!policy.ok()) {
     // Unknown name in config_.policy: callers taking user input validate
@@ -49,10 +95,200 @@ bool TieredMemory::IsTopTier(topology::NodeId node) const {
 void TieredMemory::RecordAccess(PageId page, uint64_t accesses) {
   // Hint-fault sampling: only a fraction of real accesses are observed.
   const double sampled = static_cast<double>(accesses) * config_.hint_fault_sample_rate;
-  auto p = allocator_.page(page);
-  p.heat += static_cast<float>(sampled);
-  p.last_decay_epoch = epoch_;  // Recency stamp for the kRecency scan.
+  allocator_.mutable_heat_column()[page] += static_cast<float>(sampled);
+  allocator_.page(page).last_decay_epoch = epoch_;  // Recency stamp for the kRecency scan.
   allocator_.mutable_counters().numa_hint_faults += static_cast<uint64_t>(std::ceil(sampled));
+  if (page / kWordBits >= warm_.size()) {
+    GrowPageSets();
+  }
+  warm_[page / kWordBits] |= Bit(page);
+}
+
+void TieredMemory::GrowPageSets() {
+  // The stamp column and the page sets trail page_count(), since pages are
+  // created lazily by the allocator; new pages start unstamped (0 = never
+  // promoted), cold and not recently promoted. Each grows in one step to
+  // the current page count.
+  promote_epoch_.resize(allocator_.page_count(), 0);
+  warm_.resize((allocator_.page_count() + kWordBits - 1) / kWordBits, 0);
+  recently_promoted_.resize(warm_.size(), 0);
+}
+
+template <typename Dense, typename Sparse>
+void TieredMemory::VisitWarm(Dense&& dense, Sparse&& sparse) {
+  const uint64_t page_count = allocator_.page_count();
+  uint64_t visited = 0;
+  for (size_t w = 0; w < warm_.size();) {
+    uint64_t keep = warm_[w];
+    if (keep == 0) {
+      ++w;
+      continue;
+    }
+    if (IsDense(keep, w, page_count)) {
+      const size_t run_end = DenseRunEnd(warm_, w, page_count);
+      for (PageId id = w * kWordBits; id < run_end * kWordBits; ++id) {
+        dense(id);
+      }
+      visited += (run_end - w) * kWordBits;
+      w = run_end;
+      continue;
+    }
+    visited += static_cast<uint64_t>(std::popcount(keep));
+    for (uint64_t bits = keep; bits != 0; bits &= bits - 1) {
+      const PageId id = w * kWordBits + static_cast<PageId>(std::countr_zero(bits));
+      if (!sparse(id)) {
+        keep &= ~Bit(id);
+      }
+    }
+    warm_[w] = keep;
+    ++w;
+  }
+  tick_pages_visited_ += visited;
+}
+
+template <typename IsCandidate>
+uint64_t TieredMemory::ScanWarm(const IsCandidate& is_candidate, ColdPoolSelector& pool,
+                                ArenaVector<std::pair<float, PageId>>& hot) {
+  const float* heat_col = allocator_.heat_column();
+  const topology::NodeId* node_col = allocator_.node_column();
+  uint64_t offered_dram = 0;
+  // One page. Dense runs hand over every id, zero heat included; a page
+  // with heat 0 sorts first in the pool and is a candidate only when the
+  // predicate admits it.
+  const auto test = [&](PageId id, float heat) {
+    const topology::NodeId node = node_col[id];
+    if (node < 0) {
+      return;
+    }
+    if (allocator_.IsDramNode(node)) {
+      ++offered_dram;
+      pool.Offer({heat, id});
+    } else if (is_candidate(id, heat)) {
+      hot.emplace_back(heat, id);
+    }
+  };
+  VisitWarm([&](PageId id) { test(id, heat_col[id]); },
+            [&](PageId id) {
+              const float heat = heat_col[id];
+              if (heat == 0.0f) {
+                return false;
+              }
+              test(id, heat);
+              return true;
+            });
+  return offered_dram;
+}
+
+template <typename Visit>
+void TieredMemory::VisitCold(PageId from, Visit&& visit) {
+  const uint64_t page_count = allocator_.page_count();
+  uint64_t visited = 0;
+  for (size_t w = from / kWordBits; w < warm_.size(); ++w) {
+    if (IsDense(warm_[w], w, page_count)) {
+      continue;  // The pass handed over every id of a dense word.
+    }
+    uint64_t bits = ~warm_[w];
+    if (page_count - w * kWordBits < kWordBits) {
+      bits &= Bit(page_count) - 1;  // Slots past page_count() do not exist.
+    }
+    for (; bits != 0; bits &= bits - 1) {
+      ++visited;
+      if (!visit(w * kWordBits + static_cast<PageId>(std::countr_zero(bits)))) {
+        tick_pages_visited_ += visited;
+        return;
+      }
+    }
+  }
+  tick_pages_visited_ += visited;
+}
+
+void TieredMemory::DecayWarm() {
+  float* heat_col = allocator_.mutable_heat_column();
+  const float decay = static_cast<float>(config_.heat_decay);
+  const uint64_t page_count = allocator_.page_count();
+  // Finding the zeros costs the dense sweep ~50%, so dense words look for
+  // them only every kDenseRefreshTicks-th decay.
+  const bool refresh = epoch_ % kDenseRefreshTicks == 0;
+  uint64_t visited = 0;
+  bool dense_seen = false;
+  for (size_t w = 0; w < warm_.size();) {
+    uint64_t bits = warm_[w];
+    if (bits == 0) {
+      ++w;
+      continue;
+    }
+    if (IsDense(bits, w, page_count)) {
+      if (!dense_seen) {
+        // Zeros reached in dense words go unseen: keep the zero walk's
+        // floor at or below every dense run.
+        dense_seen = true;
+        zero_floor_ = std::min<PageId>(zero_floor_, w * kWordBits);
+      }
+      const size_t run_end = DenseRunEnd(warm_, w, page_count);
+      visited += (run_end - w) * kWordBits;
+      if (!refresh) {
+        // A straight, vectorisable sweep. Unmarked ids hold exactly 0,
+        // which the multiply keeps.
+        for (PageId id = w * kWordBits; id < run_end * kWordBits; ++id) {
+          heat_col[id] *= decay;
+        }
+        w = run_end;
+        continue;
+      }
+      for (; w < run_end; ++w) {
+        // The same sweep word by word, and a word holding a 0 afterwards
+        // has its bits recomputed: dense words shed cold pages too.
+        float* word_heat = heat_col + w * kWordBits;
+        int any_zero = 0;
+        for (PageId j = 0; j < kWordBits; ++j) {
+          const float heat = word_heat[j] * decay;
+          word_heat[j] = heat;
+          any_zero |= heat == 0.0f;
+        }
+        if (any_zero != 0) {
+          uint64_t keep = 0;
+          for (PageId j = 0; j < kWordBits; ++j) {
+            keep |= uint64_t{word_heat[j] != 0.0f} << j;
+          }
+          warm_[w] = keep;
+        }
+      }
+      continue;
+    }
+    visited += static_cast<uint64_t>(std::popcount(bits));
+    for (; bits != 0; bits &= bits - 1) {
+      const PageId id = w * kWordBits + static_cast<PageId>(std::countr_zero(bits));
+      heat_col[id] *= decay;
+      if (heat_col[id] == 0.0f) {
+        warm_[w] &= ~Bit(id);
+        zero_floor_ = std::min(zero_floor_, id);
+      }
+    }
+    ++w;
+  }
+  tick_pages_visited_ += visited;
+}
+
+void TieredMemory::CountRecentPromotions() {
+  // In id order, like the warm passes; a page leaves the set once its
+  // stamp ages out of the window.
+  const topology::NodeId* node_col = allocator_.node_column();
+  const uint32_t* epoch_col = allocator_.epoch_column();
+  for (size_t w = 0; w < recently_promoted_.size(); ++w) {
+    for (uint64_t bits = recently_promoted_[w]; bits != 0; bits &= bits - 1) {
+      const PageId id = w * kWordBits + static_cast<PageId>(std::countr_zero(bits));
+      ++tick_pages_visited_;
+      const uint32_t age = epoch_ - (promote_epoch_[id] - 1);
+      if (age > kPromoteStampWindowTicks) {
+        recently_promoted_[w] &= ~Bit(id);  // Aged out of the window.
+      } else if (age >= 1 && node_col[id] >= 0 && allocator_.IsDramNode(node_col[id])) {
+        ++tick_recent_promoted_;
+        if (epoch_col[id] == epoch_) {
+          ++tick_recent_promoted_hot_;
+        }
+      }
+    }
+  }
 }
 
 uint64_t TieredMemory::LowTierPages() const {
@@ -101,7 +337,29 @@ uint64_t TieredMemory::ColdPoolSize(uint64_t batch) const {
                             allocator_.DramResidentCount());
 }
 
-void TieredMemory::InstallColdPool(ColdPoolSelector& selector) {
+void TieredMemory::InstallColdPool(ColdPoolSelector& selector, uint64_t k,
+                                   uint64_t offered_dram) {
+  // The zero-heat DRAM pages left out of the pass sort below every warm
+  // page, by id. Their count is exact, so the walk offering them stops at
+  // the last one that can make the pool.
+  uint64_t wanted = std::min(k, allocator_.DramResidentCount() - offered_dram);
+  if (wanted > 0) {
+    const topology::NodeId* node_col = allocator_.node_column();
+    PageId first = kInvalidPage;
+    VisitCold(zero_floor_, [&](PageId id) {
+      const topology::NodeId node = node_col[id];
+      if (node >= 0 && allocator_.IsDramNode(node)) {
+        first = std::min(first, id);
+        selector.Offer({0.0f, id});
+        --wanted;
+      }
+      return wanted > 0;
+    });
+    assert(wanted == 0);
+    // The walk found none below its first one. The pages this tick demotes
+    // from the pool become CXL pages the next walk starts at and skips.
+    zero_floor_ = first;
+  }
   selector.Finish();
   cold_pool_next_ = 0;
   cold_pool_valid_ = true;
@@ -109,19 +367,14 @@ void TieredMemory::InstallColdPool(ColdPoolSelector& selector) {
 }
 
 void TieredMemory::BuildColdPool(uint64_t k) {
-  // Stream the packed node/heat columns in id order — sequential loads the
-  // prefetcher can follow. The k-smallest set is iteration-order
-  // independent, so the selection matches any other walk.
-  const float* heat_col = allocator_.heat_column();
-  const topology::NodeId* node_col = allocator_.node_column();
+  // The tick's pass without candidates. The k-smallest set does not depend
+  // on the order pages are offered in.
   ColdPoolSelector selector(cold_pool_, k);
-  const uint64_t page_count = allocator_.page_count();
-  for (PageId id = 0; id < page_count; ++id) {
-    if (node_col[id] >= 0 && allocator_.IsDramNode(node_col[id])) {
-      selector.Offer({heat_col[id], id});
-    }
-  }
-  InstallColdPool(selector);
+  ArenaVector<std::pair<float, PageId>> no_candidates{
+      ArenaAllocator<std::pair<float, PageId>>(&tick_arena_)};
+  const uint64_t offered_dram =
+      ScanWarm([](PageId, float) { return false; }, selector, no_candidates);
+  InstallColdPool(selector, k, offered_dram);
 }
 
 uint64_t TieredMemory::DemoteColdPages(uint64_t count) {
@@ -182,10 +435,13 @@ TieredMemory::TickResult TieredMemory::Tick(double dt_seconds) {
   TickResult result;
   result.hot_threshold = policy_->hot_threshold();
 
-  // Pages are created lazily by the allocator, so the stamp column trails
-  // page_count(); new pages start unstamped (0 = never promoted).
-  if (promote_epoch_.size() < allocator_.page_count()) {
-    promote_epoch_.resize(allocator_.page_count(), 0);
+  GrowPageSets();
+  tick_pages_visited_ = 0;
+  // Pages enter DRAM outside the daemon only by allocation, at any id and
+  // with heat 0: after any, the zero walk starts again from id 0.
+  if (allocator_.counters().pgalloc != seen_pgalloc_) {
+    seen_pgalloc_ = allocator_.counters().pgalloc;
+    zero_floor_ = 0;
   }
 
   // Heat changed since the previous tick (decay, sampled accesses), so last
@@ -294,54 +550,43 @@ TieredMemory::TickResult TieredMemory::Tick(double dt_seconds) {
     return !quarantined_.empty() && quarantined_.count(id) != 0;
   };
   const float* heat_col = allocator_.heat_column();
+  const topology::NodeId* node_col = allocator_.node_column();
   ArenaVector<std::pair<float, PageId>> hot{
       ArenaAllocator<std::pair<float, PageId>>(&tick_arena_)};
   if (allocator_.CxlResidentCount() > 0) {
-    // One sequential pass over the packed node/heat/epoch columns per tick,
-    // whatever the scan kind: CXL pages are tested as promotion candidates
-    // and DRAM pages feed the demotion cold pool (the configs that tick the
-    // daemon over-commit DRAM, so the promotion loop below demotes almost
-    // every tick). Candidates are appended in id order. With nothing
-    // resident on CXL there is nothing to promote and nothing the pool is
-    // for; skip.
-    const topology::NodeId* node_col = allocator_.node_column();
+    // One pass over the warm set per tick, in id order, whatever the scan
+    // kind: CXL pages are tested as promotion candidates and DRAM pages feed
+    // the demotion cold pool (the configs that tick the daemon over-commit
+    // DRAM, so the promotion loop below demotes almost every tick).
+    // Candidates are appended in id order. With nothing resident on CXL
+    // there is nothing to promote and nothing the pool is for; skip.
     const uint32_t* epoch_col = allocator_.epoch_column();
-    ColdPoolSelector pool(cold_pool_, ColdPoolSize(demote_batch));
-    const auto scan = [&](auto is_candidate, auto count_stamps) {
-      const uint64_t page_count = allocator_.page_count();
-      for (PageId id = 0; id < page_count; ++id) {
-        const topology::NodeId node = node_col[id];
-        if (node < 0) {
-          continue;
-        }
-        if (allocator_.IsDramNode(node)) {
-          if constexpr (decltype(count_stamps)::value) {
-            // Migration-outcome feedback: was this DRAM page promoted within
-            // the stamp window, and if so, did the current interval touch it?
-            const uint32_t stamp = promote_epoch_[id];
-            if (stamp != 0) {
-              const uint32_t age = epoch_ - (stamp - 1);
-              if (age >= 1 && age <= kPromoteStampWindowTicks) {
-                ++tick_recent_promoted_;
-                if (epoch_col[id] == epoch_) {
-                  ++tick_recent_promoted_hot_;
-                }
-              }
-            }
-          }
-          pool.Offer({heat_col[id], id});
-        } else if (is_candidate(id)) {
-          hot.emplace_back(heat_col[id], id);
-        }
-      }
+    const uint64_t pool_size = ColdPoolSize(demote_batch);
+    ColdPoolSelector pool(cold_pool_, pool_size);
+    uint64_t offered_dram = 0;
+    const auto scan = [&](const auto& is_candidate) {
+      offered_dram = ScanWarm(is_candidate, pool, hot);
     };
     switch (decision.scan) {
       case CandidateScan::kHotnessRanked:
         // NB: heat is compared against the double threshold (as before) —
         // narrowing the threshold to float would flip borderline candidates.
         // Only this scan feeds the promotion-outcome observation.
-        scan([&](PageId id) { return heat_col[id] >= decision.hot_threshold && !quarantined(id); },
-             std::true_type{});
+        CountRecentPromotions();
+        scan([threshold = decision.hot_threshold, &quarantined](PageId id, float heat) {
+          return heat >= threshold && !quarantined(id);
+        });
+        // A threshold at or below 0 also admits the zero-heat CXL pages the
+        // pass left out.
+        if (0.0 >= decision.hot_threshold) {
+          VisitCold(0, [&](PageId id) {
+            const topology::NodeId node = node_col[id];
+            if (node >= 0 && !allocator_.IsDramNode(node) && !quarantined(id)) {
+              hot.emplace_back(0.0f, id);
+            }
+            return true;
+          });
+        }
         break;
       case CandidateScan::kRecency:
         // MRU balancing: everything touched since the last scan qualifies,
@@ -349,21 +594,19 @@ TieredMemory::TickResult TieredMemory::Tick(double dt_seconds) {
         // earlier patch "may not accurately identify high-demand pages"
         // (§2.3): the budget is spent on recently-touched pages regardless
         // of their heat.
-        scan([&](PageId id) {
-               return epoch_col[id] == epoch_ && heat_col[id] > 0.0f && !quarantined(id);
-             },
-             std::false_type{});
+        scan([epoch_col, epoch = epoch_, &quarantined](PageId id, float heat) {
+          return epoch_col[id] == epoch && heat > 0.0f && !quarantined(id);
+        });
         break;
       case CandidateScan::kSecondAccess:
         // TPP-like: second observed access promotes. With the default
         // sampling rate a page needs ~2 sampled hits; accumulated heat >= 2
         // approximates the active-list check. No ordering, no rate limiting
         // (see below).
-        scan([&](PageId id) { return heat_col[id] >= 2.0f && !quarantined(id); },
-             std::false_type{});
+        scan([&quarantined](PageId id, float heat) { return heat >= 2.0f && !quarantined(id); });
         break;
     }
-    InstallColdPool(pool);
+    InstallColdPool(pool, pool_size, offered_dram);
   }
   if (decision.scan == CandidateScan::kHotnessRanked) {
     // Hottest first, page id breaking heat ties: the rate-limit budget
@@ -414,6 +657,10 @@ TieredMemory::TickResult TieredMemory::Tick(double dt_seconds) {
       ++allocator_.mutable_counters().pgpromote_success;
       result.migrated_bytes += page_bytes;
       promote_epoch_[id] = epoch_ + 1;  // Stamp; 0 is reserved for "never".
+      recently_promoted_[id / kWordBits] |= Bit(id);
+      if (heat_col[id] == 0.0f) {
+        zero_floor_ = std::min(zero_floor_, id);  // A zero-heat DRAM page now.
+      }
       // A page entering DRAM at or below the cold pool's floor belongs in
       // the pool — drop it so the next demotion batch rescans. Promoted
       // pages are hot by construction, so this almost never fires.
@@ -487,21 +734,13 @@ TieredMemory::TickResult TieredMemory::Tick(double dt_seconds) {
   policy_->Observe(obs);
   result.hot_threshold = policy_->hot_threshold();
 
-  // Decay heat for the next interval: one sequential (vectorizable) sweep
-  // over the packed heat column instead of two random-order walks through
-  // the tier lists. The sweep also multiplies freed slots' stale values,
-  // which is unobservable: allocation resets heat to zero and every reader
-  // filters on node >= 0. Resident pages see the identical single multiply.
-  {
-    float* heat_mut = allocator_.mutable_heat_column();
-    const float decay = static_cast<float>(config_.heat_decay);
-    const uint64_t n = allocator_.page_count();
-    for (uint64_t id = 0; id < n; ++id) {
-      heat_mut[id] *= decay;
-    }
-  }
+  // Decay heat for the next interval. Only warm pages hold heat != 0, so
+  // multiplying them leaves the column bit for bit where a sweep of every
+  // slot would: freed slots included, whose stale values allocation resets.
+  DecayWarm();
   ++epoch_;
 
+  result.pages_visited = tick_pages_visited_;
   sim_seconds_ += dt_seconds;
   EmitTickTelemetry(result, dt_seconds);
   EmitTickEvents(result, watermark_demoted);
@@ -531,9 +770,10 @@ bool TieredMemory::QuarantinePage(PageId page) {
   // The heat reset (and possible eviction below) perturbs the (heat, id)
   // order the demotion pool was built on.
   cold_pool_valid_ = false;
-  auto p = allocator_.page(page);
-  p.heat = 0.0f;
-  if (p.node >= 0 && IsTopTier(p.node)) {
+  allocator_.mutable_heat_column()[page] = 0.0f;  // Its warm bit goes stale.
+  zero_floor_ = std::min(zero_floor_, page);
+  const topology::NodeId node = allocator_.NodeOf(page);
+  if (node >= 0 && IsTopTier(node)) {
     // Evict the poisoned page from the hot tier: it must not occupy DRAM
     // the daemon would otherwise give to healthy hot pages.
     const auto& platform = allocator_.platform();

@@ -144,8 +144,8 @@ class TieredMemory {
   TieredMemory(PageAllocator& allocator, TieringConfig config);
 
   // Feeds `accesses` real accesses to `page` into the (sampled) heat
-  // counter. Called by application models once per simulation step per page
-  // group.
+  // counter and marks the page warm. Called by application models once per
+  // simulation step per page group.
   void RecordAccess(PageId page, uint64_t accesses);
 
   // Runs one daemon interval covering `dt_seconds` of simulated time.
@@ -155,6 +155,12 @@ class TieredMemory {
     double migrated_bytes = 0.0;   // Promotion + demotion traffic.
     double hot_threshold = 0.0;    // Threshold in effect after adjustment.
     uint64_t candidates = 0;       // Hot low-tier pages seen this tick.
+    // Page slots whose columns this tick read: the warm-set visits of the
+    // candidate/cold-pool pass, of cold-pool refills and of the decay, the
+    // walk for zero-heat pages and the promotion-feedback count. A
+    // deterministic work counter that tracks the warm set, not
+    // page_count().
+    uint64_t pages_visited = 0;
   };
   TickResult Tick(double dt_seconds);
 
@@ -197,6 +203,12 @@ class TieredMemory {
   // Remaining ticks of promotion-failure backoff (tests/telemetry).
   int BackoffTicksRemaining() const { return backoff_ticks_remaining_; }
 
+  // Promotion stamp of `page` (tests): 1 + the epoch of the tick that last
+  // promoted it, 0 if none has. Freeing a page does not clear it.
+  uint32_t PromoteStamp(PageId page) const {
+    return page < promote_epoch_.size() ? promote_epoch_[page] : 0;
+  }
+
   // DRAM nodes are the top tier; CXL nodes the low tier (§2.3).
   bool IsTopTier(topology::NodeId node) const;
 
@@ -220,13 +232,45 @@ class TieredMemory {
   // headroom (at least 4096 pages), capped at the DRAM-resident count.
   uint64_t ColdPoolSize(uint64_t batch) const;
 
-  // Refills cold_pool_ with the `k` coldest DRAM-resident pages by a
-  // dedicated scan — only when a tick's demotions drain the pool its
-  // candidate scan built.
+  // Refills cold_pool_ with the `k` coldest DRAM-resident pages by its own
+  // warm pass — only when a tick's demotions drain the pool its candidate
+  // pass built, or no candidate pass ran.
   void BuildColdPool(uint64_t k);
 
-  // Finishes `selector` into cold_pool_ and resets the consumption cursor.
-  void InstallColdPool(ColdPoolSelector& selector);
+  // Completes `selector`, which this tick's warm pass offered
+  // `offered_dram` DRAM pages, with the zero-heat DRAM pages the pass left
+  // out, and finishes it into cold_pool_ as the `k` coldest DRAM pages.
+  // Resets the consumption cursor.
+  void InstallColdPool(ColdPoolSelector& selector, uint64_t k, uint64_t offered_dram);
+
+  // Walks the warm set in id order: `dense(id)` for every id of a run of
+  // dense words, `sparse(id)` for each set bit of a sparse word, whose bit
+  // clears when it returns false (heat read as 0).
+  template <typename Dense, typename Sparse>
+  void VisitWarm(Dense&& dense, Sparse&& sparse);
+
+  // The warm pass of one tick: DRAM pages are offered to `pool` and CXL
+  // pages passing `is_candidate(id, heat)` are appended to `hot` in id
+  // order. Returns the number of DRAM pages offered.
+  template <typename IsCandidate>
+  uint64_t ScanWarm(const IsCandidate& is_candidate, ColdPoolSelector& pool,
+                    ArenaVector<std::pair<float, PageId>>& hot);
+
+  // Calls `visit(id)`, in id order from the word of `from` until it returns
+  // false, for the pages this tick's warm pass left out: the clear bits of
+  // sparse words, which hold heat 0 once the pass cleared their stale bits.
+  template <typename Visit>
+  void VisitCold(PageId from, Visit&& visit);
+
+  // Multiplies every warm page's heat by the decay factor.
+  void DecayWarm();
+
+  // Sizes the stamp column and both page sets to cover every page slot.
+  void GrowPageSets();
+
+  // Counts the DRAM-resident pages promoted within the stamp window, and
+  // those of them touched this interval, into tick_recent_promoted_*.
+  void CountRecentPromotions();
 
   // Appends one tick's worth of telemetry (no-op without a sink).
   void EmitTickTelemetry(const TickResult& result, double dt_seconds);
@@ -252,6 +296,11 @@ class TieredMemory {
   // promoted), so a demotion or re-access of a recently promoted page is
   // recognisable within the stamp window.
   std::vector<uint32_t> promote_epoch_;
+  // One bit per page id, set at promotion and cleared once the counting
+  // pass finds the stamp aged out of the window: a superset of the pages
+  // whose stamps can count, so the feedback counts need not visit every
+  // DRAM page.
+  std::vector<uint64_t> recently_promoted_;
   uint64_t tick_ping_pong_ = 0;             // Demotions of recently promoted pages.
   uint64_t tick_recent_promoted_ = 0;       // Recently promoted pages seen in DRAM.
   uint64_t tick_recent_promoted_hot_ = 0;   // ...of those, re-accessed this interval.
@@ -260,11 +309,35 @@ class TieredMemory {
   // steady-state ticks do no heap allocation.
   Arena tick_arena_;
 
+  // Warm set: one bit per page id, a superset of the pages with heat > 0.
+  // Decay leaves heat 0 at exactly 0, so between accesses only warm pages
+  // change, and every daemon pass visits only them, in id order. Words with
+  // many bits set are dense: runs of them are walked id by id like the full
+  // column, zero heat included. RecordAccess sets a bit. A pass that reads
+  // heat 0 on a sparse word's page clears its bit, and the decay re-derives
+  // dense words from heat every kDenseRefreshTicks ticks. Allocate's heat
+  // reset and quarantine's leave stale bits, which only cost a visit. Heat
+  // is assumed non-negative, with a finite, non-negative decay factor.
+  std::vector<uint64_t> warm_;
+  uint64_t tick_pages_visited_ = 0;  // TickResult::pages_visited accumulator.
+  // Where the walk for zero-heat DRAM pages starts: no sparse word below it
+  // holds one. A walk raises it to the first one it finds, so demoting
+  // the lowest zero-heat pages does not leave a growing prefix to re-walk
+  // (from id 0, the largest kv-hotpromote tick visits 13.6% of the page
+  // slots instead of 8.3%). Whatever can make a page below it a zero-heat
+  // DRAM page lowers it: decay reaching 0, dense runs (whose zeros decay
+  // does not look for), quarantine, promoting a zero-heat page, and
+  // placement changes made outside the daemon, which only allocation makes
+  // (seen as a change in the allocator's `pgalloc` counter). The warm-set
+  // tests fail if any of these is left out.
+  PageId zero_floor_ = 0;
+  uint64_t seen_pgalloc_ = 0;
+
   // Demotion cold pool: the coldest DRAM pages in ascending (heat, id)
-  // order, selected by a ColdPoolSelector inside each tick's one candidate
-  // scan and consumed across the several DemoteColdPages calls a single Tick
-  // makes (heat is constant within a tick, so the remaining pool entries
-  // stay the exact k-smallest of the shrinking DRAM set). Invalidated at
+  // order, selected inside each tick's one warm-set pass and consumed
+  // across the several DemoteColdPages calls a single Tick makes (heat is
+  // constant within a tick, so the remaining pool entries stay the exact
+  // k-smallest of the shrinking DRAM set). Invalidated at
   // every tick start (decay/access change heat) and whenever a page enters
   // DRAM whose (heat, id) sorts at or below the pool's floor — such a page
   // would belong in the pool (cheap test, rare: promoted pages are hot by
