@@ -132,9 +132,8 @@ struct KvRun {
   os::VmCounters counters;
 };
 
-// Same harness shape as bench_promotion_policies::RunKeyDb, parameterised by
-// registry name instead of PromotionMode and with an optional per-cell fault
-// injector (the KvServerSim wires it into the tiering daemon).
+// Same harness shape as bench_promotion_policies::RunKeyDb, with an optional
+// per-cell fault injector (the KvServerSim wires it into the tiering daemon).
 StatusOr<KvRun> RunKv(const std::string& policy, workload::OpSource& source,
                       const fault::FaultPlan& plan, uint64_t fault_seed,
                       const fault::FaultTunables& tunables,

@@ -9,6 +9,7 @@
 
 #include "src/bench/context.h"
 #include "src/core/cxl_explorer.h"
+#include "src/os/policy_registry.h"
 #include "src/util/units.h"
 
 namespace {
@@ -20,12 +21,19 @@ struct PolicyRun {
   os::VmCounters counters;
 };
 
-StatusOr<PolicyRun> RunKeyDb(os::PromotionMode mode, workload::OpSource& source,
+// One sweep cell: the registry name that selects the policy and the label
+// its table row prints.
+struct PolicyCell {
+  const char* policy;
+  const char* label;
+};
+
+StatusOr<PolicyRun> RunKeyDb(const char* policy, workload::OpSource& source,
                              uint64_t dataset_bytes, telemetry::MetricRegistry* sink = nullptr) {
   topology::Platform platform = core::MakeHotPromotePlatform(dataset_bytes);
   os::PageAllocator allocator(platform, 16ull << 10);
   os::TieringConfig tc = core::DefaultTieringConfig();
-  tc.mode = mode;
+  tc.policy = policy;
   // A realistic production cap — which TPP predates and ignores.
   tc.promote_rate_limit_mbps = 256.0;
   os::TieredMemory tiering(allocator, tc);
@@ -46,18 +54,6 @@ StatusOr<PolicyRun> RunKeyDb(os::PromotionMode mode, workload::OpSource& source,
   PolicyRun run{sim.Run(), allocator.counters()};
   store->Free();
   return run;
-}
-
-const char* ModeName(os::PromotionMode mode) {
-  switch (mode) {
-    case os::PromotionMode::kHotPageSelection:
-      return "hot-page-selection";
-    case os::PromotionMode::kMruBalancing:
-      return "MRU-balancing";
-    case os::PromotionMode::kTppLike:
-      return "TPP-like";
-  }
-  return "?";
 }
 
 // Streaming scan source: sequential sweeps over the whole keyspace — the
@@ -83,34 +79,35 @@ int main(int argc, char** argv) {
   auto ctx = bench::Context::FromArgs(&argc, argv);
   auto& bench_telemetry = ctx.telemetry();
   constexpr uint64_t kDataset = 8ull << 30;
-  const std::vector<os::PromotionMode> modes = {os::PromotionMode::kHotPageSelection,
-                                                os::PromotionMode::kMruBalancing,
-                                                os::PromotionMode::kTppLike};
+  const std::vector<PolicyCell> cells = {
+      {os::kHotPageSelectionPolicyName, "hot-page-selection"},
+      {os::kMruBalancingPolicyName, "MRU-balancing"},
+      {os::kTppLikePolicyName, "TPP-like"}};
   runner::SweepOptions sweep_options;
   sweep_options.jobs = ctx.jobs();
-  for (os::PromotionMode mode : modes) {
-    sweep_options.cell_labels.push_back(ModeName(mode));
+  for (const PolicyCell& cell : cells) {
+    sweep_options.cell_labels.push_back(cell.label);
   }
   runner::SweepStats stats;
   // Per-cell registries (single-writer under the sweep), merged in index
   // order after each sweep so output is --jobs-independent.
   std::vector<telemetry::MetricRegistry> zipf_sinks(
-      bench_telemetry.enabled() ? modes.size() : 0);
+      bench_telemetry.enabled() ? cells.size() : 0);
   std::vector<telemetry::MetricRegistry> scan_sinks(
-      bench_telemetry.enabled() ? modes.size() : 0);
+      bench_telemetry.enabled() ? cells.size() : 0);
 
   // One policy per cell; each cell owns its op source (they are stateful
   // cursors, so sharing one across threads would skew the comparison).
   PrintSection(std::cout, "Zipfian KeyDB (YCSB-B): stable hot set — all policies should work");
   Table zipf({"policy", "kops/s", "p99 us", "promoted", "demoted", "migrated GB"});
   const auto zipf_runs = runner::RunSweep(
-      modes,
-      [&modes, &zipf_sinks](const os::PromotionMode& mode, uint64_t /*seed*/) {
+      cells,
+      [&cells, &zipf_sinks](const PolicyCell& cell, uint64_t /*seed*/) {
         workload::YcsbGenerator gen(workload::YcsbWorkload::kB, kDataset / kKiB, 1);
         telemetry::MetricRegistry* sink =
             zipf_sinks.empty() ? nullptr
-                               : &zipf_sinks[static_cast<size_t>(&mode - modes.data())];
-        return RunKeyDb(mode, gen, kDataset, sink);
+                               : &zipf_sinks[static_cast<size_t>(&cell - cells.data())];
+        return RunKeyDb(cell.policy, gen, kDataset, sink);
       },
       sweep_options, &stats);
   bench_telemetry.RecordSweep("zipf", stats);
@@ -120,12 +117,12 @@ int main(int argc, char** argv) {
   }
   for (size_t i = 0; i < zipf_sinks.size(); ++i) {
     bench_telemetry.registry().MergeFrom(zipf_sinks[i],
-                                         std::string("zipf/") + ModeName(modes[i]) + "/");
+                                         std::string("zipf/") + cells[i].label + "/");
   }
-  for (size_t i = 0; i < modes.size(); ++i) {
+  for (size_t i = 0; i < cells.size(); ++i) {
     const PolicyRun& run = (*zipf_runs)[i];
     zipf.Row()
-        .Cell(ModeName(modes[i]))
+        .Cell(cells[i].label)
         .Cell(run.result.throughput_kops, 1)
         .Cell(run.result.all_latency_us.p99(), 0)
         .Cell(run.counters.pgpromote_success)
@@ -138,13 +135,13 @@ int main(int argc, char** argv) {
                "Streaming scan: the bandwidth-intensive pattern that degraded TPP (§2.3)");
   Table scan({"policy", "kops/s", "p99 us", "promoted", "demoted", "migrated GB"});
   const auto scan_runs = runner::RunSweep(
-      modes,
-      [&modes, &scan_sinks](const os::PromotionMode& mode, uint64_t /*seed*/) {
+      cells,
+      [&cells, &scan_sinks](const PolicyCell& cell, uint64_t /*seed*/) {
         ScanSource source(kDataset / 1024);
         telemetry::MetricRegistry* sink =
             scan_sinks.empty() ? nullptr
-                               : &scan_sinks[static_cast<size_t>(&mode - modes.data())];
-        return RunKeyDb(mode, source, kDataset, sink);
+                               : &scan_sinks[static_cast<size_t>(&cell - cells.data())];
+        return RunKeyDb(cell.policy, source, kDataset, sink);
       },
       sweep_options, &stats);
   bench_telemetry.RecordSweep("scan", stats);
@@ -154,12 +151,12 @@ int main(int argc, char** argv) {
   }
   for (size_t i = 0; i < scan_sinks.size(); ++i) {
     bench_telemetry.registry().MergeFrom(scan_sinks[i],
-                                         std::string("scan/") + ModeName(modes[i]) + "/");
+                                         std::string("scan/") + cells[i].label + "/");
   }
-  for (size_t i = 0; i < modes.size(); ++i) {
+  for (size_t i = 0; i < cells.size(); ++i) {
     const PolicyRun& run = (*scan_runs)[i];
     scan.Row()
-        .Cell(ModeName(modes[i]))
+        .Cell(cells[i].label)
         .Cell(run.result.throughput_kops, 1)
         .Cell(run.result.all_latency_us.p99(), 0)
         .Cell(run.counters.pgpromote_success)

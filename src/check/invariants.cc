@@ -45,18 +45,14 @@ std::vector<std::string> SolverInvariantViolations(const mem::BandwidthSolver& s
     const double offered = solver.flow_offered_gbps(static_cast<Solver::FlowId>(i));
     const double achieved = sol.flows[i].achieved_gbps;
     if (achieved > offered + tolerance * std::max(1.0, offered)) {
-      violations.push_back(Format("flow %s: achieved %.6f exceeds offered %.6f", achieved, offered,
-                                  "#" + std::to_string(i)));
+      violations.push_back(Format("flow #%s: achieved %.6f exceeds offered %.6f", achieved,
+                                  offered, std::to_string(i)));
     }
     if (achieved < -tolerance) {
       violations.push_back(
-          Format("flow %s: negative achieved bandwidth %.6f (offered %.6f)", achieved, offered,
-                 "#" + std::to_string(i)));
+          Format("flow #%s: negative achieved bandwidth %.6f (offered %.6f)", achieved, offered,
+                 std::to_string(i)));
     }
-  }
-
-  if (sol.mode != mem::SolverMode::kMaxMinFair) {
-    return violations;  // Fairness clauses only bind the max-min allocator.
   }
 
   // Fair share + work conservation: every throttled flow must be pinned by a
@@ -90,9 +86,9 @@ std::vector<std::string> SolverInvariantViolations(const mem::BandwidthSolver& s
     }
     if (!has_bottleneck) {
       violations.push_back(Format(
-          "flow %s: throttled to %.6f of %.6f offered without a max-min bottleneck "
+          "flow #%s: throttled to %.6f of %.6f offered without a max-min bottleneck "
           "(no saturated resource where it holds the largest share)",
-          achieved, offered, "#" + std::to_string(i)));
+          achieved, offered, std::to_string(i)));
     }
   }
 

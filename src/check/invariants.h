@@ -6,12 +6,12 @@
 //   conservation   per resource, sum of delivered flow bandwidth never
 //                  exceeds capacity * kCapacityShare;
 //   demand bound   no flow is granted more than it offered;
-//   fair share     (max-min mode only) a flow that did not meet its demand
+//   fair share     a flow that did not meet its demand
 //                  has a saturated bottleneck resource on its path where its
 //                  allocation is at least that of every other flow crossing
 //                  the same resource — the defining property of max-min
 //                  fairness;
-//   work conservation  (max-min mode only) a saturated resource exists for
+//   work conservation  a saturated resource exists for
 //                  every throttled flow; capacity is never left idle while a
 //                  flow on it still wants more.
 //
@@ -28,9 +28,7 @@
 namespace cxl::check {
 
 // Verifies `sol` (produced by `solver.Solve()`) against the contract above.
-// `tolerance` is relative, scaled by the magnitudes involved. Fairness
-// clauses are skipped for SolverMode::kProportionalLegacy solutions (the
-// legacy allocator is documented not to satisfy them).
+// `tolerance` is relative, scaled by the magnitudes involved.
 std::vector<std::string> SolverInvariantViolations(const mem::BandwidthSolver& solver,
                                                    const mem::BandwidthSolver::Solution& sol,
                                                    double tolerance = 1e-6);

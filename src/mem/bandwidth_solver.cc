@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 
 namespace cxl::mem {
@@ -25,18 +23,6 @@ bool ApproxEqual(double a, double b) {
 }
 
 }  // namespace
-
-std::string SolverModeLabel(SolverMode mode) {
-  return mode == SolverMode::kMaxMinFair ? "max-min" : "proportional-legacy";
-}
-
-SolverMode BandwidthSolver::DefaultMode() {
-  const char* env = std::getenv("CXL_SOLVER_MODE");
-  if (env != nullptr && std::strcmp(env, "proportional") == 0) {
-    return SolverMode::kProportionalLegacy;
-  }
-  return SolverMode::kMaxMinFair;
-}
 
 BandwidthSolver::ResourceId BandwidthSolver::AddResource(std::string name,
                                                          const PathProfile* capacity_profile) {
@@ -61,8 +47,7 @@ BandwidthSolver::FlowId BandwidthSolver::AddFlow(const PathProfile* latency_prof
 void BandwidthSolver::ClearFlows() { flows_.clear(); }
 
 bool BandwidthSolver::CacheStructureMatches() const {
-  if (!cache_.valid || cache_.mode != mode_ ||
-      cache_.resource_profiles.size() != resources_.size() ||
+  if (!cache_.valid || cache_.resource_profiles.size() != resources_.size() ||
       cache_.flows.size() != flows_.size()) {
     return false;
   }
@@ -191,25 +176,20 @@ void BandwidthSolver::WaterFill(const double* capacity, double* alloc) const {
 
 BandwidthSolver::Solution BandwidthSolver::Solve() const {
   ++solve_calls_;
-  // Warm-start fast path: identical structure + offered loads within the
-  // reuse threshold (exactly equal at the default 0.0) reuse the cached
-  // Solution. The exact-reuse case is bit-identical by construction: the
-  // cached Solution *is* the cold solve of these inputs.
+  // Warm-start fast path: identical structure + equal offered loads reuse
+  // the cached Solution, which *is* the cold solve of these inputs.
   if (CacheStructureMatches()) {
-    bool within = true;
-    for (size_t i = 0; i < flows_.size() && within; ++i) {
-      const double a = flows_[i].offered_gbps;
-      const double b = cache_.flows[i].offered_gbps;
-      within = std::fabs(a - b) <= reuse_threshold_ * std::max(1.0, std::fabs(b));
+    bool equal = true;
+    for (size_t i = 0; i < flows_.size() && equal; ++i) {
+      equal = flows_[i].offered_gbps == cache_.flows[i].offered_gbps;
     }
-    if (within) {
+    if (equal) {
       ++cache_hits_;
       return cache_.solution;
     }
   }
-  Solution sol = mode_ == SolverMode::kMaxMinFair ? SolveMaxMin() : SolveProportionalLegacy();
+  Solution sol = SolveMaxMin();
   cache_.valid = true;
-  cache_.mode = mode_;
   cache_.resource_profiles.resize(resources_.size());
   for (size_t r = 0; r < resources_.size(); ++r) {
     cache_.resource_profiles[r] = resources_[r].profile;
@@ -221,7 +201,6 @@ BandwidthSolver::Solution BandwidthSolver::Solve() const {
 
 BandwidthSolver::Solution BandwidthSolver::SolveMaxMin() const {
   Solution sol;
-  sol.mode = SolverMode::kMaxMinFair;
 
   const size_t nf = flows_.size();
   const size_t nr = resources_.size();
@@ -255,58 +234,6 @@ BandwidthSolver::Solution BandwidthSolver::SolveMaxMin() const {
   }
 
   FinishSolution(alloc, capacity, &sol);
-  return sol;
-}
-
-BandwidthSolver::Solution BandwidthSolver::SolveProportionalLegacy() const {
-  Solution sol;
-  sol.mode = SolverMode::kProportionalLegacy;
-
-  scratch_.Reset();
-  double* throughput = scratch_.AllocateArray<double>(flows_.size());
-  for (size_t i = 0; i < flows_.size(); ++i) {
-    throughput[i] = flows_[i].offered_gbps;
-  }
-
-  double* capacity = scratch_.AllocateArray<double>(resources_.size());
-  std::fill(capacity, capacity + resources_.size(), 0.0);
-  // Fixed-point: scale down flows at over-subscribed resources. 40 rounds of
-  // proportional scaling converge far below measurement noise for the flow
-  // counts we use (<< 1e-6 relative change).
-  for (int round = 0; round < kMaxRounds; ++round) {
-    ++sol.iterations;
-    bool changed = false;
-    for (size_t r = 0; r < resources_.size(); ++r) {
-      double demand = 0.0;
-      for (size_t i = 0; i < flows_.size(); ++i) {
-        const Flow& f = flows_[i];
-        if (std::find(f.resources.begin(), f.resources.end(), static_cast<ResourceId>(r)) !=
-            f.resources.end()) {
-          demand += throughput[i];
-        }
-      }
-      capacity[r] = BlendedCapacity(r, throughput);
-      const double limit = capacity[r] * kCapacityShare;
-      if (demand > limit) {
-        const double scale = limit / demand;
-        for (size_t i = 0; i < flows_.size(); ++i) {
-          const Flow& f = flows_[i];
-          if (std::find(f.resources.begin(), f.resources.end(), static_cast<ResourceId>(r)) !=
-              f.resources.end()) {
-            throughput[i] *= scale;
-            changed = true;
-          }
-        }
-      }
-    }
-    // The pre-rewrite exit required `round > 0` as well, wasting a full
-    // no-op round on workloads with no over-subscribed resource.
-    if (!changed) {
-      break;
-    }
-  }
-
-  FinishSolution(throughput, capacity, &sol);
   return sol;
 }
 

@@ -10,16 +10,12 @@
 //
 // Model: each flow crosses an ordered set of capacitated resources. Resource
 // capacity is mix-dependent (taken from the resource's PathProfile at the
-// demand-weighted read fraction). The default allocator is *max-min fair*
+// demand-weighted read fraction). The allocator is *max-min fair*
 // water-filling: every flow's rate rises in lock-step until it either meets
 // its offered load or saturates a resource on its path; capacity freed when
 // a flow freezes at one resource is redistributed among the flows still
 // growing at the others. An outer fixed point re-blends each resource's
-// mix-dependent capacity at the resulting allocation. The pre-rewrite
-// proportional scaler is kept behind SolverMode::kProportionalLegacy for one
-// release so results can be diffed (it is monotone-down: capacity freed at
-// one resource is never re-granted at another, which under-allocates
-// multi-resource flows and their neighbors).
+// mix-dependent capacity at the resulting allocation.
 //
 // A flow's loaded latency follows its path's queue model evaluated at the
 // utilization of its most-congested resource.
@@ -35,20 +31,6 @@
 #include "src/util/arena.h"
 
 namespace cxl::mem {
-
-// Allocation discipline for contended resources.
-enum class SolverMode {
-  // Water-filling max-min fairness (the default): no flow below its fair
-  // share at its bottleneck, freed capacity redistributed, work-conserving.
-  kMaxMinFair,
-  // The pre-rewrite iterated proportional scaler, kept for one release to
-  // diff against. Known defect: scaling is monotone-down across resources,
-  // so multi-resource flows (and flows sharing a resource with them) can end
-  // up under-allocated while capacity sits idle.
-  kProportionalLegacy,
-};
-
-std::string SolverModeLabel(SolverMode mode);
 
 class BandwidthSolver {
  public:
@@ -82,48 +64,26 @@ class BandwidthSolver {
   struct Solution {
     std::vector<FlowResult> flows;
     std::vector<ResourceResult> resources;
-    // Discipline that produced this solution.
-    SolverMode mode = SolverMode::kMaxMinFair;
     // Fixed-point rounds until the capacity blend converged. A workload with
     // no over-subscribed resource converges in exactly one round.
     int iterations = 0;
   };
 
-  // Runs the allocation for the configured mode. The solver can be re-solved
-  // after adding more flows; ClearFlows() resets flows but keeps resources.
+  // Runs the allocation. The solver can be re-solved after adding more
+  // flows; ClearFlows() resets flows but keeps resources.
   //
   // Warm-start cache: the solver memoizes its last (inputs, Solution) pair.
-  // A re-solve whose inputs match the cached ones — same mode, same
-  // resources, flows with identical profiles/mixes/patterns/paths, and
-  // offered loads within reuse_threshold() of the cached loads — returns the
-  // cached Solution without re-running the fixed point. At the default
-  // threshold of 0.0 a hit requires *bitwise-equal* offered loads, so the
+  // A re-solve whose inputs match the cached ones — same resources, flows
+  // with identical profiles/mixes/patterns/paths, and equal offered loads —
+  // returns the cached Solution without re-running the fixed point, so the
   // returned Solution is exactly what a cold solve would produce
   // (bit-identical by construction). Any structural change — a new resource
-  // or flow, a different path set, a mode switch — misses the cache and
-  // solves cold. Hits/misses are observable via solve_count()/cache_hits().
+  // or flow, a different path set — misses the cache and solves cold.
+  // Hits/misses are observable via solve_count()/cache_hits().
   Solution Solve() const;
 
   // Removes all flows (resources are kept so topologies can be reused).
   void ClearFlows();
-
-  // Allocation discipline. Defaults to DefaultMode().
-  void set_mode(SolverMode mode) { mode_ = mode; }
-  SolverMode mode() const { return mode_; }
-
-  // SolverMode::kMaxMinFair unless the CXL_SOLVER_MODE environment variable
-  // is set to "proportional" (the one-release escape hatch for diffing
-  // against the legacy allocator).
-  static SolverMode DefaultMode();
-
-  // Relative tolerance for reusing the cached solution when only offered
-  // loads changed: reuse when |new - cached| <= tol * max(1, |cached|) for
-  // every flow. The default 0.0 is the exact-reuse fast path (bit-identical
-  // results). A positive threshold trades bounded allocation error for
-  // skipped re-solves — opt-in, and never used by the deterministic sweep
-  // paths, whose outputs must stay byte-stable.
-  void set_reuse_threshold(double tol) { reuse_threshold_ = tol < 0.0 ? 0.0 : tol; }
-  double reuse_threshold() const { return reuse_threshold_; }
 
   // Warm-start evidence: total Solve() calls and how many were served from
   // the cache without re-running the allocation.
@@ -169,17 +129,15 @@ class BandwidthSolver {
   void WaterFill(const double* capacity, double* alloc) const;
 
   Solution SolveMaxMin() const;
-  Solution SolveProportionalLegacy() const;
-  // Fills flow latencies / resource aggregates shared by both modes.
+  // Fills flow latencies and resource aggregates.
   void FinishSolution(const double* throughput, const double* capacity, Solution* sol) const;
 
-  // True when the current mode/resources/flows match the cached inputs in
+  // True when the current resources/flows match the cached inputs in
   // everything except offered loads.
   bool CacheStructureMatches() const;
 
   std::vector<Resource> resources_;
   std::vector<Flow> flows_;
-  SolverMode mode_ = DefaultMode();
 
   // Working vectors (basis/capacity/alloc, water-filling headroom and active
   // sets) bump-allocate here; Reset() at each cold solve recycles the
@@ -190,7 +148,6 @@ class BandwidthSolver {
   // invisible to callers of the const Solve().
   struct CacheEntry {
     bool valid = false;
-    SolverMode mode = SolverMode::kMaxMinFair;
     std::vector<const PathProfile*> resource_profiles;
     std::vector<Flow> flows;
     Solution solution;
@@ -198,7 +155,6 @@ class BandwidthSolver {
   mutable CacheEntry cache_;
   mutable uint64_t solve_calls_ = 0;
   mutable uint64_t cache_hits_ = 0;
-  double reuse_threshold_ = 0.0;
 };
 
 // Convenience for the single-flow case (microbenchmarks): offered load on

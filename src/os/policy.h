@@ -12,10 +12,10 @@
 // but never asks whether the pages it promoted were worth moving — the
 // mis-adaptation behind the Spark thrashing regression (§4.2.2).
 //
-// The three legacy policies reproduce the historical PromotionMode branches
-// byte-for-byte; AdaptiveFeedbackPolicy adds the outcome-driven feedback
-// loop. Third-party policies implement this interface and register in a
-// PolicyRegistry (policy_registry.h).
+// Three policies reproduce the kernel patches of §2.3 (hot page selection,
+// MRU NUMA balancing, TPP-like); AdaptiveFeedbackPolicy adds the
+// outcome-driven feedback loop. Third-party policies implement this
+// interface and register in a PolicyRegistry (policy_registry.h).
 #ifndef CXL_EXPLORER_SRC_OS_POLICY_H_
 #define CXL_EXPLORER_SRC_OS_POLICY_H_
 
@@ -25,10 +25,9 @@ namespace cxl::os {
 
 struct TieringConfig;
 
-// Which candidate-selection mechanism the daemon runs this tick. These are
-// the scan loops formerly keyed on PromotionMode; the fused single-pass
-// implementations stay inside TieredMemory::Tick (they touch the SoA page
-// columns directly), the policy only picks one.
+// Which candidate-selection mechanism the daemon runs this tick. The fused
+// single-pass implementations stay inside TieredMemory::Tick (they touch the
+// SoA page columns directly), the policy only picks one.
 enum class CandidateScan {
   // Heat >= threshold on the low tier, promoted hottest-first (post-v6.1
   // hot page selection).
@@ -128,7 +127,8 @@ class TieringPolicy {
 };
 
 // Post-v6.1 hot page selection: heat threshold + rate limit, with the
-// dynamic threshold adjustment aiming candidate volume at the budget.
+// dynamic threshold adjustment aiming candidate volume at the budget. What
+// the paper's experiments use.
 class HotPageSelectionPolicy : public TieringPolicy {
  public:
   explicit HotPageSelectionPolicy(const TieringConfig& config);
@@ -146,7 +146,8 @@ class HotPageSelectionPolicy : public TieringPolicy {
 };
 
 // The earlier MRU NUMA-balancing patch: recency, no hotness ranking, no
-// threshold adaptation.
+// threshold adaptation. "It may not accurately identify high-demand pages
+// due to extended scanning intervals" (§2.3).
 class MruBalancingPolicy : public TieringPolicy {
  public:
   explicit MruBalancingPolicy(const TieringConfig& config);
@@ -161,7 +162,10 @@ class MruBalancingPolicy : public TieringPolicy {
   double hot_threshold_;
 };
 
-// TPP-like second-access promotion with no rate limit.
+// TPP-like second-access promotion with no rate limit (Meta's Transparent
+// Page Placement, §2.3/§8). Responsive on stable hot sets, but under
+// bandwidth-intensive or streaming workloads it migrates without bound —
+// the degradation the paper reports when running TPP.
 class TppLikePolicy : public TieringPolicy {
  public:
   explicit TppLikePolicy(const TieringConfig& config);

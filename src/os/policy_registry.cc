@@ -61,32 +61,4 @@ PolicyRegistry PolicyRegistry::BuiltIns() {
   return registry;
 }
 
-const char* PolicyNameForMode(PromotionMode mode) {
-  switch (mode) {
-    case PromotionMode::kHotPageSelection:
-      return kHotPageSelectionPolicyName;
-    case PromotionMode::kMruBalancing:
-      return kMruBalancingPolicyName;
-    case PromotionMode::kTppLike:
-      return kTppLikePolicyName;
-  }
-  return kHotPageSelectionPolicyName;
-}
-
-bool ModeForPolicyName(const std::string& name, PromotionMode* mode) {
-  if (name == kHotPageSelectionPolicyName) {
-    *mode = PromotionMode::kHotPageSelection;
-    return true;
-  }
-  if (name == kMruBalancingPolicyName) {
-    *mode = PromotionMode::kMruBalancing;
-    return true;
-  }
-  if (name == kTppLikePolicyName) {
-    *mode = PromotionMode::kTppLike;
-    return true;
-  }
-  return false;
-}
-
 }  // namespace cxl::os

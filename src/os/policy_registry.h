@@ -1,13 +1,12 @@
 // Name-keyed factory for TieringPolicy implementations.
 //
-// The registry replaces the float-coded vm.numa_balancing_mode knob as the
-// way a policy is chosen: configs, knobs and bench flags carry a policy
-// *name* ("hot-page-selection", "adaptive-feedback", ...) that resolves
-// here. Registries are plain values — BuiltIns() returns a fresh instance
-// and callers hold their own copy — because a mutable process-wide
-// singleton in src/os would be exactly the static-storage determinism
-// hazard cxl_lint's CXL-D004 exists to reject. Third-party policies
-// Register() on the instance they pass around.
+// Configs, knobs and bench flags carry a policy *name*
+// ("hot-page-selection", "adaptive-feedback", ...) that resolves here.
+// Registries are plain values — BuiltIns() returns a fresh instance and
+// callers hold their own copy — because a mutable process-wide singleton in
+// src/os would be exactly the static-storage determinism hazard cxl_lint's
+// CXL-D004 exists to reject. Third-party policies Register() on the
+// instance they pass around.
 #ifndef CXL_EXPLORER_SRC_OS_POLICY_REGISTRY_H_
 #define CXL_EXPLORER_SRC_OS_POLICY_REGISTRY_H_
 
@@ -21,8 +20,6 @@
 #include "src/util/status.h"
 
 namespace cxl::os {
-
-enum class PromotionMode;
 
 // Canonical names of the built-in policies.
 inline constexpr const char kHotPageSelectionPolicyName[] = "hot-page-selection";
@@ -53,14 +50,6 @@ class PolicyRegistry {
  private:
   std::map<std::string, Factory> factories_;
 };
-
-// Registry name for a legacy PromotionMode enum value (the one-release
-// compatibility mapping behind the deprecated numeric knob).
-const char* PolicyNameForMode(PromotionMode mode);
-
-// Inverse mapping for the three legacy names; returns false (leaving *mode
-// untouched) for any other name.
-bool ModeForPolicyName(const std::string& name, PromotionMode* mode);
 
 }  // namespace cxl::os
 

@@ -57,7 +57,7 @@ size_t DenseRunEnd(const std::vector<uint64_t>& warm, size_t w, uint64_t page_co
 }  // namespace
 
 const char* TieringConfig::PolicyName() const {
-  return policy.empty() ? PolicyNameForMode(mode) : policy.c_str();
+  return policy.empty() ? kHotPageSelectionPolicyName : policy.c_str();
 }
 
 TieredMemory::TieredMemory(PageAllocator& allocator, TieringConfig config)
@@ -80,9 +80,9 @@ TieredMemory::TieredMemory(PageAllocator& allocator, TieringConfig config)
   if (!policy.ok()) {
     // Unknown name in config_.policy: callers taking user input validate
     // names against the registry up front, so this is a programming error —
-    // fall back to the legacy-mode policy rather than crash release builds.
+    // fall back to hot page selection rather than crash release builds.
     assert(false && "unknown tiering policy name");
-    policy = PolicyRegistry::BuiltIns().Create(PolicyNameForMode(config_.mode), config_);
+    policy = PolicyRegistry::BuiltIns().Create(kHotPageSelectionPolicyName, config_);
   }
   owned_policy_ = std::move(policy).value();
   policy_ = owned_policy_.get();
@@ -928,12 +928,6 @@ void DeclareTieringKnobs(KnobSet& knobs) {
                 "1 = adapt the hot threshold to the promotion rate limit");
   knobs.DeclareString("vm.tiering_policy", defaults.PolicyName(),
                       "promotion policy name, resolved through os::PolicyRegistry::BuiltIns()");
-  knobs.Declare("vm.numa_balancing_mode", 0.0,
-                "deprecated alias of vm.tiering_policy: 0 = hot page selection (v6.1+), "
-                "1 = MRU NUMA balancing, 2 = TPP-like");
-  knobs.Deprecate("vm.numa_balancing_mode",
-                  "vm.numa_balancing_mode is deprecated; use vm.tiering_policy=<name> "
-                  "(see docs/tiering-policies.md)");
   knobs.Declare("vm.demotion_free_watermark", defaults.demotion_free_watermark,
                 "DRAM free fraction below which cold pages demote");
   knobs.Declare("vm.hint_fault_sample_rate", defaults.hint_fault_sample_rate,
@@ -949,20 +943,8 @@ TieringConfig TieringConfigFromKnobs(const KnobSet& knobs) {
       get("kernel.numa_balancing_promote_rate_limit_MBps", cfg.promote_rate_limit_mbps);
   cfg.initial_hot_threshold = get("vm.hot_page_threshold", cfg.initial_hot_threshold);
   cfg.dynamic_threshold = get("vm.hot_threshold_auto_adjust", 1.0) != 0.0;
-  // Policy selection: an *explicitly set* vm.numa_balancing_mode wins for
-  // one release (deprecated-alias semantics — Set() already warned); else
-  // the string knob selects by registry name. Both sides keep mode and
-  // policy mirrored for the three classic names so legacy readers of
-  // config.mode keep working.
-  if (knobs.IsDeclared("vm.numa_balancing_mode") && knobs.WasSet("vm.numa_balancing_mode")) {
-    const double mode = knobs.Get("vm.numa_balancing_mode");
-    cfg.mode = mode >= 2.0   ? PromotionMode::kTppLike
-               : mode >= 1.0 ? PromotionMode::kMruBalancing
-                             : PromotionMode::kHotPageSelection;
-    cfg.policy = PolicyNameForMode(cfg.mode);
-  } else if (knobs.IsDeclaredString("vm.tiering_policy")) {
+  if (knobs.IsDeclaredString("vm.tiering_policy")) {
     cfg.policy = knobs.GetString("vm.tiering_policy");
-    ModeForPolicyName(cfg.policy, &cfg.mode);
   }
   cfg.demotion_free_watermark = get("vm.demotion_free_watermark", cfg.demotion_free_watermark);
   cfg.hint_fault_sample_rate = get("vm.hint_fault_sample_rate", cfg.hint_fault_sample_rate);

@@ -39,37 +39,11 @@
 
 namespace cxl::os {
 
-// Legacy three-way policy selector, kept one release as a configuration
-// alias: TieringConfig::policy (a PolicyRegistry name) is the first-class
-// selector, and an empty name falls back to this enum via
-// PolicyNameForMode(). The former per-mode branches in Tick() now live in
-// HotPageSelectionPolicy / MruBalancingPolicy / TppLikePolicy (§2.3):
-//  - kHotPageSelection: the post-v6.1 patch — heat threshold (optionally
-//    dynamic) + promotion rate limit. What the paper's experiments use.
-//  - kMruBalancing: the earlier NUMA-balancing patch — promotes *recently
-//    accessed* pages (MRU) with no hotness threshold. "It may not
-//    accurately identify high-demand pages due to extended scanning
-//    intervals, potentially causing latency issues for some workloads."
-//  - kTppLike (Meta's Transparent Page Placement, §2.3/§8): promote a page
-//    on its *second* observed access ("active list" promotion) with NO rate
-//    limit. Responsive on stable hot sets, but under bandwidth-intensive or
-//    streaming workloads it migrates without bound — the paper "faced
-//    challenges with TPP when running memory-bandwidth-intensive
-//    applications, resulting in unexplained performance degradation".
-enum class PromotionMode {
-  kHotPageSelection,
-  kMruBalancing,
-  kTppLike,
-};
-
 struct TieringConfig {
   // PolicyRegistry name of the promotion policy ("hot-page-selection",
-  // "mru-balancing", "tpp-like", "adaptive-feedback"). Empty = derive from
-  // the legacy `mode` enum below.
+  // "mru-balancing", "tpp-like", "adaptive-feedback"; see policy.h). Empty
+  // = hot-page-selection, the post-v6.1 patch the paper's experiments use.
   std::string policy;
-  // Deprecated alias for `policy` (one release): consulted only when
-  // `policy` is empty.
-  PromotionMode mode = PromotionMode::kHotPageSelection;
   // kernel.numa_balancing_promote_rate_limit_MBps. The kernel default is
   // 65536 (64 GiB/s, effectively unlimited); the paper's experiments ran the
   // post-v6.1 dynamic-threshold variant.
@@ -86,19 +60,17 @@ struct TieringConfig {
   // Fraction of real accesses observed by hint-fault sampling.
   double hint_fault_sample_rate = 0.05;
 
-  // The effective PolicyRegistry name (policy, or the mode-derived name).
+  // The effective PolicyRegistry name (policy, or hot-page-selection when
+  // empty).
   const char* PolicyName() const;
 };
 
 // Declares the sysctl-style knobs that mirror this config in `knobs`
 // (kernel.numa_balancing_promote_rate_limit_MBps, vm.tiering_policy, ...).
-// vm.numa_balancing_mode remains declared as a deprecated numeric alias of
-// vm.tiering_policy; setting it warns once per KnobSet.
 void DeclareTieringKnobs(KnobSet& knobs);
 
 // Builds a TieringConfig from declared knob values (knobs not declared fall
-// back to TieringConfig defaults). An explicitly set vm.numa_balancing_mode
-// overrides vm.tiering_policy for one release (deprecated-alias semantics).
+// back to TieringConfig defaults).
 TieringConfig TieringConfigFromKnobs(const KnobSet& knobs);
 
 // Exact k-smallest selection over unique (heat, id) pairs — how the daemon

@@ -211,7 +211,6 @@ TrafficModel::FlowId TrafficModel::AddSsdTraffic(const AccessMix& mix, double gb
 TrafficModel::Solution TrafficModel::Solve() const {
   const mem::BandwidthSolver::Solution raw = solver_.Solve();
   Solution out;
-  out.solver_mode = raw.mode;
   out.solver_iterations = raw.iterations;
   out.flows.reserve(raw.flows.size());
   for (const auto& f : raw.flows) {

@@ -146,17 +146,11 @@ class TrafficModel {
     std::vector<NodeStats> nodes;                // Indexed by NodeId.
     std::vector<NodeStats> upi;                  // Indexed by destination socket.
     NodeStats ssd = {};
-    mem::SolverMode solver_mode = mem::SolverMode::kMaxMinFair;
     int solver_iterations = 0;  // Capacity fixed-point rounds to converge.
   };
   Solution Solve() const;
 
   void ClearTraffic();
-
-  // Allocation discipline passthrough (defaults to the solver's DefaultMode;
-  // kProportionalLegacy is the one-release diffing escape hatch).
-  void set_solver_mode(mem::SolverMode mode) { solver_.set_mode(mode); }
-  mem::SolverMode solver_mode() const { return solver_.mode(); }
 
   // Warm-start cache observability passthrough: total Solve() calls and the
   // subset answered from the memoized solution (telemetry emits a

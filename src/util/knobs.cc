@@ -1,7 +1,6 @@
 #include "src/util/knobs.h"
 
 #include <cassert>
-#include <iostream>
 
 namespace cxl {
 
@@ -19,13 +18,7 @@ Status KnobSet::Set(const std::string& key, double value) {
   if (it == entries_.end()) {
     return Status::NotFound("unknown knob: " + key);
   }
-  if (it->second.deprecated && !it->second.warned) {
-    // Stderr: the warning must never perturb stdout goldens.
-    std::cerr << "knob: " << it->second.deprecation << "\n";
-    it->second.warned = true;
-  }
   it->second.value = value;
-  it->second.set = true;
   return Status::Ok();
 }
 
@@ -36,25 +29,6 @@ double KnobSet::Get(const std::string& key) const {
     return 0.0;
   }
   return it->second.value;
-}
-
-bool KnobSet::WasSet(const std::string& key) const {
-  auto it = entries_.find(key);
-  if (it != entries_.end()) {
-    return it->second.set;
-  }
-  auto sit = string_entries_.find(key);
-  return sit != string_entries_.end() && sit->second.set;
-}
-
-void KnobSet::Deprecate(const std::string& key, const std::string& message) {
-  auto it = entries_.find(key);
-  assert(it != entries_.end() && "knob not declared");
-  if (it == entries_.end()) {
-    return;
-  }
-  it->second.deprecated = true;
-  it->second.deprecation = message;
 }
 
 void KnobSet::DeclareString(const std::string& key, const std::string& default_value,
@@ -68,7 +42,6 @@ Status KnobSet::SetString(const std::string& key, const std::string& value) {
     return Status::NotFound("unknown knob: " + key);
   }
   it->second.value = value;
-  it->second.set = true;
   return Status::Ok();
 }
 
@@ -84,11 +57,9 @@ std::string KnobSet::GetString(const std::string& key) const {
 void KnobSet::ResetAll() {
   for (auto& [key, entry] : entries_) {
     entry.value = entry.default_value;
-    entry.set = false;
   }
   for (auto& [key, entry] : string_entries_) {
     entry.value = entry.default_value;
-    entry.set = false;
   }
 }
 

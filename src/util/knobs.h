@@ -21,9 +21,7 @@ class KnobSet {
   // Registers a knob with its default value and a one-line description.
   void Declare(const std::string& key, double default_value, const std::string& description);
 
-  // Sets a declared knob. Returns NOT_FOUND for unknown keys. The first
-  // Set() on a Deprecate()d knob prints the deprecation message to stderr
-  // (once per KnobSet instance — no process-wide state).
+  // Sets a declared knob. Returns NOT_FOUND for unknown keys.
   Status Set(const std::string& key, double value);
 
   // Reads a knob; returns the declared default if never Set.
@@ -31,15 +29,6 @@ class KnobSet {
   double Get(const std::string& key) const;
 
   bool IsDeclared(const std::string& key) const { return entries_.count(key) > 0; }
-
-  // True when the knob was explicitly Set() since Declare()/ResetAll() —
-  // distinguishes "left at default" from "set to the default value", which
-  // matters for deprecated aliases that only override when actually used.
-  bool WasSet(const std::string& key) const;
-
-  // Marks a declared numeric knob as deprecated: the first Set() on it
-  // warns with `message` on stderr. Reading stays silent.
-  void Deprecate(const std::string& key, const std::string& message);
 
   // String-valued knobs (e.g. vm.tiering_policy): same Declare/Set/Get
   // contract as the numeric surface.
@@ -59,10 +48,6 @@ class KnobSet {
     double value = 0.0;
     double default_value = 0.0;
     std::string description;
-    bool set = false;         // Explicitly Set() since declaration/reset.
-    bool deprecated = false;  // Deprecate() called; `deprecation` holds the message.
-    bool warned = false;      // Deprecation warning already printed.
-    std::string deprecation;
   };
   const std::map<std::string, Entry>& entries() const { return entries_; }
 
@@ -70,7 +55,6 @@ class KnobSet {
     std::string value;
     std::string default_value;
     std::string description;
-    bool set = false;
   };
   const std::map<std::string, StringEntry>& string_entries() const { return string_entries_; }
 

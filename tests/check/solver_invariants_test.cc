@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
 #include "src/mem/access.h"
 #include "src/mem/bandwidth_solver.h"
 #include "src/mem/profiles.h"
@@ -17,7 +15,6 @@ using mem::GetProfile;
 using mem::MemoryPath;
 using mem::PathProfile;
 using mem::PiecewiseLinear;
-using mem::SolverMode;
 
 const AccessMix kRead = AccessMix::ReadOnly();
 
@@ -59,7 +56,6 @@ TEST(SolverInvariantsTest, ContendedMaxMinSolutionSatisfiesContract) {
   solver.AddFlow(&dram, AccessMix::Ratio(2, 1), 40.0, {r_dram});
   solver.AddFlow(&cxl, kRead, 30.0, {r_cxl});
   solver.AddFlow(&cxl, AccessMix::Ratio(2, 1), 45.0, {r_cxl, r_dram});
-  solver.set_mode(SolverMode::kMaxMinFair);
   const auto sol = solver.Solve();
   const auto violations = SolverInvariantViolations(solver, sol);
   EXPECT_TRUE(violations.empty()) << violations.front();
@@ -67,63 +63,28 @@ TEST(SolverInvariantsTest, ContendedMaxMinSolutionSatisfiesContract) {
   EXPECT_LE(sol.iterations, 10) << "capacity-blend fixed point failed to settle";
 }
 
-TEST(SolverInvariantsTest, LegacyModeSkipsFairnessButKeepsConservation) {
-  const PathProfile wide = FlatProfile("flat50", 50.0);
-  const PathProfile narrow = FlatProfile("flat30", 30.0);
+// On an asymmetric two-resource topology, capacity freed when flow A
+// freezes at r2 must be re-granted to flow B at r1 (a monotone-down
+// proportional scaler strands ~6 GB/s of r1 here).
+TEST(SolverInvariantsTest, MaxMinRegrantsFreedCapacity) {
+  const PathProfile wide = FlatProfile("flat50", 50.0);    // limit 49.0
+  const PathProfile narrow = FlatProfile("flat30", 30.0);  // limit 29.4
   BandwidthSolver solver;
   const auto r1 = solver.AddResource("r1", &wide);
   const auto r2 = solver.AddResource("r2", &narrow);
-  solver.AddFlow(&wide, kRead, 40.0, {r1, r2});
-  solver.AddFlow(&wide, kRead, 40.0, {r1});
-  solver.AddFlow(&wide, kRead, 40.0, {r2});
-  solver.set_mode(SolverMode::kProportionalLegacy);
-  const auto sol = solver.Solve();
-  // The legacy allocator strands capacity (violating work conservation in
-  // spirit), but it must still never over-commit a resource or over-grant a
-  // flow — and the checker documents that by reporting zero violations for
-  // legacy solutions (fairness clauses are skipped).
-  const auto violations = SolverInvariantViolations(solver, sol);
-  EXPECT_TRUE(violations.empty()) << violations.front();
-  EXPECT_EQ(sol.mode, SolverMode::kProportionalLegacy);
-}
+  solver.AddFlow(&wide, kRead, 40.0, {r1, r2});  // A: crosses both.
+  solver.AddFlow(&wide, kRead, 40.0, {r1});      // B: r1 only.
+  solver.AddFlow(&wide, kRead, 40.0, {r2});      // C: r2 only.
+  const auto maxmin = solver.Solve();
 
-// The defect that motivated the rewrite, demonstrated end to end: on an
-// asymmetric two-resource topology the proportional legacy scaler never
-// re-grants capacity freed at one resource, stranding ~6 GB/s at r1 while
-// flow B still wants it. Max-min water-filling recovers it.
-TEST(SolverInvariantsTest, MaxMinRecoversCapacityLegacyStrands) {
-  const PathProfile wide = FlatProfile("flat50", 50.0);    // limit 49.0
-  const PathProfile narrow = FlatProfile("flat30", 30.0);  // limit 29.4
-  auto solve = [&](SolverMode mode, BandwidthSolver* solver) {
-    const auto r1 = solver->AddResource("r1", &wide);
-    const auto r2 = solver->AddResource("r2", &narrow);
-    solver->AddFlow(&wide, kRead, 40.0, {r1, r2});  // A: crosses both.
-    solver->AddFlow(&wide, kRead, 40.0, {r1});      // B: r1 only.
-    solver->AddFlow(&wide, kRead, 40.0, {r2});      // C: r2 only.
-    solver->set_mode(mode);
-    return solver->Solve();
-  };
-  BandwidthSolver maxmin_solver;
-  BandwidthSolver legacy_solver;
-  const auto maxmin = solve(SolverMode::kMaxMinFair, &maxmin_solver);
-  const auto legacy = solve(SolverMode::kProportionalLegacy, &legacy_solver);
-
-  // Max-min: A and C split r2's 29.4 evenly (14.7 each); B takes the rest of
-  // r1 (49.0 - 14.7 = 34.3). Total 63.7, both resources fully used.
+  // A and C split r2's 29.4 evenly (14.7 each); B takes the rest of r1
+  // (49.0 - 14.7 = 34.3). Total 63.7, both resources fully used.
   EXPECT_NEAR(maxmin.flows[0].achieved_gbps, 14.7, 0.05);
   EXPECT_NEAR(maxmin.flows[1].achieved_gbps, 34.3, 0.05);
   EXPECT_NEAR(maxmin.flows[2].achieved_gbps, 14.7, 0.05);
   EXPECT_NEAR(TotalAchieved(maxmin), 63.7, 0.1);
 
-  // Legacy under-allocates: B is stuck near 24.5 while ~6 GB/s of r1 sits
-  // idle, because A's down-scaling at r2 is never re-granted at r1.
-  EXPECT_LT(legacy.flows[1].achieved_gbps, maxmin.flows[1].achieved_gbps - 5.0);
-  EXPECT_LT(TotalAchieved(legacy), TotalAchieved(maxmin) - 5.0);
-  const double r1_used = legacy.flows[0].achieved_gbps + legacy.flows[1].achieved_gbps;
-  EXPECT_LT(r1_used, 49.0 - 5.0) << "legacy should strand capacity at r1";
-
-  // The max-min solution passes the full contract; the point of the rewrite.
-  const auto violations = SolverInvariantViolations(maxmin_solver, maxmin);
+  const auto violations = SolverInvariantViolations(solver, maxmin);
   EXPECT_TRUE(violations.empty()) << violations.front();
 }
 
@@ -160,40 +121,12 @@ TEST(SolverInvariantsTest, DetectsUnfairThrottling) {
   const auto r = solver.AddResource("r", &flat);
   solver.AddFlow(&flat, kRead, 40.0, {r});
   solver.AddFlow(&flat, kRead, 40.0, {r});
-  solver.set_mode(SolverMode::kMaxMinFair);
   auto sol = solver.Solve();
-  ASSERT_EQ(sol.mode, SolverMode::kMaxMinFair);
   sol.flows[0].achieved_gbps = 33.0;
   sol.flows[1].achieved_gbps = 16.0;
   sol.resources[0].achieved_gbps = 49.0;  // Saturated (50 * kCapacityShare).
   const auto violations = SolverInvariantViolations(solver, sol);
   EXPECT_FALSE(violations.empty());
-}
-
-TEST(SolverModeTest, LabelsAreStable) {
-  EXPECT_EQ(mem::SolverModeLabel(SolverMode::kMaxMinFair), "max-min");
-  EXPECT_EQ(mem::SolverModeLabel(SolverMode::kProportionalLegacy), "proportional-legacy");
-}
-
-TEST(SolverModeTest, DefaultModeReadsEnvironmentEscapeHatch) {
-  unsetenv("CXL_SOLVER_MODE");
-  EXPECT_EQ(BandwidthSolver::DefaultMode(), SolverMode::kMaxMinFair);
-  setenv("CXL_SOLVER_MODE", "proportional", 1);
-  EXPECT_EQ(BandwidthSolver::DefaultMode(), SolverMode::kProportionalLegacy);
-  setenv("CXL_SOLVER_MODE", "something-else", 1);
-  EXPECT_EQ(BandwidthSolver::DefaultMode(), SolverMode::kMaxMinFair);
-  unsetenv("CXL_SOLVER_MODE");
-}
-
-TEST(SolverModeTest, SolutionRecordsMode) {
-  const PathProfile flat = FlatProfile("flat50", 50.0);
-  BandwidthSolver solver;
-  const auto r = solver.AddResource("r", &flat);
-  solver.AddFlow(&flat, kRead, 10.0, {r});
-  solver.set_mode(SolverMode::kMaxMinFair);
-  EXPECT_EQ(solver.Solve().mode, SolverMode::kMaxMinFair);
-  solver.set_mode(SolverMode::kProportionalLegacy);
-  EXPECT_EQ(solver.Solve().mode, SolverMode::kProportionalLegacy);
 }
 
 }  // namespace

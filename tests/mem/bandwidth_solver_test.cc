@@ -39,37 +39,20 @@ TEST(SolverTest, SingleFlowMatchesConvenienceApi) {
 
 TEST(SolverTest, TwoFlowsShareCapacityMaxMinFairly) {
   // Offered 60 + 30 against a ~65.7 GB/s limit. Max-min satisfies the small
-  // flow in full (30 < the 32.8 fair share) and gives the big flow the rest —
-  // unlike the legacy proportional split (43.8 / 21.9) which throttled a flow
-  // that fit under its fair share.
+  // flow in full (30 < the 32.8 fair share) and gives the big flow the rest;
+  // a proportional split (43.8 / 21.9) would throttle a flow that fits under
+  // its fair share.
   const PathProfile& p = GetProfile(MemoryPath::kLocalDram);
   BandwidthSolver solver;
   const auto r = solver.AddResource("dram", &p);
   solver.AddFlow(&p, kRead, 60.0, {r});
   solver.AddFlow(&p, kRead, 30.0, {r});
-  solver.set_mode(SolverMode::kMaxMinFair);
   const auto sol = solver.Solve();
   const double limit = p.PeakBandwidthGBps(kRead) * BandwidthSolver::kCapacityShare;
   EXPECT_NEAR(sol.flows[1].achieved_gbps, 30.0, 1e-6);
   EXPECT_NEAR(sol.flows[0].achieved_gbps, limit - 30.0, 1e-6);
   const double total = sol.flows[0].achieved_gbps + sol.flows[1].achieved_gbps;
   EXPECT_NEAR(total, limit, 1e-6);  // Work-conserving.
-}
-
-TEST(SolverTest, LegacyModeSharesCapacityProportionally) {
-  const PathProfile& p = GetProfile(MemoryPath::kLocalDram);
-  BandwidthSolver solver;
-  const auto r = solver.AddResource("dram", &p);
-  solver.AddFlow(&p, kRead, 60.0, {r});
-  solver.AddFlow(&p, kRead, 30.0, {r});
-  solver.set_mode(SolverMode::kProportionalLegacy);
-  const auto sol = solver.Solve();
-  const double total = sol.flows[0].achieved_gbps + sol.flows[1].achieved_gbps;
-  EXPECT_LE(total, p.PeakBandwidthGBps(kRead) + 1e-6);
-  EXPECT_GT(total, p.PeakBandwidthGBps(kRead) * 0.9);
-  // Proportional sharing preserves the offered-load ratio.
-  EXPECT_NEAR(sol.flows[0].achieved_gbps / sol.flows[1].achieved_gbps, 2.0, 0.01);
-  EXPECT_EQ(sol.mode, SolverMode::kProportionalLegacy);
 }
 
 TEST(SolverTest, EquallyOfferedFlowsSplitEvenly) {
@@ -84,16 +67,13 @@ TEST(SolverTest, EquallyOfferedFlowsSplitEvenly) {
 
 TEST(SolverTest, IterationCounterIsOneWhenUncontended) {
   const PathProfile& p = GetProfile(MemoryPath::kLocalDram);
-  for (const SolverMode mode : {SolverMode::kMaxMinFair, SolverMode::kProportionalLegacy}) {
-    BandwidthSolver solver;
-    const auto r = solver.AddResource("dram", &p);
-    solver.AddFlow(&p, kRead, 10.0, {r});
-    solver.AddFlow(&p, kRead, 10.0, {r});
-    solver.set_mode(mode);
-    const auto sol = solver.Solve();
-    EXPECT_EQ(sol.iterations, 1) << SolverModeLabel(mode);
-    EXPECT_NEAR(sol.flows[0].achieved_gbps, 10.0, 1e-9) << SolverModeLabel(mode);
-  }
+  BandwidthSolver solver;
+  const auto r = solver.AddResource("dram", &p);
+  solver.AddFlow(&p, kRead, 10.0, {r});
+  solver.AddFlow(&p, kRead, 10.0, {r});
+  const auto sol = solver.Solve();
+  EXPECT_EQ(sol.iterations, 1);
+  EXPECT_NEAR(sol.flows[0].achieved_gbps, 10.0, 1e-9);
 }
 
 TEST(SolverTest, IterationCounterBoundedUnderContention) {
@@ -210,7 +190,6 @@ void ExpectSolutionsBitIdentical(const BandwidthSolver::Solution& a,
                                  const BandwidthSolver::Solution& b) {
   ASSERT_EQ(a.flows.size(), b.flows.size());
   ASSERT_EQ(a.resources.size(), b.resources.size());
-  EXPECT_EQ(a.mode, b.mode);
   for (size_t i = 0; i < a.flows.size(); ++i) {
     EXPECT_DOUBLE_EQ(a.flows[i].achieved_gbps, b.flows[i].achieved_gbps);
     EXPECT_DOUBLE_EQ(a.flows[i].latency_ns, b.flows[i].latency_ns);
@@ -294,35 +273,6 @@ TEST(SolverWarmStartTest, RandomizedLoadSequenceMatchesColdSolverBitwise) {
   EXPECT_GE(warm.cache_hits(), 7u);
 }
 
-TEST(SolverWarmStartTest, PositiveThresholdReusesWithinToleranceOnly) {
-  const PathProfile& pd = GetProfile(MemoryPath::kLocalDram);
-  const PathProfile& pc = GetProfile(MemoryPath::kLocalCxl);
-  BandwidthSolver solver;
-  const auto dram = solver.AddResource("dram", &pd);
-  const auto cxl = solver.AddResource("cxl", &pc);
-  solver.set_reuse_threshold(0.10);
-  AddEpochFlows(solver, dram, cxl, 40.0, 20.0, 15.0);
-  const auto base = solver.Solve();
-  EXPECT_EQ(solver.cache_hits(), 0u);
-
-  // +5% on every load: inside the 10% band, so the *cached* solution comes
-  // back (approximate by design — the opt-in trade).
-  solver.ClearFlows();
-  AddEpochFlows(solver, dram, cxl, 42.0, 21.0, 15.75);
-  const auto inside = solver.Solve();
-  EXPECT_EQ(solver.cache_hits(), 1u);
-  ExpectSolutionsBitIdentical(inside, base);
-
-  // One load crosses the band: full re-solve, and the fresh solution tracks
-  // the new offered load, not the stale cache.
-  solver.ClearFlows();
-  AddEpochFlows(solver, dram, cxl, 55.0, 21.0, 15.75);
-  const auto outside = solver.Solve();
-  EXPECT_EQ(solver.cache_hits(), 1u);  // Unchanged: this solve missed.
-  EXPECT_NE(outside.flows[0].achieved_gbps, base.flows[0].achieved_gbps);
-  EXPECT_DOUBLE_EQ(outside.resources[0].demand_gbps >= 55.0 ? 1.0 : 0.0, 1.0);
-}
-
 TEST(SolverWarmStartTest, StructuralChangesInvalidateTheCache) {
   const PathProfile& pd = GetProfile(MemoryPath::kLocalDram);
   const PathProfile& pc = GetProfile(MemoryPath::kLocalCxl);
@@ -346,15 +296,8 @@ TEST(SolverWarmStartTest, StructuralChangesInvalidateTheCache) {
   (void)solver.Solve();
   EXPECT_EQ(solver.cache_hits(), 1u);
 
-  // Same flows, different mode: no hit, and the mode tag proves a re-solve.
-  solver.set_mode(SolverMode::kProportionalLegacy);
-  const auto legacy = solver.Solve();
-  EXPECT_EQ(solver.cache_hits(), 1u);
-  EXPECT_EQ(legacy.mode, SolverMode::kProportionalLegacy);
-
   // Different flow *path set* with equal loads: no hit. (The cache keys on
   // the resource lists, not just the load vector.)
-  solver.set_mode(SolverMode::kMaxMinFair);
   solver.ClearFlows();
   const PathProfile& pd2 = GetProfile(MemoryPath::kLocalDram);
   solver.AddFlow(&pd2, kRead, 40.0, {dram});

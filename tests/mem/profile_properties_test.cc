@@ -108,7 +108,6 @@ TEST(SolverScalingTest, MaxMinEqualizesThrottledFlowsUnderScaling) {
     const auto r = solver.AddResource("cxl", &p);
     solver.AddFlow(&p, AccessMix::ReadOnly(), 40.0 * scale, {r});
     solver.AddFlow(&p, AccessMix::ReadOnly(), 20.0 * scale, {r});
-    solver.set_mode(SolverMode::kMaxMinFair);
     const auto sol = solver.Solve();
     return sol.flows[0].achieved_gbps / sol.flows[1].achieved_gbps;
   };
@@ -123,23 +122,6 @@ TEST(SolverScalingTest, MaxMinEqualizesThrottledFlowsUnderScaling) {
                          20.0) /
                             20.0,
               1e-6);
-}
-
-TEST(SolverScalingTest, LegacyProportionalRatioPreservedUnderScaling) {
-  // The legacy scaler preserves offered-load *ratios* once saturated;
-  // doubling every offered load leaves the achieved ratio unchanged.
-  const PathProfile& p = GetProfile(MemoryPath::kLocalCxl);
-  auto run = [&](double scale) {
-    BandwidthSolver solver;
-    const auto r = solver.AddResource("cxl", &p);
-    solver.AddFlow(&p, AccessMix::ReadOnly(), 40.0 * scale, {r});
-    solver.AddFlow(&p, AccessMix::ReadOnly(), 20.0 * scale, {r});
-    solver.set_mode(SolverMode::kProportionalLegacy);
-    const auto sol = solver.Solve();
-    return sol.flows[0].achieved_gbps / sol.flows[1].achieved_gbps;
-  };
-  EXPECT_NEAR(run(1.0), run(2.0), 1e-6);
-  EXPECT_NEAR(run(1.0), 2.0, 0.01);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
-// Pluggable tiering-policy surface: registry resolution, knob plumbing,
-// legacy-mode equivalence, and the AdaptiveFeedbackPolicy feedback loops
-// (thrash-driven budget cuts, degraded-link backoff).
+// Pluggable tiering-policy surface: registry resolution, knob plumbing, and
+// the AdaptiveFeedbackPolicy feedback loops (thrash-driven budget cuts,
+// degraded-link backoff).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -62,18 +62,6 @@ TEST(PolicyRegistryTest, RejectsDuplicatesAndEmptyNames) {
   EXPECT_TRUE(registry.Has("third-party"));
 }
 
-TEST(PolicyRegistryTest, ModeNameMappingRoundTrips) {
-  for (const PromotionMode mode :
-       {PromotionMode::kHotPageSelection, PromotionMode::kMruBalancing, PromotionMode::kTppLike}) {
-    PromotionMode back = PromotionMode::kHotPageSelection;
-    ASSERT_TRUE(ModeForPolicyName(PolicyNameForMode(mode), &back));
-    EXPECT_EQ(back, mode);
-  }
-  PromotionMode untouched = PromotionMode::kTppLike;
-  EXPECT_FALSE(ModeForPolicyName(kAdaptiveFeedbackPolicyName, &untouched));
-  EXPECT_EQ(untouched, PromotionMode::kTppLike);  // Left alone on false.
-}
-
 // --- Knob plumbing ---------------------------------------------------------
 
 TEST(PolicyKnobsTest, StringKnobSelectsPolicyByName) {
@@ -85,32 +73,14 @@ TEST(PolicyKnobsTest, StringKnobSelectsPolicyByName) {
   EXPECT_STREQ(cfg.PolicyName(), kAdaptiveFeedbackPolicyName);
 }
 
-TEST(PolicyKnobsTest, StringKnobMirrorsLegacyModeForClassicNames) {
+// vm.numa_balancing_mode, the float-coded policy selector, is gone: setting
+// it is an unknown-knob error and cannot change the selected policy.
+TEST(PolicyKnobsTest, RemovedNumericModeKnobIsRejected) {
   KnobSet knobs;
   DeclareTieringKnobs(knobs);
-  ASSERT_TRUE(knobs.SetString("vm.tiering_policy", kMruBalancingPolicyName).ok());
-  const TieringConfig cfg = TieringConfigFromKnobs(knobs);
-  EXPECT_EQ(cfg.mode, PromotionMode::kMruBalancing);
-}
-
-TEST(PolicyKnobsTest, ExplicitlySetNumericAliasWins) {
-  KnobSet knobs;
-  DeclareTieringKnobs(knobs);
-  ASSERT_TRUE(knobs.SetString("vm.tiering_policy", kAdaptiveFeedbackPolicyName).ok());
-  // The deprecated alias, explicitly set — even to its default value —
-  // overrides for one release.
-  ASSERT_TRUE(knobs.Set("vm.numa_balancing_mode", 0.0).ok());
-  const TieringConfig cfg = TieringConfigFromKnobs(knobs);
-  EXPECT_EQ(cfg.policy, kHotPageSelectionPolicyName);
-  EXPECT_EQ(cfg.mode, PromotionMode::kHotPageSelection);
-}
-
-TEST(PolicyKnobsTest, UnsetNumericAliasDefersToStringKnob) {
-  KnobSet knobs;
-  DeclareTieringKnobs(knobs);
-  const TieringConfig cfg = TieringConfigFromKnobs(knobs);
-  EXPECT_STREQ(cfg.PolicyName(), kHotPageSelectionPolicyName);
-  EXPECT_FALSE(knobs.WasSet("vm.numa_balancing_mode"));
+  const Status s = knobs.Set("vm.numa_balancing_mode", 2.0);
+  EXPECT_EQ(s.code(), StatusCode::kNotFound);
+  EXPECT_EQ(TieringConfigFromKnobs(knobs).policy, kHotPageSelectionPolicyName);
 }
 
 // --- Daemon integration ----------------------------------------------------
@@ -122,15 +92,6 @@ class PolicyDaemonTest : public ::testing::Test {
   Platform platform_;
   PageAllocator alloc_;
 };
-
-TEST_F(PolicyDaemonTest, NameAndEnumSelectTheSamePolicy) {
-  TieringConfig by_name;
-  by_name.policy = kTppLikePolicyName;
-  TieringConfig by_mode;
-  by_mode.mode = PromotionMode::kTppLike;
-  EXPECT_STREQ(TieredMemory(alloc_, by_name).policy().name(),
-               TieredMemory(alloc_, by_mode).policy().name());
-}
 
 TEST_F(PolicyDaemonTest, AttachedPolicyOverrideDrivesTicksAndObserves) {
   TieringConfig cfg;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/os/page_allocator.h"
+#include "src/os/policy_registry.h"
 #include "src/os/tiering.h"
 #include "src/topology/platform.h"
 #include "src/util/knobs.h"
@@ -22,7 +23,7 @@ class TieringModesTest : public ::testing::Test {
 
 TEST_F(TieringModesTest, MruPromotesRecentlyTouchedRegardlessOfHeat) {
   TieringConfig cfg;
-  cfg.mode = PromotionMode::kMruBalancing;
+  cfg.policy = kMruBalancingPolicyName;
   cfg.hint_fault_sample_rate = 1.0;
   TieredMemory tiering(alloc_, cfg);
   const auto cxl0 = platform_.CxlNodes()[0];
@@ -37,7 +38,7 @@ TEST_F(TieringModesTest, MruPromotesRecentlyTouchedRegardlessOfHeat) {
 
 TEST_F(TieringModesTest, HotPageSelectionIgnoresLukewarmPages) {
   TieringConfig cfg;
-  cfg.mode = PromotionMode::kHotPageSelection;
+  cfg.policy = kHotPageSelectionPolicyName;
   cfg.hint_fault_sample_rate = 1.0;
   cfg.initial_hot_threshold = 8.0;
   cfg.dynamic_threshold = false;
@@ -53,10 +54,10 @@ TEST_F(TieringModesTest, MruWastesBudgetOnColdishPagesUnderMixedHeat) {
   // 64 pages touched once, 4 pages touched heavily; MRU with a small budget
   // promotes in scan order and misses some of the truly hot pages, while
   // hot-page selection promotes exactly the hot ones.
-  auto run = [&](PromotionMode mode) {
+  auto run = [&](const char* policy) {
     PageAllocator alloc(platform_);
     TieringConfig cfg;
-    cfg.mode = mode;
+    cfg.policy = policy;
     cfg.hint_fault_sample_rate = 1.0;
     cfg.initial_hot_threshold = 50.0;
     cfg.dynamic_threshold = false;
@@ -78,13 +79,13 @@ TEST_F(TieringModesTest, MruWastesBudgetOnColdishPagesUnderMixedHeat) {
     }
     return hot_promoted;
   };
-  EXPECT_EQ(run(PromotionMode::kHotPageSelection), 4);
-  EXPECT_EQ(run(PromotionMode::kMruBalancing), 0);  // Budget burned on scan head.
+  EXPECT_EQ(run(kHotPageSelectionPolicyName), 4);
+  EXPECT_EQ(run(kMruBalancingPolicyName), 0);  // Budget burned on scan head.
 }
 
 TEST_F(TieringModesTest, MruRecencyExpires) {
   TieringConfig cfg;
-  cfg.mode = PromotionMode::kMruBalancing;
+  cfg.policy = kMruBalancingPolicyName;
   cfg.hint_fault_sample_rate = 1.0;
   cfg.promote_rate_limit_mbps = 2.0;  // 1 page/tick: leaves candidates behind.
   TieredMemory tiering(alloc_, cfg);
@@ -101,7 +102,7 @@ TEST_F(TieringModesTest, MruRecencyExpires) {
 
 TEST_F(TieringModesTest, TppPromotesOnSecondAccess) {
   TieringConfig cfg;
-  cfg.mode = PromotionMode::kTppLike;
+  cfg.policy = kTppLikePolicyName;
   cfg.hint_fault_sample_rate = 1.0;
   TieredMemory tiering(alloc_, cfg);
   const auto cxl0 = platform_.CxlNodes()[0];
@@ -118,10 +119,10 @@ TEST_F(TieringModesTest, TppPromotesOnSecondAccess) {
 TEST_F(TieringModesTest, TppIgnoresRateLimit) {
   // TPP predates the promote-rate-limit mechanism: a tiny configured limit
   // does not bound it (the paper's bandwidth-intensive failure mode).
-  auto run = [&](PromotionMode mode) {
+  auto run = [&](const char* policy) {
     PageAllocator alloc(platform_);
     TieringConfig cfg;
-    cfg.mode = mode;
+    cfg.policy = policy;
     cfg.hint_fault_sample_rate = 1.0;
     cfg.initial_hot_threshold = 1.0;
     cfg.dynamic_threshold = false;
@@ -135,8 +136,8 @@ TEST_F(TieringModesTest, TppIgnoresRateLimit) {
     }
     return tiering.Tick(1.0).promoted_pages;
   };
-  EXPECT_LE(run(PromotionMode::kHotPageSelection), 2u);
-  EXPECT_EQ(run(PromotionMode::kTppLike), 256u);  // Unbounded.
+  EXPECT_LE(run(kHotPageSelectionPolicyName), 2u);
+  EXPECT_EQ(run(kTppLikePolicyName), 256u);  // Unbounded.
 }
 
 TEST_F(TieringModesTest, TppChurnsUnderStreaming) {
@@ -145,7 +146,7 @@ TEST_F(TieringModesTest, TppChurnsUnderStreaming) {
   // paper observed with bandwidth-intensive workloads.
   PageAllocator alloc(platform_);
   TieringConfig cfg;
-  cfg.mode = PromotionMode::kTppLike;
+  cfg.policy = kTppLikePolicyName;
   cfg.hint_fault_sample_rate = 1.0;
   TieredMemory tiering(alloc, cfg);
   const auto cxl0 = platform_.CxlNodes()[0];
@@ -162,26 +163,19 @@ TEST_F(TieringModesTest, TppChurnsUnderStreaming) {
   EXPECT_GE(migrated, 512.0 * 2e6);
 }
 
-TEST(TieringKnobsTest, ModeKnobSelectsTpp) {
-  KnobSet knobs;
-  DeclareTieringKnobs(knobs);
-  ASSERT_TRUE(knobs.Set("vm.numa_balancing_mode", 2.0).ok());
-  EXPECT_EQ(TieringConfigFromKnobs(knobs).mode, PromotionMode::kTppLike);
-}
-
 TEST(TieringKnobsTest, DeclareThenRoundTrip) {
   KnobSet knobs;
   DeclareTieringKnobs(knobs);
   ASSERT_TRUE(knobs.Set("kernel.numa_balancing_promote_rate_limit_MBps", 123.0).ok());
   ASSERT_TRUE(knobs.Set("vm.hot_page_threshold", 9.0).ok());
   ASSERT_TRUE(knobs.Set("vm.hot_threshold_auto_adjust", 0.0).ok());
-  ASSERT_TRUE(knobs.Set("vm.numa_balancing_mode", 1.0).ok());
+  ASSERT_TRUE(knobs.SetString("vm.tiering_policy", kMruBalancingPolicyName).ok());
   ASSERT_TRUE(knobs.Set("vm.hint_fault_sample_rate", 0.5).ok());
   const TieringConfig cfg = TieringConfigFromKnobs(knobs);
   EXPECT_DOUBLE_EQ(cfg.promote_rate_limit_mbps, 123.0);
   EXPECT_DOUBLE_EQ(cfg.initial_hot_threshold, 9.0);
   EXPECT_FALSE(cfg.dynamic_threshold);
-  EXPECT_EQ(cfg.mode, PromotionMode::kMruBalancing);
+  EXPECT_EQ(cfg.policy, kMruBalancingPolicyName);
   EXPECT_DOUBLE_EQ(cfg.hint_fault_sample_rate, 0.5);
 }
 
@@ -193,7 +187,7 @@ TEST(TieringKnobsTest, DefaultsMatchConfigDefaults) {
   EXPECT_DOUBLE_EQ(from_knobs.promote_rate_limit_mbps, defaults.promote_rate_limit_mbps);
   EXPECT_DOUBLE_EQ(from_knobs.initial_hot_threshold, defaults.initial_hot_threshold);
   EXPECT_EQ(from_knobs.dynamic_threshold, defaults.dynamic_threshold);
-  EXPECT_EQ(from_knobs.mode, PromotionMode::kHotPageSelection);
+  EXPECT_STREQ(from_knobs.PolicyName(), defaults.PolicyName());
 }
 
 TEST(TieringKnobsTest, EmptyKnobSetFallsBackToDefaults) {

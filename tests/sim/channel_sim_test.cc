@@ -1,7 +1,7 @@
 // Validates that the analytic loaded-latency law (QueueModel) is the right
 // *family* by comparing against a first-principles discrete-event channel
 // simulation.
-#include "src/sim/channel_sim.h"
+#include "tests/sim/channel_sim.h"
 
 #include <gtest/gtest.h>
 

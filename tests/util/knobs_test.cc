@@ -45,19 +45,6 @@ TEST(KnobSetTest, RedeclareOverwrites) {
   EXPECT_EQ(knobs.entries().at("a").description, "second");
 }
 
-TEST(KnobSetTest, WasSetDistinguishesExplicitSetFromDefault) {
-  KnobSet knobs;
-  knobs.Declare("a", 1.0, "");
-  EXPECT_FALSE(knobs.WasSet("a"));
-  EXPECT_FALSE(knobs.WasSet("missing"));
-  // Setting a knob *to its default* still counts as set — what deprecated
-  // aliases key their override on.
-  ASSERT_TRUE(knobs.Set("a", 1.0).ok());
-  EXPECT_TRUE(knobs.WasSet("a"));
-  knobs.ResetAll();
-  EXPECT_FALSE(knobs.WasSet("a"));
-}
-
 TEST(KnobSetTest, StringKnobsDeclareSetGetReset) {
   KnobSet knobs;
   knobs.DeclareString("vm.tiering_policy", "hot-page-selection", "policy name");
@@ -66,10 +53,8 @@ TEST(KnobSetTest, StringKnobsDeclareSetGetReset) {
   EXPECT_EQ(knobs.GetString("vm.tiering_policy"), "hot-page-selection");
   ASSERT_TRUE(knobs.SetString("vm.tiering_policy", "adaptive-feedback").ok());
   EXPECT_EQ(knobs.GetString("vm.tiering_policy"), "adaptive-feedback");
-  EXPECT_TRUE(knobs.WasSet("vm.tiering_policy"));
   knobs.ResetAll();
   EXPECT_EQ(knobs.GetString("vm.tiering_policy"), "hot-page-selection");
-  EXPECT_FALSE(knobs.WasSet("vm.tiering_policy"));
 }
 
 TEST(KnobSetTest, SetUnknownStringKeyFails) {
@@ -77,20 +62,6 @@ TEST(KnobSetTest, SetUnknownStringKeyFails) {
   const Status s = knobs.SetString("vm.bogus", "x");
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kNotFound);
-}
-
-TEST(KnobSetTest, DeprecatedKnobWarnsOncePerInstance) {
-  KnobSet knobs;
-  knobs.Declare("old.knob", 0.0, "legacy");
-  knobs.Deprecate("old.knob", "old.knob is deprecated");
-  testing::internal::CaptureStderr();
-  ASSERT_TRUE(knobs.Set("old.knob", 1.0).ok());
-  ASSERT_TRUE(knobs.Set("old.knob", 2.0).ok());
-  const std::string warnings = testing::internal::GetCapturedStderr();
-  // Exactly one warning despite two sets; the value still lands.
-  EXPECT_NE(warnings.find("old.knob is deprecated"), std::string::npos);
-  EXPECT_EQ(warnings.find("deprecated", warnings.find("deprecated") + 1), std::string::npos);
-  EXPECT_EQ(knobs.Get("old.knob"), 2.0);
 }
 
 }  // namespace
