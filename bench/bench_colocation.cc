@@ -17,7 +17,6 @@
 
 int main(int argc, char** argv) {
   auto ctx = cxl::bench::Context::FromArgs(&argc, argv);
-  auto& bench_telemetry = ctx.telemetry();
 
   using namespace cxl;
   using mem::AccessMix;

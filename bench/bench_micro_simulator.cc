@@ -37,19 +37,23 @@ void BM_ZipfianNext(benchmark::State& state) {
 }
 BENCHMARK(BM_ZipfianNext)->Arg(1 << 20)->Arg(1 << 26);
 
+// Allocates and frees a MemoryRegion of Arg pages on a fresh allocator, as a
+// KV cell does; Arg(1 << 21) is the cells' 32 GiB store of 16 KiB pages.
 void BM_PageAllocate(benchmark::State& state) {
   const auto platform = topology::Platform::CxlServer(false);
+  const auto policy =
+      os::NumaPolicy::WeightedInterleave(platform.DramNodes(), platform.CxlNodes(), 3, 1);
+  constexpr uint64_t kPageBytes = 16 * kKiB;
   const auto n = static_cast<uint64_t>(state.range(0));
   for (auto _ : state) {
-    os::PageAllocator alloc(platform);
-    auto pages = alloc.Allocate(os::NumaPolicy::WeightedInterleave(
-                                    platform.DramNodes(), platform.CxlNodes(), 3, 1),
-                                n);
-    benchmark::DoNotOptimize(pages.ok());
+    os::PageAllocator alloc(platform, kPageBytes);
+    auto region = os::MemoryRegion::Allocate(alloc, policy, n * kPageBytes);
+    benchmark::DoNotOptimize(region.ok());
+    region->Free();
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
 }
-BENCHMARK(BM_PageAllocate)->Arg(4096)->Arg(65536);
+BENCHMARK(BM_PageAllocate)->Arg(4096)->Arg(65536)->Arg(1 << 21);
 
 void BM_BandwidthSolve(benchmark::State& state) {
   const auto platform = topology::Platform::CxlServer(true);

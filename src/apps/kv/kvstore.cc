@@ -50,7 +50,7 @@ KvStore::KvStore(os::PageAllocator& allocator, os::MemoryRegion region,
                       : -1),
       slot_fastmod_(slot_mod_),
       page_fastmod_(std::max<uint64_t>(region_.page_count(), 1)),
-      has_pages_(!region_.pages().empty()),
+      has_pages_(region_.page_count() > 0),
       tiering_(tiering) {
   if (config_.flash) {
     FlashTierConfig fc = config_.flash_config;

@@ -86,16 +86,18 @@ topology::NodeId PageAllocator::FallbackNode() const {
   return -1;
 }
 
-StatusOr<std::vector<PageId>> PageAllocator::Allocate(const NumaPolicy& policy, uint64_t count) {
-  std::vector<PageId> out;
-  out.reserve(count);
-  // Fresh slots needed beyond the recycled ids: size the columns once up
-  // front instead of growing them page by page.
-  if (count > free_list_.size()) {
-    const size_t grow = node_.size() + (count - free_list_.size());
-    node_.reserve(grow);
-    heat_.reserve(grow);
-    last_epoch_.reserve(grow);
+StatusOr<PageRuns> PageAllocator::Allocate(const NumaPolicy& policy, uint64_t count) {
+  // The most recently freed ids first, then fresh slots as one run; the
+  // columns grow once for the fresh slots instead of page by page.
+  const uint64_t recycled = std::min(count, free_.size());
+  PageRuns out = free_.TakeBack(recycled);
+  const uint64_t base = node_.size();
+  if (count > recycled) {
+    const uint64_t grown = base + (count - recycled);
+    node_.resize(grown, -1);
+    heat_.resize(grown, 0.0f);
+    last_epoch_.resize(grown, 0);
+    out.Append(base, count - recycled, /*descending=*/false);
   }
   // Per-call allocation index drives the policy's round-robin; continuing a
   // global index would skew small allocations, and the kernel's interleave
@@ -103,66 +105,112 @@ StatusOr<std::vector<PageId>> PageAllocator::Allocate(const NumaPolicy& policy, 
   // period walked with a wrapping cursor — NodeForIndex(i) without the
   // per-page call and divides.
   const std::vector<topology::NodeId> pattern = policy.PeriodPattern();
+  const size_t period = pattern.size();
   size_t pattern_i = 0;
-  for (uint64_t i = 0; i < count; ++i) {
-    topology::NodeId target = pattern[pattern_i];
-    if (++pattern_i == pattern.size()) {
-      pattern_i = 0;
-    }
-    if (FreePages(target) == 0) {
-      if (policy.mode() == PolicyMode::kBind) {
-        // Try the other bound nodes before failing.
-        target = -1;
-        for (topology::NodeId n : policy.nodes()) {
-          if (FreePages(n) > 0) {
-            target = n;
-            break;
+  uint64_t placed = 0;
+  for (const PageRuns::Run& run : out.runs()) {
+    for (uint64_t j = 0; j < run.count;) {
+      // While every node of the pattern has room for the whole batch, no
+      // page of it can need a fallback: place the batch unchecked and add
+      // its per-node counts in one pass over the pattern (cursor position
+      // start + k comes up batch / period times, once more if k is within
+      // the remainder).
+      uint64_t batch = run.count - j;
+      for (const topology::NodeId n : pattern) {
+        batch = std::min(batch, FreePages(n));
+      }
+      if (batch > 0) {
+        for (size_t k = 0; k < period; ++k) {
+          node_used_[static_cast<size_t>(pattern[(pattern_i + k) % period])] +=
+              batch / period + (k < batch % period ? 1 : 0);
+        }
+        for (const uint64_t end = j + batch; j < end; ++j) {
+          const PageId id = run.at(j);
+          node_[id] = pattern[pattern_i];
+          heat_[id] = 0.0f;
+          if (++pattern_i == period) {
+            pattern_i = 0;
           }
         }
-        if (target < 0) {
-          counters_.pgalloc += out.size();
-          Free(out);
-          return Status::ResourceExhausted("bind policy: bound nodes are full");
-        }
-      } else {
-        target = FallbackNode();
-        if (target < 0) {
-          counters_.pgalloc += out.size();
-          Free(out);
-          return Status::ResourceExhausted("machine out of memory");
+        placed += batch;
+        continue;
+      }
+      // A node of the pattern is full: this page takes the fallback rules.
+      topology::NodeId target = pattern[pattern_i];
+      if (++pattern_i == period) {
+        pattern_i = 0;
+      }
+      if (FreePages(target) == 0) {
+        if (policy.mode() == PolicyMode::kBind) {
+          // Try the other bound nodes before failing.
+          target = -1;
+          for (topology::NodeId n : policy.nodes()) {
+            if (FreePages(n) > 0) {
+              target = n;
+              break;
+            }
+          }
+          if (target < 0) {
+            UndoAllocate(out, placed, recycled, base);
+            return Status::ResourceExhausted("bind policy: bound nodes are full");
+          }
+        } else {
+          target = FallbackNode();
+          if (target < 0) {
+            UndoAllocate(out, placed, recycled, base);
+            return Status::ResourceExhausted("machine out of memory");
+          }
         }
       }
-    }
-    PageId id;
-    if (!free_list_.empty()) {
-      id = free_list_.back();
-      free_list_.pop_back();
+      const PageId id = run.at(j);
       node_[id] = target;
       heat_[id] = 0.0f;
-    } else {
-      id = node_.size();
-      node_.push_back(target);
-      heat_.push_back(0.0f);
-      last_epoch_.push_back(0);
+      ++node_used_[static_cast<size_t>(target)];
+      ++j;
+      ++placed;
     }
-    ++node_used_[static_cast<size_t>(target)];
-    ++allocated_;
-    out.push_back(id);
   }
+  allocated_ += count;
   counters_.pgalloc += count;
   return out;
 }
 
-void PageAllocator::Free(const std::vector<PageId>& pages) {
-  free_list_.reserve(free_list_.size() + pages.size());
-  for (PageId id : pages) {
-    assert(node_[id] >= 0 && "double free");
-    --node_used_[static_cast<size_t>(node_[id])];
-    node_[id] = -1;
-    free_list_.push_back(id);
-    --allocated_;
-    ++counters_.pgfree;
+void PageAllocator::UndoAllocate(PageRuns& out, uint64_t placed, uint64_t recycled,
+                                 uint64_t base) {
+  // Leave the allocator as placing page by page and freeing the placed
+  // pages would: fresh slots never placed were never created, recycled ids
+  // never placed are still on the stack where they were, and the placed
+  // pages are freed in placement order.
+  const uint64_t kept = std::max(placed, recycled);
+  out.TakeBack(out.size() - kept);
+  free_.Append(out.TakeBack(kept - placed));
+  node_.resize(base + (kept - recycled));
+  heat_.resize(node_.size());
+  last_epoch_.resize(node_.size());
+  allocated_ += placed;
+  counters_.pgalloc += placed;
+  Free(out);
+}
+
+void PageAllocator::Free(const PageRuns& pages) {
+  // Tallied in four lanes so consecutive pages on one node do not queue on
+  // a single counter's read-modify-write.
+  const size_t nodes = node_used_.size();
+  std::vector<uint64_t> freed(4 * nodes, 0);
+  for (const PageRuns::Run& run : pages.runs()) {
+    for (uint64_t j = 0; j < run.count; ++j) {
+      const PageId id = run.at(j);
+      assert(node_[id] >= 0 && "double free");
+      ++freed[(j & 3) * nodes + static_cast<size_t>(node_[id])];
+      node_[id] = -1;
+    }
   }
+  for (size_t i = 0; i < freed.size(); ++i) {
+    node_used_[i % nodes] -= freed[i];
+  }
+  free_.Append(pages);
+  allocated_ -= pages.size();
+  counters_.pgfree += pages.size();
 }
 
 Status PageAllocator::MovePage(PageId id, topology::NodeId target) {

@@ -16,6 +16,11 @@
 // references into the columns (same field names as the old `Page` struct,
 // so call sites read unchanged). Freed slots have node < 0; per-tier
 // occupancy is derived from per-node counts.
+//
+// Allocations and frees are PageRuns (runs of consecutive ids), not one
+// entry per page: fresh slots come out as one ascending run, and freed ids
+// sit on a LIFO stack of runs, so a recycled region comes back as its freed
+// runs reversed -- the order a per-id free-list stack would give.
 #ifndef CXL_EXPLORER_SRC_OS_PAGE_ALLOCATOR_H_
 #define CXL_EXPLORER_SRC_OS_PAGE_ALLOCATOR_H_
 
@@ -24,6 +29,7 @@
 
 #include "src/os/numa_policy.h"
 #include "src/os/page.h"
+#include "src/os/page_runs.h"
 #include "src/topology/platform.h"
 #include "src/util/status.h"
 
@@ -35,13 +41,14 @@ class PageAllocator {
   explicit PageAllocator(const topology::Platform& platform,
                          uint64_t page_bytes = kDefaultPageBytes);
 
-  // Allocates `count` pages under `policy`. Returns the page ids, or
-  // RESOURCE_EXHAUSTED if the policy cannot be satisfied (kBind with full
-  // nodes, or the whole machine is full).
-  StatusOr<std::vector<PageId>> Allocate(const NumaPolicy& policy, uint64_t count);
+  // Allocates `count` pages under `policy`: the most recently freed ids
+  // first, then fresh slots. Returns the page ids, or RESOURCE_EXHAUSTED if
+  // the policy cannot be satisfied (kBind with full nodes, or the whole
+  // machine is full); a failed call frees the pages it placed.
+  StatusOr<PageRuns> Allocate(const NumaPolicy& policy, uint64_t count);
 
-  // Frees previously allocated pages.
-  void Free(const std::vector<PageId>& pages);
+  // Frees previously allocated pages; their ids are recycled last first.
+  void Free(const PageRuns& pages);
 
   // Moves a page to `target`. Returns RESOURCE_EXHAUSTED when the target
   // node is full (the caller — usually MigrationEngine — decides whether to
@@ -101,6 +108,10 @@ class PageAllocator {
 
   // Picks a fallback node with space, preferring DRAM over CXL.
   topology::NodeId FallbackNode() const;
+  // Unwinds an Allocate that placed the first `placed` of `out`'s ids, the
+  // first `recycled` of which came off the free stack and the rest from
+  // fresh slots at `base`.
+  void UndoAllocate(PageRuns& out, uint64_t placed, uint64_t recycled, uint64_t base);
 
   const topology::Platform& platform_;
   uint64_t page_bytes_;
@@ -109,7 +120,7 @@ class PageAllocator {
   std::vector<float> heat_;
   std::vector<uint32_t> last_epoch_;
   std::vector<uint8_t> node_is_dram_;
-  std::vector<PageId> free_list_;    // Recycled ids.
+  PageRuns free_;                    // Recycled ids; a stack, top last.
   std::vector<uint64_t> node_used_;  // Pages in use per node.
   std::vector<uint64_t> node_capacity_;
   uint64_t allocated_ = 0;

@@ -6,15 +6,6 @@
 
 namespace cxl::os {
 
-MemoryRegion::MemoryRegion(PageAllocator* allocator, std::vector<PageId> pages, uint64_t bytes)
-    : allocator_(allocator), pages_(std::move(pages)), bytes_(bytes) {
-  // One sequential pass at construction buys the branch-only PageAtIndex.
-  contiguous_ = !pages_.empty();
-  for (size_t i = 1; i < pages_.size() && contiguous_; ++i) {
-    contiguous_ = pages_[i] == pages_[0] + static_cast<PageId>(i);
-  }
-}
-
 StatusOr<MemoryRegion> MemoryRegion::Allocate(PageAllocator& allocator, const NumaPolicy& policy,
                                               uint64_t bytes) {
   const uint64_t page_bytes = allocator.page_bytes();
@@ -36,20 +27,12 @@ std::vector<double> MemoryRegion::NodeShares() const {
   if (pages_.empty()) {
     return shares;
   }
-  // Contiguous regions read the node column directly in id order — pure
-  // sequential streaming, no indirection through the id vector.
+  // Each run reads the node column in id order: sequential streaming, no
+  // indirection through an id vector.
   const topology::NodeId* node_col = allocator_->node_column();
-  if (contiguous_) {
-    const PageId base = pages_[0];
-    for (size_t i = 0; i < pages_.size(); ++i) {
-      const topology::NodeId n = node_col[base + i];
-      if (n >= 0) {
-        shares[static_cast<size_t>(n)] += 1.0;
-      }
-    }
-  } else {
-    for (PageId id : pages_) {
-      const topology::NodeId n = node_col[id];
+  for (const PageRuns::Run& run : pages_.runs()) {
+    for (uint64_t i = 0; i < run.count; ++i) {
+      const topology::NodeId n = node_col[run.at(i)];
       if (n >= 0) {
         shares[static_cast<size_t>(n)] += 1.0;
       }
@@ -76,7 +59,6 @@ void MemoryRegion::Free() {
   if (!pages_.empty()) {
     allocator_->Free(pages_);
     pages_.clear();
-    contiguous_ = false;
     bytes_ = 0;
   }
 }

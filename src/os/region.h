@@ -6,10 +6,12 @@
 #define CXL_EXPLORER_SRC_OS_REGION_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "src/os/numa_policy.h"
 #include "src/os/page_allocator.h"
+#include "src/os/page_runs.h"
 #include "src/util/status.h"
 
 namespace cxl::os {
@@ -29,17 +31,13 @@ class MemoryRegion {
 
   uint64_t bytes() const { return bytes_; }
   size_t page_count() const { return pages_.size(); }
-  const std::vector<PageId>& pages() const { return pages_; }
 
   // Page backing a byte offset.
   PageId PageAtOffset(uint64_t offset) const;
   // Page by index in [0, page_count()). A region carved out of a fresh
-  // allocator gets consecutive ids, so the common case is an add instead of
-  // a random read through a multi-MB id vector (one cache miss per lookup
-  // on a 64 GiB store — this is KvStore::Access's hottest dependency).
-  PageId PageAtIndex(size_t index) const {
-    return contiguous_ ? pages_[0] + static_cast<PageId>(index) : pages_[index];
-  }
+  // allocator is one run of consecutive ids, so the common case is an add
+  // (this is KvStore::Access's hottest dependency).
+  PageId PageAtIndex(size_t index) const { return pages_[index]; }
 
   // Fraction of the region's pages currently resident on each node
   // (indexed by NodeId; sums to 1).
@@ -52,13 +50,12 @@ class MemoryRegion {
   void Free();
 
  private:
-  MemoryRegion(PageAllocator* allocator, std::vector<PageId> pages, uint64_t bytes);
+  MemoryRegion(PageAllocator* allocator, PageRuns pages, uint64_t bytes)
+      : allocator_(allocator), pages_(std::move(pages)), bytes_(bytes) {}
 
   PageAllocator* allocator_;
-  std::vector<PageId> pages_;
+  PageRuns pages_;
   uint64_t bytes_ = 0;
-  // pages_[i] == pages_[0] + i for all i (checked once at construction).
-  bool contiguous_ = false;
 };
 
 }  // namespace cxl::os

@@ -46,10 +46,16 @@ class UniformDistribution final : public KeyDistribution {
   uint64_t n_;
 };
 
+// zeta(n, theta) = sum_{i=1..n} 1/i^theta, bit-identical to summing
+// left to right from i = 1. Served from a process-wide cache seeded with
+// checkpoints at multiples of 2^20 for theta = 0.99; a miss extends the
+// nearest lower cached prefix.
+double ZetaSum(uint64_t n, double theta);
+
 // Zipfian over [0, n) with parameter theta (default 0.99, the YCSB default).
 // Rank 0 is the most popular item. Uses Gray et al.'s method: O(1) per draw
-// after an O(n) zeta computation (computed once, then incrementally updated
-// on growth).
+// after zeta(n) from ZetaSum (a table read for n a multiple of 2^20 up to
+// 2^26, the repo's KV datasets), incrementally updated on growth.
 class ZipfianDistribution final : public KeyDistribution {
  public:
   static constexpr double kDefaultTheta = 0.99;
@@ -62,6 +68,8 @@ class ZipfianDistribution final : public KeyDistribution {
 
   // Probability mass of rank `k` under the current parameters (for tests).
   double ProbabilityOfRank(uint64_t k) const;
+  // zeta(n, theta), the normalising constant.
+  double zeta_n() const { return zeta_n_; }
 
  private:
   void Recompute();

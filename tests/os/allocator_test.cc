@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <vector>
+
 #include "src/os/numa_policy.h"
+#include "src/os/page_runs.h"
 #include "src/os/region.h"
 #include "src/topology/platform.h"
+#include "src/util/rng.h"
 #include "src/util/units.h"
 
 namespace cxl::os {
@@ -154,6 +160,235 @@ TEST(RegionTest, RoundsUpPartialPage) {
   auto region = MemoryRegion::Allocate(alloc, NumaPolicy::Bind({0}), 3_MiB);
   ASSERT_TRUE(region.ok());
   EXPECT_EQ(region->page_count(), 2u);
+}
+
+TEST(PageRunsTest, AppendMergesRunsInEitherDirection) {
+  PageRuns runs;
+  for (const PageId id : {5, 6, 7, 3, 2, 1, 0, 9}) {
+    runs.push_back(id);
+  }
+  ASSERT_EQ(runs.runs().size(), 3u);
+  EXPECT_FALSE(runs.runs()[0].descending);
+  EXPECT_TRUE(runs.runs()[1].descending);
+  EXPECT_EQ(std::vector<PageId>(runs.begin(), runs.end()),
+            (std::vector<PageId>{5, 6, 7, 3, 2, 1, 0, 9}));
+  EXPECT_EQ(runs[4], 2u);
+  EXPECT_EQ(runs[7], 9u);
+  // Popping five ids hands them back last first.
+  const PageRuns popped = runs.TakeBack(5);
+  EXPECT_EQ(std::vector<PageId>(popped.begin(), popped.end()),
+            (std::vector<PageId>{9, 0, 1, 2, 3}));
+  EXPECT_EQ(std::vector<PageId>(runs.begin(), runs.end()), (std::vector<PageId>{5, 6, 7}));
+}
+
+TEST_F(AllocatorTest, FreedRegionComesBackAsOneReversedRun) {
+  auto a = alloc_.Allocate(NumaPolicy::Bind({0}), 1000);
+  ASSERT_TRUE(a.ok());
+  ASSERT_EQ(a->runs().size(), 1u);
+  alloc_.Free(*a);
+  auto b = alloc_.Allocate(NumaPolicy::Bind({0}), 1000);
+  ASSERT_TRUE(b.ok());
+  ASSERT_EQ(b->runs().size(), 1u);
+  EXPECT_TRUE(b->runs()[0].descending);
+  EXPECT_EQ((*b)[0], 999u);
+  EXPECT_EQ((*b)[999], 0u);
+}
+
+// A per-id model of the allocator: one free-list stack entry per id, one
+// NodeForIndex call per page. The run-based allocator must match it id for
+// id on every call.
+class ReferenceAllocator {
+ public:
+  ReferenceAllocator(const Platform& platform, uint64_t page_bytes) : platform_(platform) {
+    for (const auto& n : platform.nodes()) {
+      capacity.push_back(n.capacity_bytes / page_bytes);
+    }
+    used.assign(capacity.size(), 0);
+  }
+
+  std::optional<std::vector<PageId>> Allocate(const NumaPolicy& policy, uint64_t count) {
+    std::vector<PageId> out;
+    for (uint64_t i = 0; i < count; ++i) {
+      topology::NodeId target = policy.NodeForIndex(i);
+      if (FreeOn(target) == 0) {
+        target = -1;
+        if (policy.mode() == PolicyMode::kBind) {
+          for (const topology::NodeId n : policy.nodes()) {
+            if (FreeOn(n) > 0) {
+              target = n;
+              break;
+            }
+          }
+        } else {
+          target = Fallback();
+        }
+        if (target < 0) {
+          pgalloc += out.size();
+          Free(out);
+          return std::nullopt;
+        }
+      }
+      PageId id;
+      if (!free_list.empty()) {
+        id = free_list.back();
+        free_list.pop_back();
+        node[id] = target;
+      } else {
+        id = node.size();
+        node.push_back(target);
+      }
+      ++used[static_cast<size_t>(target)];
+      ++allocated;
+      out.push_back(id);
+    }
+    pgalloc += count;
+    return out;
+  }
+
+  void Free(const std::vector<PageId>& pages) {
+    for (const PageId id : pages) {
+      --used[static_cast<size_t>(node[id])];
+      node[id] = -1;
+      free_list.push_back(id);
+      --allocated;
+      ++pgfree;
+    }
+  }
+
+  bool MovePage(PageId id, topology::NodeId target) {
+    if (node[id] == target) {
+      return true;
+    }
+    if (FreeOn(target) == 0) {
+      ++migrate_failed;
+      return false;
+    }
+    --used[static_cast<size_t>(node[id])];
+    ++used[static_cast<size_t>(target)];
+    node[id] = target;
+    return true;
+  }
+
+  std::vector<topology::NodeId> node;
+  std::vector<PageId> free_list;
+  std::vector<uint64_t> used;
+  std::vector<uint64_t> capacity;
+  uint64_t allocated = 0;
+  uint64_t pgalloc = 0;
+  uint64_t pgfree = 0;
+  uint64_t migrate_failed = 0;
+
+ private:
+  uint64_t FreeOn(topology::NodeId n) const {
+    return capacity[static_cast<size_t>(n)] - used[static_cast<size_t>(n)];
+  }
+
+  topology::NodeId Fallback() const {
+    topology::NodeId best = -1;
+    uint64_t best_free = 0;
+    for (const auto& n : platform_.nodes()) {
+      if (n.kind == topology::NodeKind::kDram && FreeOn(n.id) > best_free) {
+        best_free = FreeOn(n.id);
+        best = n.id;
+      }
+    }
+    if (best >= 0) {
+      return best;
+    }
+    for (const auto& n : platform_.nodes()) {
+      if (n.kind == topology::NodeKind::kCxl && FreeOn(n.id) > 0) {
+        return n.id;
+      }
+    }
+    return -1;
+  }
+
+  const Platform& platform_;
+};
+
+// Seeded random Allocate / Free / MovePage sequences on a 384-page machine
+// (4 GiB pages), so bind-full and machine-full failures, partial recycling
+// and multi-run regions are all common.
+TEST(PageRunsAllocatorTest, MatchesPerIdReferenceOnRandomSequences) {
+  const Platform platform = Platform::CxlServer(false);
+  const std::vector<topology::NodeId> dram = platform.DramNodes();
+  const std::vector<topology::NodeId> cxl = platform.CxlNodes();
+  const std::vector<NumaPolicy> policies = {
+      NumaPolicy::Bind({dram[0]}),
+      NumaPolicy::Bind({cxl[0], cxl[1]}),
+      NumaPolicy::Preferred({cxl[1]}),
+      NumaPolicy::Preferred({dram[1]}),
+      NumaPolicy::Interleave({dram[0], cxl[0], cxl[1]}),
+      NumaPolicy::WeightedInterleave(dram, cxl, 3, 1),
+      NumaPolicy::WeightedInterleave({dram[1]}, {cxl[0]}, 1, 2),
+  };
+  int failures = 0;
+  int multi_run = 0;
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    Rng rng(seed);
+    PageAllocator alloc(platform, 4_GiB);
+    ReferenceAllocator ref(platform, 4_GiB);
+    std::vector<PageId> live;  // Allocated ids, in allocation order.
+    for (int step = 0; step < 400; ++step) {
+      const uint64_t op = rng.NextBounded(10);
+      if (op < 5) {
+        const NumaPolicy& policy = policies[rng.NextBounded(policies.size())];
+        const uint64_t count = 1 + rng.NextBounded(rng.NextBool(0.2) ? 200 : 40);
+        auto got = alloc.Allocate(policy, count);
+        const auto want = ref.Allocate(policy, count);
+        ASSERT_EQ(got.ok(), want.has_value()) << "seed " << seed << " step " << step;
+        if (!want.has_value()) {
+          EXPECT_EQ(got.status().code(), StatusCode::kResourceExhausted);
+          ++failures;
+        } else {
+          ASSERT_EQ(std::vector<PageId>(got->begin(), got->end()), *want)
+              << "seed " << seed << " step " << step;
+          for (uint64_t i = 0; i < want->size(); ++i) {
+            ASSERT_EQ((*got)[i], (*want)[i]);
+          }
+          multi_run += got->runs().size() > 1 ? 1 : 0;
+          live.insert(live.end(), want->begin(), want->end());
+        }
+      } else if (op < 8 && !live.empty()) {
+        // A hand-picked subset: a slice, every other id of a slice, a
+        // reversed slice, or scattered picks.
+        const uint64_t begin = rng.NextBounded(live.size());
+        const uint64_t len = 1 + rng.NextBounded(std::min<uint64_t>(live.size() - begin, 80));
+        std::vector<PageId> picked;
+        std::vector<PageId> kept(live.begin(), live.begin() + static_cast<ptrdiff_t>(begin));
+        const uint64_t shape = rng.NextBounded(4);
+        for (uint64_t i = begin; i < begin + len; ++i) {
+          const bool take =
+              shape == 1 ? (i - begin) % 2 == 0 : (shape != 3 || rng.NextBool(0.5));
+          (take ? picked : kept).push_back(live[i]);
+        }
+        kept.insert(kept.end(), live.begin() + static_cast<ptrdiff_t>(begin + len), live.end());
+        if (shape == 2) {
+          std::reverse(picked.begin(), picked.end());
+        }
+        alloc.Free(PageRuns(picked.begin(), picked.end()));
+        ref.Free(picked);
+        live = kept;
+      } else if (!live.empty()) {
+        const PageId id = live[rng.NextBounded(live.size())];
+        const auto target = static_cast<topology::NodeId>(rng.NextBounded(platform.nodes().size()));
+        ASSERT_EQ(alloc.MovePage(id, target).ok(), ref.MovePage(id, target));
+      }
+      ASSERT_EQ(alloc.page_count(), ref.node.size()) << "seed " << seed << " step " << step;
+      ASSERT_TRUE(std::equal(ref.node.begin(), ref.node.end(), alloc.node_column()))
+          << "seed " << seed << " step " << step;
+      for (const auto& n : platform.nodes()) {
+        ASSERT_EQ(alloc.UsedPages(n.id), ref.used[static_cast<size_t>(n.id)]);
+      }
+      ASSERT_EQ(alloc.allocated_pages(), ref.allocated);
+      ASSERT_EQ(alloc.counters().pgalloc, ref.pgalloc);
+      ASSERT_EQ(alloc.counters().pgfree, ref.pgfree);
+      ASSERT_EQ(alloc.counters().migrate_failed, ref.migrate_failed);
+    }
+  }
+  // The sequences reached the paths they are meant to cover.
+  EXPECT_GT(failures, 50);
+  EXPECT_GT(multi_run, 50);
 }
 
 }  // namespace

@@ -122,7 +122,7 @@ TEST_F(PolicyDaemonTest, AttachedPolicyOverrideDrivesTicksAndObserves) {
 // Runs `ticks` daemon intervals of a streaming scan: each tick touches the
 // next `window` pages (wrapping), so promoted pages go cold immediately —
 // the §4.2.2 thrash regime.
-uint64_t RunStreaming(TieredMemory& tiering, const std::vector<PageId>& pages, int ticks,
+uint64_t RunStreaming(TieredMemory& tiering, const PageRuns& pages, int ticks,
                       size_t window) {
   uint64_t promoted = 0;
   size_t cursor = 0;

@@ -153,10 +153,12 @@ class Harness {
     for (const PageId id : *pages) {
       shadow_[id] = 0.0f;  // Allocation resets heat.
     }
-    return *pages;
+    return {pages->begin(), pages->end()};
   }
 
-  void Free(const std::vector<PageId>& pages) { alloc_.Free(pages); }
+  void Free(const std::vector<PageId>& pages) {
+    alloc_.Free(PageRuns(pages.begin(), pages.end()));
+  }
 
   void Access(PageId id, uint64_t accesses) {
     tiering_.RecordAccess(id, accesses);

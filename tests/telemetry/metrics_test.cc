@@ -27,8 +27,9 @@ TEST(MetricRegistryTest, HandlesArePointerStableAcrossRegistrations) {
   Gauge& g = reg.GetGauge("g");
   // Register many more metrics; the original references must stay valid.
   for (int i = 0; i < 200; ++i) {
-    reg.GetCounter("c" + std::to_string(i)).Increment();
-    reg.GetGauge("g" + std::to_string(i)).Set(i);
+    const std::string n = std::to_string(i);
+    reg.GetCounter(std::string("c").append(n)).Increment();
+    reg.GetGauge(std::string("g").append(n)).Set(i);
   }
   first.Add(7);
   g.Set(1.0);

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdio>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "src/util/rng.h"
@@ -83,6 +87,52 @@ TEST(ZipfianDistributionTest, GrowToExtendsRange) {
     }
   }
   EXPECT_TRUE(saw_big);
+}
+
+std::string HexFloat(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%a", v);
+  return buf;
+}
+
+// zeta(n, theta) summed left to right from i = 1, with no cache.
+double UncachedZeta(uint64_t n, double theta) {
+  double z = 0.0;
+  for (uint64_t i = 1; i <= n; ++i) {
+    z += 1.0 / std::pow(static_cast<double>(i), theta);
+  }
+  return z;
+}
+
+// Every checkpoint in the built-in zeta table equals, bit for bit, the
+// running sum at that n. A libm whose pow rounds differently fails here,
+// and the message gives the literal the table needs on it.
+TEST(ZetaSumTest, CheckpointTableMatchesARunningSum) {
+  constexpr double kTheta = 0.99;
+  constexpr uint64_t kStep = uint64_t{1} << 20;
+  double z = 0.0;
+  uint64_t i = 0;
+  for (uint64_t k = 1; k <= 64; ++k) {
+    while (i < k * kStep) {
+      ++i;
+      z += 1.0 / std::pow(static_cast<double>(i), kTheta);
+    }
+    const double table = ZetaSum(k * kStep, kTheta);
+    EXPECT_EQ(std::bit_cast<uint64_t>(table), std::bit_cast<uint64_t>(z))
+        << "checkpoint k = " << k << " holds " << HexFloat(table) << ", the sum is "
+        << HexFloat(z);
+  }
+}
+
+// Off-checkpoint sizes, below the first checkpoint and extended from one,
+// give the Zipfian the same zeta as a sum from zero.
+TEST(ZetaSumTest, ZipfianZetaMatchesAnUncachedSum) {
+  for (const uint64_t n : {uint64_t{100'000}, uint64_t{4'000'000}, (uint64_t{3} << 20) + 12'345}) {
+    const ZipfianDistribution dist(n);
+    const double uncached = UncachedZeta(n, ZipfianDistribution::kDefaultTheta);
+    EXPECT_EQ(std::bit_cast<uint64_t>(dist.zeta_n()), std::bit_cast<uint64_t>(uncached))
+        << "n = " << n << ": " << HexFloat(dist.zeta_n()) << " vs " << HexFloat(uncached);
+  }
 }
 
 TEST(ScrambledZipfianTest, PopularItemsAreScattered) {
