@@ -1,6 +1,7 @@
 // google-benchmark micro-benchmarks of the simulator's own hot paths:
-// event-queue throughput, Zipfian draws, page allocation, the bandwidth
-// solver, and a full (small) KeyDB experiment end to end.
+// event-queue throughput, Zipfian draws, page allocation, the tiering
+// daemon's tick on a streaming region, the bandwidth solver, and a full
+// (small) KeyDB experiment end to end.
 #include <benchmark/benchmark.h>
 
 #include "src/bench/context.h"
@@ -54,6 +55,57 @@ void BM_PageAllocate(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
 }
 BENCHMARK(BM_PageAllocate)->Arg(4096)->Arg(65536)->Arg(1 << 21);
+
+// The daemon of one bench_fig7 Hot-Promote cell (apps/spark/cluster.cc):
+// 286,103 pages of 2 MiB in a 1:1 weighted interleave, DRAM sized to half
+// of them, hot page selection at 3000 MB/s. A 1/50 window advances each
+// 1 s tick at 400 accesses per page, so after the 60 warming ticks every
+// page is warm and every word dense. One iteration times one Tick; the
+// window's accesses are recorded outside the timing. Items are the pages
+// the ticks visited.
+void BM_DaemonTickStreaming(benchmark::State& state) {
+  constexpr double kRegionBytes = 600e9;
+  topology::PlatformOptions opt;
+  opt.cxl_cards = 2;
+  opt.dram_per_socket = static_cast<uint64_t>(kRegionBytes / 4.0);
+  const auto platform = topology::Platform::Build(opt);
+  os::PageAllocator alloc(platform);
+  os::TieringConfig cfg;
+  cfg.promote_rate_limit_mbps = 3000.0;
+  cfg.hint_fault_sample_rate = 0.05;
+  os::TieredMemory tiering(alloc, cfg);
+  auto region = os::MemoryRegion::Allocate(
+      alloc, os::NumaPolicy::WeightedInterleave(platform.DramNodes(), platform.CxlNodes(), 1, 1),
+      static_cast<uint64_t>(kRegionBytes));
+  if (!region.ok()) {
+    state.SkipWithError("region allocation failed");
+    return;
+  }
+  const size_t pages = region->page_count();
+  const size_t window = pages / 50;
+  size_t cursor = 0;
+  const auto touch_window = [&] {
+    for (size_t i = 0; i < window; ++i) {
+      tiering.RecordAccess(region->PageAtIndex((cursor + i) % pages), 400);
+    }
+    cursor = (cursor + window) % pages;
+  };
+  for (int tick = 0; tick < 60; ++tick) {
+    touch_window();
+    tiering.Tick(1.0);
+  }
+  int64_t visited = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    touch_window();
+    state.ResumeTiming();
+    const os::TieredMemory::TickResult r = tiering.Tick(1.0);
+    benchmark::DoNotOptimize(r);
+    visited += static_cast<int64_t>(r.pages_visited);
+  }
+  state.SetItemsProcessed(visited);
+}
+BENCHMARK(BM_DaemonTickStreaming)->Unit(benchmark::kMicrosecond);
 
 void BM_BandwidthSolve(benchmark::State& state) {
   const auto platform = topology::Platform::CxlServer(true);

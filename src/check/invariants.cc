@@ -1,7 +1,9 @@
 #include "src/check/invariants.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 
 namespace cxl::check {
@@ -92,6 +94,90 @@ std::vector<std::string> SolverInvariantViolations(const mem::BandwidthSolver& s
     }
   }
 
+  return violations;
+}
+
+std::vector<std::string> AllocatorInvariantViolations(const os::PageAllocator& alloc) {
+  std::vector<std::string> violations;
+  const uint64_t n = alloc.page_count();
+  const topology::NodeId* node = alloc.node_column();
+  const auto page = [](const char* what, uint64_t id) {
+    return std::string(what) + " (page " + std::to_string(id) + ")";
+  };
+
+  // Occupancy: per-node used counts against the column's tallies.
+  const auto& nodes = alloc.platform().nodes();
+  std::vector<uint64_t> tally(nodes.size(), 0);
+  uint64_t free_slots = 0;
+  for (uint64_t id = 0; id < n; ++id) {
+    if (node[id] < 0) {
+      ++free_slots;
+    } else if (static_cast<size_t>(node[id]) < tally.size()) {
+      ++tally[static_cast<size_t>(node[id])];
+    } else {
+      violations.push_back(page("node column names a node the platform lacks", id));
+    }
+  }
+  for (const auto& nd : nodes) {
+    const uint64_t used = alloc.UsedPages(nd.id);
+    if (used != tally[static_cast<size_t>(nd.id)]) {
+      violations.push_back("node " + std::to_string(nd.id) + ": used count " +
+                           std::to_string(used) + ", node column holds " +
+                           std::to_string(tally[static_cast<size_t>(nd.id)]));
+    }
+  }
+
+  // Residency bitsets: one word per 64 slots.
+  const std::vector<uint64_t>& dram = alloc.dram_bits();
+  const std::vector<uint64_t>& cxl = alloc.cxl_bits();
+  const size_t words = (n + 63) / 64;
+  if (dram.size() != words || cxl.size() != words) {
+    violations.push_back("residency bitsets span " + std::to_string(dram.size()) + " / " +
+                         std::to_string(cxl.size()) + " words, page slots need " +
+                         std::to_string(words));
+    return violations;
+  }
+  // Word by word against the bits the column implies (disjoint, and clear
+  // past the last slot); the first wrong page of a word is reported.
+  for (size_t w = 0; w < words; ++w) {
+    uint64_t want_dram = 0;
+    uint64_t want_cxl = 0;
+    for (uint64_t b = 0; b < 64 && w * 64 + b < n; ++b) {
+      const topology::NodeId nd = node[w * 64 + b];
+      if (nd >= 0 && static_cast<size_t>(nd) < tally.size()) {
+        (alloc.IsDramNode(nd) ? want_dram : want_cxl) |= uint64_t{1} << b;
+      }
+    }
+    const uint64_t wrong = (dram[w] ^ want_dram) | (cxl[w] ^ want_cxl);
+    if (wrong == 0) {
+      continue;
+    }
+    const uint64_t id = w * 64 + static_cast<uint64_t>(std::countr_zero(wrong));
+    const uint64_t bit = wrong & (~wrong + 1);
+    violations.push_back(page(id >= n                       ? "residency bit set past page_count()"
+                              : (dram[w] & cxl[w] & bit) != 0 ? "page is in both residency bitsets"
+                              : (want_dram & bit) != 0      ? "DRAM page's residency bits are wrong"
+                              : (want_cxl & bit) != 0       ? "non-DRAM page's residency bits are wrong"
+                                                            : "free slot has a residency bit set",
+                              id));
+  }
+
+  // Free stack: exactly the slots with node < 0, each once.
+  std::vector<uint8_t> on_stack(n, 0);
+  for (const os::PageId id : alloc.free_runs()) {
+    if (id >= n) {
+      violations.push_back(page("free stack holds an id past page_count()", id));
+    } else if (node[id] >= 0) {
+      violations.push_back(page("free stack holds an allocated page", id));
+    } else if (on_stack[id]++ != 0) {
+      violations.push_back(page("free stack holds a slot twice", id));
+    }
+  }
+  if (alloc.free_runs().size() != free_slots) {
+    violations.push_back("free stack holds " + std::to_string(alloc.free_runs().size()) +
+                         " ids, the node column has " + std::to_string(free_slots) +
+                         " free slots");
+  }
   return violations;
 }
 

@@ -17,6 +17,15 @@
 //
 // The checker returns human-readable violation strings (empty = all hold) so
 // tests, the calibration gate, and ad-hoc debugging share one implementation.
+//
+// The page allocator's bookkeeping is audited the same way:
+//
+//   occupancy      per-node used counts equal the node column's tallies;
+//   residency      dram_bits() and cxl_bits() span the page slots, are
+//                  disjoint, match the node column bit for bit (DRAM node,
+//                  other node, free) and hold no bit past page_count();
+//   free stack     the free PageRuns stack holds each slot with node < 0
+//                  exactly once, and nothing else.
 #ifndef CXL_EXPLORER_SRC_CHECK_INVARIANTS_H_
 #define CXL_EXPLORER_SRC_CHECK_INVARIANTS_H_
 
@@ -24,6 +33,7 @@
 #include <vector>
 
 #include "src/mem/bandwidth_solver.h"
+#include "src/os/page_allocator.h"
 
 namespace cxl::check {
 
@@ -32,6 +42,10 @@ namespace cxl::check {
 std::vector<std::string> SolverInvariantViolations(const mem::BandwidthSolver& solver,
                                                    const mem::BandwidthSolver::Solution& sol,
                                                    double tolerance = 1e-6);
+
+// Verifies `alloc`'s occupancy counts, residency bitsets and free stack
+// against its node column, per the contract above. O(page_count()).
+std::vector<std::string> AllocatorInvariantViolations(const os::PageAllocator& alloc);
 
 }  // namespace cxl::check
 

@@ -97,6 +97,7 @@ StatusOr<PageRuns> PageAllocator::Allocate(const NumaPolicy& policy, uint64_t co
     node_.resize(grown, -1);
     heat_.resize(grown, 0.0f);
     last_epoch_.resize(grown, 0);
+    ResizeBits();
     out.Append(base, count - recycled, /*descending=*/false);
   }
   // Per-call allocation index drives the policy's round-robin; continuing a
@@ -108,6 +109,53 @@ StatusOr<PageRuns> PageAllocator::Allocate(const NumaPolicy& policy, uint64_t co
   const size_t period = pattern.size();
   size_t pattern_i = 0;
   uint64_t placed = 0;
+  // Residency masks of a whole word whose first id the cursor places at
+  // phase p, built at the first whole word a batch covers.
+  std::vector<uint64_t> phase_dram;
+  std::vector<uint64_t> phase_cxl;
+  // Sets the residency bits of the `batch` ids of `run` from position `j`,
+  // which the cursor placed from `phase` on: whole words of an ascending
+  // run from the phase masks, partial words and descending runs page by
+  // page.
+  const auto mark_batch = [&](const PageRuns::Run& run, uint64_t j, uint64_t batch,
+                              size_t phase) {
+    uint64_t k = 0;
+    const auto mark_one = [&] {
+      MarkResident(run.at(j + k), pattern[phase]);
+      if (++phase == period) {
+        phase = 0;
+      }
+      ++k;
+    };
+    if (!run.descending) {
+      const PageId first = run.at(j);
+      while (k < batch && (first + k) % 64 != 0) {
+        mark_one();
+      }
+      if (batch - k >= 64 && phase_dram.empty()) {
+        phase_dram.assign(period, 0);
+        phase_cxl.assign(period, 0);
+        for (size_t p = 0; p < period; ++p) {
+          for (uint64_t b = 0; b < 64; ++b) {
+            const uint64_t bit = uint64_t{1} << b;
+            (IsDramNode(pattern[(p + b) % period]) ? phase_dram : phase_cxl)[p] |= bit;
+          }
+        }
+      }
+      const size_t step = 64 % period;
+      for (; batch - k >= 64; k += 64) {
+        dram_bits_[(first + k) / 64] |= phase_dram[phase];
+        cxl_bits_[(first + k) / 64] |= phase_cxl[phase];
+        phase += step;
+        if (phase >= period) {
+          phase -= period;
+        }
+      }
+    }
+    while (k < batch) {
+      mark_one();
+    }
+  };
   for (const PageRuns::Run& run : out.runs()) {
     for (uint64_t j = 0; j < run.count;) {
       // While every node of the pattern has room for the whole batch, no
@@ -124,6 +172,7 @@ StatusOr<PageRuns> PageAllocator::Allocate(const NumaPolicy& policy, uint64_t co
           node_used_[static_cast<size_t>(pattern[(pattern_i + k) % period])] +=
               batch / period + (k < batch % period ? 1 : 0);
         }
+        mark_batch(run, j, batch, pattern_i);
         for (const uint64_t end = j + batch; j < end; ++j) {
           const PageId id = run.at(j);
           node_[id] = pattern[pattern_i];
@@ -165,6 +214,7 @@ StatusOr<PageRuns> PageAllocator::Allocate(const NumaPolicy& policy, uint64_t co
       const PageId id = run.at(j);
       node_[id] = target;
       heat_[id] = 0.0f;
+      MarkResident(id, target);
       ++node_used_[static_cast<size_t>(target)];
       ++j;
       ++placed;
@@ -187,6 +237,7 @@ void PageAllocator::UndoAllocate(PageRuns& out, uint64_t placed, uint64_t recycl
   node_.resize(base + (kept - recycled));
   heat_.resize(node_.size());
   last_epoch_.resize(node_.size());
+  ResizeBits();
   allocated_ += placed;
   counters_.pgalloc += placed;
   Free(out);
@@ -208,6 +259,19 @@ void PageAllocator::Free(const PageRuns& pages) {
   for (size_t i = 0; i < freed.size(); ++i) {
     node_used_[i % nodes] -= freed[i];
   }
+  // Each run is a range of ids: clear its residency bits word by word.
+  for (const PageRuns::Run& run : pages.runs()) {
+    PageId lo = run.descending ? run.first - (run.count - 1) : run.first;
+    const PageId hi = lo + run.count;
+    while (lo < hi) {
+      const size_t w = lo / 64;
+      const uint64_t span = std::min<PageId>(hi, (w + 1) * 64) - lo;
+      const uint64_t keep = span == 64 ? 0 : ~(((uint64_t{1} << span) - 1) << (lo % 64));
+      dram_bits_[w] &= keep;
+      cxl_bits_[w] &= keep;
+      lo += span;
+    }
+  }
   free_.Append(pages);
   allocated_ -= pages.size();
   counters_.pgfree += pages.size();
@@ -226,7 +290,18 @@ Status PageAllocator::MovePage(PageId id, topology::NodeId target) {
   --node_used_[static_cast<size_t>(from)];
   ++node_used_[static_cast<size_t>(target)];
   node_[id] = target;
+  if (IsDramNode(from) != IsDramNode(target)) {
+    const uint64_t bit = uint64_t{1} << (id % 64);
+    dram_bits_[id / 64] ^= bit;
+    cxl_bits_[id / 64] ^= bit;
+  }
   return Status::Ok();
+}
+
+void PageAllocator::ResizeBits() {
+  const size_t words = (node_.size() + 63) / 64;
+  dram_bits_.resize(words, 0);
+  cxl_bits_.resize(words, 0);
 }
 
 }  // namespace cxl::os

@@ -21,6 +21,16 @@
 // entry per page: fresh slots come out as one ascending run, and freed ids
 // sit on a LIFO stack of runs, so a recycled region comes back as its freed
 // runs reversed -- the order a per-id free-list stack would give.
+//
+// Next to the node column the allocator keeps two residency bitsets, one
+// bit per page slot (word w covers ids 64w..64w+63): dram_bits() marks the
+// pages resident on a DRAM node, cxl_bits() those on any other node, and a
+// free slot is in neither. They change wherever the node column does, a
+// word at a time where placement allows it: a batch of ascending ids takes
+// whole words from masks of the placement pattern (one per pattern phase,
+// built once per Allocate), Free clears each run's id range word by word,
+// and MovePage flips a page's bits only when it changes tier. The daemon's
+// warm pass reads residency 64 pages at a time from them.
 #ifndef CXL_EXPLORER_SRC_OS_PAGE_ALLOCATOR_H_
 #define CXL_EXPLORER_SRC_OS_PAGE_ALLOCATOR_H_
 
@@ -73,6 +83,15 @@ class PageAllocator {
   const float* heat_column() const { return heat_.data(); }
   const uint32_t* epoch_column() const { return last_epoch_.data(); }
 
+  // Residency bitsets (see the header comment): bit id % 64 of word id / 64
+  // is set when page `id` is resident on a DRAM / a non-DRAM node. Both
+  // span ceil(page_count() / 64) words; bits past page_count() are clear.
+  const std::vector<uint64_t>& dram_bits() const { return dram_bits_; }
+  const std::vector<uint64_t>& cxl_bits() const { return cxl_bits_; }
+
+  // Freed ids awaiting reuse, as the stack Allocate pops from (top last).
+  const PageRuns& free_runs() const { return free_; }
+
   // Pages currently resident on DRAM / CXL nodes (sums of per-node
   // occupancy). The daemon bounds its selection sizes with these, and
   // derives the count of zero-heat DRAM pages from the DRAM one.
@@ -113,6 +132,13 @@ class PageAllocator {
   // fresh slots at `base`.
   void UndoAllocate(PageRuns& out, uint64_t placed, uint64_t recycled, uint64_t base);
 
+  // Sets the residency bit of page `id`, now placed on `node`.
+  void MarkResident(PageId id, topology::NodeId node) {
+    (IsDramNode(node) ? dram_bits_ : cxl_bits_)[id / 64] |= uint64_t{1} << (id % 64);
+  }
+  // Sizes both bitsets to cover page_count() slots.
+  void ResizeBits();
+
   const topology::Platform& platform_;
   uint64_t page_bytes_;
   // Page metadata columns, indexed by PageId; grow monotonically.
@@ -120,6 +146,8 @@ class PageAllocator {
   std::vector<float> heat_;
   std::vector<uint32_t> last_epoch_;
   std::vector<uint8_t> node_is_dram_;
+  std::vector<uint64_t> dram_bits_;  // Residency bitsets, see dram_bits().
+  std::vector<uint64_t> cxl_bits_;
   PageRuns free_;                    // Recycled ids; a stack, top last.
   std::vector<uint64_t> node_used_;  // Pages in use per node.
   std::vector<uint64_t> node_capacity_;

@@ -59,8 +59,10 @@ struct TickContext {
 struct TickDecision {
   CandidateScan scan = CandidateScan::kHotnessRanked;
   // Hotness threshold for kHotnessRanked (ignored by the other scans).
-  // Compared as a double against the float heat column, as the legacy
-  // threshold was — narrowing would flip borderline candidates.
+  // A page qualifies when its float heat, compared as a double, is >= it.
+  // The daemon tests that against the threshold rounded up to a float,
+  // which is exact (round-to-nearest narrowing would flip borderline
+  // candidates).
   double hot_threshold = 0.0;
   // Promotion budget in pages. uint64 max = unbounded (TPP).
   uint64_t budget_pages = 0;

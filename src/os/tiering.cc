@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstddef>
+#include <cstring>
 #include <limits>
 #include <utility>
 
@@ -22,13 +23,13 @@ namespace {
 constexpr uint32_t kPromoteStampWindowTicks = 8;
 
 // Warm-set geometry. A word with kDenseWordBits or more bits set is dense.
-// Runs of dense words are walked id by id, and every page in them is
-// handled alike, zero heat included: a straight loop over consecutive ids
-// costs per page what a loop over the whole column costs, and the decay one
-// vectorises. Sparse words are walked bit by bit, and a page found there at
-// heat 0 leaves the set. Bit-by-bit walking of a nearly full word is far
-// slower per page than the straight loop; a sparse word walked straight
-// reads columns it need not touch.
+// Every page of a dense word is handled alike, zero heat included: the
+// candidate/cold-pool pass decides a word's 64 pages with vectorised
+// compares and residency masks, and the decay sweeps them straight, which
+// vectorises too. Sparse words are walked bit by bit, and a page found
+// there at heat 0 leaves the set. Bit-by-bit walking of a nearly full word
+// is far slower per page than the word at a time; a sparse word taken
+// whole reads columns it need not touch.
 constexpr PageId kWordBits = 64;
 constexpr int kDenseWordBits = 16;
 constexpr uint32_t kDenseRefreshTicks = 8;
@@ -53,6 +54,55 @@ size_t DenseRunEnd(const std::vector<uint64_t>& warm, size_t w, uint64_t page_co
     ++w;
   } while (w < warm.size() && IsDense(warm[w], w, page_count));
   return w;
+}
+
+// The smallest float >= `threshold`: for every float h, including +-inf
+// and NaN, h >= threshold (compared as doubles) exactly when h >= the
+// result. NaN stays NaN, which no heat reaches.
+float CeilToFloat(double threshold) {
+  if (threshold > std::numeric_limits<float>::max()) {
+    return std::numeric_limits<float>::infinity();
+  }
+  if (threshold < -std::numeric_limits<float>::max()) {
+    return threshold == -std::numeric_limits<double>::infinity()
+               ? -std::numeric_limits<float>::infinity()
+               : -std::numeric_limits<float>::max();
+  }
+  const float rounded = static_cast<float>(threshold);
+  return static_cast<double>(rounded) < threshold
+             ? std::nextafter(rounded, std::numeric_limits<float>::infinity())
+             : rounded;
+}
+
+// Bit j of the result is lanes[j] (each 0 or 1): the multiply gathers the
+// low bits of 8 bytes into the top byte.
+uint64_t PackLanes(const uint8_t* lanes) {
+  static_assert(std::endian::native == std::endian::little, "byte lanes load little-endian");
+  uint64_t mask = 0;
+  for (size_t g = 0; g < kWordBits / 8; ++g) {
+    uint64_t bytes = 0;
+    std::memcpy(&bytes, lanes + 8 * g, sizeof(bytes));
+    mask |= (bytes * 0x0102040810204080) >> 56 << (8 * g);
+  }
+  return mask;
+}
+
+// One dense word's heat tests, as masks over its 64 pages.
+struct HeatMasks {
+  uint64_t below_cut;  // !(heat > cut): may pass the cold pool's (heat, id) cut.
+  uint64_t candidate;  // heat >= min_heat.
+};
+
+// Both compares are one plain loop into 0/1 bytes, which GCC vectorises at
+// the baseline ISA.
+HeatMasks CompareHeat(const float* heat, float cut, float min_heat) {
+  uint8_t below_cut[kWordBits];
+  uint8_t candidate[kWordBits];
+  for (size_t j = 0; j < kWordBits; ++j) {
+    below_cut[j] = !(heat[j] > cut);
+    candidate[j] = heat[j] >= min_heat;
+  }
+  return {PackLanes(below_cut), PackLanes(candidate)};
 }
 }  // namespace
 
@@ -126,11 +176,10 @@ void TieredMemory::VisitWarm(Dense&& dense, Sparse&& sparse) {
     }
     if (IsDense(keep, w, page_count)) {
       const size_t run_end = DenseRunEnd(warm_, w, page_count);
-      for (PageId id = w * kWordBits; id < run_end * kWordBits; ++id) {
-        dense(id);
-      }
       visited += (run_end - w) * kWordBits;
-      w = run_end;
+      for (; w < run_end; ++w) {
+        dense(w);
+      }
       continue;
     }
     visited += static_cast<uint64_t>(std::popcount(keep));
@@ -146,36 +195,56 @@ void TieredMemory::VisitWarm(Dense&& dense, Sparse&& sparse) {
   tick_pages_visited_ += visited;
 }
 
-template <typename IsCandidate>
-uint64_t TieredMemory::ScanWarm(const IsCandidate& is_candidate, ColdPoolSelector& pool,
+uint64_t TieredMemory::ScanWarm(const CandidateFilter& filter, ColdPoolSelector& pool,
                                 ArenaVector<std::pair<float, PageId>>& hot) {
   const float* heat_col = allocator_.heat_column();
-  const topology::NodeId* node_col = allocator_.node_column();
+  const uint32_t* epoch_col = allocator_.epoch_column();
+  const uint64_t* dram_bits = allocator_.dram_bits().data();
+  const uint64_t* cxl_bits = allocator_.cxl_bits().data();
   uint64_t offered_dram = 0;
-  // One page. Dense runs hand over every id, zero heat included; a page
-  // with heat 0 sorts first in the pool and is a candidate only when the
-  // predicate admits it.
-  const auto test = [&](PageId id, float heat) {
-    const topology::NodeId node = node_col[id];
-    if (node < 0) {
-      return;
-    }
-    if (allocator_.IsDramNode(node)) {
-      ++offered_dram;
-      pool.Offer({heat, id});
-    } else if (is_candidate(id, heat)) {
+  uint64_t offers = 0;
+  // A CXL page whose heat passed the filter: the per-page tests left.
+  const auto consider = [&](PageId id, float heat) {
+    if ((!filter.this_epoch_only || epoch_col[id] == epoch_) && !IsQuarantined(id)) {
       hot.emplace_back(heat, id);
     }
   };
-  VisitWarm([&](PageId id) { test(id, heat_col[id]); },
-            [&](PageId id) {
-              const float heat = heat_col[id];
-              if (heat == 0.0f) {
-                return false;
-              }
-              test(id, heat);
-              return true;
-            });
+  VisitWarm(
+      [&](size_t w) {
+        // Every page of a dense word, zero heat included: a page with heat
+        // 0 sorts first in the pool and is a candidate only when the
+        // filter admits it. Only DRAM pages that may pass the cut reach
+        // Offer, and only CXL pages passing the heat test are considered.
+        const float* heat = heat_col + w * kWordBits;
+        const PageId base = w * kWordBits;
+        const uint64_t dram = dram_bits[w];
+        offered_dram += static_cast<uint64_t>(std::popcount(dram));
+        const HeatMasks masks = CompareHeat(heat, pool.cut_heat(), filter.min_heat);
+        for (uint64_t bits = dram & masks.below_cut; bits != 0; bits &= bits - 1) {
+          const int j = std::countr_zero(bits);
+          ++offers;
+          pool.Offer({heat[j], base + static_cast<PageId>(j)});
+        }
+        for (uint64_t bits = cxl_bits[w] & masks.candidate; bits != 0; bits &= bits - 1) {
+          const int j = std::countr_zero(bits);
+          consider(base + static_cast<PageId>(j), heat[j]);
+        }
+      },
+      [&](PageId id) {
+        const float heat = heat_col[id];
+        if (heat == 0.0f) {
+          return false;
+        }
+        if ((dram_bits[id / kWordBits] & Bit(id)) != 0) {
+          ++offered_dram;
+          ++offers;
+          pool.Offer({heat, id});
+        } else if ((cxl_bits[id / kWordBits] & Bit(id)) != 0 && heat >= filter.min_heat) {
+          consider(id, heat);
+        }
+        return true;
+      });
+  tick_pool_offers_ += offers;
   return offered_dram;
 }
 
@@ -272,7 +341,7 @@ void TieredMemory::DecayWarm() {
 void TieredMemory::CountRecentPromotions() {
   // In id order, like the warm passes; a page leaves the set once its
   // stamp ages out of the window.
-  const topology::NodeId* node_col = allocator_.node_column();
+  const uint64_t* dram_bits = allocator_.dram_bits().data();
   const uint32_t* epoch_col = allocator_.epoch_column();
   for (size_t w = 0; w < recently_promoted_.size(); ++w) {
     for (uint64_t bits = recently_promoted_[w]; bits != 0; bits &= bits - 1) {
@@ -281,7 +350,7 @@ void TieredMemory::CountRecentPromotions() {
       const uint32_t age = epoch_ - (promote_epoch_[id] - 1);
       if (age > kPromoteStampWindowTicks) {
         recently_promoted_[w] &= ~Bit(id);  // Aged out of the window.
-      } else if (age >= 1 && node_col[id] >= 0 && allocator_.IsDramNode(node_col[id])) {
+      } else if (age >= 1 && (dram_bits[w] & Bit(id)) != 0) {
         ++tick_recent_promoted_;
         if (epoch_col[id] == epoch_) {
           ++tick_recent_promoted_hot_;
@@ -344,11 +413,11 @@ void TieredMemory::InstallColdPool(ColdPoolSelector& selector, uint64_t k,
   // the last one that can make the pool.
   uint64_t wanted = std::min(k, allocator_.DramResidentCount() - offered_dram);
   if (wanted > 0) {
-    const topology::NodeId* node_col = allocator_.node_column();
+    tick_pool_offers_ += wanted;
+    const uint64_t* dram_bits = allocator_.dram_bits().data();
     PageId first = kInvalidPage;
     VisitCold(zero_floor_, [&](PageId id) {
-      const topology::NodeId node = node_col[id];
-      if (node >= 0 && allocator_.IsDramNode(node)) {
+      if ((dram_bits[id / kWordBits] & Bit(id)) != 0) {
         first = std::min(first, id);
         selector.Offer({0.0f, id});
         --wanted;
@@ -372,8 +441,8 @@ void TieredMemory::BuildColdPool(uint64_t k) {
   ColdPoolSelector selector(cold_pool_, k);
   ArenaVector<std::pair<float, PageId>> no_candidates{
       ArenaAllocator<std::pair<float, PageId>>(&tick_arena_)};
-  const uint64_t offered_dram =
-      ScanWarm([](PageId, float) { return false; }, selector, no_candidates);
+  const uint64_t offered_dram = ScanWarm(
+      CandidateFilter{std::numeric_limits<float>::quiet_NaN(), false}, selector, no_candidates);
   InstallColdPool(selector, k, offered_dram);
 }
 
@@ -437,6 +506,7 @@ TieredMemory::TickResult TieredMemory::Tick(double dt_seconds) {
 
   GrowPageSets();
   tick_pages_visited_ = 0;
+  tick_pool_offers_ = 0;
   // Pages enter DRAM outside the daemon only by allocation, at any id and
   // with heat 0: after any, the zero walk starts again from id 0.
   if (allocator_.counters().pgalloc != seen_pgalloc_) {
@@ -544,13 +614,8 @@ TieredMemory::TickResult TieredMemory::Tick(double dt_seconds) {
   tick_recent_promoted_hot_ = 0;
 
   // Gather promotion candidates on the low tier. Quarantined pages are
-  // never candidates; the set is empty unless fault paths populated it, so
-  // the extra check is one `empty()` load on healthy runs.
-  const auto quarantined = [this](PageId id) {
-    return !quarantined_.empty() && quarantined_.count(id) != 0;
-  };
+  // never candidates.
   const float* heat_col = allocator_.heat_column();
-  const topology::NodeId* node_col = allocator_.node_column();
   ArenaVector<std::pair<float, PageId>> hot{
       ArenaAllocator<std::pair<float, PageId>>(&tick_arena_)};
   if (allocator_.CxlResidentCount() > 0) {
@@ -560,51 +625,46 @@ TieredMemory::TickResult TieredMemory::Tick(double dt_seconds) {
     // DRAM, so the promotion loop below demotes almost every tick).
     // Candidates are appended in id order. With nothing resident on CXL
     // there is nothing to promote and nothing the pool is for; skip.
-    const uint32_t* epoch_col = allocator_.epoch_column();
     const uint64_t pool_size = ColdPoolSize(demote_batch);
     ColdPoolSelector pool(cold_pool_, pool_size);
-    uint64_t offered_dram = 0;
-    const auto scan = [&](const auto& is_candidate) {
-      offered_dram = ScanWarm(is_candidate, pool, hot);
-    };
+    CandidateFilter filter;
     switch (decision.scan) {
       case CandidateScan::kHotnessRanked:
-        // NB: heat is compared against the double threshold (as before) —
-        // narrowing the threshold to float would flip borderline candidates.
+        // Heat >= the double threshold. Rounding the threshold up to a
+        // float keeps that exact: a float heat reaches the threshold
+        // exactly when it reaches the smallest float at or above it.
         // Only this scan feeds the promotion-outcome observation.
         CountRecentPromotions();
-        scan([threshold = decision.hot_threshold, &quarantined](PageId id, float heat) {
-          return heat >= threshold && !quarantined(id);
-        });
-        // A threshold at or below 0 also admits the zero-heat CXL pages the
-        // pass left out.
-        if (0.0 >= decision.hot_threshold) {
-          VisitCold(0, [&](PageId id) {
-            const topology::NodeId node = node_col[id];
-            if (node >= 0 && !allocator_.IsDramNode(node) && !quarantined(id)) {
-              hot.emplace_back(0.0f, id);
-            }
-            return true;
-          });
-        }
+        filter.min_heat = CeilToFloat(decision.hot_threshold);
         break;
       case CandidateScan::kRecency:
         // MRU balancing: everything touched since the last scan qualifies,
         // in scan order — no hotness ranking. This is precisely why the
         // earlier patch "may not accurately identify high-demand pages"
         // (§2.3): the budget is spent on recently-touched pages regardless
-        // of their heat.
-        scan([epoch_col, epoch = epoch_, &quarantined](PageId id, float heat) {
-          return epoch_col[id] == epoch && heat > 0.0f && !quarantined(id);
-        });
+        // of their heat. Heat > 0 is heat >= the smallest subnormal.
+        filter.min_heat = std::numeric_limits<float>::denorm_min();
+        filter.this_epoch_only = true;
         break;
       case CandidateScan::kSecondAccess:
         // TPP-like: second observed access promotes. With the default
         // sampling rate a page needs ~2 sampled hits; accumulated heat >= 2
         // approximates the active-list check. No ordering, no rate limiting
         // (see below).
-        scan([&quarantined](PageId id, float heat) { return heat >= 2.0f && !quarantined(id); });
+        filter.min_heat = 2.0f;
         break;
+    }
+    const uint64_t offered_dram = ScanWarm(filter, pool, hot);
+    // A threshold at or below 0 also admits the zero-heat CXL pages the
+    // pass left out.
+    if (decision.scan == CandidateScan::kHotnessRanked && 0.0 >= decision.hot_threshold) {
+      const uint64_t* cxl_bits = allocator_.cxl_bits().data();
+      VisitCold(0, [&](PageId id) {
+        if ((cxl_bits[id / kWordBits] & Bit(id)) != 0 && !IsQuarantined(id)) {
+          hot.emplace_back(0.0f, id);
+        }
+        return true;
+      });
     }
     InstallColdPool(pool, pool_size, offered_dram);
   }
@@ -741,6 +801,7 @@ TieredMemory::TickResult TieredMemory::Tick(double dt_seconds) {
   ++epoch_;
 
   result.pages_visited = tick_pages_visited_;
+  result.pool_offers = tick_pool_offers_;
   sim_seconds_ += dt_seconds;
   EmitTickTelemetry(result, dt_seconds);
   EmitTickEvents(result, watermark_demoted);

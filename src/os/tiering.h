@@ -90,6 +90,10 @@ class ColdPoolSelector {
   // selector.
   ColdPoolSelector(std::vector<Entry>& pool, uint64_t k);
 
+  // Heat of the cut. An entry Offer accepts has heat <= cut_heat() (or
+  // NaN), and the cut only falls, so a heat above it can skip the call.
+  float cut_heat() const { return cut_.first; }
+
   void Offer(const Entry& entry) {
     if (entry < cut_) {
       pool_.push_back(entry);
@@ -133,6 +137,10 @@ class TieredMemory {
     // deterministic work counter that tracks the warm set, not
     // page_count().
     uint64_t pages_visited = 0;
+    // ColdPoolSelector::Offer calls of the tick's pass, its cold-pool
+    // refills and their zero-heat walks: a deterministic work counter. The
+    // dense pass offers only the DRAM pages whose heat reaches the cut.
+    uint64_t pool_offers = 0;
   };
   TickResult Tick(double dt_seconds);
 
@@ -209,23 +217,40 @@ class TieredMemory {
   // pass built, or no candidate pass ran.
   void BuildColdPool(uint64_t k);
 
+  // Whether `page` is quarantined: one empty() load on healthy runs.
+  bool IsQuarantined(PageId page) const {
+    return !quarantined_.empty() && quarantined_.count(page) != 0;
+  }
+
   // Completes `selector`, which this tick's warm pass offered
   // `offered_dram` DRAM pages, with the zero-heat DRAM pages the pass left
   // out, and finishes it into cold_pool_ as the `k` coldest DRAM pages.
   // Resets the consumption cursor.
   void InstallColdPool(ColdPoolSelector& selector, uint64_t k, uint64_t offered_dram);
 
-  // Walks the warm set in id order: `dense(id)` for every id of a run of
+  // Walks the warm set in id order: `dense(w)` for every word w of a run of
   // dense words, `sparse(id)` for each set bit of a sparse word, whose bit
   // clears when it returns false (heat read as 0).
   template <typename Dense, typename Sparse>
   void VisitWarm(Dense&& dense, Sparse&& sparse);
 
-  // The warm pass of one tick: DRAM pages are offered to `pool` and CXL
-  // pages passing `is_candidate(id, heat)` are appended to `hot` in id
-  // order. Returns the number of DRAM pages offered.
-  template <typename IsCandidate>
-  uint64_t ScanWarm(const IsCandidate& is_candidate, ColdPoolSelector& pool,
+  // Which low-tier pages a warm pass lists as promotion candidates: heat
+  // >= min_heat (NaN lists none), touched this epoch if this_epoch_only,
+  // and not quarantined. One value covers every CandidateScan: a float
+  // min_heat rounded up from the double threshold selects exactly the
+  // heats the double compare does.
+  struct CandidateFilter {
+    float min_heat = 0.0f;
+    bool this_epoch_only = false;
+  };
+
+  // The warm pass of one tick: DRAM pages that may sort below the cut are
+  // offered to `pool`, and CXL pages passing `filter` are appended to `hot`
+  // in id order. Dense words decide their 64 pages with masks from the
+  // residency bitsets and two vectorised heat compares. Returns the number
+  // of DRAM pages offered, counting those the cut turned away before the
+  // call.
+  uint64_t ScanWarm(const CandidateFilter& filter, ColdPoolSelector& pool,
                     ArenaVector<std::pair<float, PageId>>& hot);
 
   // Calls `visit(id)`, in id order from the word of `from` until it returns
@@ -284,14 +309,16 @@ class TieredMemory {
   // Warm set: one bit per page id, a superset of the pages with heat > 0.
   // Decay leaves heat 0 at exactly 0, so between accesses only warm pages
   // change, and every daemon pass visits only them, in id order. Words with
-  // many bits set are dense: runs of them are walked id by id like the full
-  // column, zero heat included. RecordAccess sets a bit. A pass that reads
+  // many bits set are dense: every page of them is handled, zero heat
+  // included, 64 at a time by masks in the candidate/cold-pool pass and by
+  // a straight sweep in the decay. RecordAccess sets a bit. A pass that reads
   // heat 0 on a sparse word's page clears its bit, and the decay re-derives
   // dense words from heat every kDenseRefreshTicks ticks. Allocate's heat
   // reset and quarantine's leave stale bits, which only cost a visit. Heat
   // is assumed non-negative, with a finite, non-negative decay factor.
   std::vector<uint64_t> warm_;
   uint64_t tick_pages_visited_ = 0;  // TickResult::pages_visited accumulator.
+  uint64_t tick_pool_offers_ = 0;    // TickResult::pool_offers accumulator.
   // Where the walk for zero-heat DRAM pages starts: no sparse word below it
   // holds one. A walk raises it to the first one it finds, so demoting
   // the lowest zero-heat pages does not leave a growing prefix to re-walk

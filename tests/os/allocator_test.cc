@@ -4,8 +4,10 @@
 
 #include <algorithm>
 #include <optional>
+#include <string>
 #include <vector>
 
+#include "src/check/invariants.h"
 #include "src/os/numa_policy.h"
 #include "src/os/page_runs.h"
 #include "src/os/region.h"
@@ -308,7 +310,9 @@ class ReferenceAllocator {
 
 // Seeded random Allocate / Free / MovePage sequences on a 384-page machine
 // (4 GiB pages), so bind-full and machine-full failures, partial recycling
-// and multi-run regions are all common.
+// and multi-run regions are all common. The last seeds use 256 MiB pages
+// (6,144 of them), where batches of every pattern span whole words of the
+// residency bitsets. The allocator audit runs after every step.
 TEST(PageRunsAllocatorTest, MatchesPerIdReferenceOnRandomSequences) {
   const Platform platform = Platform::CxlServer(false);
   const std::vector<topology::NodeId> dram = platform.DramNodes();
@@ -324,10 +328,11 @@ TEST(PageRunsAllocatorTest, MatchesPerIdReferenceOnRandomSequences) {
   };
   int failures = 0;
   int multi_run = 0;
-  for (uint64_t seed = 1; seed <= 12; ++seed) {
+  for (uint64_t seed = 1; seed <= 16; ++seed) {
     Rng rng(seed);
-    PageAllocator alloc(platform, 4_GiB);
-    ReferenceAllocator ref(platform, 4_GiB);
+    const uint64_t page_bytes = seed <= 12 ? 4_GiB : 256_MiB;
+    PageAllocator alloc(platform, page_bytes);
+    ReferenceAllocator ref(platform, page_bytes);
     std::vector<PageId> live;  // Allocated ids, in allocation order.
     for (int step = 0; step < 400; ++step) {
       const uint64_t op = rng.NextBounded(10);
@@ -384,6 +389,8 @@ TEST(PageRunsAllocatorTest, MatchesPerIdReferenceOnRandomSequences) {
       ASSERT_EQ(alloc.counters().pgalloc, ref.pgalloc);
       ASSERT_EQ(alloc.counters().pgfree, ref.pgfree);
       ASSERT_EQ(alloc.counters().migrate_failed, ref.migrate_failed);
+      const std::vector<std::string> audit = check::AllocatorInvariantViolations(alloc);
+      ASSERT_TRUE(audit.empty()) << "seed " << seed << " step " << step << ": " << audit.front();
     }
   }
   // The sequences reached the paths they are meant to cover.

@@ -11,7 +11,9 @@
 //  - the promotion feedback the policy observes (recent_promoted,
 //    recent_promoted_hot) against a brute-force count over the pre-tick
 //    columns and promotion stamps, and that every page the tick moved into
-//    DRAM carries this tick's stamp.
+//    DRAM carries this tick's stamp;
+//  - the allocator's occupancy counts, residency bitsets and free stack
+//    (check::AllocatorInvariantViolations).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,10 +28,12 @@
 #include <vector>
 
 #include "src/apps/kv/kvstore.h"
+#include "src/check/invariants.h"
 #include "src/core/configs.h"
 #include "src/fault/fault.h"
 #include "src/os/page_allocator.h"
 #include "src/os/policy.h"
+#include "src/os/region.h"
 #include "src/os/tiering.h"
 #include "src/topology/platform.h"
 #include "src/util/distribution.h"
@@ -132,14 +136,40 @@ struct Coverage {
   bool subnormal = false;
 };
 
+// Decides every tick alike: the hotness-ranked scan at a fixed threshold
+// and budget. Lets a test put the threshold exactly where it wants it.
+class FixedPolicy final : public TieringPolicy {
+ public:
+  FixedPolicy(double threshold, uint64_t budget_pages)
+      : threshold_(threshold), budget_pages_(budget_pages) {}
+  const char* name() const override { return "fixed"; }
+  int32_t event_reason() const override { return 0; }
+  TickDecision Decide(const TickContext&) override {
+    TickDecision d;
+    d.scan = CandidateScan::kHotnessRanked;
+    d.hot_threshold = threshold_;
+    d.budget_pages = budget_pages_;
+    return d;
+  }
+  void Observe(const TickObservation&) override {}
+  double hot_threshold() const override { return threshold_; }
+
+ private:
+  double threshold_;
+  uint64_t budget_pages_;
+};
+
 class Harness {
  public:
-  Harness(const TieringConfig& config, fault::FaultPlan plan)
-      : platform_(SmallPlatform()),
+  // Ticks `config`'s policy, or `policy` when one is given (it must outlive
+  // the harness), on `platform` with kPageBytes pages.
+  Harness(const TieringConfig& config, fault::FaultPlan plan, TieringPolicy* policy = nullptr,
+          topology::Platform platform = SmallPlatform())
+      : platform_(std::move(platform)),
         alloc_(platform_, kPageBytes),
         tiering_(alloc_, config),
         faults_(std::move(plan)),
-        recorder_(tiering_.policy()) {
+        recorder_(policy != nullptr ? *policy : tiering_.policy()) {
     TieredMemory::Observers observers;
     observers.faults = &faults_;
     observers.policy = &recorder_;
@@ -310,6 +340,10 @@ class Harness {
       return ::testing::AssertionFailure()
              << "tick " << epoch << ": reported " << r.promoted_pages << " promoted / "
              << r.demoted_pages << " demoted, columns show " << promoted << " / " << demoted;
+    }
+    const std::vector<std::string> audit = check::AllocatorInvariantViolations(alloc_);
+    if (!audit.empty()) {
+      return ::testing::AssertionFailure() << "tick " << epoch << ": " << audit.front();
     }
     coverage_.recent_promoted += ran ? obs.recent_promoted : 0;
     coverage_.recent_promoted_hot += ran ? obs.recent_promoted_hot : 0;
@@ -525,6 +559,137 @@ TEST(WarmSetColdPoolTest, QuarantinedPageBelowTheWalkIsDemotedFirst) {
   ASSERT_TRUE(h.Tick(&r));
   EXPECT_GT(r.demoted_pages, 0u);
   EXPECT_EQ(h.alloc().NodeOf(quarantined), cxl.front());
+}
+
+// The hotness-ranked scan compares float heat against a double threshold,
+// and the pass rounds the threshold up to a float once. That must select
+// exactly what the double compare does, for a threshold strictly between
+// two adjacent floats as well as on one, in a dense word (decided by masks)
+// and in a sparse word (decided bit by bit).
+TEST(WarmSetThresholdTest, RoundedThresholdSelectsWhatTheDoubleCompareDoes) {
+  // Adjacent floats two apart: 16777217 lies strictly between them.
+  constexpr float kLow = 16777216.0f;
+  constexpr float kHigh = 16777218.0f;
+  ASSERT_EQ(std::nextafter(kLow, kHigh), kHigh);
+  for (const double threshold :
+       {16777217.0, double{kLow}, double{kHigh}, std::nextafter(double{kLow}, 0.0),
+        std::nextafter(double{kHigh}, 1e300)}) {
+    TieringConfig cfg;
+    cfg.hint_fault_sample_rate = 1.0;  // Heat is the access count, exactly.
+    FixedPolicy policy(threshold, std::numeric_limits<uint64_t>::max());
+    Harness h(cfg, fault::FaultPlan(), &policy);
+    // Ids 0-127 on CXL with DRAM empty, so every candidate promotes. Word 0
+    // holds 43 warm pages (dense), word 1 four (sparse).
+    const std::vector<PageId> pages = h.Allocate(128, NumaPolicy::Bind(h.platform().CxlNodes()));
+    std::vector<float> heat(pages.size(), 0.0f);
+    for (size_t i = 0; i < 64; ++i) {
+      heat[i] = i % 3 == 0 ? kLow : i % 3 == 1 ? kHigh : 0.0f;
+    }
+    heat[64 + 5] = kLow;
+    heat[64 + 6] = kHigh;
+    heat[64 + 40] = kHigh;
+    heat[64 + 41] = kLow;
+    for (size_t i = 0; i < pages.size(); ++i) {
+      ASSERT_EQ(pages[i], i);
+      if (heat[i] > 0.0f) {
+        h.Access(pages[i], static_cast<uint64_t>(heat[i]));
+      }
+    }
+    TieredMemory::TickResult r;
+    ASSERT_TRUE(h.Tick(&r)) << "threshold " << threshold;
+    uint64_t expected = 0;
+    for (size_t i = 0; i < pages.size(); ++i) {
+      const bool want = heat[i] > 0.0f && static_cast<double>(heat[i]) >= threshold;
+      expected += want ? 1 : 0;
+      EXPECT_EQ(h.alloc().IsDramNode(h.alloc().NodeOf(pages[i])), want)
+          << "threshold " << threshold << ", page " << i << " at heat " << heat[i];
+    }
+    EXPECT_EQ(r.candidates, expected) << "threshold " << threshold;
+    EXPECT_EQ(r.promoted_pages, expected) << "threshold " << threshold;
+  }
+}
+
+// Spark's heats take few distinct values, so the cold pool's cut usually
+// falls inside a run of tied heats, and the dense pass tests later words
+// against a cut they tie with. Here half the DRAM pages tie at the coldest
+// heat, in dense 1000-page blocks, and the pool and the demotions take only
+// part of them: the pages demoted must be exactly the lowest ids of the
+// tie (the harness also checks (heat, id) order every tick).
+TEST(WarmSetColdPoolTest, DemotesTheLowestIdsOfATieAtTheCut) {
+  constexpr uint64_t kDram = 32768;
+  topology::PlatformOptions opt;
+  opt.sockets = 1;
+  opt.dram_per_socket = kDram * kPageBytes;
+  opt.cxl_cards = 1;
+  opt.cxl_card_capacity = 16384 * kPageBytes;
+  TieringConfig cfg;
+  cfg.hint_fault_sample_rate = 1.0;
+  FixedPolicy policy(/*threshold=*/100.0, /*budget_pages=*/3000);
+  Harness h(cfg, fault::FaultPlan(), &policy, topology::Platform::Build(opt));
+  const std::vector<PageId> dram = h.Allocate(kDram, NumaPolicy::Bind(h.platform().DramNodes()));
+  ASSERT_EQ(h.alloc().DramFreeFraction(), 0.0);
+  const std::vector<PageId> cxl = h.Allocate(4000, NumaPolicy::Bind(h.platform().CxlNodes()));
+  for (const PageId id : dram) {
+    h.Access(id, 1 + (id / 1000) % 2);
+  }
+  for (const PageId id : cxl) {
+    h.Access(id, 200);
+  }
+  TieredMemory::TickResult r;
+  ASSERT_TRUE(h.Tick(&r));
+  ASSERT_EQ(r.promoted_pages, 3000u);
+  ASSERT_GT(r.demoted_pages, 3000u);  // The promotions' demotions and the watermark's.
+  uint64_t tied = 0;
+  for (const PageId id : dram) {
+    if ((id / 1000) % 2 != 0) {
+      continue;  // Heat 2.
+    }
+    const bool demoted = !h.alloc().IsDramNode(h.alloc().NodeOf(id));
+    EXPECT_EQ(demoted, tied < r.demoted_pages) << "page " << id;
+    ++tied;
+  }
+  EXPECT_GE(tied, r.demoted_pages + 100);  // Tied pages the demotions left.
+}
+
+// bench_fig7's Spark shape (apps/spark/cluster.cc): 286,103 pages of 2 MiB
+// in a 1:1 weighted interleave, DRAM sized to half of them, a 1/50 window
+// advanced each 1 s tick at 400 accesses per page, hot page selection at
+// 3000 MB/s. Once every page is warm every word is dense, and the pass
+// offers the cold pool only the DRAM pages whose heat reaches the cut: at
+// most a quarter of the DRAM pages (a per-page pass offers every one).
+TEST(WarmSetWorkTest, DenseStreamingTickOffersFewDramPages) {
+  constexpr double kRegionBytes = 600e9;
+  topology::PlatformOptions opt;
+  opt.cxl_cards = 2;
+  opt.dram_per_socket = static_cast<uint64_t>(kRegionBytes / 4.0);
+  const topology::Platform platform = topology::Platform::Build(opt);
+  PageAllocator alloc(platform);
+  TieringConfig cfg;
+  cfg.promote_rate_limit_mbps = 3000.0;
+  cfg.hint_fault_sample_rate = 0.05;
+  TieredMemory tiering(alloc, cfg);
+  auto region = MemoryRegion::Allocate(
+      alloc, NumaPolicy::WeightedInterleave(platform.DramNodes(), platform.CxlNodes(), 1, 1),
+      static_cast<uint64_t>(kRegionBytes));
+  ASSERT_TRUE(region.ok());
+  ASSERT_EQ(region->page_count(), 286'103u);
+  const size_t window = region->page_count() / 50;
+  size_t cursor = 0;
+  uint64_t demoted = 0;
+  for (int tick = 0; tick < 70; ++tick) {
+    for (size_t i = 0; i < window; ++i) {
+      tiering.RecordAccess(region->PageAtIndex((cursor + i) % region->page_count()), 400);
+    }
+    cursor = (cursor + window) % region->page_count();
+    const TieredMemory::TickResult r = tiering.Tick(1.0);
+    if (tick < 60) {
+      continue;  // Warming: the window has not yet touched every page.
+    }
+    ASSERT_GE(r.pages_visited, alloc.page_count()) << "tick " << tick;  // All dense.
+    EXPECT_LE(4 * r.pool_offers, alloc.DramResidentCount()) << "tick " << tick;
+    demoted += r.demoted_pages;
+  }
+  EXPECT_GT(demoted, 0u);
 }
 
 // kv-hotpromote's shape (hostbench and bench_fig5): 32 GiB of 1 KiB
