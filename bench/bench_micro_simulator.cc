@@ -1,32 +1,84 @@
 // google-benchmark micro-benchmarks of the simulator's own hot paths:
-// event-queue throughput, Zipfian draws, page allocation, the tiering
-// daemon's tick on a streaming region, the bandwidth solver, and a full
-// (small) KeyDB experiment end to end.
+// event-heap push/pop at the KV server's depth, the KV server's op dispatch
+// loop, Zipfian draws, page allocation, the tiering daemon's tick on a
+// streaming region, the bandwidth solver, and a full (small) KeyDB
+// experiment end to end.
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "src/bench/context.h"
 #include "src/core/cxl_explorer.h"
+#include "src/sim/event_heap.h"
 #include "src/util/units.h"
-#include "src/sim/event_queue.h"
 
 namespace {
 
 using namespace cxl;
 
-void BM_EventQueueScheduleRun(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    sim::EventQueue q;
-    int sink = 0;
-    for (int i = 0; i < n; ++i) {
-      q.ScheduleAt(static_cast<double>(i % 97), [&sink] { ++sink; });
-    }
-    q.Run();
-    benchmark::DoNotOptimize(sink);
+// Steady-state event traffic: the heap is held at Arg entries and each
+// iteration pops the earliest and pushes one successor, as every KV
+// completion does. Arg(7) is the KV server's depth (one entry per server
+// thread). Items are pops.
+void BM_EventHeapPushPop(benchmark::State& state) {
+  struct Completion {
+    double submit_time;
+    bool is_write;
+  };
+  const int depth = static_cast<int>(state.range(0));
+  Rng rng(1);
+  std::vector<double> delays(4096);
+  for (double& d : delays) {
+    d = rng.NextExponential(1000.0);
   }
-  state.SetItemsProcessed(state.iterations() * n);
+  sim::EventHeap<Completion> heap;
+  size_t next = 0;
+  for (int i = 0; i < depth; ++i) {
+    heap.Push(delays[next++], Completion{0.0, false});
+  }
+  for (auto _ : state) {
+    const Completion done = heap.Pop();
+    benchmark::DoNotOptimize(done);
+    heap.Push(heap.Now() + delays[next++ % delays.size()], Completion{heap.Now(), !done.is_write});
+  }
+  state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_EventQueueScheduleRun)->Arg(1024)->Arg(16384);
+BENCHMARK(BM_EventHeapPushPop)->Arg(7)->Arg(64);
+
+// KvServerSim::Run on a small kv-notier-shaped cell: a 1 GiB store on MMEM
+// (no daemon, no faults) under YCSB-A. Only Run is timed; the store and
+// generator are rebuilt outside the timing. Items are ops, so the rate is
+// the dispatch cost per op (event heap, service time, KvStore::Access).
+void BM_KvServerDispatch(benchmark::State& state) {
+  constexpr uint64_t kDatasetBytes = 1 * kGiB;
+  constexpr uint64_t kValueBytes = 1 * kKiB;
+  const auto platform = topology::Platform::CxlServer(/*snc4=*/false);
+  const auto setup = core::MakeCapacitySetup(core::CapacityConfig::kMmem, platform);
+  apps::kv::KvServerConfig server_cfg;
+  server_cfg.total_ops = 100'000;
+  server_cfg.warmup_ops = 10'000;
+  for (auto _ : state) {
+    state.PauseTiming();
+    os::PageAllocator allocator(platform, 16 * kKiB);
+    apps::kv::KvStoreConfig store_cfg;
+    store_cfg.record_count = kDatasetBytes / kValueBytes;
+    store_cfg.value_bytes = kValueBytes;
+    auto store = apps::kv::KvStore::Create(allocator, setup.policy, store_cfg);
+    if (!store.ok()) {
+      state.SkipWithError("KvStore::Create failed");
+      break;
+    }
+    workload::YcsbGenerator gen(workload::YcsbWorkload::kA, store_cfg.record_count, 1);
+    apps::kv::KvServerSim sim(platform, *store, gen, server_cfg);
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(sim.Run().throughput_kops);
+    state.PauseTiming();
+    store->Free();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(server_cfg.total_ops));
+}
+BENCHMARK(BM_KvServerDispatch)->Unit(benchmark::kMillisecond);
 
 void BM_ZipfianNext(benchmark::State& state) {
   Rng rng(1);

@@ -372,16 +372,14 @@ void KvServerSim::Dispatch() {
     if (shedding_ && dispatch_counter_ % shed_every_ == 0) {
       ++result_.shed_ops;
       constexpr double kShedReplyNs = 2'000.0;
-      const bool is_write = op.type != YcsbOp::Type::kRead;
-      events_.ScheduleAfter(kShedReplyNs,
-                            [this, submit_time, is_write] { OnComplete(submit_time, is_write); });
+      events_.Push(events_.Now() + kShedReplyNs,
+                   Completion{submit_time, op.type != YcsbOp::Type::kRead});
       continue;
     }
     const double service_ns = ServiceTimeNs(op);
     service_stats_.Add(service_ns);
-    const bool is_write = op.type != YcsbOp::Type::kRead;
-    events_.ScheduleAfter(service_ns,
-                          [this, submit_time, is_write] { OnComplete(submit_time, is_write); });
+    events_.Push(events_.Now() + service_ns,
+                 Completion{submit_time, op.type != YcsbOp::Type::kRead});
   }
 }
 
@@ -415,17 +413,17 @@ void KvServerSim::FlushLatencyBatch() {
   epoch_latency_is_write_.clear();
 }
 
-void KvServerSim::OnComplete(double submit_time, bool is_write) {
+void KvServerSim::OnComplete(const Completion& done) {
   ++free_threads_;
   ++completed_;
-  const double latency_us = NsToUs(events_.Now() - submit_time);
+  const double latency_us = NsToUs(events_.Now() - done.submit_time);
   if (completed_ > config_.warmup_ops) {
     if (measured_ops_ == 0) {
       measure_start_ns_ = events_.Now();
     }
     ++measured_ops_;
     epoch_latency_us_.push_back(latency_us);
-    epoch_latency_is_write_.push_back(is_write ? 1 : 0);
+    epoch_latency_is_write_.push_back(done.is_write ? 1 : 0);
   }
   if (completed_ % config_.epoch_ops == 0) {
     FlushLatencyBatch();
@@ -440,7 +438,9 @@ KvServerSim::Result KvServerSim::Run() {
   for (int c = 0; c < config_.client_connections; ++c) {
     SubmitOne();
   }
-  events_.Run();
+  while (!events_.empty()) {
+    OnComplete(events_.Pop());
+  }
   FlushLatencyBatch();  // Tail of a run whose total_ops is not epoch-aligned.
   const double measured_ns = events_.Now() - measure_start_ns_;
   if (measured_ns > 0.0 && measured_ops_ > 1) {

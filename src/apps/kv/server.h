@@ -22,7 +22,7 @@
 #include "src/apps/kv/kvstore.h"
 #include "src/fault/fault.h"
 #include "src/os/tiering.h"
-#include "src/sim/event_queue.h"
+#include "src/sim/event_heap.h"
 #include "src/telemetry/epoch_profiler.h"
 #include "src/telemetry/metrics.h"
 #include "src/topology/pcm.h"
@@ -124,8 +124,14 @@ class KvServerSim {
   // Drains the epoch latency buffer into the result histograms, in
   // completion order (see OnComplete).
   void FlushLatencyBatch();
+  // One op's completion: the only event the server schedules.
+  struct Completion {
+    double submit_time;
+    bool is_write;
+  };
+
   void Dispatch();
-  void OnComplete(double submit_time, bool is_write);
+  void OnComplete(const Completion& done);
   void SubmitOne();
 
   const topology::Platform& platform_;
@@ -139,7 +145,7 @@ class KvServerSim {
   uint64_t epoch_index_ = 0;
   Rng rng_;
 
-  sim::EventQueue events_;
+  sim::EventHeap<Completion> events_;
   std::deque<std::pair<double, workload::YcsbOp>> pending_;  // (submit time, op).
   int free_threads_ = 0;
   uint64_t completed_ = 0;

@@ -1,12 +1,10 @@
 #include "src/apps/spark/dag.h"
 
 #include <algorithm>
-#include <cassert>
-#include <deque>
 #include <cmath>
-#include <functional>
+#include <deque>
 
-#include "src/sim/event_queue.h"
+#include "src/sim/event_heap.h"
 #include "src/util/rng.h"
 #include "src/util/units.h"
 
@@ -43,7 +41,11 @@ DagResult DagScheduler::Run(const DagQuery& query, double jitter, uint64_t seed)
   const SparkConfig& cfg = cluster_.config();
   const int execs_per_server = cfg.total_executors / cfg.servers;
   Rng rng(seed);
-  sim::EventQueue events;
+  // One task's completion: the only event the scheduler schedules.
+  struct TaskDone {
+    int stage_id;
+  };
+  sim::EventHeap<TaskDone> events;
 
   // Per-stage executor rates, solved once per distinct read fraction
   // through the same contention fixed point the fluid model uses.
@@ -100,8 +102,10 @@ DagResult DagScheduler::Run(const DagQuery& query, double jitter, uint64_t seed)
     return rate;
   };
 
-  std::function<void()> dispatch;
-  std::function<void(int)> stage_ready = [&](int stage_id) {
+  // Queues every task of a stage whose dependencies have all finished.
+  // Dispatch drains the FIFO in order, so queueing several stages before
+  // one dispatch() starts the same tasks as a dispatch after each.
+  auto stage_ready = [&](int stage_id) {
     const StageSpec& stage = query.stages[static_cast<size_t>(stage_id)];
     result.stages[static_cast<size_t>(stage_id)].name = stage.name;
     result.stages[static_cast<size_t>(stage_id)].start_seconds = events.Now();
@@ -109,10 +113,9 @@ DagResult DagScheduler::Run(const DagQuery& query, double jitter, uint64_t seed)
     for (int t = 0; t < stage.tasks; ++t) {
       ready_tasks.emplace_back(stage_id, stage.bytes_per_task);
     }
-    dispatch();
   };
 
-  dispatch = [&] {
+  auto dispatch = [&] {
     while (free_slots > 0 && !ready_tasks.empty()) {
       auto [stage_id, bytes] = ready_tasks.front();
       ready_tasks.pop_front();
@@ -132,19 +135,7 @@ DagResult DagScheduler::Run(const DagQuery& query, double jitter, uint64_t seed)
       StageResult& sr = result.stages[static_cast<size_t>(stage_id)];
       sr.mean_task_seconds += seconds / stage.tasks;
       sr.max_task_seconds = std::max(sr.max_task_seconds, seconds);
-      events.ScheduleAfter(seconds, [&, stage_id] {
-        ++free_slots;
-        StageResult& done_sr = result.stages[static_cast<size_t>(stage_id)];
-        if (--tasks_left[static_cast<size_t>(stage_id)] == 0) {
-          done_sr.end_seconds = events.Now();
-          for (int dep : dependents[static_cast<size_t>(stage_id)]) {
-            if (--remaining_deps[static_cast<size_t>(dep)] == 0) {
-              stage_ready(dep);
-            }
-          }
-        }
-        dispatch();
-      });
+      events.Push(events.Now() + seconds, TaskDone{stage_id});
     }
   };
 
@@ -153,9 +144,22 @@ DagResult DagScheduler::Run(const DagQuery& query, double jitter, uint64_t seed)
       stage_ready(static_cast<int>(si));
     }
   }
-  events.Run();
+  dispatch();
+  while (!events.empty()) {
+    const auto stage_id = static_cast<size_t>(events.Pop().stage_id);
+    ++free_slots;
+    if (--tasks_left[stage_id] == 0) {
+      result.stages[stage_id].end_seconds = events.Now();
+      for (int dep : dependents[stage_id]) {
+        if (--remaining_deps[static_cast<size_t>(dep)] == 0) {
+          stage_ready(dep);
+        }
+      }
+    }
+    dispatch();
+  }
 
-  // The event queue's time unit is caller-defined; this scheduler ran it in
+  // The event heap's time unit is the caller's; this scheduler runs it in
   // seconds.
   result.makespan_seconds = events.Now();
   const double slot_seconds = result.makespan_seconds * execs_per_server;

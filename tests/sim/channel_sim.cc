@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
 #include <deque>
-#include <functional>
 
-#include "src/sim/event_queue.h"
+#include "src/sim/event_heap.h"
 
 namespace cxl::sim {
 
@@ -17,7 +17,14 @@ double MemoryChannelSim::CapacityGBps() const {
 
 ChannelSimPoint MemoryChannelSim::Run(double offered_gbps) const {
   assert(offered_gbps > 0.0);
-  EventQueue events;
+  // A request arriving at the controller, or a bank finishing the request
+  // that arrived at `arrival_time`.
+  struct Event {
+    enum class Kind : uint8_t { kArrival, kCompletion } kind;
+    size_t bank;
+    double arrival_time;
+  };
+  EventHeap<Event> events;
   Rng rng(config_.seed);
 
   const double arrival_rate = offered_gbps / config_.access_bytes;  // Req/ns.
@@ -41,25 +48,13 @@ ChannelSimPoint MemoryChannelSim::Run(double offered_gbps) const {
     return rng.NextDouble(config_.row_hit_service_ns, config_.row_miss_service_ns);
   };
 
-  std::function<void(size_t, double)> start_service = [&](size_t bank, double arrival_time) {
+  auto start_service = [&](size_t bank, double arrival_time) {
     banks[bank].busy = true;
     const double service = draw_service();
-    events.ScheduleAfter(service, [&, bank, arrival_time] {
-      ++completed;
-      last_completion = events.Now();
-      latency.Record(config_.pipeline_ns + (events.Now() - arrival_time));
-      Bank& b = banks[bank];
-      if (!b.queue.empty()) {
-        const double queued_arrival = b.queue.front();
-        b.queue.pop_front();
-        start_service(bank, queued_arrival);
-      } else {
-        b.busy = false;
-      }
-    });
+    events.Push(events.Now() + service, Event{Event::Kind::kCompletion, bank, arrival_time});
   };
 
-  std::function<void()> arrive = [&] {
+  auto arrive = [&] {
     if (issued >= config_.requests) {
       return;
     }
@@ -82,11 +77,33 @@ ChannelSimPoint MemoryChannelSim::Run(double offered_gbps) const {
     } else {
       b.queue.push_back(events.Now());
     }
-    events.ScheduleAfter(rng.NextExponential(mean_gap_ns), arrive);
+    events.Push(events.Now() + rng.NextExponential(mean_gap_ns),
+                Event{Event::Kind::kArrival, 0, 0.0});
   };
 
-  events.ScheduleAt(0.0, arrive);
-  events.Run();
+  auto complete = [&](size_t bank, double arrival_time) {
+    ++completed;
+    last_completion = events.Now();
+    latency.Record(config_.pipeline_ns + (events.Now() - arrival_time));
+    Bank& b = banks[bank];
+    if (!b.queue.empty()) {
+      const double queued_arrival = b.queue.front();
+      b.queue.pop_front();
+      start_service(bank, queued_arrival);
+    } else {
+      b.busy = false;
+    }
+  };
+
+  events.Push(0.0, Event{Event::Kind::kArrival, 0, 0.0});
+  while (!events.empty()) {
+    const Event ev = events.Pop();
+    if (ev.kind == Event::Kind::kArrival) {
+      arrive();
+    } else {
+      complete(ev.bank, ev.arrival_time);
+    }
+  }
 
   ChannelSimPoint pt;
   pt.offered_gbps = offered_gbps;

@@ -5,7 +5,7 @@
 #include <algorithm>
 #include <vector>
 
-#include "src/sim/event_queue.h"
+#include "src/sim/event_heap.h"
 #include "src/util/histogram.h"
 #include "src/util/rng.h"
 
@@ -13,36 +13,46 @@ namespace cxl {
 namespace {
 
 TEST(EventQueueStressTest, RandomScheduleMatchesSortedReference) {
-  // Thousands of randomly-timed events (including re-entrant scheduling)
-  // must execute in exact (time, insertion) order.
-  sim::EventQueue q;
+  // Thousands of randomly-timed events (including pushes made while
+  // handling a pop) must pop in exact (time, insertion) order. Times fall
+  // on a grid of 1000 points, so most are shared by several events and the
+  // FIFO tie-break decides their order.
+  struct Tag {
+    uint64_t seq;
+    bool spawns;  // Pushes one untracked child 1.0 after its own time.
+  };
+  sim::EventHeap<Tag> q;
   Rng rng(123);
   struct Stamp {
     double time;
     uint64_t seq;
   };
+  constexpr uint64_t kUntracked = ~0ull;
   std::vector<Stamp> executed;
   std::vector<Stamp> expected;
   uint64_t seq = 0;
   for (int i = 0; i < 5000; ++i) {
-    const double t = rng.NextDouble(0.0, 1000.0);
+    const auto t = static_cast<double>(rng.NextBounded(1000));
     const uint64_t s = seq++;
     expected.push_back({t, s});
-    q.ScheduleAt(t, [&executed, t, s] { executed.push_back({t, s}); });
+    q.Push(t, Tag{s, false});
   }
   // A few events that spawn children relative to their own time.
   for (int i = 0; i < 100; ++i) {
-    const double t = rng.NextDouble(0.0, 500.0);
-    q.ScheduleAt(t, [&q, &executed, t] {
-      q.ScheduleAfter(1.0, [&executed, t] { executed.push_back({t + 1.0, ~0ull}); });
-    });
+    q.Push(static_cast<double>(rng.NextBounded(500)), Tag{kUntracked, true});
   }
-  q.Run();
+  while (!q.empty()) {
+    const Tag tag = q.Pop();
+    if (tag.spawns) {
+      q.Push(q.Now() + 1.0, Tag{kUntracked, false});
+    }
+    executed.push_back({q.Now(), tag.seq});
+  }
   // The 5000 tracked events appear in nondecreasing-time order with FIFO
   // tie-breaks.
   std::vector<Stamp> tracked;
   for (const Stamp& s : executed) {
-    if (s.seq != ~0ull) {
+    if (s.seq != kUntracked) {
       tracked.push_back(s);
     }
   }
