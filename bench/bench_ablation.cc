@@ -16,43 +16,18 @@
 #include "src/core/cxl_explorer.h"
 #include "src/util/units.h"
 
-namespace {
-
 using namespace cxl;
-
-// --- A1 helpers -------------------------------------------------------------
-
-apps::kv::KvServerSim::Result KeyDbWithRateLimit(double limit_mbps) {
-  core::KeyDbExperimentOptions opt;
-  opt.dataset_bytes = 8 * kGiB;
-  opt.total_ops = 120'000;
-  opt.warmup_ops = 30'000;
-  topology::Platform platform = core::MakeHotPromotePlatform(opt.dataset_bytes);
-  os::PageAllocator allocator(platform, 16 * kKiB);
-  os::TieringConfig tc = core::DefaultTieringConfig();
-  tc.promote_rate_limit_mbps = limit_mbps;
-  os::TieredMemory tiering(allocator, tc);
-  apps::kv::KvStoreConfig store_cfg;
-  store_cfg.record_count = opt.dataset_bytes / opt.value_bytes;
-  const auto setup = core::MakeCapacitySetup(core::CapacityConfig::kHotPromote, platform);
-  auto store = apps::kv::KvStore::Create(allocator, setup.policy, store_cfg, &tiering);
-  workload::YcsbGenerator gen(workload::YcsbWorkload::kB, store_cfg.record_count, 1);
-  apps::kv::KvServerConfig scfg;
-  scfg.total_ops = opt.total_ops;
-  scfg.warmup_ops = opt.warmup_ops;
-  apps::kv::KvServerSim sim(platform, *store, gen, scfg, &tiering);
-  auto result = sim.Run();
-  store->Free();
-  return result;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   auto ctx = cxl::bench::Context::FromArgs(&argc, argv);
   auto& bench_telemetry = ctx.telemetry();
   runner::SweepOptions sweep_options = ctx.Sweep();
   runner::SweepStats stats;
+  // The KeyDB cells of A1, A2 and A4: 8 GiB of 1 KiB records, short runs.
+  core::KeyDbExperimentOptions opt;
+  opt.dataset_bytes = 8 * kGiB;
+  opt.total_ops = 120'000;
+  opt.warmup_ops = 30'000;
 
   // --- A1: rate limit, locality-dependent -----------------------------------
   PrintSection(std::cout,
@@ -69,9 +44,15 @@ int main(int argc, char** argv) {
   const std::vector<double> limits = {64.0, 1024.0, 3000.0, 16384.0};
   const auto a1_rows = runner::RunSweep(
       limits,
-      [&q7](const double& limit, uint64_t /*seed*/) -> StatusOr<A1Row> {
+      [&q7, &opt](const double& limit, uint64_t /*seed*/) -> StatusOr<A1Row> {
+        core::KvCell cell = core::MakeKvCell(core::CapacityConfig::kHotPromote, opt);
+        cell.tiering->promote_rate_limit_mbps = limit;
+        auto kv = core::RunKvCell(cell, workload::YcsbWorkload::kB, core::ExperimentEnv{});
+        if (!kv.ok()) {
+          return kv.status();
+        }
         A1Row row;
-        row.kv = KeyDbWithRateLimit(limit);
+        row.kv = std::move(kv->server);
         apps::spark::SparkConfig cfg = apps::spark::SparkConfig::HotPromote();
         cfg.promote_rate_limit_mbps = limit;
         row.spark = apps::spark::SparkCluster(cfg).RunQuery(q7);
@@ -100,10 +81,6 @@ int main(int argc, char** argv) {
 
   // --- A2: fine interleave sweep --------------------------------------------
   PrintSection(std::cout, "A2: weighted-interleave ratio sweep (KeyDB YCSB-C)");
-  core::KeyDbExperimentOptions opt;
-  opt.dataset_bytes = 8 * kGiB;
-  opt.total_ops = 120'000;
-  opt.warmup_ops = 30'000;
   Table a2({"MMEM share %", "kops/s", "p99 us"});
   const auto mmem_res =
       core::RunKeyDbExperiment(core::CapacityConfig::kMmem, workload::YcsbWorkload::kC, opt);
@@ -115,27 +92,11 @@ int main(int argc, char** argv) {
                                      Ratio{1, 2}, Ratio{1, 3}, Ratio{1, 7}};
   const auto a2_rows = runner::RunSweep(
       ratios,
-      [&opt](const Ratio& r, uint64_t /*seed*/) -> StatusOr<apps::kv::KvServerSim::Result> {
-        topology::Platform platform = topology::Platform::CxlServer(false);
-        os::PageAllocator allocator(platform, 16 * kKiB);
-        apps::kv::KvStoreConfig store_cfg;
-        store_cfg.record_count = opt.dataset_bytes / opt.value_bytes;
-        auto store = apps::kv::KvStore::Create(
-            allocator,
-            os::NumaPolicy::WeightedInterleave(platform.DramNodes(), platform.CxlNodes(), r.top,
-                                               r.low),
-            store_cfg);
-        if (!store.ok()) {
-          return store.status();
-        }
-        workload::YcsbGenerator gen(workload::YcsbWorkload::kC, store_cfg.record_count, 1);
-        apps::kv::KvServerConfig scfg;
-        scfg.total_ops = opt.total_ops;
-        scfg.warmup_ops = opt.warmup_ops;
-        apps::kv::KvServerSim sim(platform, *store, gen, scfg);
-        auto result = sim.Run();
-        store->Free();
-        return result;
+      [&opt](const Ratio& r, uint64_t /*seed*/) {
+        core::KvCell cell = core::MakeKvCell(core::CapacityConfig::kInterleave11, opt);
+        cell.placement = os::NumaPolicy::WeightedInterleave(
+            cell.platform.DramNodes(), cell.platform.CxlNodes(), r.top, r.low);
+        return core::RunKvCell(cell, workload::YcsbWorkload::kC, core::ExperimentEnv{});
       },
       sweep_options, &stats);
   bench_telemetry.RecordSweep("a2", stats);
@@ -146,8 +107,8 @@ int main(int argc, char** argv) {
   for (size_t i = 0; i < ratios.size(); ++i) {
     a2.Row()
         .Cell(100.0 * ratios[i].top / (ratios[i].top + ratios[i].low), 1)
-        .Cell((*a2_rows)[i].throughput_kops, 1)
-        .Cell((*a2_rows)[i].all_latency_us.p99(), 0);
+        .Cell((*a2_rows)[i].server.throughput_kops, 1)
+        .Cell((*a2_rows)[i].server.all_latency_us.p99(), 0);
   }
   if (mmem_res.ok()) {
     a2.Row().Cell(100.0, 1).Cell(mmem_res->server.throughput_kops, 1)
@@ -235,27 +196,10 @@ int main(int argc, char** argv) {
   const std::vector<int> modes = {0, 1};
   const auto a4_rows = runner::RunSweep(
       modes,
-      [&opt](const int& dynamic, uint64_t /*seed*/) -> StatusOr<apps::kv::KvServerSim::Result> {
-        topology::Platform platform = core::MakeHotPromotePlatform(opt.dataset_bytes);
-        os::PageAllocator allocator(platform, 16 * kKiB);
-        os::TieringConfig tc = core::DefaultTieringConfig();
-        tc.dynamic_threshold = dynamic != 0;
-        os::TieredMemory tiering(allocator, tc);
-        apps::kv::KvStoreConfig store_cfg;
-        store_cfg.record_count = opt.dataset_bytes / opt.value_bytes;
-        const auto setup = core::MakeCapacitySetup(core::CapacityConfig::kHotPromote, platform);
-        auto store = apps::kv::KvStore::Create(allocator, setup.policy, store_cfg, &tiering);
-        if (!store.ok()) {
-          return store.status();
-        }
-        workload::YcsbGenerator gen(workload::YcsbWorkload::kB, store_cfg.record_count, 1);
-        apps::kv::KvServerConfig scfg;
-        scfg.total_ops = opt.total_ops;
-        scfg.warmup_ops = opt.warmup_ops;
-        apps::kv::KvServerSim sim(platform, *store, gen, scfg, &tiering);
-        auto result = sim.Run();
-        store->Free();
-        return result;
+      [&opt](const int& dynamic, uint64_t /*seed*/) {
+        core::KvCell cell = core::MakeKvCell(core::CapacityConfig::kHotPromote, opt);
+        cell.tiering->dynamic_threshold = dynamic != 0;
+        return core::RunKvCell(cell, workload::YcsbWorkload::kB, core::ExperimentEnv{});
       },
       sweep_options, &stats);
   bench_telemetry.RecordSweep("a4", stats);
@@ -266,8 +210,8 @@ int main(int argc, char** argv) {
   for (size_t i = 0; i < modes.size(); ++i) {
     a4.Row()
         .Cell(modes[i] != 0 ? "dynamic" : "static")
-        .Cell((*a4_rows)[i].throughput_kops, 1)
-        .Cell(BytesToGBd((*a4_rows)[i].migrated_bytes), 2);
+        .Cell((*a4_rows)[i].server.throughput_kops, 1)
+        .Cell(BytesToGBd((*a4_rows)[i].server.migrated_bytes), 2);
   }
   a4.Print(std::cout);
   if (!ctx.Write("bench_ablation")) {

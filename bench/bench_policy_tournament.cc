@@ -120,53 +120,23 @@ std::unique_ptr<workload::OpSource> MakeKvSource(const std::string& workload,
                                                    keys, 1);
 }
 
-struct KvCell {
+struct KvEntry {
   std::string workload;  // kv-zipf | kv-scan | kv-llm
   std::string faults;    // FaultState label
   std::string policy;    // PolicyRegistry name
   fault::FaultPlan plan;
 };
 
-struct KvRun {
-  apps::kv::KvServerSim::Result result;
-  os::VmCounters counters;
-};
-
-// Same harness shape as bench_promotion_policies::RunKeyDb, with an optional
-// per-cell fault injector (the KvServerSim wires it into the tiering daemon).
-StatusOr<KvRun> RunKv(const std::string& policy, workload::OpSource& source,
-                      const fault::FaultPlan& plan, uint64_t fault_seed,
-                      const fault::FaultTunables& tunables,
-                      telemetry::MetricRegistry* sink) {
-  topology::Platform platform = core::MakeHotPromotePlatform(kDataset);
-  os::PageAllocator allocator(platform, 16ull << 10);
-  os::TieringConfig tc = core::DefaultTieringConfig();
-  tc.policy = policy;
-  tc.promote_rate_limit_mbps = 256.0;  // Production cap; TPP ignores it.
-  os::TieredMemory tiering(allocator, tc);
-  os::TieredMemory::Observers obs;
-  obs.telemetry = sink;
-  tiering.Attach(obs);
-  apps::kv::KvStoreConfig store_cfg;
-  store_cfg.record_count = kDataset / 1024;
-  const auto setup = core::MakeCapacitySetup(core::CapacityConfig::kHotPromote, platform);
-  auto store = apps::kv::KvStore::Create(allocator, setup.policy, store_cfg, &tiering);
-  if (!store.ok()) {
-    return store.status();
-  }
-  apps::kv::KvServerConfig scfg;
-  scfg.total_ops = 150'000;
-  scfg.warmup_ops = 40'000;
-  std::unique_ptr<fault::FaultInjector> injector;
-  if (!plan.empty()) {
-    injector = std::make_unique<fault::FaultInjector>(plan, fault_seed, tunables);
-    injector->AttachTelemetry(sink);
-  }
-  apps::kv::KvServerSim sim(platform, *store, source, scfg, &tiering, sink,
-                            injector.get());
-  KvRun run{sim.Run(), allocator.counters()};
-  store->Free();
-  return run;
+// The Hot-Promote KeyDB cell every KV row runs, under `policy`.
+core::KvCell HotPromoteCell(const std::string& policy) {
+  core::KeyDbExperimentOptions opt;
+  opt.dataset_bytes = kDataset;
+  opt.total_ops = 150'000;
+  opt.warmup_ops = 40'000;
+  core::KvCell cell = core::MakeKvCell(core::CapacityConfig::kHotPromote, opt);
+  cell.tiering->policy = policy;
+  cell.tiering->promote_rate_limit_mbps = 256.0;  // Production cap; TPP ignores it.
+  return cell;
 }
 
 struct SparkCell {
@@ -184,7 +154,7 @@ int main(int argc, char** argv) {
 
   // ---- KV bracket: 3 workloads x 2 fault states x 4 policies. ----
   const std::vector<std::string> kv_workloads = {"kv-zipf", "kv-scan", "kv-llm"};
-  std::vector<KvCell> kv_cells;
+  std::vector<KvEntry> kv_cells;
   for (const auto& w : kv_workloads) {
     for (const auto& s : storms) {
       for (const auto& p : kPolicies) {
@@ -206,16 +176,17 @@ int main(int argc, char** argv) {
   for (auto& sink : kv_sinks) {
     bench_telemetry.ConfigureSink(&sink);
   }
+  const core::ExperimentEnv base_env = ctx.Env();
   const auto kv_grid = runner::RunSweep(
       kv_cells,
-      [&kv_cells, &kv_sinks, &ctx](const KvCell& cell, uint64_t /*seed*/) {
+      [&kv_cells, &kv_sinks, &base_env](const KvEntry& cell, uint64_t /*seed*/) {
         const size_t index = static_cast<size_t>(&cell - kv_cells.data());
         auto source = MakeKvSource(cell.workload, kDataset / 1024);
-        telemetry::MetricRegistry* sink =
-            kv_sinks.empty() ? nullptr : &kv_sinks[index];
-        return RunKv(cell.policy, *source, cell.plan,
-                     runner::CellSeed(ctx.fault_seed(), index),
-                     ctx.fault_tunables(), sink);
+        core::ExperimentEnv env = base_env;
+        env.faults = cell.plan;
+        env.fault_seed = runner::CellSeed(base_env.fault_seed, index);
+        env.telemetry = kv_sinks.empty() ? nullptr : &kv_sinks[index];
+        return core::RunKvCell(HotPromoteCell(cell.policy), *source, env);
       },
       sweep_options, &stats);
   if (!kv_grid.ok()) {
@@ -230,7 +201,7 @@ int main(int argc, char** argv) {
 
   // Index into the flat KV grid.
   const auto kv_at = [&](const std::string& w, const std::string& f,
-                         const std::string& p) -> const KvRun& {
+                         const std::string& p) -> const core::KvCellResult& {
     for (size_t i = 0; i < kv_cells.size(); ++i) {
       if (kv_cells[i].workload == w && kv_cells[i].faults == f &&
           kv_cells[i].policy == p) {
@@ -242,8 +213,8 @@ int main(int argc, char** argv) {
   const auto kv_winner = [&](const std::string& w, const std::string& f) {
     std::string best = kPolicies.front();
     for (const auto& p : kPolicies) {
-      if (kv_at(w, f, p).result.throughput_kops >
-          kv_at(w, f, best).result.throughput_kops) {
+      if (kv_at(w, f, p).server.throughput_kops >
+          kv_at(w, f, best).server.throughput_kops) {
         best = p;
       }
     }
@@ -257,15 +228,15 @@ int main(int argc, char** argv) {
     for (const auto& s : storms) {
       const std::string best = kv_winner(w, s.label);
       for (const auto& p : kPolicies) {
-        const KvRun& run = kv_at(w, s.label, p);
+        const core::KvCellResult& run = kv_at(w, s.label, p);
         t.Row()
             .Cell(s.label)
             .Cell(p)
-            .Cell(run.result.throughput_kops, 1)
-            .Cell(run.result.all_latency_us.p99(), 0)
+            .Cell(run.server.throughput_kops, 1)
+            .Cell(run.server.all_latency_us.p99(), 0)
             .Cell(run.counters.pgpromote_success)
             .Cell(run.counters.pgdemote)
-            .Cell(BytesToGBd(run.result.migrated_bytes), 2)
+            .Cell(BytesToGBd(run.server.migrated_bytes), 2)
             .Cell(p == best ? "*" : "");
       }
     }
@@ -396,7 +367,7 @@ int main(int argc, char** argv) {
   };
   const auto kops = [&](const std::string& w, const std::string& f,
                         const std::string& p) {
-    return kv_at(w, f, p).result.throughput_kops;
+    return kv_at(w, f, p).server.throughput_kops;
   };
   const std::string hps = os::kHotPageSelectionPolicyName;
   const std::string adp = os::kAdaptiveFeedbackPolicyName;
@@ -405,8 +376,8 @@ int main(int argc, char** argv) {
           kops("kv-zipf", s.label, adp) >= 0.98 * kops("kv-zipf", s.label, hps));
   }
   check("kv-scan/healthy: adaptive-feedback migrates less than half of hot-page-selection",
-        kv_at("kv-scan", "healthy", adp).result.migrated_bytes <
-            0.5 * kv_at("kv-scan", "healthy", hps).result.migrated_bytes);
+        kv_at("kv-scan", "healthy", adp).server.migrated_bytes <
+            0.5 * kv_at("kv-scan", "healthy", hps).server.migrated_bytes);
   for (const auto& s : storms) {
     check("spark-q9/" + s.label + ": adaptive-feedback beats hot-page-selection",
           spark_at(s.label, adp).total_seconds <

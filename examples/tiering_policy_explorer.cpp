@@ -25,27 +25,13 @@ core::KeyDbExperimentOptions Options() {
 // Hot-Promote run with an explicit rate limit (MB/s).
 StatusOr<apps::kv::KvServerSim::Result> RunWithRateLimit(double rate_limit_mbps) {
   const auto opt = Options();
-  topology::Platform platform = core::MakeHotPromotePlatform(opt.dataset_bytes);
-  os::PageAllocator allocator(platform, 16ull << 10);
-  os::TieringConfig tc = core::DefaultTieringConfig();
-  tc.promote_rate_limit_mbps = rate_limit_mbps;
-  os::TieredMemory tiering(allocator, tc);
-
-  apps::kv::KvStoreConfig store_cfg;
-  store_cfg.record_count = opt.dataset_bytes / opt.value_bytes;
-  const auto setup = core::MakeCapacitySetup(core::CapacityConfig::kHotPromote, platform);
-  auto store = apps::kv::KvStore::Create(allocator, setup.policy, store_cfg, &tiering);
-  if (!store.ok()) {
-    return store.status();
+  core::KvCell cell = core::MakeKvCell(core::CapacityConfig::kHotPromote, opt);
+  cell.tiering->promote_rate_limit_mbps = rate_limit_mbps;
+  auto run = core::RunKvCell(cell, workload::YcsbWorkload::kB, opt.env);
+  if (!run.ok()) {
+    return run.status();
   }
-  workload::YcsbGenerator gen(workload::YcsbWorkload::kB, store_cfg.record_count, opt.env.seed);
-  apps::kv::KvServerConfig scfg;
-  scfg.total_ops = opt.total_ops;
-  scfg.warmup_ops = opt.warmup_ops;
-  apps::kv::KvServerSim sim(platform, *store, gen, scfg, &tiering);
-  auto result = sim.Run();
-  store->Free();
-  return result;
+  return std::move(run->server);
 }
 
 }  // namespace

@@ -17,37 +17,31 @@ namespace {
 
 using namespace cxl;
 
-apps::kv::KvServerSim::Result RunOnce(workload::OpSource& source, uint64_t record_count) {
-  topology::Platform platform = topology::Platform::CxlServer(false);
-  os::PageAllocator allocator(platform, 16ull << 10);
-  apps::kv::KvStoreConfig cfg;
-  cfg.record_count = record_count;
-  auto store = apps::kv::KvStore::Create(
-      allocator,
-      os::NumaPolicy::WeightedInterleave(platform.DramNodes(), platform.CxlNodes(), 1, 1), cfg);
-  if (!store.ok()) {
-    std::cerr << "store: " << store.status().ToString() << "\n";
+constexpr uint64_t kRecords = 4'000'000;
+
+// One KeyDB cell on a 1:1 MMEM/CXL interleave, driven by `source`.
+apps::kv::KvServerSim::Result RunOnce(workload::OpSource& source) {
+  core::KeyDbExperimentOptions opt;
+  opt.dataset_bytes = kRecords * opt.value_bytes;
+  opt.total_ops = 80'000;
+  opt.warmup_ops = 20'000;
+  auto run = core::RunKvCell(core::MakeKvCell(core::CapacityConfig::kInterleave11, opt),
+                             source, opt.env);
+  if (!run.ok()) {
+    std::cerr << "store: " << run.status().ToString() << "\n";
     std::exit(1);
   }
-  apps::kv::KvServerConfig scfg;
-  scfg.total_ops = 80'000;
-  scfg.warmup_ops = 20'000;
-  apps::kv::KvServerSim sim(platform, *store, source, scfg);
-  auto result = sim.Run();
-  store->Free();
-  return result;
+  return std::move(run->server);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  constexpr uint64_t kRecords = 4'000'000;
-
   // 1. Live run, recording the op stream.
   workload::YcsbGenerator gen(workload::YcsbWorkload::kA, kRecords, /*seed=*/2024);
   workload::AccessTrace trace;
   workload::RecordingSource recorder(gen, trace);
-  const auto live = RunOnce(recorder, kRecords);
+  const auto live = RunOnce(recorder);
   std::cout << "live run:   " << FormatDouble(live.throughput_kops, 2) << " kops/s, p99 "
             << FormatDouble(live.all_latency_us.p99(), 1) << " us, " << trace.size()
             << " ops recorded\n";
@@ -85,7 +79,7 @@ int main(int argc, char** argv) {
 
   // 3. Replay: identical op stream -> identical experiment result.
   workload::TraceReplaySource replay(reloaded);
-  const auto replayed = RunOnce(replay, kRecords);
+  const auto replayed = RunOnce(replay);
   std::cout << "replay run: " << FormatDouble(replayed.throughput_kops, 2) << " kops/s, p99 "
             << FormatDouble(replayed.all_latency_us.p99(), 1) << " us\n";
 

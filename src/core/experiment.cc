@@ -1,6 +1,7 @@
 #include "src/core/experiment.h"
 
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -30,26 +31,24 @@ namespace {
 
 // End-of-run metrics: the figures' headline numbers plus the latency
 // distributions, so --metrics-out captures what the stdout tables print.
-void EmitKeyDbResultTelemetry(telemetry::MetricRegistry* sink,
-                              const KeyDbExperimentResult& result,
-                              const os::PageAllocator& allocator) {
+void EmitKvResultTelemetry(telemetry::MetricRegistry* sink, const KvCellResult& result) {
   if (sink == nullptr) {
     return;
   }
-  sink->GetGauge("kv.throughput_kops").Set(result.server.throughput_kops);
-  sink->GetGauge("kv.dram_share").Set(result.server.dram_share);
-  sink->GetGauge("kv.mem_traffic_gbps").Set(result.server.mem_traffic_gbps);
-  sink->GetGauge("kv.ssd_read_gbps").Set(result.server.ssd_read_gbps);
-  sink->GetGauge("kv.ssd_write_gbps").Set(result.server.ssd_write_gbps);
-  sink->GetGauge("kv.avg_service_us").Set(result.server.avg_service_us);
-  sink->GetCounter("kv.migrated_bytes")
-      .Add(static_cast<uint64_t>(result.server.migrated_bytes));
-  sink->RecordHistogram("kv.read_latency_us", result.server.read_latency_us);
-  sink->RecordHistogram("kv.update_latency_us", result.server.update_latency_us);
-  sink->RecordHistogram("kv.all_latency_us", result.server.all_latency_us);
+  const KvServerSim::Result& server = result.server;
+  sink->GetGauge("kv.throughput_kops").Set(server.throughput_kops);
+  sink->GetGauge("kv.dram_share").Set(server.dram_share);
+  sink->GetGauge("kv.mem_traffic_gbps").Set(server.mem_traffic_gbps);
+  sink->GetGauge("kv.ssd_read_gbps").Set(server.ssd_read_gbps);
+  sink->GetGauge("kv.ssd_write_gbps").Set(server.ssd_write_gbps);
+  sink->GetGauge("kv.avg_service_us").Set(server.avg_service_us);
+  sink->GetCounter("kv.migrated_bytes").Add(static_cast<uint64_t>(server.migrated_bytes));
+  sink->RecordHistogram("kv.read_latency_us", server.read_latency_us);
+  sink->RecordHistogram("kv.update_latency_us", server.update_latency_us);
+  sink->RecordHistogram("kv.all_latency_us", server.all_latency_us);
   // End-state /proc/vmstat reading (t = last epoch for the series; the
   // counters here are the run totals).
-  const os::VmCounters& counters = allocator.counters();
+  const os::VmCounters& counters = result.counters;
   sink->GetCounter("vmstat.pgpromote_success.total").Add(counters.pgpromote_success);
   sink->GetCounter("vmstat.pgdemote.total").Add(counters.pgdemote);
   sink->GetCounter("vmstat.numa_hint_faults.total").Add(counters.numa_hint_faults);
@@ -57,25 +56,63 @@ void EmitKeyDbResultTelemetry(telemetry::MetricRegistry* sink,
 }
 
 // Builds the per-run fault injector described by `env` (nullptr when the
-// plan is empty — the healthy path never constructs one). `fault_seed`
-// overrides env.fault_seed for per-cell seeding in sweeps.
-std::unique_ptr<fault::FaultInjector> MakeInjector(const ExperimentEnv& env,
-                                                   telemetry::MetricRegistry* sink,
-                                                   uint64_t fault_seed) {
+// plan is empty — the healthy path never constructs one).
+std::unique_ptr<fault::FaultInjector> MakeInjector(const ExperimentEnv& env) {
   if (!env.faults_enabled()) {
     return nullptr;
   }
   auto injector =
-      std::make_unique<fault::FaultInjector>(env.faults, fault_seed, env.fault_tunables);
-  injector->AttachTelemetry(sink);
+      std::make_unique<fault::FaultInjector>(env.faults, env.fault_seed, env.fault_tunables);
+  injector->AttachTelemetry(env.telemetry);
   return injector;
+}
+
+// Composes and runs `cell`. `make_source` is called once the store exists,
+// so a cell whose store does not fit fails before paying for its op source
+// (a YCSB generator's zeta sum grows with the record count).
+template <typename MakeSource>
+StatusOr<KvCellResult> RunKvCellWith(const KvCell& cell, const ExperimentEnv& env,
+                                     MakeSource&& make_source) {
+  os::PageAllocator allocator(cell.platform, kKvPageBytes);
+  std::unique_ptr<os::TieredMemory> tiering;
+  if (cell.tiering.has_value()) {
+    tiering = std::make_unique<os::TieredMemory>(allocator, *cell.tiering);
+    os::TieredMemory::Observers obs;
+    obs.telemetry = env.telemetry;
+    tiering->Attach(obs);
+  }
+  auto store = KvStore::Create(allocator, cell.placement, cell.store, tiering.get());
+  if (!store.ok()) {
+    return store.status();
+  }
+  workload::OpSource& source = make_source();
+  KvServerConfig server_cfg = cell.server;
+  server_cfg.profiler = env.profiler;
+  auto injector = MakeInjector(env);
+  KvServerSim sim(cell.platform, *store, source, server_cfg, tiering.get(), env.telemetry,
+                  injector.get());
+  KvCellResult result{sim.Run(), allocator.counters()};
+  EmitKvResultTelemetry(env.telemetry, result);
+  store->Free();
+  return result;
 }
 
 }  // namespace
 
-StatusOr<KeyDbExperimentResult> RunKeyDbExperiment(CapacityConfig config,
-                                                   workload::YcsbWorkload workload,
-                                                   const KeyDbExperimentOptions& options) {
+StatusOr<KvCellResult> RunKvCell(const KvCell& cell, workload::OpSource& source,
+                                 const ExperimentEnv& env) {
+  return RunKvCellWith(cell, env, [&source]() -> workload::OpSource& { return source; });
+}
+
+StatusOr<KvCellResult> RunKvCell(const KvCell& cell, workload::YcsbWorkload workload,
+                                 const ExperimentEnv& env) {
+  std::optional<workload::YcsbGenerator> gen;
+  return RunKvCellWith(cell, env, [&]() -> workload::OpSource& {
+    return gen.emplace(workload, cell.store.record_count, env.seed);
+  });
+}
+
+KvCell MakeKvCell(CapacityConfig config, const KeyDbExperimentOptions& options) {
   const ExperimentEnv& env = options.env;
   // Platform: the CXL experiment server, SNC disabled (§4.1.1). Hot-Promote
   // runs with DRAM capped at half the dataset.
@@ -83,53 +120,38 @@ StatusOr<KeyDbExperimentResult> RunKeyDbExperiment(CapacityConfig config,
                           ? MakeHotPromotePlatform(options.dataset_bytes)
                           : Platform::CxlServer(/*snc4=*/false);
   const CapacitySetup setup = MakeCapacitySetup(config, platform);
-
-  os::PageAllocator allocator(platform, kKvPageBytes);
-  std::unique_ptr<os::TieredMemory> tiering;
+  KvCell cell{std::move(platform), setup.policy, std::nullopt,
+              options.store_preset.value_or(KvStoreConfig{}), KvServerConfig{}};
   if (setup.hot_promote) {
-    os::TieringConfig tc = DefaultTieringConfig();
-    tc.policy = env.tiering_policy;
-    tiering = std::make_unique<os::TieredMemory>(allocator, tc);
-    os::TieredMemory::Observers obs;
-    obs.telemetry = env.telemetry;
-    tiering->Attach(obs);
+    cell.tiering = DefaultTieringConfig();
+    cell.tiering->policy = env.tiering_policy;
   }
-
-  KvStoreConfig store_cfg;
-  if (options.store_preset.has_value()) {
-    store_cfg = *options.store_preset;
-  }
-  store_cfg.record_count = options.dataset_bytes / options.value_bytes;
-  store_cfg.value_bytes = options.value_bytes;
-  store_cfg.flash = setup.flash;
+  cell.store.record_count = options.dataset_bytes / options.value_bytes;
+  cell.store.value_bytes = options.value_bytes;
+  cell.store.flash = setup.flash;
   if (setup.flash) {
-    store_cfg.maxmemory_bytes =
+    cell.store.maxmemory_bytes =
         static_cast<uint64_t>(setup.maxmemory_fraction * static_cast<double>(options.dataset_bytes));
   }
+  cell.server.server_threads = options.server_threads;
+  cell.server.client_connections = options.client_connections;
+  cell.server.total_ops = options.total_ops;
+  cell.server.warmup_ops = options.warmup_ops;
+  cell.server.seed = env.seed;
+  return cell;
+}
 
-  auto store = KvStore::Create(allocator, setup.policy, store_cfg, tiering.get());
-  if (!store.ok()) {
-    return store.status();
+StatusOr<KeyDbExperimentResult> RunKeyDbExperiment(CapacityConfig config,
+                                                   workload::YcsbWorkload workload,
+                                                   const KeyDbExperimentOptions& options) {
+  auto run = RunKvCell(MakeKvCell(config, options), workload, options.env);
+  if (!run.ok()) {
+    return run.status();
   }
-
-  workload::YcsbGenerator gen(workload, store_cfg.record_count, env.seed);
-  KvServerConfig server_cfg;
-  server_cfg.server_threads = options.server_threads;
-  server_cfg.client_connections = options.client_connections;
-  server_cfg.total_ops = options.total_ops;
-  server_cfg.warmup_ops = options.warmup_ops;
-  server_cfg.seed = env.seed;
-  server_cfg.profiler = env.profiler;
-
-  auto injector = MakeInjector(env, env.telemetry, env.fault_seed);
-  KvServerSim sim(platform, *store, gen, server_cfg, tiering.get(), env.telemetry,
-                  injector.get());
   KeyDbExperimentResult result;
   result.config_label = ConfigLabel(config);
   result.workload_name = workload::YcsbName(workload);
-  result.server = sim.Run();
-  EmitKeyDbResultTelemetry(env.telemetry, result, allocator);
-  store->Free();
+  result.server = std::move(run->server);
   return result;
 }
 
@@ -137,11 +159,8 @@ StatusOr<VmExperimentResult> RunVmCxlOnlyExperiment(KeyDbExperimentOptions optio
   const ExperimentEnv& env = options.env;
   // §4.3.1: 100 GB YCSB-C dataset (default here: 1/8 scale), SNC disabled,
   // numactl-bound to MMEM or to CXL. The lighter Fig. 8 store preset applies
-  // unless the caller overrides it. The preset is copied by value — a
-  // function-local static here would be a shared-init hazard when several
-  // sweep cells enter concurrently.
-  const KvStoreConfig preset = options.store_preset.has_value() ? *options.store_preset
-                                                                : KvStoreConfig::Fig8Preset(0);
+  // unless the caller overrides it.
+  options.store_preset = options.store_preset.value_or(KvStoreConfig::Fig8Preset(0));
 
   // Both placements replay the same op stream (env.seed, not the derived
   // sweep seed) so the MMEM/CXL comparison is apples to apples.
@@ -150,46 +169,27 @@ StatusOr<VmExperimentResult> RunVmCxlOnlyExperiment(KeyDbExperimentOptions optio
   // below in cell order under the "mmem." / "cxl." prefixes.
   std::vector<telemetry::MetricRegistry> cell_telemetry(
       env.telemetry != nullptr ? cells.size() : 0);
-  auto run_cell = [&options, &env, &preset, &cell_telemetry](
+  auto run_cell = [&options, &env, &cell_telemetry](
                       const int& cell, uint64_t /*seed*/) -> StatusOr<KeyDbExperimentResult> {
     const bool use_cxl = cell != 0;
-    Platform platform = Platform::CxlServer(false);
-    os::PageAllocator allocator(platform, kKvPageBytes);
-    const os::NumaPolicy policy =
-        use_cxl ? os::NumaPolicy::Bind(platform.CxlNodes())
-                : os::NumaPolicy::Bind(platform.DramNodes(/*socket=*/0));
-
-    KvStoreConfig store_cfg = preset;
-    store_cfg.record_count = options.dataset_bytes / options.value_bytes;
-    store_cfg.value_bytes = options.value_bytes;
-
-    auto store = KvStore::Create(allocator, policy, store_cfg);
-    if (!store.ok()) {
-      return store.status();
-    }
-    workload::YcsbGenerator gen(workload::YcsbWorkload::kC, store_cfg.record_count, env.seed);
-    KvServerConfig server_cfg;
-    server_cfg.server_threads = options.server_threads;
-    server_cfg.client_connections = options.client_connections;
-    server_cfg.total_ops = options.total_ops;
-    server_cfg.warmup_ops = options.warmup_ops;
-    server_cfg.seed = env.seed;
-    server_cfg.profiler = env.profiler;
-
-    telemetry::MetricRegistry* sink =
+    KvCell kv = MakeKvCell(CapacityConfig::kMmem, options);
+    kv.placement = use_cxl ? os::NumaPolicy::Bind(kv.platform.CxlNodes())
+                           : os::NumaPolicy::Bind(kv.platform.DramNodes(/*socket=*/0));
+    ExperimentEnv cell_env = env;
+    cell_env.telemetry =
         cell_telemetry.empty() ? nullptr : &cell_telemetry[static_cast<size_t>(cell)];
     // Per-cell injector seed: derived with CellSeed so the two placements
     // draw independent fault streams yet the pair is reproducible at any
     // --jobs setting.
-    auto injector = MakeInjector(
-        env, sink, runner::CellSeed(env.fault_seed, static_cast<size_t>(cell)));
-    KvServerSim sim(platform, *store, gen, server_cfg, nullptr, sink, injector.get());
+    cell_env.fault_seed = runner::CellSeed(env.fault_seed, static_cast<size_t>(cell));
+    auto run = RunKvCell(kv, workload::YcsbWorkload::kC, cell_env);
+    if (!run.ok()) {
+      return run.status();
+    }
     KeyDbExperimentResult res;
     res.config_label = use_cxl ? "CXL" : "MMEM";
     res.workload_name = "YCSB-C";
-    res.server = sim.Run();
-    EmitKeyDbResultTelemetry(sink, res, allocator);
-    store->Free();
+    res.server = std::move(run->server);
     return res;
   };
 
@@ -225,7 +225,7 @@ StatusOr<SparkExperimentResult> RunSparkExperiment(const SparkExperimentOptions&
   }
   apps::spark::SparkCluster cluster(cluster_cfg);
   cluster.AttachTelemetry(env.telemetry);
-  auto injector = MakeInjector(env, env.telemetry, env.fault_seed);
+  auto injector = MakeInjector(env);
   cluster.AttachFaults(injector.get());
 
   const std::vector<apps::spark::QueryProfile> queries =
@@ -247,7 +247,7 @@ StatusOr<LlmExperimentResult> RunLlmExperiment(const LlmExperimentOptions& optio
     return Status::InvalidArgument("LlmExperimentOptions.requests must be positive");
   }
   apps::llm::ServingStack stack(options.stack);
-  auto injector = MakeInjector(env, env.telemetry, env.fault_seed);
+  auto injector = MakeInjector(env);
   LlmExperimentResult out;
   out.stats = stack.Drive(options.request, options.requests, &out.latency_s, env.seed,
                           env.telemetry, injector.get());

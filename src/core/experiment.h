@@ -1,7 +1,10 @@
-// End-to-end experiment runner: the public API that assembles platform +
-// allocator + tiering + KvStore + server simulation for one Table 1
-// configuration and one YCSB workload — the unit of work behind Fig. 5 and
-// Fig. 8 (and the quickstart example).
+// End-to-end experiment runners. Every KeyDB number (Fig. 5, Fig. 8, the
+// §2.3/§4.1.2 promotion-policy comparisons) comes from one cell shape:
+// platform, 16 KiB page allocator, optional promotion daemon, KvStore, op
+// source, optional fault injector and KvServerSim. KvCell holds that cell as
+// data and RunKvCell is the one place that composes it. RunKeyDbExperiment
+// is the Table 1 mapping on top (MakeKvCell, then one RunKvCell), and the
+// Spark and LLM runners wire the same environment through their apps.
 #ifndef CXL_EXPLORER_SRC_CORE_EXPERIMENT_H_
 #define CXL_EXPLORER_SRC_CORE_EXPERIMENT_H_
 
@@ -16,8 +19,12 @@
 #include "src/apps/spark/query.h"
 #include "src/core/configs.h"
 #include "src/fault/fault.h"
+#include "src/os/numa_policy.h"
+#include "src/os/page.h"
+#include "src/os/tiering.h"
 #include "src/telemetry/epoch_profiler.h"
 #include "src/telemetry/metrics.h"
+#include "src/topology/platform.h"
 #include "src/util/histogram.h"
 #include "src/util/status.h"
 #include "src/util/units.h"
@@ -91,7 +98,48 @@ struct KeyDbExperimentResult {
   double slowdown_vs_baseline = 0.0;
 };
 
-// Runs one (configuration, workload) cell of Fig. 5.
+// One KeyDB server cell as data. Benches that vary one knob take a
+// MakeKvCell cell and override that field (say tiering->policy or
+// tiering->promote_rate_limit_mbps).
+struct KvCell {
+  topology::Platform platform;
+  // Where the store's pages go.
+  os::NumaPolicy placement;
+  // Promotion daemon knobs; nullopt runs without a daemon.
+  std::optional<os::TieringConfig> tiering;
+  apps::kv::KvStoreConfig store;
+  // The server's own profiler field is ignored: RunKvCell takes the
+  // profiler from its ExperimentEnv.
+  apps::kv::KvServerConfig server;
+};
+
+struct KvCellResult {
+  apps::kv::KvServerSim::Result server;
+  // The allocator's end-of-run /proc/vmstat totals (promotions, demotions,
+  // hint faults, rate-limited promotions).
+  os::VmCounters counters;
+};
+
+// Runs `cell` with the op stream `source`. `env` supplies the fault plan
+// (one injector seeded from env.fault_seed), the fault tunables, the
+// telemetry sink and the profiler. The cell carries its own service-time
+// seed and daemon policy, so env.seed and env.tiering_policy are not read.
+// Fails without running when the store does not fit its placement.
+StatusOr<KvCellResult> RunKvCell(const KvCell& cell, workload::OpSource& source,
+                                 const ExperimentEnv& env);
+// The same with a YCSB generator over the store's records, seeded from
+// env.seed and built only once the store fits.
+StatusOr<KvCellResult> RunKvCell(const KvCell& cell, workload::YcsbWorkload workload,
+                                 const ExperimentEnv& env);
+
+// The cell of one Table 1 configuration: the CXL server with SNC disabled
+// (Hot-Promote caps DRAM at half the dataset), the configuration's
+// placement, flash mode and daemon (policy env.tiering_policy), and the
+// options' dataset, store preset and server shape (seed env.seed).
+KvCell MakeKvCell(CapacityConfig config, const KeyDbExperimentOptions& options);
+
+// Runs one (configuration, workload) cell of Fig. 5: MakeKvCell, then
+// RunKvCell.
 StatusOr<KeyDbExperimentResult> RunKeyDbExperiment(CapacityConfig config,
                                                    workload::YcsbWorkload workload,
                                                    const KeyDbExperimentOptions& options = {});

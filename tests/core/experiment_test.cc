@@ -1,5 +1,7 @@
 #include "src/core/experiment.h"
 
+#include <utility>
+
 #include <gtest/gtest.h>
 
 namespace cxl::core {
@@ -161,6 +163,48 @@ TEST(ExperimentTest, VmExperimentMergesPlacementPrefixes) {
   EXPECT_TRUE(reg.GetGauge("cxl.kv.throughput_kops").set());
   EXPECT_NEAR(reg.GetGauge("mmem.kv.throughput_kops").value(),
               res->mmem.server.throughput_kops, 1e-9);
+}
+
+// The Hot-Promote YCSB-B cell built field by field, without MakeKvCell:
+// RunKvCell must reproduce RunKeyDbExperiment's run exactly (the check
+// hostbench's self-test makes against its own copy of the cell).
+TEST(RunKvCellTest, HandBuiltHotPromoteCellEqualsRunKeyDbExperiment) {
+  KeyDbExperimentOptions opt = FastOptions();
+  opt.total_ops = 120'000;
+  topology::Platform platform = MakeHotPromotePlatform(opt.dataset_bytes);
+  os::NumaPolicy placement =
+      os::NumaPolicy::WeightedInterleave(platform.DramNodes(), platform.CxlNodes(), 1, 1);
+  KvCell cell{std::move(platform), std::move(placement), DefaultTieringConfig(),
+              apps::kv::KvStoreConfig{}, apps::kv::KvServerConfig{}};
+  cell.store.record_count = opt.dataset_bytes / opt.value_bytes;
+  cell.server.total_ops = opt.total_ops;
+  cell.server.warmup_ops = opt.warmup_ops;
+  workload::YcsbGenerator gen(workload::YcsbWorkload::kB, cell.store.record_count, 1);
+  const auto run = RunKvCell(cell, gen, ExperimentEnv{});
+  const auto reference =
+      RunKeyDbExperiment(CapacityConfig::kHotPromote, workload::YcsbWorkload::kB, opt);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  EXPECT_EQ(run->server.throughput_kops, reference->server.throughput_kops);
+  EXPECT_EQ(run->server.all_latency_us.p99(), reference->server.all_latency_us.p99());
+  EXPECT_EQ(run->server.migrated_bytes, reference->server.migrated_bytes);
+  EXPECT_EQ(run->server.dram_share, reference->server.dram_share);
+  // DRAM holds only half the dataset, so every promotion forces a demotion.
+  EXPECT_GT(run->counters.pgpromote_success, 0u);
+  EXPECT_GT(run->counters.pgdemote, 0u);
+}
+
+TEST(RunKvCellTest, StoreThatDoesNotFitItsPlacementFails) {
+  const uint64_t dataset = 4ull << 30;
+  // DRAM is half the dataset; binding the whole store to it cannot fit.
+  topology::Platform platform = MakeHotPromotePlatform(dataset);
+  os::NumaPolicy placement = os::NumaPolicy::Bind(platform.DramNodes());
+  KvCell cell{std::move(platform), std::move(placement), DefaultTieringConfig(),
+              apps::kv::KvStoreConfig{}, apps::kv::KvServerConfig{}};
+  cell.store.record_count = dataset / cell.store.value_bytes;
+  workload::YcsbGenerator gen(workload::YcsbWorkload::kC, cell.store.record_count, 1);
+  const auto run = RunKvCell(cell, gen, ExperimentEnv{});
+  EXPECT_FALSE(run.ok());
 }
 
 }  // namespace
