@@ -1,8 +1,8 @@
 // google-benchmark micro-benchmarks of the simulator's own hot paths:
 // event-heap push/pop at the KV server's depth, the KV server's op dispatch
 // loop, Zipfian draws, page allocation, the tiering daemon's tick on a
-// streaming region, the bandwidth solver, and a full (small) KeyDB
-// experiment end to end.
+// streaming region and its cold-pool selection, the bandwidth solver, and a
+// full (small) KeyDB experiment end to end.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -158,6 +158,38 @@ void BM_DaemonTickStreaming(benchmark::State& state) {
   state.SetItemsProcessed(visited);
 }
 BENCHMARK(BM_DaemonTickStreaming)->Unit(benchmark::kMicrosecond);
+
+// The cold pool's selection in that tick, alone: the 143,051 DRAM pages of
+// the interleaved region (every other id) in 5,722-page windows of equal
+// heat, each window half as hot as the one before, so every window
+// undercuts the cut. They are offered into k = 4,096 (ColdPoolSize's
+// floor), then Finish sorts the survivors. Items are offers.
+void BM_ColdPoolSelector(benchmark::State& state) {
+  constexpr uint64_t kDramPages = 143'051;
+  constexpr uint64_t kWindowPages = 5'722;
+  constexpr uint64_t kPool = 4'096;
+  std::vector<os::ColdPoolSelector::Key> stream;
+  stream.reserve(kDramPages);
+  float heat = 20.0f;  // 400 accesses at the 0.05 sample rate.
+  for (uint64_t i = 0; i < kDramPages; ++i) {
+    if (i > 0 && i % kWindowPages == 0) {
+      heat *= 0.5f;
+    }
+    stream.push_back(os::ColdPoolSelector::KeyOf(heat, 2 * i));
+  }
+  std::vector<os::ColdPoolSelector::Key> pool;
+  for (auto _ : state) {
+    os::ColdPoolSelector selector(pool, kPool);
+    for (const os::ColdPoolSelector::Key key : stream) {
+      selector.Offer(key);
+    }
+    selector.Finish();
+    benchmark::DoNotOptimize(pool.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(kDramPages));
+}
+BENCHMARK(BM_ColdPoolSelector)->Unit(benchmark::kMicrosecond);
 
 void BM_BandwidthSolve(benchmark::State& state) {
   const auto platform = topology::Platform::CxlServer(true);

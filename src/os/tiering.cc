@@ -158,7 +158,9 @@ void TieredMemory::GrowPageSets() {
   // The stamp column and the page sets trail page_count(), since pages are
   // created lazily by the allocator; new pages start unstamped (0 = never
   // promoted), cold and not recently promoted. Each grows in one step to
-  // the current page count.
+  // the current page count. Page ids must fit in the low 32 bits of a
+  // ColdPoolSelector key; the largest region in the tree has 2^21 pages.
+  assert(allocator_.page_count() <= (uint64_t{1} << 32));
   promote_epoch_.resize(allocator_.page_count(), 0);
   warm_.resize((allocator_.page_count() + kWordBits - 1) / kWordBits, 0);
   recently_promoted_.resize(warm_.size(), 0);
@@ -196,7 +198,7 @@ void TieredMemory::VisitWarm(Dense&& dense, Sparse&& sparse) {
 }
 
 uint64_t TieredMemory::ScanWarm(const CandidateFilter& filter, ColdPoolSelector& pool,
-                                ArenaVector<std::pair<float, PageId>>& hot) {
+                                ArenaVector<ColdPoolSelector::Key>& hot) {
   const float* heat_col = allocator_.heat_column();
   const uint32_t* epoch_col = allocator_.epoch_column();
   const uint64_t* dram_bits = allocator_.dram_bits().data();
@@ -206,7 +208,7 @@ uint64_t TieredMemory::ScanWarm(const CandidateFilter& filter, ColdPoolSelector&
   // A CXL page whose heat passed the filter: the per-page tests left.
   const auto consider = [&](PageId id, float heat) {
     if ((!filter.this_epoch_only || epoch_col[id] == epoch_) && !IsQuarantined(id)) {
-      hot.emplace_back(heat, id);
+      hot.push_back(HottestFirstKeyOf(heat, id));
     }
   };
   VisitWarm(
@@ -223,7 +225,7 @@ uint64_t TieredMemory::ScanWarm(const CandidateFilter& filter, ColdPoolSelector&
         for (uint64_t bits = dram & masks.below_cut; bits != 0; bits &= bits - 1) {
           const int j = std::countr_zero(bits);
           ++offers;
-          pool.Offer({heat[j], base + static_cast<PageId>(j)});
+          pool.Offer(ColdPoolSelector::KeyOf(heat[j], base + static_cast<PageId>(j)));
         }
         for (uint64_t bits = cxl_bits[w] & masks.candidate; bits != 0; bits &= bits - 1) {
           const int j = std::countr_zero(bits);
@@ -238,7 +240,7 @@ uint64_t TieredMemory::ScanWarm(const CandidateFilter& filter, ColdPoolSelector&
         if ((dram_bits[id / kWordBits] & Bit(id)) != 0) {
           ++offered_dram;
           ++offers;
-          pool.Offer({heat, id});
+          pool.Offer(ColdPoolSelector::KeyOf(heat, id));
         } else if ((cxl_bits[id / kWordBits] & Bit(id)) != 0 && heat >= filter.min_heat) {
           consider(id, heat);
         }
@@ -370,13 +372,14 @@ uint64_t TieredMemory::LowTierPages() const {
   return total;
 }
 
-ColdPoolSelector::ColdPoolSelector(std::vector<Entry>& pool, uint64_t k)
+ColdPoolSelector::ColdPoolSelector(std::vector<Key>& pool, uint64_t k)
     : pool_(pool),
       k_(k),
-      // Before the first cut every entry is accepted: real pages sort below
-      // (+inf, kInvalidPage). With k = 0 nothing sorts below (-inf, 0).
-      cut_(k == 0 ? Entry(-std::numeric_limits<float>::infinity(), 0)
-                  : Entry(std::numeric_limits<float>::infinity(), kInvalidPage)) {
+      // Before the first cut every key is accepted: the largest is
+      // KeyOf(+inf, 2^32 - 1). With k = 0 nothing sorts below 0.
+      cut_(k == 0 ? 0 : std::numeric_limits<Key>::max()),
+      cut_heat_(k == 0 ? -std::numeric_limits<float>::infinity()
+                       : std::numeric_limits<float>::infinity()) {
   pool_.clear();
   // The buffer peaks at 2k entries. One allocation up front (a no-op once
   // the daemon's reused buffer is that large) replaces a chain of doubling
@@ -389,7 +392,9 @@ void ColdPoolSelector::Shrink() {
   const auto kth = pool_.begin() + static_cast<std::ptrdiff_t>(k_ - 1);
   std::nth_element(pool_.begin(), kth, pool_.end());
   cut_ = *kth;
+  cut_heat_ = HeatOf(cut_);
   pool_.resize(k_);
+  ++shrinks_;
 }
 
 void ColdPoolSelector::Finish() {
@@ -398,7 +403,7 @@ void ColdPoolSelector::Finish() {
                      pool_.end());
     pool_.resize(k_);
   }
-  std::sort(pool_.begin(), pool_.end());  // Coldest first; (heat, id) has no ties.
+  std::sort(pool_.begin(), pool_.end());  // Coldest first; keys are distinct.
 }
 
 uint64_t TieredMemory::ColdPoolSize(uint64_t batch) const {
@@ -419,7 +424,7 @@ void TieredMemory::InstallColdPool(ColdPoolSelector& selector, uint64_t k,
     VisitCold(zero_floor_, [&](PageId id) {
       if ((dram_bits[id / kWordBits] & Bit(id)) != 0) {
         first = std::min(first, id);
-        selector.Offer({0.0f, id});
+        selector.Offer(ColdPoolSelector::KeyOf(0.0f, id));
         --wanted;
       }
       return wanted > 0;
@@ -430,17 +435,19 @@ void TieredMemory::InstallColdPool(ColdPoolSelector& selector, uint64_t k,
     zero_floor_ = first;
   }
   selector.Finish();
+  tick_pool_shrinks_ += selector.shrinks();
+  tick_sorted_entries_ += cold_pool_.size();
   cold_pool_next_ = 0;
   cold_pool_valid_ = true;
-  cold_pool_floor_ = cold_pool_.empty() ? ColdPoolSelector::Entry(0.0f, 0) : cold_pool_.back();
+  cold_pool_floor_ = cold_pool_.empty() ? 0 : cold_pool_.back();
 }
 
 void TieredMemory::BuildColdPool(uint64_t k) {
   // The tick's pass without candidates. The k-smallest set does not depend
   // on the order pages are offered in.
   ColdPoolSelector selector(cold_pool_, k);
-  ArenaVector<std::pair<float, PageId>> no_candidates{
-      ArenaAllocator<std::pair<float, PageId>>(&tick_arena_)};
+  ArenaVector<ColdPoolSelector::Key> no_candidates{
+      ArenaAllocator<ColdPoolSelector::Key>(&tick_arena_)};
   const uint64_t offered_dram = ScanWarm(
       CandidateFilter{std::numeric_limits<float>::quiet_NaN(), false}, selector, no_candidates);
   InstallColdPool(selector, k, offered_dram);
@@ -478,7 +485,7 @@ uint64_t TieredMemory::DemoteColdPages(uint64_t count) {
 
   uint64_t demoted = 0;
   for (uint64_t i = 0; i < want && cold_pool_next_ < cold_pool_.size(); ++i) {
-    const PageId id = cold_pool_[cold_pool_next_].second;
+    const PageId id = ColdPoolSelector::IdOf(cold_pool_[cold_pool_next_]);
     const topology::NodeId target = pick_cxl();
     if (target < 0) {
       ++allocator_.mutable_counters().migrate_failed;
@@ -507,6 +514,8 @@ TieredMemory::TickResult TieredMemory::Tick(double dt_seconds) {
   GrowPageSets();
   tick_pages_visited_ = 0;
   tick_pool_offers_ = 0;
+  tick_pool_shrinks_ = 0;
+  tick_sorted_entries_ = 0;
   // Pages enter DRAM outside the daemon only by allocation, at any id and
   // with heat 0: after any, the zero walk starts again from id 0.
   if (allocator_.counters().pgalloc != seen_pgalloc_) {
@@ -616,8 +625,7 @@ TieredMemory::TickResult TieredMemory::Tick(double dt_seconds) {
   // Gather promotion candidates on the low tier. Quarantined pages are
   // never candidates.
   const float* heat_col = allocator_.heat_column();
-  ArenaVector<std::pair<float, PageId>> hot{
-      ArenaAllocator<std::pair<float, PageId>>(&tick_arena_)};
+  ArenaVector<ColdPoolSelector::Key> hot{ArenaAllocator<ColdPoolSelector::Key>(&tick_arena_)};
   if (allocator_.CxlResidentCount() > 0) {
     // One pass over the warm set per tick, in id order, whatever the scan
     // kind: CXL pages are tested as promotion candidates and DRAM pages feed
@@ -661,7 +669,7 @@ TieredMemory::TickResult TieredMemory::Tick(double dt_seconds) {
       const uint64_t* cxl_bits = allocator_.cxl_bits().data();
       VisitCold(0, [&](PageId id) {
         if ((cxl_bits[id / kWordBits] & Bit(id)) != 0 && !IsQuarantined(id)) {
-          hot.emplace_back(0.0f, id);
+          hot.push_back(HottestFirstKeyOf(0.0f, id));
         }
         return true;
       });
@@ -672,10 +680,10 @@ TieredMemory::TickResult TieredMemory::Tick(double dt_seconds) {
     // Hottest first, page id breaking heat ties: the rate-limit budget
     // truncates this list, so tie order decides *which* pages promote —
     // without the tie-break that choice is implementation-defined
-    // (caught by cxl_lint CXL-D007).
-    std::sort(hot.begin(), hot.end(), [](const auto& a, const auto& b) {
-      return a.first != b.first ? a.first > b.first : a.second < b.second;
-    });
+    // (caught by cxl_lint CXL-D007). The tie-break lives in the key's low
+    // bits, so the keys are distinct and a plain sort is exact.
+    std::sort(hot.begin(), hot.end());
+    tick_sorted_entries_ += hot.size();
   }
   result.candidates = hot.size();
   allocator_.mutable_counters().pgpromote_candidate += hot.size();
@@ -694,7 +702,8 @@ TieredMemory::TickResult TieredMemory::Tick(double dt_seconds) {
 
   uint64_t promoted = 0;
   bool promotion_failed = false;
-  for (const auto& [heat, id] : hot) {
+  for (const ColdPoolSelector::Key key : hot) {
+    const PageId id = ColdPoolSelector::IdOf(key);
     if (promoted >= budget_pages) {
       allocator_.mutable_counters().promote_rate_limited += hot.size() - promoted;
       break;
@@ -725,7 +734,7 @@ TieredMemory::TickResult TieredMemory::Tick(double dt_seconds) {
       // the pool — drop it so the next demotion batch rescans. Promoted
       // pages are hot by construction, so this almost never fires.
       if (cold_pool_valid_ &&
-          (cold_pool_.empty() || ColdPoolSelector::Entry(heat_col[id], id) <= cold_pool_floor_)) {
+          (cold_pool_.empty() || ColdPoolSelector::KeyOf(heat_col[id], id) <= cold_pool_floor_)) {
         cold_pool_valid_ = false;
       }
     } else {
@@ -802,6 +811,8 @@ TieredMemory::TickResult TieredMemory::Tick(double dt_seconds) {
 
   result.pages_visited = tick_pages_visited_;
   result.pool_offers = tick_pool_offers_;
+  result.pool_shrinks = tick_pool_shrinks_;
+  result.sorted_entries = tick_sorted_entries_;
   sim_seconds_ += dt_seconds;
   EmitTickTelemetry(result, dt_seconds);
   EmitTickEvents(result, watermark_demoted);

@@ -20,11 +20,11 @@
 #ifndef CXL_EXPLORER_SRC_OS_TIERING_H_
 #define CXL_EXPLORER_SRC_OS_TIERING_H_
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "src/fault/fault.h"
@@ -74,46 +74,74 @@ void DeclareTieringKnobs(KnobSet& knobs);
 TieringConfig TieringConfigFromKnobs(const KnobSet& knobs);
 
 // Exact k-smallest selection over unique (heat, id) pairs — how the daemon
-// picks its demotion cold pool. An offered entry is buffered only while it
-// sorts below a falling cut; when the buffer reaches 2k entries,
-// nth_element keeps the k smallest and the k-th of them becomes the new
-// cut, so each accepted entry costs O(1) amortised. Finish() sorts the
-// survivors ascending. Ids are unique, so (heat, id) is a total order with
-// one k-smallest set: the output is the sequence a bounded max-heap plus
-// sort_heap, or a full partial_sort, would produce.
+// picks its demotion cold pool. Each pair travels as one Key: for a heat
+// that is non-negative and not NaN the IEEE-754 bit pattern orders as the
+// float does, so (bits(heat) << 32) | id orders exactly as the pair.
+// An offered key is buffered only while it sorts below a falling cut; when
+// the buffer reaches 2k keys, nth_element keeps the k smallest and the
+// k-th of them becomes the new cut, so each accepted key costs O(1)
+// amortised. Finish() sorts the survivors ascending. Ids are unique, so
+// the keys are distinct and there is one k-smallest set: the output is the
+// sequence a bounded max-heap plus sort_heap, or a full partial_sort,
+// would produce.
 class ColdPoolSelector {
  public:
-  using Entry = std::pair<float, PageId>;
+  using Key = uint64_t;
+
+  // The key of page `id` at `heat`. Heat must be non-negative (or -0.0f,
+  // which the pair order ties with +0.0f and the key canonicalises to it)
+  // and not NaN; `id` must fit in 32 bits, which TieredMemory asserts of
+  // every page slot.
+  static Key KeyOf(float heat, PageId id) {
+    return (Key{std::bit_cast<uint32_t>(heat + 0.0f)} << 32) | id;
+  }
+  static PageId IdOf(Key key) { return key & 0xffffffffu; }
+  static float HeatOf(Key key) { return std::bit_cast<float>(static_cast<uint32_t>(key >> 32)); }
 
   // Selects into `pool`, which is cleared but keeps its capacity (the
   // daemon reuses one buffer across ticks). `pool` must outlive the
   // selector.
-  ColdPoolSelector(std::vector<Entry>& pool, uint64_t k);
+  ColdPoolSelector(std::vector<Key>& pool, uint64_t k);
 
-  // Heat of the cut. An entry Offer accepts has heat <= cut_heat() (or
-  // NaN), and the cut only falls, so a heat above it can skip the call.
-  float cut_heat() const { return cut_.first; }
+  // Heat of the cut: +inf before the first cut, -inf for k = 0. A key
+  // Offer accepts has heat <= cut_heat(), and the cut only falls, so a heat
+  // above it can skip the call. Kept beside the key because the key before
+  // the first cut, which every real key sorts below, decodes to no heat.
+  float cut_heat() const { return cut_heat_; }
 
-  void Offer(const Entry& entry) {
-    if (entry < cut_) {
-      pool_.push_back(entry);
+  void Offer(Key key) {
+    if (key < cut_) {
+      pool_.push_back(key);
       if (pool_.size() == 2 * k_) {
         Shrink();
       }
     }
   }
 
-  // Leaves the k smallest offered entries (all of them, if fewer) in
-  // `pool`, ascending.
+  // Leaves the k smallest offered keys (all of them, if fewer) in `pool`,
+  // ascending.
   void Finish();
+
+  // Shrink() calls so far: a deterministic work counter.
+  uint64_t shrinks() const { return shrinks_; }
 
  private:
   void Shrink();
 
-  std::vector<Entry>& pool_;
+  std::vector<Key>& pool_;
   size_t k_;
-  Entry cut_;
+  Key cut_;
+  float cut_heat_;
+  uint64_t shrinks_ = 0;
 };
+
+// The promotion candidates' sort key: ascending keys are hottest first,
+// page id breaking heat ties upward. Flipping the heat bits of KeyOf
+// reverses the heat order and leaves the id order, and IdOf still reads
+// the id.
+inline ColdPoolSelector::Key HottestFirstKeyOf(float heat, PageId id) {
+  return ColdPoolSelector::KeyOf(heat, id) ^ (ColdPoolSelector::Key{0xffffffffu} << 32);
+}
 
 class TieredMemory {
  public:
@@ -141,6 +169,13 @@ class TieredMemory {
     // refills and their zero-heat walks: a deterministic work counter. The
     // dense pass offers only the DRAM pages whose heat reaches the cut.
     uint64_t pool_offers = 0;
+    // ColdPoolSelector::Shrink calls of those selections: at most one per
+    // k offers accepted.
+    uint64_t pool_shrinks = 0;
+    // Keys the tick sorted: each ColdPoolSelector::Finish's survivors and
+    // the ranked promotion candidates. Deterministic work counters, like
+    // pool_offers.
+    uint64_t sorted_entries = 0;
   };
   TickResult Tick(double dt_seconds);
 
@@ -245,13 +280,13 @@ class TieredMemory {
   };
 
   // The warm pass of one tick: DRAM pages that may sort below the cut are
-  // offered to `pool`, and CXL pages passing `filter` are appended to `hot`
-  // in id order. Dense words decide their 64 pages with masks from the
-  // residency bitsets and two vectorised heat compares. Returns the number
-  // of DRAM pages offered, counting those the cut turned away before the
-  // call.
+  // offered to `pool`, and the HottestFirstKeyOf keys of CXL pages passing
+  // `filter` are appended to `hot` in id order. Dense words decide their 64
+  // pages with masks from the residency bitsets and two vectorised heat
+  // compares. Returns the number of DRAM pages offered, counting those the
+  // cut turned away before the call.
   uint64_t ScanWarm(const CandidateFilter& filter, ColdPoolSelector& pool,
-                    ArenaVector<std::pair<float, PageId>>& hot);
+                    ArenaVector<ColdPoolSelector::Key>& hot);
 
   // Calls `visit(id)`, in id order from the word of `from` until it returns
   // false, for the pages this tick's warm pass left out: the clear bits of
@@ -317,8 +352,10 @@ class TieredMemory {
   // reset and quarantine's leave stale bits, which only cost a visit. Heat
   // is assumed non-negative, with a finite, non-negative decay factor.
   std::vector<uint64_t> warm_;
-  uint64_t tick_pages_visited_ = 0;  // TickResult::pages_visited accumulator.
-  uint64_t tick_pool_offers_ = 0;    // TickResult::pool_offers accumulator.
+  uint64_t tick_pages_visited_ = 0;   // TickResult::pages_visited accumulator.
+  uint64_t tick_pool_offers_ = 0;     // TickResult::pool_offers accumulator.
+  uint64_t tick_pool_shrinks_ = 0;    // TickResult::pool_shrinks accumulator.
+  uint64_t tick_sorted_entries_ = 0;  // TickResult::sorted_entries accumulator.
   // Where the walk for zero-heat DRAM pages starts: no sparse word below it
   // holds one. A walk raises it to the first one it finds, so demoting
   // the lowest zero-heat pages does not leave a growing prefix to re-walk
@@ -332,19 +369,19 @@ class TieredMemory {
   PageId zero_floor_ = 0;
   uint64_t seen_pgalloc_ = 0;
 
-  // Demotion cold pool: the coldest DRAM pages in ascending (heat, id)
-  // order, selected inside each tick's one warm-set pass and consumed
-  // across the several DemoteColdPages calls a single Tick makes (heat is
-  // constant within a tick, so the remaining pool entries stay the exact
-  // k-smallest of the shrinking DRAM set). Invalidated at
+  // Demotion cold pool: the ColdPoolSelector keys of the coldest DRAM
+  // pages in ascending (heat, id) order, selected inside each tick's one
+  // warm-set pass and consumed across the several DemoteColdPages calls a
+  // single Tick makes (heat is constant within a tick, so the remaining
+  // pool entries stay the exact k-smallest of the shrinking DRAM set). Invalidated at
   // every tick start (decay/access change heat) and whenever a page enters
   // DRAM whose (heat, id) sorts at or below the pool's floor — such a page
   // would belong in the pool (cheap test, rare: promoted pages are hot by
   // construction). An invalid or drained pool is refilled by BuildColdPool.
-  std::vector<ColdPoolSelector::Entry> cold_pool_;
+  std::vector<ColdPoolSelector::Key> cold_pool_;
   size_t cold_pool_next_ = 0;
   bool cold_pool_valid_ = false;
-  ColdPoolSelector::Entry cold_pool_floor_{0.0f, 0};
+  ColdPoolSelector::Key cold_pool_floor_ = 0;
 
   // Telemetry (observational only).
   telemetry::MetricRegistry* telemetry_ = nullptr;

@@ -1,10 +1,15 @@
-// Demotion cold-pool selection: the exact k-smallest selector against a
-// bounded-heap reference, and the one-pass-per-tick daemon scan against a
-// brute-force (heat, id) order of the pre-tick DRAM pages.
+// Demotion cold-pool selection: the packed (heat, id) selection keys
+// against the pair order they encode, the exact k-smallest selector against
+// a bounded-heap reference over (heat, id) pairs, and the one-pass-per-tick
+// daemon scan against a brute-force (heat, id) order of the pre-tick DRAM
+// pages.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <iterator>
+#include <limits>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -19,10 +24,13 @@
 namespace cxl::os {
 namespace {
 
-using Entry = ColdPoolSelector::Entry;
+// The order the selection keys must reproduce: (heat, id) pairs, compared
+// as floats and then as ids.
+using Entry = std::pair<float, PageId>;
+using Key = ColdPoolSelector::Key;
 
 // The selection the daemon used before the selector: a bounded max-heap
-// streamed over the entries, then sort_heap.
+// streamed over the pairs, then sort_heap.
 std::vector<Entry> BoundedHeapReference(const std::vector<Entry>& stream, uint64_t k) {
   std::vector<Entry> heap;
   for (const Entry& e : stream) {
@@ -39,17 +47,44 @@ std::vector<Entry> BoundedHeapReference(const std::vector<Entry>& stream, uint64
   return heap;
 }
 
-std::vector<Entry> Select(const std::vector<Entry>& stream, uint64_t k) {
-  std::vector<Entry> pool;
-  ColdPoolSelector selector(pool, k);
-  for (const Entry& e : stream) {
-    selector.Offer(e);
+// The selector's output decoded back into pairs. A pair with heat -0.0f
+// comes back as +0.0f, which the pair order does not tell apart.
+std::vector<Entry> Decode(const std::vector<Key>& keys) {
+  std::vector<Entry> entries;
+  for (const Key key : keys) {
+    entries.emplace_back(ColdPoolSelector::HeatOf(key), ColdPoolSelector::IdOf(key));
   }
-  selector.Finish();
-  return pool;
+  return entries;
 }
 
-enum class Heat { kUniform, kTies, kAllZero, kAscending, kDescending, kSawtooth };
+std::vector<Entry> Select(const std::vector<Entry>& stream, uint64_t k) {
+  std::vector<Key> pool;
+  ColdPoolSelector selector(pool, k);
+  for (const Entry& e : stream) {
+    selector.Offer(ColdPoolSelector::KeyOf(e.first, e.second));
+  }
+  selector.Finish();
+  return Decode(pool);
+}
+
+// Compares equal when the pair order ties -0.0f with +0.0f, as Decode does.
+bool SameSelection(const std::vector<Entry>& a, const std::vector<Entry>& b) {
+  return a.size() == b.size() &&
+         std::equal(a.begin(), a.end(), b.begin(), [](const Entry& x, const Entry& y) {
+           return !(x < y) && !(y < x);
+         });
+}
+
+enum class Heat {
+  kUniform,
+  kTies,
+  kAllZero,
+  kAscending,
+  kDescending,
+  kSawtooth,
+  kExtremes,     // Subnormals, FLT_MIN, FLT_MAX, +inf and both zeros.
+  kSignedZeros,  // -0.0f and +0.0f in ties, next to the smallest subnormal.
+};
 
 // `n` entries with ids 0..n-1 in id order (the daemon's scan order), heat
 // shaped by `shape`.
@@ -78,6 +113,24 @@ std::vector<Entry> MakeStream(Heat shape, uint64_t n, Rng& rng) {
         // fresh peak, so a running cut keeps being undercut.
         heat = static_cast<float>(63 - id % 64) * 0.25f + static_cast<float>(rng.NextBounded(2));
         break;
+      case Heat::kExtremes: {
+        const float extremes[] = {0.0f,
+                                  -0.0f,
+                                  std::numeric_limits<float>::denorm_min(),
+                                  2.0f * std::numeric_limits<float>::denorm_min(),
+                                  std::numeric_limits<float>::min() / 2.0f,
+                                  std::numeric_limits<float>::min(),
+                                  1.0f,
+                                  std::numeric_limits<float>::max(),
+                                  std::numeric_limits<float>::infinity()};
+        heat = extremes[rng.NextBounded(std::size(extremes))];
+        break;
+      }
+      case Heat::kSignedZeros: {
+        const float zeros[] = {0.0f, -0.0f, std::numeric_limits<float>::denorm_min()};
+        heat = zeros[rng.NextBounded(std::size(zeros))];
+        break;
+      }
     }
     stream.emplace_back(heat, id);
   }
@@ -87,7 +140,8 @@ std::vector<Entry> MakeStream(Heat shape, uint64_t n, Rng& rng) {
 TEST(ColdPoolSelectorTest, MatchesBoundedHeapReferenceAcrossShapesAndSizes) {
   Rng rng(20241017);
   const Heat shapes[] = {Heat::kUniform,   Heat::kTies,       Heat::kAllZero,
-                         Heat::kAscending, Heat::kDescending, Heat::kSawtooth};
+                         Heat::kAscending, Heat::kDescending, Heat::kSawtooth,
+                         Heat::kExtremes,  Heat::kSignedZeros};
   for (const Heat shape : shapes) {
     for (const uint64_t n : {0u, 1u, 2u, 17u, 1000u, 5003u}) {
       const std::vector<Entry> stream = MakeStream(shape, n, rng);
@@ -97,7 +151,7 @@ TEST(ColdPoolSelectorTest, MatchesBoundedHeapReferenceAcrossShapesAndSizes) {
                      " n=" + std::to_string(n) + " k=" + std::to_string(k));
         const std::vector<Entry> got = Select(stream, k);
         EXPECT_EQ(got.size(), std::min(k, n));
-        EXPECT_EQ(got, BoundedHeapReference(stream, k));
+        EXPECT_TRUE(SameSelection(got, BoundedHeapReference(stream, k)));
       }
     }
   }
@@ -105,29 +159,112 @@ TEST(ColdPoolSelectorTest, MatchesBoundedHeapReferenceAcrossShapesAndSizes) {
 
 TEST(ColdPoolSelectorTest, OfferOrderDoesNotChangeTheSelection) {
   Rng rng(7);
-  for (const Heat shape : {Heat::kTies, Heat::kSawtooth, Heat::kUniform}) {
+  for (const Heat shape : {Heat::kTies, Heat::kSawtooth, Heat::kUniform, Heat::kSignedZeros}) {
     std::vector<Entry> stream = MakeStream(shape, 4000, rng);
     const std::vector<Entry> in_order = Select(stream, 300);
     for (size_t i = stream.size(); i > 1; --i) {  // Fisher-Yates, seeded.
       std::swap(stream[i - 1], stream[rng.NextBounded(i)]);
     }
     EXPECT_EQ(Select(stream, 300), in_order);
-    EXPECT_EQ(BoundedHeapReference(stream, 300), in_order);
+    EXPECT_TRUE(SameSelection(BoundedHeapReference(stream, 300), in_order));
   }
 }
 
 TEST(ColdPoolSelectorTest, ReusesThePoolBufferAcrossSelections) {
-  std::vector<Entry> pool = {{9.0f, 1}, {8.0f, 2}};  // Stale entries are cleared.
+  const auto key = ColdPoolSelector::KeyOf;
+  std::vector<Key> pool = {key(9.0f, 1), key(8.0f, 2)};  // Stale keys are cleared.
   ColdPoolSelector first(pool, 2);
-  first.Offer({3.0f, 5});
-  first.Offer({1.0f, 6});
-  first.Offer({2.0f, 4});
+  first.Offer(key(3.0f, 5));
+  first.Offer(key(1.0f, 6));
+  first.Offer(key(2.0f, 4));
   first.Finish();
-  EXPECT_EQ(pool, (std::vector<Entry>{{1.0f, 6}, {2.0f, 4}}));
+  EXPECT_EQ(pool, (std::vector<Key>{key(1.0f, 6), key(2.0f, 4)}));
   ColdPoolSelector second(pool, 5);
-  second.Offer({0.5f, 9});
+  second.Offer(key(0.5f, 9));
   second.Finish();
-  EXPECT_EQ(pool, (std::vector<Entry>{{0.5f, 9}}));
+  EXPECT_EQ(pool, (std::vector<Key>{key(0.5f, 9)}));
+}
+
+TEST(ColdPoolSelectorTest, CutHeatStartsAtInfinityAndFallsWithEachShrink) {
+  std::vector<Key> pool;
+  ColdPoolSelector none(pool, 0);
+  EXPECT_EQ(none.cut_heat(), -std::numeric_limits<float>::infinity());
+  none.Offer(ColdPoolSelector::KeyOf(0.0f, 0));
+  none.Finish();
+  EXPECT_TRUE(pool.empty());
+
+  ColdPoolSelector selector(pool, 2);
+  EXPECT_EQ(selector.cut_heat(), std::numeric_limits<float>::infinity());
+  // The largest key there is, +inf at the largest id, is still accepted.
+  selector.Offer(ColdPoolSelector::KeyOf(std::numeric_limits<float>::infinity(), 0xffffffffu));
+  selector.Offer(ColdPoolSelector::KeyOf(5.0f, 1));
+  selector.Offer(ColdPoolSelector::KeyOf(3.0f, 2));
+  EXPECT_EQ(selector.shrinks(), 0u);
+  selector.Offer(ColdPoolSelector::KeyOf(-0.0f, 3));  // The fourth key shrinks to 2.
+  EXPECT_EQ(selector.shrinks(), 1u);
+  EXPECT_EQ(selector.cut_heat(), 3.0f);
+  selector.Finish();
+  EXPECT_EQ(Decode(pool), (std::vector<Entry>{{0.0f, 3}, {3.0f, 2}}));
+}
+
+// Every heat class the daemon can hold, from both zeros through the
+// subnormals to +inf, at the smallest, a small and the largest page id.
+std::vector<Entry> CornerEntries() {
+  const float heats[] = {0.0f,
+                         -0.0f,
+                         std::numeric_limits<float>::denorm_min(),
+                         std::numeric_limits<float>::min(),
+                         1.0f,
+                         std::numeric_limits<float>::max(),
+                         std::numeric_limits<float>::infinity()};
+  std::vector<Entry> entries;
+  for (const float heat : heats) {
+    for (const PageId id : {PageId{0}, PageId{1}, PageId{0xffffffff}}) {
+      entries.emplace_back(heat, id);
+    }
+  }
+  return entries;
+}
+
+TEST(SelectionKeyTest, KeyOrderIsThePairOrder) {
+  const std::vector<Entry> entries = CornerEntries();
+  for (const Entry& a : entries) {
+    for (const Entry& b : entries) {
+      SCOPED_TRACE(std::to_string(a.first) + "/" + std::to_string(a.second) + " vs " +
+                   std::to_string(b.first) + "/" + std::to_string(b.second));
+      const Key ka = ColdPoolSelector::KeyOf(a.first, a.second);
+      const Key kb = ColdPoolSelector::KeyOf(b.first, b.second);
+      EXPECT_EQ(ka < kb, a < b);
+      EXPECT_EQ(ka == kb, !(a < b) && !(b < a));
+    }
+  }
+}
+
+TEST(SelectionKeyTest, IdAndHeatRoundTrip) {
+  for (const Entry& e : CornerEntries()) {
+    const Key key = ColdPoolSelector::KeyOf(e.first, e.second);
+    EXPECT_EQ(ColdPoolSelector::IdOf(key), e.second);
+    EXPECT_EQ(ColdPoolSelector::HeatOf(key), e.first);
+    EXPECT_FALSE(std::signbit(ColdPoolSelector::HeatOf(key)));  // -0.0f comes back as +0.0f.
+    EXPECT_EQ(ColdPoolSelector::IdOf(HottestFirstKeyOf(e.first, e.second)), e.second);
+  }
+}
+
+TEST(SelectionKeyTest, HottestFirstKeyOrderIsTheCandidateComparator) {
+  // The promotion candidates' order before the keys: heat descending, page
+  // id ascending on equal heat.
+  const auto hottest_first = [](const Entry& a, const Entry& b) {
+    return a.first != b.first ? a.first > b.first : a.second < b.second;
+  };
+  const std::vector<Entry> entries = CornerEntries();
+  for (const Entry& a : entries) {
+    for (const Entry& b : entries) {
+      SCOPED_TRACE(std::to_string(a.first) + "/" + std::to_string(a.second) + " vs " +
+                   std::to_string(b.first) + "/" + std::to_string(b.second));
+      EXPECT_EQ(HottestFirstKeyOf(a.first, a.second) < HottestFirstKeyOf(b.first, b.second),
+                hottest_first(a, b));
+    }
+  }
 }
 
 // The daemon's fused scan: over-commit a small platform (16384 DRAM pages,

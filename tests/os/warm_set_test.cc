@@ -687,6 +687,12 @@ TEST(WarmSetWorkTest, DenseStreamingTickOffersFewDramPages) {
     }
     ASSERT_GE(r.pages_visited, alloc.page_count()) << "tick " << tick;  // All dense.
     EXPECT_LE(4 * r.pool_offers, alloc.DramResidentCount()) << "tick " << tick;
+    // One pool of k = 4096 (ColdPoolSize's floor; the 1,430-page budget
+    // demotes in batches of 178): a shrink per k offers at most, and one
+    // sort of the pool's k keys next to the ranked candidates.
+    constexpr uint64_t kPool = 4096;
+    EXPECT_LE(r.pool_shrinks * kPool, r.pool_offers) << "tick " << tick;
+    EXPECT_LE(r.sorted_entries, kPool + r.candidates) << "tick " << tick;
     demoted += r.demoted_pages;
   }
   EXPECT_GT(demoted, 0u);
