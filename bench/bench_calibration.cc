@@ -9,26 +9,27 @@
 //
 //   ./bench_calibration            table + summary, exit 1 on any failure
 //   ./bench_calibration --fails    print only violated bands
-#include <cstring>
 #include <iostream>
 
+#include "src/bench/context.h"
 #include "src/check/calibration.h"
 #include "src/util/table.h"
 
 int main(int argc, char** argv) {
   bool fails_only = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--fails") == 0) {
-      fails_only = true;
-    } else {
-      std::cerr << "unknown argument: " << argv[i] << "\n";
-      return 2;
-    }
-  }
+  auto ctx = cxl::bench::Context::FromArgs(
+      &argc, argv,
+      {{"--fails", "",
+        [&fails_only](const std::string&) {
+          fails_only = true;
+          return cxl::Status::Ok();
+        },
+        "print only violated bands"}});
 
   cxl::PrintSection(std::cout, "Calibration gate — paper-anchored tolerance bands");
   const cxl::check::CalibrationReport report = cxl::check::RunAllCalibrationChecks();
 
+  int failed = 0;
   if (fails_only) {
     cxl::check::CalibrationReport filtered;
     for (const auto& r : report.results()) {
@@ -38,10 +39,11 @@ int main(int argc, char** argv) {
     }
     if (filtered.results().empty()) {
       std::cout << "all " << report.results().size() << " bands in tolerance\n";
-      return 0;
+    } else {
+      failed = filtered.PrintTable(std::cout);
     }
-    return filtered.PrintTable(std::cout) > 0 ? 1 : 0;
+  } else {
+    failed = report.PrintTable(std::cout);
   }
-
-  return report.PrintTable(std::cout) > 0 ? 1 : 0;
+  return ctx.Write("bench_calibration") && failed == 0 ? 0 : 1;
 }

@@ -284,14 +284,11 @@ BENCHMARK(BM_KeyDbExperimentEndToEnd)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-// Expanded BENCHMARK_MAIN() so the telemetry flags are stripped before
-// google-benchmark sees (and rejects) them.
+// Expanded BENCHMARK_MAIN(): google-benchmark strips its --benchmark_*
+// flags first, then the bench Context parses (and checks) the rest.
 int main(int argc, char** argv) {
-  auto ctx = cxl::bench::Context::FromArgs(&argc, argv);
   benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
-    return 1;
-  }
+  auto ctx = cxl::bench::Context::FromArgs(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   if (!ctx.Write("bench_micro_simulator")) {

@@ -8,26 +8,29 @@
 // MMEM / CXL / SSD) and the relative cost of a CXL-equipped server, prints
 // how many servers a CXL deployment needs, the TCO saving, the break-even
 // server cost, and the elastic-compute revenue picture.
-#include <cstdlib>
 #include <iostream>
 
+#include "src/bench/context.h"
 #include "src/core/cxl_explorer.h"
 
 int main(int argc, char** argv) {
   using namespace cxl;
 
-  runner::SweepOptions sweep_options;
-  sweep_options.jobs = runner::JobsFromArgs(&argc, argv);
+  auto ctx = bench::Context::FromArgs(&argc, argv, {}, "[Rd Rc C Rt]");
 
   cost::CostModelParams params;  // Defaults: the Table 3 worked example.
-  if (argc == 5) {
-    params.r_d = std::atof(argv[1]);
-    params.r_c = std::atof(argv[2]);
-    params.c = std::atof(argv[3]);
-    params.r_t = std::atof(argv[4]);
-  } else if (argc != 1) {
-    std::cerr << "usage: " << argv[0] << " [Rd Rc C Rt]\n";
-    return 2;
+  if (argc != 1 && argc != 5) {
+    std::string got = argv[1];
+    for (int i = 2; i < argc; ++i) {
+      got += std::string(" ") + argv[i];
+    }
+    ctx.Fail("want all four of Rd Rc C Rt or none, got '" + got + "'");
+  }
+  double* const fields[] = {&params.r_d, &params.r_c, &params.c, &params.r_t};
+  for (int i = 1; i < argc; ++i) {
+    if (!bench::ParseNumber(argv[i], fields[i - 1])) {
+      ctx.Fail("bad number '" + std::string(argv[i]) + "'");
+    }
   }
 
   cost::AbstractCostModel model(params);
@@ -74,7 +77,7 @@ int main(int argc, char** argv) {
         cost::ExtendedCostModel ext(cost::ExtendedCostParams{params, adder});
         return ext.TcoSaving();
       },
-      sweep_options);
+      ctx.Sweep());
   if (!savings.ok()) {
     std::cerr << "sensitivity sweep failed: " << savings.status().ToString() << "\n";
     return 2;
@@ -89,5 +92,5 @@ int main(int argc, char** argv) {
   std::cout << "stranded vCPUs: " << FormatDouble(100.0 * econ.StrandedVcpuFraction(), 1)
             << "%, revenue improvement with CXL: "
             << FormatDouble(100.0 * econ.RevenueImprovement(), 2) << "%\n";
-  return 0;
+  return ctx.Write("capacity_planner") ? 0 : 1;
 }

@@ -3,9 +3,9 @@
 // the capacity saving into the cost model.
 //
 // Usage: ./build/examples/pool_sizing [hosts mean_gib cv]
-#include <cstdlib>
 #include <iostream>
 
+#include "src/bench/context.h"
 #include "src/core/cxl_explorer.h"
 #include "src/pool/memory_pool.h"
 
@@ -13,11 +13,10 @@ int main(int argc, char** argv) {
   using namespace cxl;
 
   pool::PoolingEconomicsConfig econ_cfg;
-  if (argc == 4) {
-    econ_cfg.hosts = std::atoi(argv[1]);
-    econ_cfg.mean_demand_gib = std::atof(argv[2]);
-    econ_cfg.demand_cv = std::atof(argv[3]);
-  } else if (argc != 1) {
+  const bool parsed = argc == 1 || (argc == 4 && bench::ParseNumber(argv[1], &econ_cfg.hosts) &&
+                                    bench::ParseNumber(argv[2], &econ_cfg.mean_demand_gib) &&
+                                    bench::ParseNumber(argv[3], &econ_cfg.demand_cv));
+  if (!parsed) {
     std::cerr << "usage: " << argv[0] << " [hosts mean_gib cv]\n";
     return 2;
   }

@@ -8,6 +8,7 @@
 // (fast enough to capture the hot set, slow enough not to thrash).
 #include <iostream>
 
+#include "src/bench/context.h"
 #include "src/core/cxl_explorer.h"
 
 namespace {
@@ -37,8 +38,8 @@ StatusOr<apps::kv::KvServerSim::Result> RunWithRateLimit(double rate_limit_mbps)
 }  // namespace
 
 int main(int argc, char** argv) {
-  runner::SweepOptions sweep_options;
-  sweep_options.jobs = runner::JobsFromArgs(&argc, argv);
+  auto ctx = bench::Context::FromArgs(&argc, argv);
+  const runner::SweepOptions sweep_options = ctx.Sweep();
 
   PrintSection(std::cout, "Promotion rate limit sweep (Hot-Promote, YCSB-B, DRAM = dataset/2)");
   Table sweep({"rate limit MB/s", "kops/s", "p99 us", "migrated GB", "DRAM share"});
@@ -88,5 +89,5 @@ int main(int argc, char** argv) {
         .Cell(res.server.dram_share, 2);
   }
   inter.Print(std::cout);
-  return 0;
+  return ctx.Write("tiering_policy_explorer") ? 0 : 1;
 }

@@ -1,11 +1,9 @@
 #include "src/bench/context.h"
 
-#include <charconv>
+#include <algorithm>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <memory>
-#include <vector>
 
 #include "src/os/policy_registry.h"
 
@@ -13,120 +11,182 @@ namespace cxl::bench {
 
 namespace {
 
-// Matches `--flag=VALUE` or `--flag VALUE`; advances *i past a consumed
-// separate value. Returns true when `out` was filled. (Same contract as the
-// parsers in runner::JobsFromArgs / telemetry::BenchTelemetry.)
-bool TakeFlag(const char* flag, int* i, int argc, char** argv, std::string* out) {
-  const char* arg = argv[*i];
-  const size_t flag_len = std::strlen(flag);
-  if (std::strncmp(arg, flag, flag_len) != 0) {
-    return false;
-  }
-  if (arg[flag_len] == '=') {
-    *out = arg + flag_len + 1;
-    return true;
-  }
-  if (arg[flag_len] == '\0') {
-    if (*i + 1 < argc) {
-      *out = argv[++*i];
-    }
-    return true;
-  }
-  return false;
-}
+Status Want(const std::string& what) { return Status::InvalidArgument("want " + what); }
 
-[[noreturn]] void DieUsage(const std::string& message) {
-  std::cerr << "bench: " << message << "\n";
-  std::exit(2);
+std::string Usage(const std::string& program, const std::vector<Flag>& table,
+                  const std::string& positionals) {
+  std::string usage = "usage: " + program + " [flags]";
+  if (!positionals.empty()) {
+    usage += " " + positionals;
+  }
+  usage += "\n";
+  for (const Flag& flag : table) {
+    std::string left = "  " + flag.name;
+    if (!flag.value_name.empty()) {
+      left += " " + flag.value_name;
+    }
+    if (flag.name == "--jobs") {
+      left += ", -j N";
+    }
+    left.resize(std::max<size_t>(left.size() + 1, 28), ' ');
+    usage += left + flag.help + "\n";
+  }
+  return usage;
 }
 
 }  // namespace
 
-Context Context::FromArgs(int* argc, char** argv) {
+Context Context::FromArgs(int* argc, char** argv, std::vector<Flag> own_flags,
+                          std::string positionals) {
   Context ctx;
+  const std::string_view argv0 = argv[0];
+  ctx.program_ = std::string(argv0.substr(argv0.find_last_of('/') + 1));
   fault::DeclareFaultKnobs(ctx.knobs_);
+  telemetry::BenchTelemetry::Outputs outputs;
 
-  std::string faults_spec;
-  std::string fault_seed_str;
-  std::vector<std::string> knob_args;
+  auto set_string = [](std::string* out) {
+    return [out](const std::string& value) {
+      *out = value;
+      return Status::Ok();
+    };
+  };
+  std::vector<Flag> table = {
+      {"--jobs", "N",
+       [&ctx](const std::string& value) {
+         ctx.jobs_ = runner::ParsePositiveInt(value.c_str());
+         return ctx.jobs_ > 0 ? Status::Ok() : Want("a positive integer");
+       },
+       "worker threads for sweeps (default: CXL_JOBS, then all cores)"},
+      {"--metrics-out", "FILE", set_string(&outputs.metrics_path),
+       "metrics JSON, or CSV when FILE ends in .csv"},
+      {"--trace-out", "FILE", set_string(&outputs.trace_path), "Chrome trace-event JSON"},
+      {"--bench-json", "FILE", set_string(&outputs.bench_json_path),
+       "one-line machine-readable bench summary"},
+      {"--events-out", "FILE", set_string(&outputs.events_path),
+       "structured event log, JSONL (cxl-events-v1)"},
+      {"--events-ring", "N",
+       [&outputs](const std::string& value) {
+         return ParseNumber(value, &outputs.events_ring) ? Status::Ok()
+                                                          : Want("a non-negative integer");
+       },
+       "keep only the latest N events per cell (0: full log)"},
+      {"--profile-epochs", "",
+       [&ctx](const std::string&) {
+         if (ctx.profiler_ == nullptr) {
+           ctx.profiler_ = std::make_unique<telemetry::EpochProfiler>();
+         }
+         return Status::Ok();
+       },
+       "per-phase wall-clock breakdown of the epoch hot path, on stderr"},
+      {"--faults", "SPEC",
+       [&ctx](const std::string& value) {
+         auto plan = fault::FaultPlan::Parse(value);
+         if (!plan.ok()) {
+           return plan.status();
+         }
+         ctx.faults_ = std::move(plan).value();
+         return Status::Ok();
+       },
+       "fault plan: \"storm\" or an event list (docs/faults.md)"},
+      {"--fault-seed", "N",
+       [&ctx](const std::string& value) {
+         return ParseNumber(value, &ctx.fault_seed_) ? Status::Ok()
+                                                     : Want("a non-negative integer");
+       },
+       "fault injector seed (default 1)"},
+      {"--fault-knob", "K=V",
+       [&ctx](const std::string& value) {
+         const size_t eq = value.find('=');
+         double knob = 0.0;
+         if (eq == std::string::npos || eq == 0 ||
+             !ParseNumber(std::string_view(value).substr(eq + 1), &knob)) {
+           return Want("KEY=NUMBER");
+         }
+         const std::string key = value.substr(0, eq);
+         if (!ctx.knobs_.Set(key, knob).ok()) {
+           return Status::InvalidArgument("unknown fault knob \"" + key +
+                                          "\" (see fault::DeclareFaultKnobs)");
+         }
+         return Status::Ok();
+       },
+       "override a fault.* tunable (repeatable)"},
+      {"--tiering-policy", "NAME",
+       [&ctx](const std::string& value) {
+         const os::PolicyRegistry& registry = os::PolicyRegistry::BuiltIns();
+         if (registry.Has(value)) {
+           ctx.tiering_policy_ = value;
+           return Status::Ok();
+         }
+         std::string known;
+         for (const auto& name : registry.Names()) {
+           known += known.empty() ? name : ", " + name;
+         }
+         return Want("one of " + known);
+       },
+       "promotion policy for benches that run the tiering daemon"},
+  };
+  for (Flag& flag : own_flags) {
+    table.push_back(std::move(flag));
+  }
+  ctx.usage_ = Usage(ctx.program_, table, positionals);
+
   int kept = 1;
   for (int i = 1; i < *argc; ++i) {
-    std::string value;
-    if (std::strcmp(argv[i], "--profile-epochs") == 0) {
-      if (ctx.profiler_ == nullptr) {
-        ctx.profiler_ = std::make_unique<telemetry::EpochProfiler>();
+    const std::string arg = argv[i];
+    if (arg.size() < 2 || arg[0] != '-') {
+      if (positionals.empty()) {
+        ctx.Fail("unexpected argument '" + arg + "'");
       }
+      argv[kept++] = argv[i];
       continue;
     }
-    if (TakeFlag("--faults", &i, *argc, argv, &value)) {
-      faults_spec = value;
-      continue;
+    // `-j N` and `-jN` are `--jobs N`.
+    std::string name = arg;
+    std::string value;
+    bool has_value = false;
+    if (arg.compare(0, 2, "-j") == 0) {
+      name = "-j";
+      has_value = arg.size() > 2;
+      value = arg.substr(2);
+    } else if (const size_t eq = arg.find('='); eq != std::string::npos) {
+      name = arg.substr(0, eq);
+      has_value = true;
+      value = arg.substr(eq + 1);
     }
-    if (TakeFlag("--fault-seed", &i, *argc, argv, &value)) {
-      fault_seed_str = value;
-      continue;
+    const std::string key = name == "-j" ? "--jobs" : name;
+    const Flag* flag = nullptr;
+    for (const Flag& candidate : table) {
+      if (candidate.name == key) {
+        flag = &candidate;
+        break;
+      }
     }
-    if (TakeFlag("--fault-knob", &i, *argc, argv, &value)) {
-      knob_args.push_back(value);
-      continue;
+    if (flag == nullptr) {
+      ctx.Fail("unknown flag '" + name + "'");
     }
-    if (TakeFlag("--tiering-policy", &i, *argc, argv, &value)) {
-      ctx.tiering_policy_ = value;
-      continue;
+    if (flag->value_name.empty() && has_value) {
+      ctx.Fail("'" + name + "' takes no value");
     }
-    argv[kept++] = argv[i];
+    if (!flag->value_name.empty() && !has_value) {
+      if (i + 1 >= *argc) {
+        ctx.Fail("'" + name + "' needs a value (" + flag->value_name + ")");
+      }
+      value = argv[++i];
+    }
+    if (const Status set = flag->set(value); !set.ok()) {
+      ctx.Fail("bad value '" + value + "' for '" + name + "': " + set.message());
+    }
   }
   *argc = kept;
 
-  // The jobs and telemetry parsers strip their own flags from the compacted
-  // argv; order does not matter (they skip unrelated arguments).
-  ctx.jobs_ = runner::JobsFromArgs(argc, argv);
-  ctx.telemetry_ = telemetry::BenchTelemetry::FromArgs(argc, argv);
-
-  if (!faults_spec.empty()) {
-    auto plan = fault::FaultPlan::Parse(faults_spec);
-    if (!plan.ok()) {
-      DieUsage("bad --faults spec: " + plan.status().message());
-    }
-    ctx.faults_ = std::move(plan).value();
-  }
-  if (!fault_seed_str.empty()) {
-    uint64_t seed = 0;
-    const char* begin = fault_seed_str.data();
-    const char* end = begin + fault_seed_str.size();
-    const auto [ptr, ec] = std::from_chars(begin, end, seed);
-    if (ec != std::errc() || ptr != end) {
-      DieUsage("bad --fault-seed value: " + fault_seed_str);
-    }
-    ctx.fault_seed_ = seed;
-  }
-  for (const std::string& kv : knob_args) {
-    const size_t eq = kv.find('=');
-    if (eq == std::string::npos || eq == 0) {
-      DieUsage("bad --fault-knob (want KEY=VALUE): " + kv);
-    }
-    const std::string key = kv.substr(0, eq);
-    const std::string value_str = kv.substr(eq + 1);
-    char* value_end = nullptr;
-    const double value = std::strtod(value_str.c_str(), &value_end);
-    if (value_end == value_str.c_str() || *value_end != '\0') {
-      DieUsage("bad --fault-knob value: " + kv);
-    }
-    const Status set = ctx.knobs_.Set(key, value);
-    if (!set.ok()) {
-      DieUsage("unknown fault knob \"" + key + "\" (see fault::DeclareFaultKnobs)");
-    }
-  }
   ctx.fault_tunables_ = fault::FaultTunablesFromKnobs(ctx.knobs_);
-  if (!ctx.tiering_policy_.empty() &&
-      !os::PolicyRegistry::BuiltIns().Has(ctx.tiering_policy_)) {
-    std::string known;
-    for (const auto& name : os::PolicyRegistry::BuiltIns().Names()) {
-      known += known.empty() ? name : ", " + name;
-    }
-    DieUsage("unknown --tiering-policy \"" + ctx.tiering_policy_ + "\" (known: " + known + ")");
-  }
+  ctx.telemetry_ = telemetry::BenchTelemetry(std::move(outputs));
   return ctx;
+}
+
+void Context::Fail(const std::string& message) const {
+  std::cerr << program_ << ": " << message << "\n" << usage_;
+  std::exit(2);
 }
 
 core::ExperimentEnv Context::Env(uint64_t seed) {

@@ -1,37 +1,15 @@
 // Unified bench context: the flag surface every bench_* binary shares.
 //
-// One FromArgs call replaces the previous per-bench composition of
-// runner::JobsFromArgs + telemetry::BenchTelemetry::FromArgs and adds the
-// fault-injection flags, so all benches accept the same contract:
+// FromArgs parses argv against one flag table: the shared flags (jobs,
+// telemetry outputs, --profile-epochs, fault injection, --tiering-policy;
+// listed with their help in context.cc) plus the caller's own entries. Each
+// value flag takes `--flag V` or `--flag=V`; `--jobs` also takes `-j N` and
+// `-jN`. An unknown flag, a stray positional, a missing value or a malformed
+// one prints one stderr line naming the argument, then the usage generated
+// from the table, and exits 2 with nothing on stdout.
 //
-//   --jobs N | -jN | -j N     worker threads for sweeps (0 = auto)
-//   --metrics-out FILE        metrics JSON (or CSV when FILE ends in .csv)
-//   --trace-out FILE          Chrome trace-event JSON
-//   --bench-json FILE         one-line machine-readable bench summary
-//   --events-out FILE         structured event log, JSONL (cxl-events-v1):
-//                             fault windows, promote/demote decisions,
-//                             degradation responses, SLO violations,
-//                             anomalies — tools/report/cxl_report input
-//   --events-ring N           keep only the most recent N events per cell
-//                             (flight-recorder mode; default: full log)
-//   --tiering-policy NAME     promotion policy for experiments that run the
-//                             tiering daemon (a PolicyRegistry name:
-//                             hot-page-selection, mru-balancing, tpp-like,
-//                             adaptive-feedback); unset keeps each bench's
-//                             default
-//   --faults SPEC             fault plan: "storm" or an event list, e.g.
-//                             "downtrain@2+3=8,poison=1e-4"
-//                             (see fault::FaultPlan::Parse / docs/faults.md)
-//   --fault-seed N            fault injector seed (default 1)
-//   --fault-knob K=V          override a fault.* tunable (repeatable; keys
-//                             from fault::DeclareFaultKnobs)
-//   --profile-epochs          print a per-phase wall-clock breakdown of the
-//                             epoch hot path (solver/scan/telemetry/workload)
-//                             to stderr at Write(); stdout is unchanged
-//
-// All flags are stripped from argv. With none given the context is inert:
-// no telemetry sink, empty fault plan, stdout byte-identical to a bench
-// that never parsed these flags.
+// With no flags given the context is inert: no telemetry sink, empty fault
+// plan, stdout byte-identical to a bench that never parsed these flags.
 //
 // Usage in a bench main:
 //
@@ -44,9 +22,13 @@
 #ifndef CXL_EXPLORER_SRC_BENCH_CONTEXT_H_
 #define CXL_EXPLORER_SRC_BENCH_CONTEXT_H_
 
+#include <charconv>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "src/core/experiment.h"
 #include "src/fault/fault.h"
@@ -54,15 +36,44 @@
 #include "src/telemetry/bench_io.h"
 #include "src/telemetry/epoch_profiler.h"
 #include "src/util/knobs.h"
+#include "src/util/status.h"
 
 namespace cxl::bench {
 
+// Parses all of `text` as a T (an integer or a double). False, leaving *out
+// untouched, on an empty, partly numeric or out-of-range string.
+template <typename T>
+bool ParseNumber(std::string_view text, T* out) {
+  const char* end = text.data() + text.size();
+  T value{};
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
+// One row of the flag table.
+struct Flag {
+  std::string name;        // "--jobs"
+  std::string value_name;  // "N", "FILE", ...; empty for a switch
+  // Applies the flag (value empty for a switch). A non-ok Status rejects the
+  // value; its message says what the flag wants.
+  std::function<Status(const std::string& value)> set;
+  std::string help;
+};
+
 class Context {
  public:
-  // Parses and strips the shared bench flags. A malformed --faults spec or
-  // --fault-knob prints the error to stderr and exits with status 2 — a
-  // bench must not run a half-understood fault plan.
-  static Context FromArgs(int* argc, char** argv);
+  // Parses argv against the shared flags plus `own_flags`. Positionals are
+  // rejected unless `positionals` names them for the usage line (e.g.
+  // "[Rd Rc C Rt]"); then they are left in argv, compacted into *argc.
+  static Context FromArgs(int* argc, char** argv, std::vector<Flag> own_flags = {},
+                          std::string positionals = "");
+
+  // Prints "<program>: <message>" and the usage to stderr, then exits 2.
+  [[noreturn]] void Fail(const std::string& message) const;
 
   // Worker threads requested via --jobs/-j (0 = auto).
   int jobs() const { return jobs_; }
@@ -97,6 +108,8 @@ class Context {
   runner::SweepOptions Sweep(uint64_t base_seed = 1) const;
 
  private:
+  std::string program_;
+  std::string usage_;
   int jobs_ = 0;
   // Allocated when --profile-epochs is given (EpochProfiler holds atomics,
   // so it lives behind a pointer to keep Context movable).

@@ -2,14 +2,10 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <thread>
 
 namespace cxl::runner {
 
-namespace {
-
-// Parses a strictly positive integer; returns 0 on any malformed input.
 int ParsePositiveInt(const char* text) {
   if (text == nullptr || *text == '\0') {
     return 0;
@@ -22,8 +18,6 @@ int ParsePositiveInt(const char* text) {
   return static_cast<int>(value);
 }
 
-}  // namespace
-
 int ResolveJobs(int requested) {
   if (requested > 0) {
     return requested;
@@ -33,59 +27,6 @@ int ResolveJobs(int requested) {
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
-}
-
-int JobsFromArgs(int* argc, char** argv, std::string* error) {
-  auto fail = [error](const std::string& message) {
-    if (error != nullptr && error->empty()) {
-      *error = message;
-    }
-  };
-  int jobs = 0;
-  int out = 1;
-  for (int i = 1; i < *argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, "--jobs") == 0 || std::strcmp(arg, "-j") == 0) {
-      if (i + 1 >= *argc) {
-        fail(std::string("missing value for ") + arg);
-        continue;
-      }
-      const char* value = argv[++i];
-      jobs = ParsePositiveInt(value);
-      if (jobs == 0) {
-        fail(std::string("bad ") + arg + " value: " + value + " (want a positive integer)");
-      }
-      continue;
-    }
-    if (std::strncmp(arg, "--jobs=", 7) == 0) {
-      jobs = ParsePositiveInt(arg + 7);
-      if (jobs == 0) {
-        fail(std::string("bad --jobs value: ") + (arg + 7) + " (want a positive integer)");
-      }
-      continue;
-    }
-    // Compact -jN form (as in make -j8). Only a well-formed value is
-    // consumed; anything else (-junk) stays in argv for the bench.
-    if (std::strncmp(arg, "-j", 2) == 0 && arg[2] != '\0') {
-      if (const int compact = ParsePositiveInt(arg + 2); compact > 0) {
-        jobs = compact;
-        continue;
-      }
-    }
-    argv[out++] = argv[i];
-  }
-  *argc = out;
-  return jobs;
-}
-
-int JobsFromArgs(int* argc, char** argv) {
-  std::string error;
-  const int jobs = JobsFromArgs(argc, argv, &error);
-  if (!error.empty()) {
-    std::fprintf(stderr, "error: %s\n", error.c_str());
-    std::exit(2);
-  }
-  return jobs;
 }
 
 std::string SweepStats::Summary() const {

@@ -36,19 +36,9 @@ namespace cxl::runner {
 // (minimum 1).
 int ResolveJobs(int requested);
 
-// Strips a `--jobs N`, `--jobs=N`, `-j N` or compact `-jN` argument from
-// argv (compacting argc) and returns the value, or 0 (auto) when absent.
-// A `--jobs` / `-j` with a missing or malformed value (e.g. a trailing
-// `--jobs`, or `--jobs=abc`) sets `*error` and returns 0; it is NOT silently
-// treated as auto. A malformed compact `-jN` (e.g. `-junk`) is left in argv
-// untouched for the bench's own parser. `error` may be null to ignore
-// diagnostics.
-int JobsFromArgs(int* argc, char** argv, std::string* error);
-
-// Convenience wrapper for bench mains: prints `error: ...` to stderr and
-// exits with status 2 on a malformed/missing --jobs value (matching
-// bench::Context's usage-error convention).
-int JobsFromArgs(int* argc, char** argv);
+// Parses a strictly positive integer up to 2^20 (a worker count, from
+// --jobs or CXL_JOBS); returns 0 on any malformed input.
+int ParsePositiveInt(const char* text);
 
 // The seed cell `index` of a sweep draws from. Pure function of
 // (base_seed, index): two sweeps with the same base seed assign every cell

@@ -1,59 +1,12 @@
 #include "src/telemetry/bench_io.h"
 
-#include <cstdlib>
-#include <cstring>
+#include <cstdio>
 #include <fstream>
 #include <iostream>
 
 #include "src/telemetry/export.h"
 
 namespace cxl::telemetry {
-
-namespace {
-
-// Matches `--flag=VALUE` or `--flag VALUE`; advances *i past a consumed
-// separate value. Returns true when `out` was filled.
-bool TakeFlag(const char* flag, int* i, int argc, char** argv, std::string* out) {
-  const char* arg = argv[*i];
-  const size_t flag_len = std::strlen(flag);
-  if (std::strncmp(arg, flag, flag_len) != 0) {
-    return false;
-  }
-  if (arg[flag_len] == '=') {
-    *out = arg + flag_len + 1;
-    return true;
-  }
-  if (arg[flag_len] == '\0') {
-    if (*i + 1 < argc) {
-      *out = argv[++*i];
-    }
-    return true;
-  }
-  return false;
-}
-
-}  // namespace
-
-BenchTelemetry BenchTelemetry::FromArgs(int* argc, char** argv) {
-  BenchTelemetry out;
-  std::string ring;
-  int kept = 1;
-  for (int i = 1; i < *argc; ++i) {
-    if (TakeFlag("--metrics-out", &i, *argc, argv, &out.metrics_path_) ||
-        TakeFlag("--trace-out", &i, *argc, argv, &out.trace_path_) ||
-        TakeFlag("--bench-json", &i, *argc, argv, &out.bench_json_path_) ||
-        TakeFlag("--events-out", &i, *argc, argv, &out.events_path_) ||
-        TakeFlag("--events-ring", &i, *argc, argv, &ring)) {
-      continue;
-    }
-    argv[kept++] = argv[i];
-  }
-  *argc = kept;
-  if (!ring.empty()) {
-    out.events_ring_ = std::strtoull(ring.c_str(), nullptr, 10);
-  }
-  return out;
-}
 
 void BenchTelemetry::RecordSweep(const std::string& name, const runner::SweepStats& stats) {
   last_sweep_ = stats;
@@ -91,20 +44,23 @@ bool BenchTelemetry::Write(const std::string& bench_name) {
   };
 
   bool ok = true;
-  if (!metrics_path_.empty()) {
-    const bool csv = metrics_path_.size() >= 4 &&
-                     metrics_path_.compare(metrics_path_.size() - 4, 4, ".csv") == 0;
-    ok &= write_file(metrics_path_, [&](std::ostream& os) {
+  const std::string& metrics_path = outputs_.metrics_path;
+  if (!metrics_path.empty()) {
+    const bool csv = metrics_path.size() >= 4 &&
+                     metrics_path.compare(metrics_path.size() - 4, 4, ".csv") == 0;
+    ok &= write_file(metrics_path, [&](std::ostream& os) {
       csv ? WriteMetricsCsv(os, registry_) : WriteMetricsJson(os, registry_);
     });
   }
-  if (!trace_path_.empty()) {
-    ok &= write_file(trace_path_, [&](std::ostream& os) { WriteChromeTrace(os, registry_); });
+  if (!outputs_.trace_path.empty()) {
+    ok &= write_file(outputs_.trace_path,
+                     [&](std::ostream& os) { WriteChromeTrace(os, registry_); });
   }
-  if (!events_path_.empty()) {
-    ok &= write_file(events_path_, [&](std::ostream& os) { WriteEventsJsonl(os, registry_); });
+  if (!outputs_.events_path.empty()) {
+    ok &= write_file(outputs_.events_path,
+                     [&](std::ostream& os) { WriteEventsJsonl(os, registry_); });
   }
-  if (!bench_json_path_.empty()) {
+  if (!outputs_.bench_json_path.empty()) {
     const double wall_ms =
         have_sweep_ ? last_sweep_.wall_ms
                     : std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
@@ -113,7 +69,7 @@ bool BenchTelemetry::Write(const std::string& bench_name) {
     const size_t cells = have_sweep_ ? last_sweep_.cells : 0;
     const int jobs = have_sweep_ ? last_sweep_.jobs : 1;
     const double speedup = have_sweep_ ? last_sweep_.Speedup() : 1.0;
-    ok &= write_file(bench_json_path_, [&](std::ostream& os) {
+    ok &= write_file(outputs_.bench_json_path, [&](std::ostream& os) {
       char buf[64];
       std::snprintf(buf, sizeof(buf), "%.1f", wall_ms);
       os << "{\"bench\": \"" << JsonEscape(bench_name) << "\", \"cells\": " << cells

@@ -1,10 +1,10 @@
-// Bench-side telemetry plumbing: the --metrics-out / --trace-out /
-// --bench-json / --events-out flags every bench_* binary grows, plus
-// sweep-stat recording.
+// Bench-side telemetry plumbing: the outputs behind the --metrics-out /
+// --trace-out / --bench-json / --events-out / --events-ring flags that
+// bench::Context parses for every bench_* binary, plus sweep-stat recording.
 //
-// Usage in a bench main:
+// Usage in a bench main (through bench::Context, which builds this object):
 //
-//   auto telemetry = telemetry::BenchTelemetry::FromArgs(&argc, argv);
+//   auto& telemetry = ctx.telemetry();
 //   ...per cell: MetricRegistry cell; telemetry.ConfigureSink(&cell); ...
 //   runner::SweepStats stats;
 //   auto grid = runner::RunSweep(cells, fn, sweep_options, &stats);
@@ -12,13 +12,15 @@
 //   ... merge per-cell registries into telemetry.registry() ...
 //   if (!telemetry.Write("bench_fig5_keydb_ycsb")) return 1;
 //
-// Telemetry is additive: with no flags given, sink() is null, nothing is
-// recorded, and nothing is written — stdout stays byte-identical.
+// Telemetry is additive: with no outputs requested, sink() is null, nothing
+// is recorded, and nothing is written — stdout stays byte-identical.
 #ifndef CXL_EXPLORER_SRC_TELEMETRY_BENCH_IO_H_
 #define CXL_EXPLORER_SRC_TELEMETRY_BENCH_IO_H_
 
 #include <chrono>
+#include <cstdint>
 #include <string>
+#include <utility>
 
 #include "src/runner/sweep.h"
 #include "src/telemetry/metrics.h"
@@ -27,16 +29,22 @@ namespace cxl::telemetry {
 
 class BenchTelemetry {
  public:
-  // Strips `--metrics-out FILE` / `--metrics-out=FILE`, `--trace-out ...`,
-  // `--bench-json ...`, `--events-out ...` and `--events-ring N` from argv,
-  // compacting argc (same contract as runner::JobsFromArgs, so the two
-  // parsers compose in either order).
-  static BenchTelemetry FromArgs(int* argc, char** argv);
+  // The requested outputs; an empty path is not written.
+  struct Outputs {
+    std::string metrics_path;
+    std::string trace_path;
+    std::string bench_json_path;
+    std::string events_path;
+    uint64_t events_ring = 0;  // 0 = unbounded (full-log mode).
+  };
 
-  // True when any output flag was given.
+  BenchTelemetry() = default;
+  explicit BenchTelemetry(Outputs outputs) : outputs_(std::move(outputs)) {}
+
+  // True when any output was requested.
   bool enabled() const {
-    return !metrics_path_.empty() || !trace_path_.empty() || !bench_json_path_.empty() ||
-           !events_path_.empty();
+    return !outputs_.metrics_path.empty() || !outputs_.trace_path.empty() ||
+           !outputs_.bench_json_path.empty() || !outputs_.events_path.empty();
   }
 
   // The registry to emit into, or nullptr when telemetry is off — pass
@@ -51,8 +59,8 @@ class BenchTelemetry {
   // per-cell sink unconditionally. The master registry stays unbounded so
   // a merged file retains every cell's (possibly ring-truncated) tail.
   void ConfigureSink(MetricRegistry* registry) const {
-    if (registry != nullptr && events_ring_ > 0) {
-      registry->events().set_capacity(events_ring_);
+    if (registry != nullptr && outputs_.events_ring > 0) {
+      registry->events().set_capacity(outputs_.events_ring);
     }
   }
 
@@ -71,18 +79,10 @@ class BenchTelemetry {
   // printing to stderr) on I/O failure.
   bool Write(const std::string& bench_name);
 
-  const std::string& metrics_path() const { return metrics_path_; }
-  const std::string& trace_path() const { return trace_path_; }
-  const std::string& bench_json_path() const { return bench_json_path_; }
-  const std::string& events_path() const { return events_path_; }
-  uint64_t events_ring() const { return events_ring_; }
+  const Outputs& outputs() const { return outputs_; }
 
  private:
-  std::string metrics_path_;
-  std::string trace_path_;
-  std::string bench_json_path_;
-  std::string events_path_;
-  uint64_t events_ring_ = 0;  // 0 = unbounded (full-log mode).
+  Outputs outputs_;
   MetricRegistry registry_;
   runner::SweepStats last_sweep_;
   bool have_sweep_ = false;

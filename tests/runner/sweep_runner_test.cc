@@ -170,142 +170,6 @@ TEST(SweepRunnerTest, ResolveJobsPrecedence) {
   unsetenv("CXL_JOBS");
 }
 
-TEST(SweepRunnerTest, JobsFromArgsParsesAndStripsTheFlag) {
-  {
-    const char* raw[] = {"bench", "--jobs", "4", "positional"};
-    char* argv[4];
-    for (int i = 0; i < 4; ++i) {
-      argv[i] = const_cast<char*>(raw[i]);
-    }
-    int argc = 4;
-    EXPECT_EQ(JobsFromArgs(&argc, argv), 4);
-    ASSERT_EQ(argc, 2);
-    EXPECT_STREQ(argv[1], "positional");
-  }
-  {
-    const char* raw[] = {"bench", "--jobs=8"};
-    char* argv[2];
-    for (int i = 0; i < 2; ++i) {
-      argv[i] = const_cast<char*>(raw[i]);
-    }
-    int argc = 2;
-    EXPECT_EQ(JobsFromArgs(&argc, argv), 8);
-    EXPECT_EQ(argc, 1);
-  }
-  {
-    const char* raw[] = {"bench", "-j", "2"};
-    char* argv[3];
-    for (int i = 0; i < 3; ++i) {
-      argv[i] = const_cast<char*>(raw[i]);
-    }
-    int argc = 3;
-    EXPECT_EQ(JobsFromArgs(&argc, argv), 2);
-    EXPECT_EQ(argc, 1);
-  }
-  {
-    const char* raw[] = {"bench", "Rd", "Rc"};
-    char* argv[3];
-    for (int i = 0; i < 3; ++i) {
-      argv[i] = const_cast<char*>(raw[i]);
-    }
-    int argc = 3;
-    EXPECT_EQ(JobsFromArgs(&argc, argv), 0);  // Absent -> auto.
-    EXPECT_EQ(argc, 3);                       // Positional args untouched.
-  }
-}
-
-TEST(SweepRunnerTest, JobsFromArgsCompactForm) {
-  {
-    const char* raw[] = {"bench", "-j6", "positional"};
-    char* argv[3];
-    for (int i = 0; i < 3; ++i) {
-      argv[i] = const_cast<char*>(raw[i]);
-    }
-    int argc = 3;
-    EXPECT_EQ(JobsFromArgs(&argc, argv), 6);
-    ASSERT_EQ(argc, 2);
-    EXPECT_STREQ(argv[1], "positional");
-  }
-  {
-    // Malformed compacts are not consumed — they pass through untouched
-    // (and are not an error: they may be some other flag of the bench).
-    const char* raw[] = {"bench", "-junk"};
-    char* argv[2];
-    for (int i = 0; i < 2; ++i) {
-      argv[i] = const_cast<char*>(raw[i]);
-    }
-    int argc = 2;
-    std::string error;
-    EXPECT_EQ(JobsFromArgs(&argc, argv, &error), 0);
-    EXPECT_TRUE(error.empty()) << error;
-    ASSERT_EQ(argc, 2);
-    EXPECT_STREQ(argv[1], "-junk");
-  }
-}
-
-TEST(SweepRunnerTest, JobsFromArgsReportsMissingValue) {
-  // Regression: a trailing `--jobs` with no value used to be consumed
-  // silently (treated as auto) instead of reported.
-  const char* raw[] = {"bench", "--jobs"};
-  char* argv[2];
-  for (int i = 0; i < 2; ++i) {
-    argv[i] = const_cast<char*>(raw[i]);
-  }
-  int argc = 2;
-  std::string error;
-  EXPECT_EQ(JobsFromArgs(&argc, argv, &error), 0);
-  EXPECT_NE(error.find("missing value"), std::string::npos) << error;
-  EXPECT_NE(error.find("--jobs"), std::string::npos) << error;
-}
-
-TEST(SweepRunnerTest, JobsFromArgsReportsMalformedValue) {
-  {
-    // Regression: `--jobs=abc` used to degrade silently to auto.
-    const char* raw[] = {"bench", "--jobs=abc"};
-    char* argv[2];
-    for (int i = 0; i < 2; ++i) {
-      argv[i] = const_cast<char*>(raw[i]);
-    }
-    int argc = 2;
-    std::string error;
-    EXPECT_EQ(JobsFromArgs(&argc, argv, &error), 0);
-    EXPECT_NE(error.find("abc"), std::string::npos) << error;
-  }
-  {
-    const char* raw[] = {"bench", "-j", "-3"};
-    char* argv[3];
-    for (int i = 0; i < 3; ++i) {
-      argv[i] = const_cast<char*>(raw[i]);
-    }
-    int argc = 3;
-    std::string error;
-    EXPECT_EQ(JobsFromArgs(&argc, argv, &error), 0);
-    EXPECT_NE(error.find("-3"), std::string::npos) << error;
-  }
-  {
-    // The first diagnostic wins; a later valid flag still parses.
-    const char* raw[] = {"bench", "--jobs=abc", "--jobs=4"};
-    char* argv[3];
-    for (int i = 0; i < 3; ++i) {
-      argv[i] = const_cast<char*>(raw[i]);
-    }
-    int argc = 3;
-    std::string error;
-    EXPECT_EQ(JobsFromArgs(&argc, argv, &error), 4);
-    EXPECT_NE(error.find("abc"), std::string::npos) << error;
-  }
-}
-
-TEST(SweepRunnerDeathTest, JobsFromArgsWrapperExitsOnMalformedValue) {
-  const char* raw[] = {"bench", "--jobs=abc"};
-  char* argv[2];
-  for (int i = 0; i < 2; ++i) {
-    argv[i] = const_cast<char*>(raw[i]);
-  }
-  int argc = 2;
-  EXPECT_EXIT(JobsFromArgs(&argc, argv), ::testing::ExitedWithCode(2), "bad --jobs value");
-}
-
 TEST(SweepRunnerTest, CellRecordsCarryLabelsAndTimings) {
   const std::vector<int> cells = {0, 1, 2};
   SweepOptions options;

@@ -5,24 +5,19 @@
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <vector>
 
 namespace cxl::telemetry {
 namespace {
 
-// argv helper mirroring the JobsFromArgs tests: owns mutable copies.
-struct Argv {
-  explicit Argv(std::vector<std::string> args) : storage(std::move(args)) {
-    for (std::string& s : storage) {
-      ptrs.push_back(s.data());
-    }
-    ptrs.push_back(nullptr);
-    argc = static_cast<int>(storage.size());
-  }
-  std::vector<std::string> storage;
-  std::vector<char*> ptrs;
-  int argc = 0;
-};
+// A BenchTelemetry writing the given outputs (empty = not requested).
+BenchTelemetry Writing(const std::string& metrics, const std::string& trace = "",
+                       const std::string& bench_json = "") {
+  BenchTelemetry::Outputs outputs;
+  outputs.metrics_path = metrics;
+  outputs.trace_path = trace;
+  outputs.bench_json_path = bench_json;
+  return BenchTelemetry(std::move(outputs));
+}
 
 std::string Slurp(const std::string& path) {
   std::ifstream in(path);
@@ -31,33 +26,8 @@ std::string Slurp(const std::string& path) {
   return os.str();
 }
 
-TEST(BenchTelemetryTest, NoFlagsMeansDisabledNullSink) {
-  Argv a({"bench", "--jobs", "4"});
-  auto t = BenchTelemetry::FromArgs(&a.argc, a.ptrs.data());
-  EXPECT_FALSE(t.enabled());
-  EXPECT_EQ(t.sink(), nullptr);
-  EXPECT_EQ(a.argc, 3);  // Untouched: --jobs is not ours to strip.
-}
-
-TEST(BenchTelemetryTest, StripsEqualsAndSeparateForms) {
-  Argv a({"bench", "--metrics-out=m.json", "--trace-out", "t.json", "--bench-json=b.json",
-          "--jobs", "2"});
-  auto t = BenchTelemetry::FromArgs(&a.argc, a.ptrs.data());
-  EXPECT_TRUE(t.enabled());
-  EXPECT_NE(t.sink(), nullptr);
-  EXPECT_EQ(t.metrics_path(), "m.json");
-  EXPECT_EQ(t.trace_path(), "t.json");
-  EXPECT_EQ(t.bench_json_path(), "b.json");
-  // Only the telemetry flags are stripped; "--jobs 2" survives for the next
-  // parser (the composition the benches rely on).
-  ASSERT_EQ(a.argc, 3);
-  EXPECT_STREQ(a.ptrs[1], "--jobs");
-  EXPECT_STREQ(a.ptrs[2], "2");
-}
-
 TEST(BenchTelemetryTest, RecordSweepFillsGaugesAndScheduleSpans) {
-  Argv a({"bench", "--metrics-out=unused.json"});
-  auto t = BenchTelemetry::FromArgs(&a.argc, a.ptrs.data());
+  BenchTelemetry t = Writing("unused.json");
   runner::SweepStats stats;
   stats.cells = 2;
   stats.jobs = 2;
@@ -81,8 +51,7 @@ TEST(BenchTelemetryTest, WriteProducesRequestedFiles) {
   const std::string trace = dir + "/bench_io_test_t.json";
   const std::string bench = dir + "/bench_io_test_b.json";
   {
-    Argv a({"bench", "--metrics-out", metrics, "--trace-out", trace, "--bench-json", bench});
-    auto t = BenchTelemetry::FromArgs(&a.argc, a.ptrs.data());
+    BenchTelemetry t = Writing(metrics, trace, bench);
     t.registry().GetCounter("ops").Add(9);
     ASSERT_TRUE(t.Write("bench_unit"));
     EXPECT_NE(Slurp(metrics).find("\"ops\": 9"), std::string::npos);
@@ -93,8 +62,7 @@ TEST(BenchTelemetryTest, WriteProducesRequestedFiles) {
   }
   {
     // A .csv metrics path selects the CSV exporter.
-    Argv a({"bench", "--metrics-out", csv});
-    auto t = BenchTelemetry::FromArgs(&a.argc, a.ptrs.data());
+    BenchTelemetry t = Writing(csv);
     t.registry().GetCounter("ops").Add(1);
     ASSERT_TRUE(t.Write("bench_unit"));
     EXPECT_NE(Slurp(csv).find("kind,name,t_ms,value"), std::string::npos);
@@ -102,14 +70,12 @@ TEST(BenchTelemetryTest, WriteProducesRequestedFiles) {
 }
 
 TEST(BenchTelemetryTest, WriteFailsOnUnwritablePath) {
-  Argv a({"bench", "--metrics-out=/nonexistent-dir/x/y.json"});
-  auto t = BenchTelemetry::FromArgs(&a.argc, a.ptrs.data());
+  BenchTelemetry t = Writing("/nonexistent-dir/x/y.json");
   EXPECT_FALSE(t.Write("bench_unit"));
 }
 
 TEST(BenchTelemetryTest, DisabledWriteIsANoOp) {
-  Argv a({"bench"});
-  auto t = BenchTelemetry::FromArgs(&a.argc, a.ptrs.data());
+  BenchTelemetry t;
   EXPECT_TRUE(t.Write("bench_unit"));
 }
 

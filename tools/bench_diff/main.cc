@@ -49,15 +49,22 @@ int main(int argc, char** argv) {
   double max_regress = 0.25;
   std::vector<const char*> paths;
   for (int i = 1; i < argc; ++i) {
+    const char* value = nullptr;
     if (std::strcmp(argv[i], "--max-regress") == 0 && i + 1 < argc) {
-      max_regress = std::strtod(argv[++i], nullptr);
+      value = argv[++i];
+    } else if (std::strncmp(argv[i], "--max-regress=", 14) == 0) {
+      value = argv[i] + 14;
+    } else {
+      paths.push_back(argv[i]);
       continue;
     }
-    if (std::strncmp(argv[i], "--max-regress=", 14) == 0) {
-      max_regress = std::strtod(argv[i] + 14, nullptr);
-      continue;
+    char* end = nullptr;
+    max_regress = std::strtod(value, &end);
+    if (*value == '\0' || *end != '\0' || !(max_regress >= 0.0)) {
+      std::cerr << "bench_diff: bad --max-regress value '" << value
+                << "' (want a non-negative fraction)\n";
+      return 2;
     }
-    paths.push_back(argv[i]);
   }
   if (paths.size() != 2) {
     std::cerr << "usage: bench_diff BASELINE.json FRESH.json [--max-regress FRACTION]\n";
