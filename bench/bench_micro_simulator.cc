@@ -5,6 +5,7 @@
 // full (small) KeyDB experiment end to end.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "src/bench/context.h"
@@ -113,8 +114,8 @@ BENCHMARK(BM_PageAllocate)->Arg(4096)->Arg(65536)->Arg(1 << 21);
 // of them, hot page selection at 3000 MB/s. A 1/50 window advances each
 // 1 s tick at 400 accesses per page, so after the 60 warming ticks every
 // page is warm and every word dense. One iteration times one Tick; the
-// window's accesses are recorded outside the timing. Items are the pages
-// the ticks visited.
+// window's accesses are recorded outside the timing, as id spans the way
+// the cluster records them. Items are the pages the ticks visited.
 void BM_DaemonTickStreaming(benchmark::State& state) {
   constexpr double kRegionBytes = 600e9;
   topology::PlatformOptions opt;
@@ -136,11 +137,16 @@ void BM_DaemonTickStreaming(benchmark::State& state) {
   const size_t pages = region->page_count();
   const size_t window = pages / 50;
   size_t cursor = 0;
+  const auto record = [&](os::PageId first, uint64_t count) {
+    tiering.RecordAccessRun(first, count, 400);
+  };
   const auto touch_window = [&] {
-    for (size_t i = 0; i < window; ++i) {
-      tiering.RecordAccess(region->PageAtIndex((cursor + i) % pages), 400);
+    const size_t end = cursor + window;
+    region->ForEachSpan(cursor, std::min(end, pages), record);
+    if (end > pages) {
+      region->ForEachSpan(0, end - pages, record);
     }
-    cursor = (cursor + window) % pages;
+    cursor = end % pages;
   };
   for (int tick = 0; tick < 60; ++tick) {
     touch_window();

@@ -6,7 +6,12 @@
 
 #include "src/core/cxl_explorer.h"
 
-int main() {
+int main(int argc, char** argv) {
+  if (argc > 1) {
+    std::cerr << "llm_serving: unexpected argument '" << argv[1] << "'\n"
+              << "usage: llm_serving (takes no arguments)\n";
+    return 2;
+  }
   using namespace cxl;
   using apps::llm::LlmPlacement;
   using apps::llm::ServingRequest;

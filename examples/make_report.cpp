@@ -23,7 +23,12 @@ std::string Pct(double x, int precision = 1) { return FormatDouble(100.0 * x, pr
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  if (argc > 1) {
+    std::cerr << "make_report: unexpected argument '" << argv[1] << "'\n"
+              << "usage: make_report (takes no arguments)\n";
+    return 2;
+  }
   std::cout << "# Measured headline numbers (live run)\n";
 
   // --- §3 device anchors ----------------------------------------------------

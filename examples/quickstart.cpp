@@ -11,7 +11,12 @@
 
 #include "src/core/cxl_explorer.h"
 
-int main() {
+int main(int argc, char** argv) {
+  if (argc > 1) {
+    std::cerr << "quickstart: unexpected argument '" << argv[1] << "'\n"
+              << "usage: quickstart (takes no arguments)\n";
+    return 2;
+  }
   using namespace cxl;
 
   // --- 1. Microbenchmark the device models ---------------------------------

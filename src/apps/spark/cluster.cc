@@ -346,15 +346,21 @@ QueryResult SparkCluster::RunQuery(const QueryProfile& query) {
     // regime where the kernel's promotion heuristic thrashes (§4.2.2).
     const double interval_s = 1.0;
     const int ticks = std::max(1, static_cast<int>(phase_seconds / interval_s));
-    const size_t window = std::max<size_t>(1, region_->page_count() / 50);
+    const size_t pages = region_->page_count();
+    const size_t window = std::max<size_t>(1, pages / 50);
+    const auto record = [&](os::PageId first, uint64_t count) {
+      tiering_->RecordAccessRun(first, count, 400);
+    };
     double migrated = 0.0;
     uint64_t migrated_pages = 0;
     for (int t = 0; t < ticks; ++t) {
-      for (size_t i = 0; i < window; ++i) {
-        const size_t idx = (stream_cursor_ + i) % region_->page_count();
-        tiering_->RecordAccess(region_->PageAtIndex(idx), 400);
+      // The window's indices, wrapping past the region's end, as id spans.
+      const size_t end = stream_cursor_ + window;
+      region_->ForEachSpan(stream_cursor_, std::min(end, pages), record);
+      if (end > pages) {
+        region_->ForEachSpan(0, end - pages, record);
       }
-      stream_cursor_ = (stream_cursor_ + window) % region_->page_count();
+      stream_cursor_ = end % pages;
       const auto tick = tiering_->Tick(interval_s);
       migrated += tick.migrated_bytes;
       migrated_pages += tick.promoted_pages + tick.demoted_pages;

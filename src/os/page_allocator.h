@@ -124,6 +124,7 @@ class PageAllocator {
   // warm set in step with every write.
   friend class TieredMemory;
   float* mutable_heat_column() { return heat_.data(); }
+  uint32_t* mutable_epoch_column() { return last_epoch_.data(); }
 
   // Picks a fallback node with space, preferring DRAM over CXL.
   topology::NodeId FallbackNode() const;

@@ -55,11 +55,15 @@ PageRuns PageRuns::TakeBack(uint64_t count) {
 }
 
 PageId PageRuns::Lookup(uint64_t i) const {
+  const Run& run = runs_[RunIndex(i)];
+  return run.at(i - run.start);
+}
+
+size_t PageRuns::RunIndex(uint64_t i) const {
   assert(i < size_);
   const auto it = std::upper_bound(runs_.begin(), runs_.end(), i,
                                    [](uint64_t pos, const Run& run) { return pos < run.start; });
-  const Run& run = *(it - 1);
-  return run.at(i - run.start);
+  return static_cast<size_t>(it - runs_.begin()) - 1;
 }
 
 }  // namespace cxl::os

@@ -10,6 +10,7 @@
 #ifndef CXL_EXPLORER_SRC_OS_PAGE_RUNS_H_
 #define CXL_EXPLORER_SRC_OS_PAGE_RUNS_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
@@ -94,6 +95,24 @@ class PageRuns {
     return runs_.size() == 1 ? runs_.front().at(i) : Lookup(i);
   }
 
+  // Calls fn(lowest_id, count) once for each maximal piece of a run that
+  // lies inside positions [begin, end) (end <= size()), in sequence order.
+  // A piece of a descending run is reported by its ascending id span, so
+  // fn sees sets of consecutive ids rather than sequences.
+  template <typename Fn>
+  void ForEachSpan(uint64_t begin, uint64_t end, Fn&& fn) const {
+    if (begin >= end) {
+      return;
+    }
+    for (size_t r = RunIndex(begin); begin < end; ++r) {
+      const Run& run = runs_[r];
+      const uint64_t from = begin - run.start;
+      const uint64_t to = std::min(end - run.start, run.count);
+      fn(run.descending ? run.at(to - 1) : run.at(from), to - from);
+      begin = run.start + to;
+    }
+  }
+
   const_iterator begin() const { return const_iterator(runs_.data(), 0); }
   const_iterator end() const { return const_iterator(runs_.data() + runs_.size(), 0); }
 
@@ -104,6 +123,8 @@ class PageRuns {
 
  private:
   PageId Lookup(uint64_t i) const;
+  // Index in runs_ of the run holding position `i` in [0, size()).
+  size_t RunIndex(uint64_t i) const;
 
   std::vector<Run> runs_;
   uint64_t size_ = 0;

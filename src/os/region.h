@@ -39,6 +39,13 @@ class MemoryRegion {
   // (this is KvStore::Access's hottest dependency).
   PageId PageAtIndex(size_t index) const { return pages_[index]; }
 
+  // Calls fn(lowest_id, count) for each span of consecutive ids backing the
+  // pages at indices [begin, end): PageRuns::ForEachSpan over the region.
+  template <typename Fn>
+  void ForEachSpan(size_t begin, size_t end, Fn&& fn) const {
+    pages_.ForEachSpan(begin, end, fn);
+  }
+
   // Fraction of the region's pages currently resident on each node
   // (indexed by NodeId; sums to 1).
   std::vector<double> NodeShares() const;

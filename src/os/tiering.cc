@@ -1,11 +1,11 @@
 #include "src/os/tiering.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstddef>
-#include <cstring>
 #include <limits>
 #include <utility>
 
@@ -74,35 +74,40 @@ float CeilToFloat(double threshold) {
              : rounded;
 }
 
-// Bit j of the result is lanes[j] (each 0 or 1): the multiply gathers the
-// low bits of 8 bytes into the top byte.
-uint64_t PackLanes(const uint8_t* lanes) {
-  static_assert(std::endian::native == std::endian::little, "byte lanes load little-endian");
-  uint64_t mask = 0;
-  for (size_t g = 0; g < kWordBits / 8; ++g) {
-    uint64_t bytes = 0;
-    std::memcpy(&bytes, lanes + 8 * g, sizeof(bytes));
-    mask |= (bytes * 0x0102040810204080) >> 56 << (8 * g);
-  }
-  return mask;
-}
-
 // One dense word's heat tests, as masks over its 64 pages.
 struct HeatMasks {
   uint64_t below_cut;  // !(heat > cut): may pass the cold pool's (heat, id) cut.
   uint64_t candidate;  // heat >= min_heat.
 };
 
-// Both compares are one plain loop into 0/1 bytes, which GCC vectorises at
-// the baseline ISA.
-HeatMasks CompareHeat(const float* heat, float cut, float min_heat) {
-  uint8_t below_cut[kWordBits];
-  uint8_t candidate[kWordBits];
-  for (size_t j = 0; j < kWordBits; ++j) {
-    below_cut[j] = !(heat[j] > cut);
-    candidate[j] = heat[j] >= min_heat;
+// kLaneBit[j] is bit j of a 32-page half word.
+constexpr std::array<uint32_t, 32> kLaneBit = [] {
+  std::array<uint32_t, 32> bits{};
+  for (size_t j = 0; j < bits.size(); ++j) {
+    bits[j] = uint32_t{1} << j;
   }
-  return {PackLanes(below_cut), PackLanes(candidate)};
+  return bits;
+}();
+
+// Each 32-page half is two OR-reductions of lane bits under all-ones or
+// all-zero compare masks, which GCC vectorises at the baseline ISA (GCC 12
+// leaves a `cond ? bit : 0` spelling scalar). The compares are the scalar
+// predicates, so NaN, subnormal and infinite operands select as they do.
+HeatMasks CompareHeat(const float* heat, float cut, float min_heat) {
+  uint64_t above = 0;
+  uint64_t candidate = 0;
+  for (size_t half = 0; half < kWordBits; half += kLaneBit.size()) {
+    const float* h = heat + half;
+    uint32_t a = 0;
+    uint32_t b = 0;
+    for (size_t j = 0; j < kLaneBit.size(); ++j) {
+      a |= kLaneBit[j] & -static_cast<uint32_t>(h[j] > cut);
+      b |= kLaneBit[j] & -static_cast<uint32_t>(h[j] >= min_heat);
+    }
+    above |= uint64_t{a} << half;
+    candidate |= uint64_t{b} << half;
+  }
+  return {~above, candidate};
 }
 }  // namespace
 
@@ -152,6 +157,42 @@ void TieredMemory::RecordAccess(PageId page, uint64_t accesses) {
     GrowPageSets();
   }
   warm_[page / kWordBits] |= Bit(page);
+}
+
+void TieredMemory::RecordAccessRun(PageId first, uint64_t count, uint64_t accesses) {
+  if (count == 0) {
+    return;
+  }
+  const PageId last = first + count - 1;
+  assert(last < allocator_.page_count());
+  // Each page gets RecordAccess's float add and ceil, so the columns and
+  // the integer fault count come out exactly as `count` calls leave them.
+  const double sampled = static_cast<double>(accesses) * config_.hint_fault_sample_rate;
+  const float add = static_cast<float>(sampled);
+  const uint32_t epoch = epoch_;  // A local: the stores below cannot alias it.
+  float* heat = allocator_.mutable_heat_column() + first;
+  uint32_t* stamp = allocator_.mutable_epoch_column() + first;
+  for (uint64_t i = 0; i < count; ++i) {
+    heat[i] += add;
+    stamp[i] = epoch;
+  }
+  allocator_.mutable_counters().numa_hint_faults +=
+      count * static_cast<uint64_t>(std::ceil(sampled));
+  if (last / kWordBits >= warm_.size()) {
+    GrowPageSets();
+  }
+  const size_t first_word = first / kWordBits;
+  const size_t last_word = last / kWordBits;
+  const uint64_t head = ~uint64_t{0} << (first % kWordBits);
+  const uint64_t tail = ~uint64_t{0} >> (kWordBits - 1 - last % kWordBits);
+  if (first_word == last_word) {
+    warm_[first_word] |= head & tail;
+    return;
+  }
+  warm_[first_word] |= head;
+  std::fill(warm_.begin() + static_cast<std::ptrdiff_t>(first_word + 1),
+            warm_.begin() + static_cast<std::ptrdiff_t>(last_word), ~uint64_t{0});
+  warm_[last_word] |= tail;
 }
 
 void TieredMemory::GrowPageSets() {

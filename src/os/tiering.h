@@ -152,6 +152,11 @@ class TieredMemory {
   // simulation step per page group.
   void RecordAccess(PageId page, uint64_t accesses);
 
+  // The same as RecordAccess(id, accesses) for every id of
+  // [first, first + count), in one straight pass over the columns and a
+  // word at a time over the warm set: how a streamed window is recorded.
+  void RecordAccessRun(PageId first, uint64_t count, uint64_t accesses);
+
   // Runs one daemon interval covering `dt_seconds` of simulated time.
   struct TickResult {
     uint64_t promoted_pages = 0;
@@ -346,11 +351,12 @@ class TieredMemory {
   // change, and every daemon pass visits only them, in id order. Words with
   // many bits set are dense: every page of them is handled, zero heat
   // included, 64 at a time by masks in the candidate/cold-pool pass and by
-  // a straight sweep in the decay. RecordAccess sets a bit. A pass that reads
-  // heat 0 on a sparse word's page clears its bit, and the decay re-derives
-  // dense words from heat every kDenseRefreshTicks ticks. Allocate's heat
-  // reset and quarantine's leave stale bits, which only cost a visit. Heat
-  // is assumed non-negative, with a finite, non-negative decay factor.
+  // a straight sweep in the decay. RecordAccess sets a bit, RecordAccessRun
+  // a span's bits a word at a time. A pass that reads heat 0 on a sparse
+  // word's page clears its bit, and the decay re-derives dense words from
+  // heat every kDenseRefreshTicks ticks. Allocate's heat reset and
+  // quarantine's leave stale bits, which only cost a visit. Heat is
+  // assumed non-negative, with a finite, non-negative decay factor.
   std::vector<uint64_t> warm_;
   uint64_t tick_pages_visited_ = 0;   // TickResult::pages_visited accumulator.
   uint64_t tick_pool_offers_ = 0;     // TickResult::pool_offers accumulator.

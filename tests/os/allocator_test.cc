@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/check/invariants.h"
@@ -181,6 +182,73 @@ TEST(PageRunsTest, AppendMergesRunsInEitherDirection) {
   EXPECT_EQ(std::vector<PageId>(popped.begin(), popped.end()),
             (std::vector<PageId>{9, 0, 1, 2, 3}));
   EXPECT_EQ(std::vector<PageId>(runs.begin(), runs.end()), (std::vector<PageId>{5, 6, 7}));
+}
+
+// ForEachSpan over every position range of a recycled sequence: each call
+// reports the piece of one run inside [begin, end), in sequence order, as
+// its lowest id and its length, and the pieces cover the range exactly.
+TEST(PageRunsTest, ForEachSpanCoversExactlyThePositions) {
+  Platform platform = Platform::CxlServer(false);
+  PageAllocator alloc(platform);
+  // Four regions, three of them freed in an order that interleaves their
+  // runs on the free stack, then one allocation over the recycled ids and
+  // fresh ones: descending runs (freed runs popped last first), an
+  // ascending one (a freed descending run) and the fresh ascending tail.
+  auto a = alloc.Allocate(NumaPolicy::Bind({0}), 10);
+  auto b = alloc.Allocate(NumaPolicy::Bind({0}), 6);
+  auto c = alloc.Allocate(NumaPolicy::Bind({0}), 8);
+  auto d = alloc.Allocate(NumaPolicy::Bind({0}), 5);
+  ASSERT_TRUE(a.ok() && b.ok() && c.ok() && d.ok());
+  alloc.Free(*a);
+  alloc.Free(*c);
+  auto e = alloc.Allocate(NumaPolicy::Bind({0}), 4);  // c's top ids, descending.
+  ASSERT_TRUE(e.ok());
+  alloc.Free(*e);
+  alloc.Free(*b);
+  auto seq = alloc.Allocate(NumaPolicy::Bind({0}), 40);
+  ASSERT_TRUE(seq.ok());
+  const std::vector<PageRuns::Run>& runs = seq->runs();
+  const auto descending = std::count_if(runs.begin(), runs.end(),
+                                        [](const PageRuns::Run& r) { return r.descending; });
+  ASSERT_GE(descending, 2);
+  ASSERT_GE(static_cast<long>(runs.size()) - descending, 2);
+
+  const std::vector<PageId> ids(seq->begin(), seq->end());
+  // The run holding each position.
+  std::vector<size_t> run_of;
+  for (size_t r = 0; r < runs.size(); ++r) {
+    run_of.insert(run_of.end(), runs[r].count, r);
+  }
+  ASSERT_EQ(run_of.size(), ids.size());
+  using Span = std::pair<PageId, uint64_t>;
+  for (uint64_t begin = 0; begin <= ids.size(); ++begin) {
+    for (uint64_t end = begin; end <= ids.size(); ++end) {
+      std::vector<Span> expected;
+      for (uint64_t i = begin; i < end; ++i) {
+        if (i == begin || run_of[i] != run_of[i - 1]) {
+          expected.emplace_back(ids[i], 0);
+        }
+        expected.back().first = std::min(expected.back().first, ids[i]);
+        ++expected.back().second;
+      }
+      std::vector<Span> got;
+      seq->ForEachSpan(begin, end, [&](PageId first, uint64_t count) {
+        got.emplace_back(first, count);
+      });
+      ASSERT_EQ(got, expected) << "[" << begin << ", " << end << ")";
+      // A span is a set of consecutive ids: exactly those of its positions.
+      uint64_t i = begin;
+      for (const auto& [first, count] : got) {
+        std::vector<PageId> covered(ids.begin() + static_cast<std::ptrdiff_t>(i),
+                                    ids.begin() + static_cast<std::ptrdiff_t>(i + count));
+        std::sort(covered.begin(), covered.end());
+        for (uint64_t k = 0; k < count; ++k) {
+          EXPECT_EQ(covered[k], first + k) << "[" << begin << ", " << end << ")";
+        }
+        i += count;
+      }
+    }
+  }
 }
 
 TEST_F(AllocatorTest, FreedRegionComesBackAsOneReversedRun) {

@@ -32,7 +32,9 @@
 #include "src/core/configs.h"
 #include "src/fault/fault.h"
 #include "src/os/page_allocator.h"
+#include "src/os/page_runs.h"
 #include "src/os/policy.h"
+#include "src/os/policy_registry.h"
 #include "src/os/region.h"
 #include "src/os/tiering.h"
 #include "src/topology/platform.h"
@@ -196,6 +198,16 @@ class Harness {
                                       tiering_.config().hint_fault_sample_rate);
   }
 
+  // Access for every id of [first, first + count), in one RecordAccessRun.
+  void AccessSpan(PageId first, uint64_t count, uint64_t accesses) {
+    tiering_.RecordAccessRun(first, count, accesses);
+    const float add = static_cast<float>(static_cast<double>(accesses) *
+                                         tiering_.config().hint_fault_sample_rate);
+    for (PageId id = first; id < first + count; ++id) {
+      shadow_[id] += add;
+    }
+  }
+
   void Quarantine(PageId id) {
     if (tiering_.QuarantinePage(id)) {
       shadow_[id] = 0.0f;
@@ -354,6 +366,8 @@ class Harness {
   }
 
   const topology::Platform& platform() const { return platform_; }
+  // What the policy decided at the last tick that reached it.
+  const TickDecision& decision() const { return recorder_.decision; }
   PageAllocator& alloc() { return alloc_; }
   TieredMemory& tiering() { return tiering_; }
   const Coverage& coverage() const { return coverage_; }
@@ -392,11 +406,16 @@ TEST_P(WarmSetTest, MatchesEagerReferencesEveryTick) {
     const bool dense = sc.regime == Regime::kDenseStreaming ||
                        (sc.regime == Regime::kDenseThenSparse && t < 40);
     if (dense) {
-      const uint64_t window = live.size() / 5;
-      for (uint64_t i = 0; i < window; ++i) {
-        h.Access(live[(cursor + i) % live.size()], 8);
+      // The window as id spans of the live pages, the way Spark records
+      // its stream; the churn below leaves several runs in either order.
+      const PageRuns runs(live.begin(), live.end());
+      const auto access = [&](PageId first, uint64_t count) { h.AccessSpan(first, count, 8); };
+      const uint64_t end = cursor + live.size() / 5;
+      runs.ForEachSpan(cursor, std::min<uint64_t>(end, live.size()), access);
+      if (end > live.size()) {
+        runs.ForEachSpan(0, end - live.size(), access);
       }
-      cursor = (cursor + window) % live.size();
+      cursor = end % live.size();
     } else {
       const int draws = sc.regime == Regime::kSparseZipf ? 300 : 30;
       for (int i = 0; i < draws; ++i) {
@@ -609,6 +628,157 @@ TEST(WarmSetThresholdTest, RoundedThresholdSelectsWhatTheDoubleCompareDoes) {
   }
 }
 
+// Decides like `inner` once `live` is set. Until then every tick scans
+// against a NaN threshold, which no heat reaches, with no budget: the
+// daemon only decays (and demotes at the watermark).
+class HoldPolicy final : public TieringPolicy {
+ public:
+  explicit HoldPolicy(TieringPolicy& inner) : inner_(inner) {}
+  const char* name() const override { return inner_.name(); }
+  int32_t event_reason() const override { return inner_.event_reason(); }
+  TickDecision Decide(const TickContext& ctx) override {
+    if (live) {
+      return inner_.Decide(ctx);
+    }
+    TickDecision d;
+    d.hot_threshold = std::numeric_limits<double>::quiet_NaN();
+    return d;
+  }
+  void Observe(const TickObservation& obs) override {
+    if (live) {
+      inner_.Observe(obs);
+    }
+  }
+  double hot_threshold() const override { return inner_.hot_threshold(); }
+
+  bool live = false;
+
+ private:
+  TieringPolicy& inner_;
+};
+
+// The dense pass decides a word's 64 pages with two vectorised compares,
+// heat > cut (into the cold pool) and heat >= min_heat (a candidate). Here
+// every word is dense and holds, by id % 8, heats +0, the smallest
+// subnormal, FLT_MIN, 1, 2, FLT_MAX and two of +inf: sampled at 2^-149
+// per access and grown by a heat "decay" of 2^63 per tick, the oldest
+// accesses reach FLT_MAX and overflow to +inf on the fifth tick, where the
+// policy starts deciding. Each policy's scan tests its own threshold (4,
+// the smallest subnormal with recency, 2, and 0) against them. With 2048
+// DRAM pages the cold pool holds them all and its cut stays +inf, and the
+// promotions need more room than the finite DRAM heats leave, so +inf
+// pages must reach the pool; with 40,960 the pool keeps at most 16,384
+// (4096 under the 976-page budget) and its cut falls to finite heats. The
+// harness checks the candidates and the demoted set every tick, and every
+// candidate within the budget must promote.
+TEST(WarmSetDenseMaskTest, ExtremeHeatsMatchTheScalarPredicates) {
+  constexpr uint64_t kCxlAllocated = 8192;
+  constexpr int kLiveTick = 4;
+  struct Case {
+    const char* policy;
+    bool zero_threshold;
+  };
+  uint64_t infinite_demotions = 0;
+  for (const Case& c : {Case{"hot-page-selection", false}, Case{"mru-balancing", false},
+                        Case{"tpp-like", false}, Case{"hot-page-selection", true}}) {
+    for (const bool small_dram : {true, false}) {
+      SCOPED_TRACE(std::string(c.policy) + (c.zero_threshold ? "/zero-threshold" : "") +
+                   (small_dram ? "/small DRAM" : "/large DRAM"));
+      const uint64_t dram_pages = small_dram ? 2048 : 40960;
+      topology::PlatformOptions opt;
+      opt.sockets = 1;
+      opt.dram_per_socket = dram_pages * kPageBytes;
+      opt.cxl_cards = 1;
+      opt.cxl_card_capacity = 4 * kCxlAllocated * kPageBytes;
+      TieringConfig cfg;
+      cfg.policy = c.policy;
+      cfg.hint_fault_sample_rate = std::ldexp(1.0, -149);
+      cfg.heat_decay = std::ldexp(1.0, 63);
+      if (!small_dram) {
+        cfg.promote_rate_limit_mbps = 4.0;  // ~976 pages per 1 s tick.
+      }
+      if (c.zero_threshold) {
+        cfg.initial_hot_threshold = 0.0;
+        cfg.dynamic_threshold = false;
+      }
+      auto inner = PolicyRegistry::BuiltIns().Create(cfg.PolicyName(), cfg);
+      ASSERT_TRUE(inner.ok());
+      HoldPolicy hold(**inner);
+      Harness h(cfg, fault::FaultPlan(), &hold, topology::Platform::Build(opt));
+      std::vector<PageId> pages =
+          h.Allocate(dram_pages, NumaPolicy::Bind(h.platform().DramNodes()));
+      const std::vector<PageId> cxl =
+          h.Allocate(kCxlAllocated, NumaPolicy::Bind(h.platform().CxlNodes()));
+      pages.insert(pages.end(), cxl.begin(), cxl.end());
+      // Accesses of each kind of page (id % 8) and the tick before which
+      // they land: heat a * 2^-149, times 2^63 per later tick.
+      struct Touch {
+        int tick;
+        uint64_t kind;
+        uint64_t accesses;
+      };
+      const Touch touches[] = {
+          {0, 5, (uint64_t{1} << 25) - 2},  // (2^24 - 1) * 2^-148 -> FLT_MAX.
+          {0, 6, uint64_t{1} << 25},        // 2^-124 -> 2^128: +inf.
+          {0, 7, uint64_t{1} << 25},
+          {2, 3, uint64_t{1} << 23},  // 2^-126 -> 1.
+          {2, 4, uint64_t{1} << 24},  // 2.
+          {4, 0, 0},                  // +0, warm.
+          {4, 1, 1},                  // The smallest subnormal.
+          {4, 2, uint64_t{1} << 23},  // FLT_MIN.
+      };
+      for (int t = 0; t < kLiveTick + 3; ++t) {
+        for (const Touch& touch : touches) {
+          if (touch.tick != t) {
+            continue;
+          }
+          for (const PageId id : pages) {
+            if (id % 8 == touch.kind) {
+              h.Access(id, touch.accesses);
+            }
+          }
+        }
+        hold.live = t >= kLiveTick;
+        const auto is_dram = [&](topology::NodeId nd) { return h.alloc().IsDramNode(nd); };
+        const uint64_t n = h.alloc().page_count();
+        const std::vector<float> heat(h.alloc().heat_column(), h.alloc().heat_column() + n);
+        const std::vector<topology::NodeId> node(h.alloc().node_column(),
+                                                 h.alloc().node_column() + n);
+        if (t == kLiveTick) {
+          for (const float want :
+               {0.0f, std::numeric_limits<float>::denorm_min(), std::numeric_limits<float>::min(),
+                std::numeric_limits<float>::max(), std::numeric_limits<float>::infinity()}) {
+            for (const bool dram : {true, false}) {
+              EXPECT_TRUE(std::any_of(pages.begin(), pages.end(), [&](PageId id) {
+                return is_dram(node[id]) == dram &&
+                       std::memcmp(&heat[id], &want, sizeof(float)) == 0;
+              })) << "no " << (dram ? "DRAM" : "CXL") << " page at heat " << want;
+            }
+          }
+        }
+        TieredMemory::TickResult r;
+        ASSERT_TRUE(h.Tick(&r)) << "tick " << t;
+        if (t < kLiveTick) {
+          continue;
+        }
+        EXPECT_EQ(r.promoted_pages, std::min(r.candidates, h.decision().budget_pages))
+            << "tick " << t;
+        if (t == kLiveTick) {
+          EXPECT_GT(r.candidates, 0u);
+          if (!small_dram) {
+            EXPECT_GT(r.pool_shrinks, 0u);  // The cut fell below +inf.
+          }
+          for (const PageId id : pages) {
+            infinite_demotions += is_dram(node[id]) && !is_dram(h.alloc().NodeOf(id)) &&
+                                  heat[id] == std::numeric_limits<float>::infinity();
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(infinite_demotions, 0u);
+}
+
 // Spark's heats take few distinct values, so the cold pool's cut usually
 // falls inside a run of tied heats, and the dense pass tests later words
 // against a cut they tie with. Here half the DRAM pages tie at the coldest
@@ -653,10 +823,11 @@ TEST(WarmSetColdPoolTest, DemotesTheLowestIdsOfATieAtTheCut) {
 
 // bench_fig7's Spark shape (apps/spark/cluster.cc): 286,103 pages of 2 MiB
 // in a 1:1 weighted interleave, DRAM sized to half of them, a 1/50 window
-// advanced each 1 s tick at 400 accesses per page, hot page selection at
-// 3000 MB/s. Once every page is warm every word is dense, and the pass
-// offers the cold pool only the DRAM pages whose heat reaches the cut: at
-// most a quarter of the DRAM pages (a per-page pass offers every one).
+// advanced each 1 s tick at 400 accesses per page and recorded as id
+// spans, hot page selection at 3000 MB/s. Once every page is warm every
+// word is dense, and the pass offers the cold pool only the DRAM pages
+// whose heat reaches the cut: at most a quarter of the DRAM pages (a
+// per-page pass offers every one).
 TEST(WarmSetWorkTest, DenseStreamingTickOffersFewDramPages) {
   constexpr double kRegionBytes = 600e9;
   topology::PlatformOptions opt;
@@ -673,14 +844,20 @@ TEST(WarmSetWorkTest, DenseStreamingTickOffersFewDramPages) {
       static_cast<uint64_t>(kRegionBytes));
   ASSERT_TRUE(region.ok());
   ASSERT_EQ(region->page_count(), 286'103u);
-  const size_t window = region->page_count() / 50;
+  const size_t pages = region->page_count();
+  const size_t window = pages / 50;
+  const auto record = [&](PageId first, uint64_t count) {
+    tiering.RecordAccessRun(first, count, 400);
+  };
   size_t cursor = 0;
   uint64_t demoted = 0;
   for (int tick = 0; tick < 70; ++tick) {
-    for (size_t i = 0; i < window; ++i) {
-      tiering.RecordAccess(region->PageAtIndex((cursor + i) % region->page_count()), 400);
+    const size_t end = cursor + window;
+    region->ForEachSpan(cursor, std::min(end, pages), record);
+    if (end > pages) {
+      region->ForEachSpan(0, end - pages, record);
     }
-    cursor = (cursor + window) % region->page_count();
+    cursor = end % pages;
     const TieredMemory::TickResult r = tiering.Tick(1.0);
     if (tick < 60) {
       continue;  // Warming: the window has not yet touched every page.

@@ -20,8 +20,12 @@
 
 namespace {
 
+constexpr char kUsage[] =
+    "usage: cxl_report --events FILE [--metrics FILE] [--bench-json FILE] [--out FILE] "
+    "[--check]\n";
+
 // Matches `--flag=VALUE` or `--flag VALUE`; advances *i past a consumed
-// separate value.
+// separate value. A flag with nothing after it takes the empty value.
 bool TakeFlag(const char* flag, int* i, int argc, char** argv, std::string* out) {
   const char* arg = argv[*i];
   const size_t flag_len = std::strlen(flag);
@@ -33,9 +37,7 @@ bool TakeFlag(const char* flag, int* i, int argc, char** argv, std::string* out)
     return true;
   }
   if (arg[flag_len] == '\0') {
-    if (*i + 1 < argc) {
-      *out = argv[++*i];
-    }
+    *out = *i + 1 < argc ? argv[++*i] : "";
     return true;
   }
   return false;
@@ -46,20 +48,34 @@ bool TakeFlag(const char* flag, int* i, int argc, char** argv, std::string* out)
 int main(int argc, char** argv) {
   cxl::report::ReportOptions options;
   std::string out_path;
+  const struct {
+    const char* flag;
+    std::string* value;
+  } value_flags[] = {{"--events", &options.events_path},
+                     {"--metrics", &options.metrics_path},
+                     {"--bench-json", &options.bench_json_path},
+                     {"--out", &out_path}};
   for (int i = 1; i < argc; ++i) {
-    if (TakeFlag("--events", &i, argc, argv, &options.events_path) ||
-        TakeFlag("--metrics", &i, argc, argv, &options.metrics_path) ||
-        TakeFlag("--bench-json", &i, argc, argv, &options.bench_json_path) ||
-        TakeFlag("--out", &i, argc, argv, &out_path)) {
+    bool matched = false;
+    for (const auto& f : value_flags) {
+      if (TakeFlag(f.flag, &i, argc, argv, f.value)) {
+        if (f.value->empty()) {
+          // A dropped value would silently skip what the flag asks for.
+          std::cerr << "cxl_report: " << f.flag << " needs a value\n" << kUsage;
+          return 2;
+        }
+        matched = true;
+        break;
+      }
+    }
+    if (matched) {
       continue;
     }
     if (std::strcmp(argv[i], "--check") == 0) {
       options.check = true;
       continue;
     }
-    std::cerr << "cxl_report: unknown argument '" << argv[i] << "'\n"
-              << "usage: cxl_report --events FILE [--metrics FILE] "
-                 "[--bench-json FILE] [--out FILE] [--check]\n";
+    std::cerr << "cxl_report: unknown argument '" << argv[i] << "'\n" << kUsage;
     return 2;
   }
   if (options.events_path.empty()) {
