@@ -198,30 +198,16 @@ int main(int argc, char** argv) {
   for (const auto& [label, plan] :
        {std::pair<std::string, fault::FaultPlan>{"healthy", {}},
         {"downtrain x4", fault::FaultPlan().Downtrain(0.0, kInf, 4)}}) {
-    core::SparkExperimentOptions opt;
-    opt.cluster = apps::spark::SparkConfig::Interleave(1, 1);
-    if (const auto* q9 = apps::spark::FindQuery("Q9")) {
-      opt.queries = {*q9};
-    }
-    opt.env = ctx.Env();
-    opt.env.faults = plan;
-    const auto res = core::RunSparkExperiment(opt);
-    if (!res.ok()) {
-      std::cerr << "FAILED: " << res.status().ToString() << "\n";
-      return 1;
-    }
-    double shuffle_s = 0.0;
-    double retry_s = 0.0;
-    for (const auto& q : res->queries) {
-      shuffle_s += q.ShuffleSeconds();
-      retry_s += q.retry_seconds;
-    }
+    core::ExperimentEnv env = ctx.Env();
+    env.faults = plan;
+    const auto res = core::RunSparkCell(
+        {apps::spark::SparkConfig::Interleave(1, 1), *apps::spark::FindQuery("Q9")}, env);
     sp.Row()
         .Cell(label)
-        .Cell(res->total_seconds, 1)
-        .Cell(shuffle_s, 1)
-        .Cell(static_cast<uint64_t>(res->reexecuted_partitions))
-        .Cell(retry_s, 2);
+        .Cell(res.total_seconds, 1)
+        .Cell(res.ShuffleSeconds(), 1)
+        .Cell(static_cast<uint64_t>(res.reexecuted_partitions))
+        .Cell(res.retry_seconds, 2);
   }
   sp.Print(std::cout);
 

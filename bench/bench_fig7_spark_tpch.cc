@@ -8,7 +8,7 @@
 // dominates as spill grows.
 //
 // The 7-configuration x 4-query grid runs through the parallel SweepRunner
-// (--jobs / CXL_JOBS); each cell builds its own SparkCluster, and the
+// (--jobs / CXL_JOBS); each cell is one core::RunSparkCell, and the
 // MMEM-only row doubles as the normalization baseline.
 #include <iostream>
 #include <vector>
@@ -22,7 +22,6 @@ int main(int argc, char** argv) {
   using namespace cxl;
   using apps::spark::QueryProfile;
   using apps::spark::QueryResult;
-  using apps::spark::SparkCluster;
   using apps::spark::SparkConfig;
 
   auto ctx = bench::Context::FromArgs(&argc, argv);
@@ -72,15 +71,13 @@ int main(int argc, char** argv) {
       [&configs, &queries, &cells, &cell_sinks, &ctx](const Cell& cell,
                                                       uint64_t /*seed*/) -> StatusOr<QueryResult> {
         const size_t index = static_cast<size_t>(&cell - cells.data());
-        SparkCluster cluster(configs[cell.config_index].config);
-        if (!cell_sinks.empty()) {
-          cluster.AttachTelemetry(&cell_sinks[index]);
-        }
-        // Per-cell fault injector (inert when --faults was not given).
-        fault::FaultInjector injector(ctx.faults(), runner::CellSeed(ctx.fault_seed(), index),
-                                      ctx.fault_tunables());
-        cluster.AttachFaults(&injector);
-        return cluster.RunQuery(queries[cell.query_index]);
+        core::SparkCell spark{configs[cell.config_index].config, queries[cell.query_index]};
+        spark.cluster.tiering_policy = ctx.tiering_policy();
+        core::ExperimentEnv env = ctx.Env();
+        env.telemetry = cell_sinks.empty() ? nullptr : &cell_sinks[index];
+        // Per-cell injector seed (no injector when --faults was not given).
+        env.fault_seed = runner::CellSeed(ctx.fault_seed(), index);
+        return core::RunSparkCell(spark, env);
       },
       sweep_options, &stats);
   if (!grid.ok()) {

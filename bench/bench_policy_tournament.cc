@@ -139,7 +139,7 @@ core::KvCell HotPromoteCell(const std::string& policy) {
   return cell;
 }
 
-struct SparkCell {
+struct SparkEntry {
   std::string faults;
   std::string policy;
   fault::FaultPlan plan;
@@ -255,7 +255,7 @@ int main(int argc, char** argv) {
                "storm it backs off exponentially rather than migrate over a degraded link.\n";
 
   // ---- Spark bracket: TPC-H Q9 on the Hot-Promote cluster. ----
-  std::vector<SparkCell> spark_cells;
+  std::vector<SparkEntry> spark_cells;
   for (const auto& s : storms) {
     for (const auto& p : kPolicies) {
       // Spark's storm uses the bench_fault_storms (b) shape: degraded from t=0.
@@ -278,29 +278,25 @@ int main(int argc, char** argv) {
   }
   const auto spark_grid = runner::RunSweep(
       spark_cells,
-      [&spark_cells, &spark_sinks, &kv_cells, &ctx](const SparkCell& cell,
-                                                    uint64_t /*seed*/) {
+      [&spark_cells, &spark_sinks, &kv_cells, &ctx](
+          const SparkEntry& cell, uint64_t /*seed*/) -> StatusOr<apps::spark::QueryResult> {
         const size_t index = static_cast<size_t>(&cell - spark_cells.data());
-        core::SparkExperimentOptions opt;
-        opt.cluster = apps::spark::SparkConfig::HotPromote();
-        opt.cluster.tiering_policy = cell.policy;
+        core::SparkCell spark{apps::spark::SparkConfig::HotPromote(),
+                              *apps::spark::FindQuery("Q9")};
+        spark.cluster.tiering_policy = cell.policy;
         // Half the Hot-Promote default: the §4.2.2 thrash regime, where the
         // rate-limited daemon cannot keep up with the advancing window and
         // promotions land after the pages went cold — pure stall cost. (At
         // the default 3000 MB/s enough of the window lands hot for the
         // placement gain to cover the stalls.)
-        opt.cluster.promote_rate_limit_mbps = 1500.0;
-        if (const auto* q9 = apps::spark::FindQuery("Q9")) {
-          opt.queries = {*q9};
-        }
-        opt.env = ctx.Env();
-        opt.env.faults = cell.plan;
+        spark.cluster.promote_rate_limit_mbps = 1500.0;
+        core::ExperimentEnv env = ctx.Env();
+        env.faults = cell.plan;
         // Continue the CellSeed sequence after the KV bracket so no two
         // cells share a fault stream.
-        opt.env.fault_seed =
-            runner::CellSeed(ctx.fault_seed(), kv_cells.size() + index);
-        opt.env.telemetry = spark_sinks.empty() ? nullptr : &spark_sinks[index];
-        return core::RunSparkExperiment(opt);
+        env.fault_seed = runner::CellSeed(ctx.fault_seed(), kv_cells.size() + index);
+        env.telemetry = spark_sinks.empty() ? nullptr : &spark_sinks[index];
+        return core::RunSparkCell(spark, env);
       },
       spark_options, &stats);
   if (!spark_grid.ok()) {
@@ -314,7 +310,7 @@ int main(int argc, char** argv) {
   }
 
   const auto spark_at = [&](const std::string& f,
-                            const std::string& p) -> const core::SparkExperimentResult& {
+                            const std::string& p) -> const apps::spark::QueryResult& {
     for (size_t i = 0; i < spark_cells.size(); ++i) {
       if (spark_cells[i].faults == f && spark_cells[i].policy == p) {
         return (*spark_grid)[i];
@@ -335,18 +331,12 @@ int main(int argc, char** argv) {
     }
     for (const auto& p : kPolicies) {
       const auto& res = spark_at(s.label, p);
-      double shuffle_s = 0.0;
-      double retry_s = 0.0;
-      for (const auto& q : res.queries) {
-        shuffle_s += q.ShuffleSeconds();
-        retry_s += q.retry_seconds;
-      }
       sp.Row()
           .Cell(s.label)
           .Cell(p)
           .Cell(res.total_seconds, 2)
-          .Cell(shuffle_s, 2)
-          .Cell(retry_s, 2)
+          .Cell(res.ShuffleSeconds(), 2)
+          .Cell(res.retry_seconds, 2)
           .Cell(p == best ? "*" : "");
     }
   }

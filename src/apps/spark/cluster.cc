@@ -71,7 +71,12 @@ SparkConfig SparkConfig::HotPromote() {
   return cfg;
 }
 
-SparkCluster::SparkCluster(SparkConfig config) : config_(config) {
+SparkCluster::SparkCluster(SparkConfig config, telemetry::MetricRegistry* telemetry,
+                           fault::FaultInjector* faults)
+    : config_(config), faults_(faults), telemetry_(telemetry) {
+  if (telemetry_ != nullptr) {
+    spark_track_ = telemetry_->trace().Track("spark/" + ModeLabel(config_.mode));
+  }
   const bool uses_cxl =
       config.mode == SparkMemoryMode::kInterleave || config.mode == SparkMemoryMode::kHotPromote;
   PlatformOptions opt;  // SNC disabled for the Spark experiments (§4.2.1).
@@ -109,29 +114,7 @@ SparkCluster::SparkCluster(SparkConfig config) : config_(config) {
     groups_.push_back(std::move(g));
   }
 
-  if (config.mode == SparkMemoryMode::kHotPromote) {
-    allocator_ = std::make_unique<os::PageAllocator>(*platform_);
-    os::TieringConfig tc;
-    tc.policy = config.tiering_policy;
-    tc.promote_rate_limit_mbps = config.promote_rate_limit_mbps;
-    tc.dynamic_threshold = true;
-    tc.hint_fault_sample_rate = 0.05;
-    tiering_ = std::make_unique<os::TieredMemory>(*allocator_, tc);
-    // Executor memory of the modelled server, half DRAM / half CXL.
-    const double per_server_mem =
-        config.executor_mem_bytes * config.total_executors / config.servers;
-    std::vector<NodeId> dram = platform_->DramNodes();
-    auto region = os::MemoryRegion::Allocate(
-        *allocator_, os::NumaPolicy::WeightedInterleave(dram, cxl_nodes, 1, 1),
-        static_cast<uint64_t>(per_server_mem));
-    assert(region.ok());
-    region_ = std::make_unique<os::MemoryRegion>(std::move(region).value());
-    // Placement-driven shares.
-    const auto shares = region_->NodeShares();
-    for (auto& g : groups_) {
-      g.node_shares = shares;
-    }
-  }
+  BuildHotPromoteState();
 }
 
 double SparkCluster::SpilledBytes(const QueryProfile& query) const {
@@ -240,51 +223,37 @@ double SparkCluster::SolvePhaseSeconds(double payload_bytes_per_server, double r
   return phase_seconds;
 }
 
-void SparkCluster::AttachTelemetry(telemetry::MetricRegistry* sink) {
-  telemetry_ = sink;
-  if (telemetry_ != nullptr) {
-    spark_track_ = telemetry_->trace().Track("spark/" + ModeLabel(config_.mode));
+void SparkCluster::BuildHotPromoteState() {
+  if (config_.mode != SparkMemoryMode::kHotPromote) {
+    return;
   }
-  if (tiering_ != nullptr) {
-    tiering_->Attach(TieringObservers());
-  }
-}
-
-void SparkCluster::AttachFaults(fault::FaultInjector* faults) {
-  faults_ = faults;
-  if (tiering_ != nullptr) {
-    tiering_->Attach(TieringObservers());
-  }
-}
-
-os::TieredMemory::Observers SparkCluster::TieringObservers() const {
+  // A fresh allocator, region and daemon per query: page-id recycling order
+  // and the daemon's adapted threshold cannot leak between queries.
+  tiering_.reset();
+  region_.reset();
+  allocator_ = std::make_unique<os::PageAllocator>(*platform_);
+  os::TieringConfig tc;
+  tc.policy = config_.tiering_policy;
+  tc.promote_rate_limit_mbps = config_.promote_rate_limit_mbps;
+  tc.dynamic_threshold = true;
+  tc.hint_fault_sample_rate = 0.05;
+  tiering_ = std::make_unique<os::TieredMemory>(*allocator_, tc);
   os::TieredMemory::Observers obs;
   obs.telemetry = telemetry_;
   if (faults_ != nullptr && faults_->enabled()) {
     obs.faults = faults_;
   }
-  return obs;
-}
-
-void SparkCluster::ResetHotPromoteState() {
-  if (region_ == nullptr) {
-    return;
-  }
-  // Each query is an independent run (the paper measures queries
-  // separately): rebuild allocator + region + daemon so page-id recycling
-  // order and the daemon's adapted threshold cannot leak between queries.
-  allocator_ = std::make_unique<os::PageAllocator>(*platform_);
+  tiering_->Attach(obs);
+  // Executor memory of the modelled server, half DRAM / half CXL.
   auto region = os::MemoryRegion::Allocate(
       *allocator_,
       os::NumaPolicy::WeightedInterleave(platform_->DramNodes(), platform_->CxlNodes(), 1, 1),
       static_cast<uint64_t>(config_.executor_mem_bytes * config_.total_executors /
                             config_.servers));
   assert(region.ok());
-  *region_ = std::move(region).value();
+  region_ = std::make_unique<os::MemoryRegion>(std::move(region).value());
   stream_cursor_ = 0;
-  const os::TieringConfig tc = tiering_->config();
-  tiering_ = std::make_unique<os::TieredMemory>(*allocator_, tc);
-  tiering_->Attach(TieringObservers());
+  // Placement-driven shares.
   const auto shares = region_->NodeShares();
   for (auto& g : groups_) {
     g.node_shares = shares;
@@ -308,7 +277,7 @@ std::vector<SparkCluster::GroupRate> SparkCluster::SolveGroupRates(double read_f
 }
 
 QueryResult SparkCluster::RunQuery(const QueryProfile& query) {
-  ResetHotPromoteState();
+  BuildHotPromoteState();
   if (faults_ != nullptr) {
     faults_->AdvanceTo(trace_clock_s_);
   }

@@ -107,26 +107,24 @@ struct QueryResult {
 
 class SparkCluster {
  public:
-  explicit SparkCluster(SparkConfig config);
+  // `telemetry` (nullable): each RunQuery emits one span per stage
+  // (compute / shuffle-write / shuffle-read) on the "spark/<mode>" trace
+  // track, per-query series (spark.query_seconds, spark.cxl_access_share,
+  // spark.spilled_gb), and — in Hot-Promote mode — the tiering daemon's tick
+  // series. Spans are laid out on a per-cluster simulated clock that advances
+  // by each query's duration, so consecutive queries form a contiguous
+  // timeline.
+  //
+  // `faults` (nullable): the cluster advances the injector's clock along its
+  // query timeline; while a CXL-link fault is active, shuffle fetches fail
+  // with the configured probability and the reduce side re-executes the
+  // failed partitions (Spark's stage-retry semantics), charged as extra
+  // shuffle-read time. A null or disabled injector leaves every query
+  // byte-identical to a faultless build.
+  explicit SparkCluster(SparkConfig config, telemetry::MetricRegistry* telemetry = nullptr,
+                        fault::FaultInjector* faults = nullptr);
 
   QueryResult RunQuery(const QueryProfile& query);
-
-  // Attaches a telemetry sink (nullable). Each RunQuery then emits one span
-  // per stage (compute / shuffle-write / shuffle-read) on the
-  // "spark/<mode>" trace track, per-query series (spark.query_seconds,
-  // spark.cxl_access_share, spark.spilled_gb), and — in Hot-Promote mode —
-  // forwards the sink to the tiering daemon for its tick series. Spans are
-  // laid out on a per-cluster simulated clock that advances by each query's
-  // duration, so consecutive queries form a contiguous timeline.
-  void AttachTelemetry(telemetry::MetricRegistry* sink);
-
-  // Attaches a fault injector (nullable). The cluster advances the
-  // injector's clock along its query timeline; while a CXL-link fault is
-  // active, shuffle fetches fail with the configured probability and the
-  // reduce side re-executes the failed partitions (Spark's stage-retry
-  // semantics), charged as extra shuffle-read time. A null or disabled
-  // injector leaves every query byte-identical to a faultless build.
-  void AttachFaults(fault::FaultInjector* faults);
 
   // Steady-state per-executor processing rate (GB/s of shuffle payload) for
   // each executor group under the current placement — the fixed point the
@@ -161,13 +159,11 @@ class SparkCluster {
   // Spilled bytes for `query` under the current memory fraction.
   double SpilledBytes(const QueryProfile& query) const;
 
-  // Restores the 1:1 placement and cold hotness state before a query
-  // (Hot-Promote mode only; queries are measured as independent runs).
-  void ResetHotPromoteState();
-
-  // The daemon's current observer set (telemetry_ plus the injector when
-  // enabled) — one struct for TieredMemory::Attach.
-  os::TieredMemory::Observers TieringObservers() const;
+  // Builds the Hot-Promote allocator, 1:1 DRAM/CXL region and daemon with
+  // cold hotness state (Hot-Promote mode only): at construction, so the
+  // placement shares SolveGroupRates sees are the region's, and again before
+  // every query, since queries are measured as independent runs.
+  void BuildHotPromoteState();
 
   SparkConfig config_;
   std::unique_ptr<topology::Platform> platform_;  // One modelled server.

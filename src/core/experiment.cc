@@ -217,28 +217,20 @@ StatusOr<VmExperimentResult> RunVmCxlOnlyExperiment(KeyDbExperimentOptions optio
   return out;
 }
 
-StatusOr<SparkExperimentResult> RunSparkExperiment(const SparkExperimentOptions& options) {
-  const ExperimentEnv& env = options.env;
-  apps::spark::SparkConfig cluster_cfg = options.cluster;
-  if (cluster_cfg.tiering_policy.empty()) {
-    cluster_cfg.tiering_policy = env.tiering_policy;
+apps::spark::QueryResult RunSparkCell(const SparkCell& cell, const ExperimentEnv& env) {
+  // The injector exists before the cluster so the cluster can observe it,
+  // but attaches its telemetry last: the trace tracks register as
+  // spark/<mode>, promotion-daemon, faults.
+  std::unique_ptr<fault::FaultInjector> injector;
+  if (env.faults_enabled()) {
+    injector =
+        std::make_unique<fault::FaultInjector>(env.faults, env.fault_seed, env.fault_tunables);
   }
-  apps::spark::SparkCluster cluster(cluster_cfg);
-  cluster.AttachTelemetry(env.telemetry);
-  auto injector = MakeInjector(env);
-  cluster.AttachFaults(injector.get());
-
-  const std::vector<apps::spark::QueryProfile> queries =
-      options.queries.empty() ? apps::spark::TpchShuffleHeavyQueries() : options.queries;
-  SparkExperimentResult out;
-  out.queries.reserve(queries.size());
-  for (const auto& q : queries) {
-    const auto res = cluster.RunQuery(q);
-    out.total_seconds += res.total_seconds;
-    out.reexecuted_partitions += res.reexecuted_partitions;
-    out.queries.push_back(res);
+  apps::spark::SparkCluster cluster(cell.cluster, env.telemetry, injector.get());
+  if (injector != nullptr) {
+    injector->AttachTelemetry(env.telemetry);
   }
-  return out;
+  return cluster.RunQuery(cell.query);
 }
 
 StatusOr<LlmExperimentResult> RunLlmExperiment(const LlmExperimentOptions& options) {

@@ -3,8 +3,11 @@
 // platform, 16 KiB page allocator, optional promotion daemon, KvStore, op
 // source, optional fault injector and KvServerSim. KvCell holds that cell as
 // data and RunKvCell is the one place that composes it. RunKeyDbExperiment
-// is the Table 1 mapping on top (MakeKvCell, then one RunKvCell), and the
-// Spark and LLM runners wire the same environment through their apps.
+// is the Table 1 mapping on top (MakeKvCell, then one RunKvCell). Every
+// env-wired Spark number (Fig. 7, the §4.2.2 thrash, the Spark fault and
+// policy rows) comes from SparkCell, composed by RunSparkCell: one query
+// on one SparkCluster with the env's telemetry sink and fault injector. The
+// LLM runner wires the same environment through its app.
 #ifndef CXL_EXPLORER_SRC_CORE_EXPERIMENT_H_
 #define CXL_EXPLORER_SRC_CORE_EXPERIMENT_H_
 
@@ -32,11 +35,11 @@
 
 namespace cxl::core {
 
-// Cross-cutting execution environment shared by every Run*Experiment entry
-// point: where randomness comes from, how wide multi-cell experiments fan
-// out, where observability lands, and which faults (if any) are injected.
-// Embedded by value in each experiment's options struct so these concerns
-// are plumbed once instead of re-declared per experiment.
+// Cross-cutting execution environment shared by every Run*Experiment and
+// Run*Cell entry point: where randomness comes from, how wide multi-cell
+// experiments fan out, where observability lands, and which faults (if any)
+// are injected. Embedded by value in each experiment's options struct so
+// these concerns are plumbed once instead of re-declared per experiment.
 struct ExperimentEnv {
   // Base seed for workload generation and service-time jitter. Multi-cell
   // experiments derive per-cell seeds with runner::CellSeed.
@@ -62,9 +65,9 @@ struct ExperimentEnv {
   fault::FaultPlan faults;
   uint64_t fault_seed = 1;
   fault::FaultTunables fault_tunables;
-  // PolicyRegistry name of the tiering policy for experiments that run the
-  // promotion daemon (Hot-Promote configs). Empty = the config default
-  // (hot page selection), leaving legacy runs byte-identical.
+  // PolicyRegistry name of the tiering policy MakeKvCell gives a Hot-Promote
+  // cell's daemon. Empty = the config default (hot page selection). KvCell
+  // and SparkCell carry their own policy, so the cell runners do not read it.
   std::string tiering_policy;
 
   bool faults_enabled() const { return !faults.empty(); }
@@ -153,24 +156,19 @@ struct VmExperimentResult {
 };
 StatusOr<VmExperimentResult> RunVmCxlOnlyExperiment(KeyDbExperimentOptions options = {});
 
-// §4.2: one Spark cluster configuration over a set of TPC-H queries.
-// Thin orchestration over apps::spark::SparkCluster that wires the shared
-// environment (telemetry sink, fault injector) through the cluster.
-struct SparkExperimentOptions {
-  apps::spark::SparkConfig cluster = apps::spark::SparkConfig::MmemOnly();
-  // Queries to run back to back (empty = the paper's four shuffle-heavy
-  // TPC-H queries, Q5/Q7/Q8/Q9).
-  std::vector<apps::spark::QueryProfile> queries;
-  ExperimentEnv env;
+// §4.2: one Spark TPC-H query on one cluster configuration, as data.
+// Benches that vary one knob override that field of `cluster` (say
+// tiering_policy or promote_rate_limit_mbps).
+struct SparkCell {
+  apps::spark::SparkConfig cluster;
+  apps::spark::QueryProfile query;
 };
 
-struct SparkExperimentResult {
-  std::vector<apps::spark::QueryResult> queries;
-  double total_seconds = 0.0;
-  int reexecuted_partitions = 0;  // Shuffle partitions re-run after fetch failures.
-};
-
-StatusOr<SparkExperimentResult> RunSparkExperiment(const SparkExperimentOptions& options = {});
+// Runs `cell` on a SparkCluster observed by env.telemetry and by one fault
+// injector seeded from env.fault_seed (built only when env has a fault
+// plan, with env.fault_tunables). The cell carries its own daemon policy,
+// so env.seed and env.tiering_policy are not read.
+apps::spark::QueryResult RunSparkCell(const SparkCell& cell, const ExperimentEnv& env);
 
 // §5: LLM serving pipeline driven with back-to-back requests.
 struct LlmExperimentOptions {

@@ -107,12 +107,22 @@ TEST(SparkClusterTest, HotPromoteBeatsStaticOneToThree) {
 }
 
 TEST(SparkClusterTest, QueriesAreIndependentRuns) {
-  // Hot-Promote state resets per query: re-running the same query gives the
-  // same answer.
+  // Hot-Promote state is rebuilt before every query: re-running a query
+  // after another gives the same answer bit for bit.
   SparkCluster cluster(SparkConfig::HotPromote());
-  const double a = cluster.RunQuery(*FindQuery("Q8")).total_seconds;
-  const double b = cluster.RunQuery(*FindQuery("Q8")).total_seconds;
-  EXPECT_NEAR(a, b, a * 1e-9);
+  const QueryResult a = cluster.RunQuery(*FindQuery("Q8"));
+  cluster.RunQuery(*FindQuery("Q5"));
+  const QueryResult b = cluster.RunQuery(*FindQuery("Q8"));
+  EXPECT_EQ(a.compute_seconds, b.compute_seconds);
+  EXPECT_EQ(a.shuffle_write_seconds, b.shuffle_write_seconds);
+  EXPECT_EQ(a.shuffle_read_seconds, b.shuffle_read_seconds);
+  EXPECT_EQ(a.total_seconds, b.total_seconds);
+  EXPECT_EQ(a.spilled_bytes, b.spilled_bytes);
+  EXPECT_EQ(a.migrated_bytes, b.migrated_bytes);
+  EXPECT_EQ(a.cxl_access_share, b.cxl_access_share);
+  EXPECT_EQ(a.reexecuted_partitions, b.reexecuted_partitions);
+  EXPECT_EQ(a.retry_seconds, b.retry_seconds);
+  EXPECT_GT(a.migrated_bytes, 0.0);
 }
 
 TEST(SparkClusterTest, ShuffleShareGrowsWithShuffleBytes) {

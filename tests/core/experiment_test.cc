@@ -1,8 +1,14 @@
 #include "src/core/experiment.h"
 
+#include <limits>
+#include <set>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
+
+#include "src/os/policy_registry.h"
 
 namespace cxl::core {
 namespace {
@@ -205,6 +211,78 @@ TEST(RunKvCellTest, StoreThatDoesNotFitItsPlacementFails) {
   workload::YcsbGenerator gen(workload::YcsbWorkload::kC, cell.store.record_count, 1);
   const auto run = RunKvCell(cell, gen, ExperimentEnv{});
   EXPECT_FALSE(run.ok());
+}
+
+// Every QueryResult field, bit for bit.
+void ExpectSameQuery(const apps::spark::QueryResult& a, const apps::spark::QueryResult& b) {
+  EXPECT_EQ(a.compute_seconds, b.compute_seconds);
+  EXPECT_EQ(a.shuffle_write_seconds, b.shuffle_write_seconds);
+  EXPECT_EQ(a.shuffle_read_seconds, b.shuffle_read_seconds);
+  EXPECT_EQ(a.total_seconds, b.total_seconds);
+  EXPECT_EQ(a.spilled_bytes, b.spilled_bytes);
+  EXPECT_EQ(a.migrated_bytes, b.migrated_bytes);
+  EXPECT_EQ(a.cxl_access_share, b.cxl_access_share);
+  EXPECT_EQ(a.reexecuted_partitions, b.reexecuted_partitions);
+  EXPECT_EQ(a.retry_seconds, b.retry_seconds);
+}
+
+// The cell's tiering_policy drives the Hot-Promote daemon; the env's is not
+// read.
+TEST(RunSparkCellTest, CellPolicyReachesTheDaemon) {
+  SparkCell cell{apps::spark::SparkConfig::HotPromote(), *apps::spark::FindQuery("Q9")};
+  const apps::spark::QueryResult default_policy = RunSparkCell(cell, ExperimentEnv{});
+  cell.cluster.tiering_policy = os::kTppLikePolicyName;
+  ExperimentEnv env;
+  env.tiering_policy = os::kMruBalancingPolicyName;
+  const apps::spark::QueryResult tpp = RunSparkCell(cell, env);
+  ExpectSameQuery(tpp, apps::spark::SparkCluster(cell.cluster).RunQuery(cell.query));
+  EXPECT_NE(tpp.migrated_bytes, default_policy.migrated_bytes);
+  EXPECT_NE(tpp.total_seconds, default_policy.total_seconds);
+}
+
+// RunSparkCell under a fault plan with a registry attached equals a cluster
+// and injector wired by hand, registers the trace tracks in the same order,
+// and attributes every shuffle re-execution to a window the log opened.
+TEST(RunSparkCellTest, HandBuiltCellEqualsRunSparkCell) {
+  const std::vector<std::pair<apps::spark::SparkConfig, std::vector<std::string>>> configs = {
+      {apps::spark::SparkConfig::HotPromote(),
+       {"spark/Hot-Promote", "promotion-daemon", "faults"}},
+      {apps::spark::SparkConfig::Interleave(1, 1), {"spark/interleave", "faults"}},
+  };
+  for (const auto& [config, tracks] : configs) {
+    SCOPED_TRACE(apps::spark::ModeLabel(config.mode));
+    const SparkCell cell{config, *apps::spark::FindQuery("Q9")};
+    telemetry::MetricRegistry registry;
+    ExperimentEnv env;
+    env.faults = fault::FaultPlan().Downtrain(0.0, std::numeric_limits<double>::infinity(), 4);
+    env.fault_seed = 7;
+    env.telemetry = &registry;
+    const apps::spark::QueryResult run = RunSparkCell(cell, env);
+
+    telemetry::MetricRegistry hand_registry;
+    fault::FaultInjector injector(env.faults, env.fault_seed, env.fault_tunables);
+    apps::spark::SparkCluster cluster(config, &hand_registry, &injector);
+    injector.AttachTelemetry(&hand_registry);
+    ExpectSameQuery(run, cluster.RunQuery(cell.query));
+    EXPECT_EQ(registry.trace().tracks(), tracks);
+    EXPECT_EQ(hand_registry.trace().tracks(), tracks);
+
+    std::set<int32_t> opened;
+    registry.events().ForEach([&opened](const telemetry::Event& e) {
+      if (e.kind == telemetry::EventKind::kFaultWindowOpen) {
+        opened.insert(e.window);
+      }
+    });
+    int reexec_events = 0;
+    registry.events().ForEach([&](const telemetry::Event& e) {
+      if (e.kind == telemetry::EventKind::kSparkShuffleReexec) {
+        ++reexec_events;
+        EXPECT_EQ(opened.count(e.window), 1u) << "window " << e.window;
+      }
+    });
+    EXPECT_GT(run.reexecuted_partitions, 0);
+    EXPECT_EQ(reexec_events, 1);
+  }
 }
 
 }  // namespace

@@ -174,23 +174,18 @@ TEST(KvDegradationTest, DowntrainSlowsCxlHeavyConfig) {
 // --- Spark ----------------------------------------------------------------
 
 TEST(SparkDegradationTest, DegradedLinkReexecutesShufflePartitions) {
-  core::SparkExperimentOptions healthy;
-  healthy.cluster = apps::spark::SparkConfig::Interleave(1, 1);
-  core::SparkExperimentOptions degraded = healthy;
-  degraded.env.faults = fault::FaultPlan().Downtrain(0.0, kInf, 4);
+  // Q9 on Interleave 1:1, as bench_fault_storms (b) runs it.
+  const core::SparkCell cell{apps::spark::SparkConfig::Interleave(1, 1),
+                             *apps::spark::FindQuery("Q9")};
+  core::ExperimentEnv degraded;
+  degraded.faults = fault::FaultPlan().Downtrain(0.0, kInf, 4);
 
-  const auto h = core::RunSparkExperiment(healthy);
-  const auto d = core::RunSparkExperiment(degraded);
-  ASSERT_TRUE(h.ok());
-  ASSERT_TRUE(d.ok());
-  EXPECT_EQ(h->reexecuted_partitions, 0);
-  EXPECT_GT(d->reexecuted_partitions, 0);
-  EXPECT_GT(d->total_seconds, h->total_seconds);
-  double retry_s = 0.0;
-  for (const auto& q : d->queries) {
-    retry_s += q.retry_seconds;
-  }
-  EXPECT_GT(retry_s, 0.0);
+  const auto h = core::RunSparkCell(cell, core::ExperimentEnv{});
+  const auto d = core::RunSparkCell(cell, degraded);
+  EXPECT_EQ(h.reexecuted_partitions, 0);
+  EXPECT_GT(d.reexecuted_partitions, 0);
+  EXPECT_GT(d.total_seconds, h.total_seconds);
+  EXPECT_GT(d.retry_seconds, 0.0);
 }
 
 // --- LLM serving ----------------------------------------------------------

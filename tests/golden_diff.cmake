@@ -10,7 +10,9 @@ endif()
 
 separate_arguments(bench_args UNIX_COMMAND "${ARGS}")
 get_filename_component(bench_name "${BENCH}" NAME)
-set(out "${WORK_DIR}/${bench_name}_golden_diff.txt")
+# Named after the golden: one binary may back several goldens (cxl_lab).
+get_filename_component(golden_name "${GOLDEN}" NAME_WE)
+set(out "${WORK_DIR}/${golden_name}_golden_diff.txt")
 
 execute_process(COMMAND "${BENCH}" ${bench_args}
                 OUTPUT_FILE "${out}"
