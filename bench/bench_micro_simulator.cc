@@ -115,7 +115,9 @@ BENCHMARK(BM_PageAllocate)->Arg(4096)->Arg(65536)->Arg(1 << 21);
 // 1 s tick at 400 accesses per page, so after the 60 warming ticks every
 // page is warm and every word dense. One iteration times one Tick; the
 // window's accesses are recorded outside the timing, as id spans the way
-// the cluster records them. Items are the pages the ticks visited.
+// the cluster records them. Items are the pages the ticks visited; the
+// dense_words_skipped counter is the words per tick the heat bounds let
+// the pass skip.
 void BM_DaemonTickStreaming(benchmark::State& state) {
   constexpr double kRegionBytes = 600e9;
   topology::PlatformOptions opt;
@@ -153,6 +155,7 @@ void BM_DaemonTickStreaming(benchmark::State& state) {
     tiering.Tick(1.0);
   }
   int64_t visited = 0;
+  uint64_t skipped = 0;
   for (auto _ : state) {
     state.PauseTiming();
     touch_window();
@@ -160,8 +163,12 @@ void BM_DaemonTickStreaming(benchmark::State& state) {
     const os::TieredMemory::TickResult r = tiering.Tick(1.0);
     benchmark::DoNotOptimize(r);
     visited += static_cast<int64_t>(r.pages_visited);
+    skipped += r.dense_words_skipped;
   }
   state.SetItemsProcessed(visited);
+  // Dense words the pass skipped on their heat bounds, per tick.
+  state.counters["dense_words_skipped"] =
+      benchmark::Counter(static_cast<double>(skipped), benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_DaemonTickStreaming)->Unit(benchmark::kMicrosecond);
 

@@ -181,4 +181,39 @@ std::vector<std::string> AllocatorInvariantViolations(const os::PageAllocator& a
   return violations;
 }
 
+std::vector<std::string> TieringInvariantViolations(const os::TieredMemory& tiering) {
+  std::vector<std::string> violations;
+  const os::PageAllocator& alloc = tiering.allocator();
+  const uint64_t n = alloc.page_count();
+  const float* heat = alloc.heat_column();
+  const std::vector<uint64_t>& warm = tiering.warm_set();
+  const std::vector<float>& lo = tiering.word_heat_lo();
+  const std::vector<float>& hi = tiering.word_heat_hi();
+  const size_t words = (n + 63) / 64;
+  if (warm.size() != words || lo.size() != words || hi.size() != words) {
+    violations.push_back("warm set / heat bounds span " + std::to_string(warm.size()) + " / " +
+                         std::to_string(lo.size()) + " / " + std::to_string(hi.size()) +
+                         " words, page slots need " + std::to_string(words));
+    return violations;
+  }
+  const auto page = [&](const char* what, uint64_t id) {
+    return std::string(what) + " (page " + std::to_string(id) + ", heat " +
+           std::to_string(heat[id]) + ", word bounds [" + std::to_string(lo[id / 64]) + ", " +
+           std::to_string(hi[id / 64]) + "])";
+  };
+  for (uint64_t id = 0; id < n; ++id) {
+    const bool warm_bit = (warm[id / 64] >> (id % 64) & 1) != 0;
+    if (heat[id] > 0.0f && !warm_bit) {
+      violations.push_back(page("page with heat > 0 is not in the warm set", id));
+    }
+    if (!(lo[id / 64] <= heat[id] && heat[id] <= hi[id / 64])) {
+      violations.push_back(page("word's heat bounds do not bracket a page's heat", id));
+    }
+    if (tiering.IsQuarantined(id) && tiering.PromoteStamp(id) > tiering.QuarantineEpoch(id)) {
+      violations.push_back(page("quarantined page was promoted after its quarantine", id));
+    }
+  }
+  return violations;
+}
+
 }  // namespace cxl::check

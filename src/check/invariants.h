@@ -26,6 +26,17 @@
 //                  other node, free) and hold no bit past page_count();
 //   free stack     the free PageRuns stack holds each slot with node < 0
 //                  exactly once, and nothing else.
+//
+// And the tiering daemon's, between ticks:
+//
+//   warm set       a superset of the pages with heat > 0;
+//   heat bounds    every word's [lo, hi] brackets the heat of each of its
+//                  page slots;
+//   quarantine     no quarantined page was promoted after its quarantine
+//                  (its promotion stamp is not above its quarantine epoch).
+//                  A quarantined page can still sit in DRAM: quarantine
+//                  leaves it there when the low tier is full, and a freed
+//                  quarantined id can be allocated to DRAM again.
 #ifndef CXL_EXPLORER_SRC_CHECK_INVARIANTS_H_
 #define CXL_EXPLORER_SRC_CHECK_INVARIANTS_H_
 
@@ -34,6 +45,7 @@
 
 #include "src/mem/bandwidth_solver.h"
 #include "src/os/page_allocator.h"
+#include "src/os/tiering.h"
 
 namespace cxl::check {
 
@@ -46,6 +58,12 @@ std::vector<std::string> SolverInvariantViolations(const mem::BandwidthSolver& s
 // Verifies `alloc`'s occupancy counts, residency bitsets and free stack
 // against its node column, per the contract above. O(page_count()).
 std::vector<std::string> AllocatorInvariantViolations(const os::PageAllocator& alloc);
+
+// Verifies `tiering`'s warm set, heat bounds and quarantine against the
+// heat column and promotion stamps, per the contract above. Holds after
+// every Tick() (an allocation since the last tick may leave lower bounds
+// stale until the next one). O(page_count()).
+std::vector<std::string> TieringInvariantViolations(const os::TieredMemory& tiering);
 
 }  // namespace cxl::check
 

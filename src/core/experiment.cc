@@ -93,7 +93,6 @@ StatusOr<KvCellResult> RunKvCellWith(const KvCell& cell, const ExperimentEnv& en
                   injector.get());
   KvCellResult result{sim.Run(), allocator.counters()};
   EmitKvResultTelemetry(env.telemetry, result);
-  store->Free();
   return result;
 }
 

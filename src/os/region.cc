@@ -27,6 +27,16 @@ std::vector<double> MemoryRegion::NodeShares() const {
   if (pages_.empty()) {
     return shares;
   }
+  const double size = static_cast<double>(pages_.size());
+  if (pages_.size() == allocator_->allocated_pages()) {
+    // The region holds every allocated page, so the per-node counts are
+    // its own: the same exact counts the walk below makes.
+    for (size_t n = 0; n < shares.size(); ++n) {
+      shares[n] = static_cast<double>(allocator_->UsedPages(static_cast<topology::NodeId>(n))) /
+                  size;
+    }
+    return shares;
+  }
   // Each run reads the node column in id order: sequential streaming, no
   // indirection through an id vector.
   const topology::NodeId* node_col = allocator_->node_column();
@@ -39,7 +49,7 @@ std::vector<double> MemoryRegion::NodeShares() const {
     }
   }
   for (auto& s : shares) {
-    s /= static_cast<double>(pages_.size());
+    s /= size;
   }
   return shares;
 }

@@ -26,7 +26,8 @@ class MemoryRegion {
   MemoryRegion& operator=(MemoryRegion&&) = default;
   MemoryRegion(const MemoryRegion&) = delete;
   MemoryRegion& operator=(const MemoryRegion&) = delete;
-  // Regions must be Free()d explicitly (they reference the allocator).
+  // The destructor does not free the pages: Free() a region to return them
+  // to its allocator, or abandon it together with the allocator.
   ~MemoryRegion() = default;
 
   uint64_t bytes() const { return bytes_; }
@@ -47,7 +48,8 @@ class MemoryRegion {
   }
 
   // Fraction of the region's pages currently resident on each node
-  // (indexed by NodeId; sums to 1).
+  // (indexed by NodeId; sums to 1). O(nodes) when the region holds every
+  // page its allocator has allocated, else a walk of the region's pages.
   std::vector<double> NodeShares() const;
 
   // Fraction currently on DRAM (top tier).

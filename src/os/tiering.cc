@@ -109,6 +109,39 @@ HeatMasks CompareHeat(const float* heat, float cut, float min_heat) {
   }
   return {~above, candidate};
 }
+
+struct HeatBounds {
+  float lo;
+  float hi;
+};
+
+// The least and greatest of `count` heats. A full word folds to 16 and
+// then 4 lanes of element-wise min and max, which GCC vectorises at the
+// baseline ISA (a running min/max over the 64 stays scalar without
+// -ffast-math).
+HeatBounds BoundHeat(const float* heat, size_t count) {
+  if (count == kWordBits) {
+    std::array<float, 16> lo;
+    std::array<float, 16> hi;
+    for (size_t j = 0; j < 16; ++j) {
+      const float* h = heat + j;
+      lo[j] = std::min(std::min(h[0], h[16]), std::min(h[32], h[48]));
+      hi[j] = std::max(std::max(h[0], h[16]), std::max(h[32], h[48]));
+    }
+    for (size_t j = 0; j < 4; ++j) {
+      lo[j] = std::min(std::min(lo[j], lo[j + 4]), std::min(lo[j + 8], lo[j + 12]));
+      hi[j] = std::max(std::max(hi[j], hi[j + 4]), std::max(hi[j + 8], hi[j + 12]));
+    }
+    return {std::min(std::min(lo[0], lo[1]), std::min(lo[2], lo[3])),
+            std::max(std::max(hi[0], hi[1]), std::max(hi[2], hi[3]))};
+  }
+  HeatBounds out{heat[0], heat[0]};
+  for (size_t i = 1; i < count; ++i) {
+    out.lo = std::min(out.lo, heat[i]);
+    out.hi = std::max(out.hi, heat[i]);
+  }
+  return out;
+}
 }  // namespace
 
 const char* TieringConfig::PolicyName() const {
@@ -131,6 +164,9 @@ TieredMemory::TieredMemory(PageAllocator& allocator, TieringConfig config)
       warm_[id / kWordBits] |= Bit(id);
     }
   }
+  for (size_t w = 0; any_heat != 0 && w < warm_.size(); ++w) {
+    BoundWord(w);
+  }
   auto policy = PolicyRegistry::BuiltIns().Create(config_.PolicyName(), config_);
   if (!policy.ok()) {
     // Unknown name in config_.policy: callers taking user input validate
@@ -150,13 +186,15 @@ bool TieredMemory::IsTopTier(topology::NodeId node) const {
 void TieredMemory::RecordAccess(PageId page, uint64_t accesses) {
   // Hint-fault sampling: only a fraction of real accesses are observed.
   const double sampled = static_cast<double>(accesses) * config_.hint_fault_sample_rate;
-  allocator_.mutable_heat_column()[page] += static_cast<float>(sampled);
+  float& heat = allocator_.mutable_heat_column()[page];
+  heat += static_cast<float>(sampled);
   allocator_.page(page).last_decay_epoch = epoch_;  // Recency stamp for the kRecency scan.
   allocator_.mutable_counters().numa_hint_faults += static_cast<uint64_t>(std::ceil(sampled));
   if (page / kWordBits >= warm_.size()) {
     GrowPageSets();
   }
   warm_[page / kWordBits] |= Bit(page);
+  word_hi_[page / kWordBits] = std::max(word_hi_[page / kWordBits], heat);
 }
 
 void TieredMemory::RecordAccessRun(PageId first, uint64_t count, uint64_t accesses) {
@@ -185,14 +223,19 @@ void TieredMemory::RecordAccessRun(PageId first, uint64_t count, uint64_t access
   const size_t last_word = last / kWordBits;
   const uint64_t head = ~uint64_t{0} << (first % kWordBits);
   const uint64_t tail = ~uint64_t{0} >> (kWordBits - 1 - last % kWordBits);
+  BoundWord(first_word);
   if (first_word == last_word) {
     warm_[first_word] |= head & tail;
     return;
   }
   warm_[first_word] |= head;
-  std::fill(warm_.begin() + static_cast<std::ptrdiff_t>(first_word + 1),
-            warm_.begin() + static_cast<std::ptrdiff_t>(last_word), ~uint64_t{0});
+  for (size_t w = first_word + 1; w < last_word; ++w) {
+    warm_[w] = ~uint64_t{0};
+    word_lo_[w] += add;
+    word_hi_[w] += add;
+  }
   warm_[last_word] |= tail;
+  BoundWord(last_word);
 }
 
 void TieredMemory::GrowPageSets() {
@@ -205,6 +248,19 @@ void TieredMemory::GrowPageSets() {
   promote_epoch_.resize(allocator_.page_count(), 0);
   warm_.resize((allocator_.page_count() + kWordBits - 1) / kWordBits, 0);
   recently_promoted_.resize(warm_.size(), 0);
+  // New slots hold heat 0. They are created only by allocation, after
+  // which the next tick zeroes every lower bound, the word they extend
+  // included.
+  word_lo_.resize(warm_.size(), 0.0f);
+  word_hi_.resize(warm_.size(), 0.0f);
+}
+
+void TieredMemory::BoundWord(size_t w) {
+  const PageId base = w * kWordBits;
+  const HeatBounds b = BoundHeat(allocator_.heat_column() + base,
+                                 std::min<uint64_t>(kWordBits, allocator_.page_count() - base));
+  word_lo_[w] = b.lo;
+  word_hi_[w] = b.hi;
 }
 
 template <typename Dense, typename Sparse>
@@ -246,6 +302,7 @@ uint64_t TieredMemory::ScanWarm(const CandidateFilter& filter, ColdPoolSelector&
   const uint64_t* cxl_bits = allocator_.cxl_bits().data();
   uint64_t offered_dram = 0;
   uint64_t offers = 0;
+  uint64_t skipped = 0;
   // A CXL page whose heat passed the filter: the per-page tests left.
   const auto consider = [&](PageId id, float heat) {
     if ((!filter.this_epoch_only || epoch_col[id] == epoch_) && !IsQuarantined(id)) {
@@ -258,10 +315,16 @@ uint64_t TieredMemory::ScanWarm(const CandidateFilter& filter, ColdPoolSelector&
         // 0 sorts first in the pool and is a candidate only when the
         // filter admits it. Only DRAM pages that may pass the cut reach
         // Offer, and only CXL pages passing the heat test are considered.
-        const float* heat = heat_col + w * kWordBits;
-        const PageId base = w * kWordBits;
         const uint64_t dram = dram_bits[w];
         offered_dram += static_cast<uint64_t>(std::popcount(dram));
+        // Bounds that put every page above the cut and below min_heat
+        // leave both masks empty.
+        if (!(word_hi_[w] >= filter.min_heat) && word_lo_[w] > pool.cut_heat()) {
+          ++skipped;
+          return;
+        }
+        const float* heat = heat_col + w * kWordBits;
+        const PageId base = w * kWordBits;
         const HeatMasks masks = CompareHeat(heat, pool.cut_heat(), filter.min_heat);
         for (uint64_t bits = dram & masks.below_cut; bits != 0; bits &= bits - 1) {
           const int j = std::countr_zero(bits);
@@ -288,6 +351,7 @@ uint64_t TieredMemory::ScanWarm(const CandidateFilter& filter, ColdPoolSelector&
         return true;
       });
   tick_pool_offers_ += offers;
+  tick_dense_words_skipped_ += skipped;
   return offered_dram;
 }
 
@@ -344,12 +408,16 @@ void TieredMemory::DecayWarm() {
         for (PageId id = w * kWordBits; id < run_end * kWordBits; ++id) {
           heat_col[id] *= decay;
         }
-        w = run_end;
+        for (; w < run_end; ++w) {
+          word_lo_[w] *= decay;
+          word_hi_[w] *= decay;
+        }
         continue;
       }
       for (; w < run_end; ++w) {
         // The same sweep word by word, and a word holding a 0 afterwards
-        // has its bits recomputed: dense words shed cold pages too.
+        // has its bits recomputed: dense words shed cold pages too. Each
+        // word's bounds are recomputed exactly.
         float* word_heat = heat_col + w * kWordBits;
         int any_zero = 0;
         for (PageId j = 0; j < kWordBits; ++j) {
@@ -364,10 +432,13 @@ void TieredMemory::DecayWarm() {
           }
           warm_[w] = keep;
         }
+        BoundWord(w);
       }
       continue;
     }
     visited += static_cast<uint64_t>(std::popcount(bits));
+    word_lo_[w] *= decay;
+    word_hi_[w] *= decay;
     for (; bits != 0; bits &= bits - 1) {
       const PageId id = w * kWordBits + static_cast<PageId>(std::countr_zero(bits));
       heat_col[id] *= decay;
@@ -557,11 +628,14 @@ TieredMemory::TickResult TieredMemory::Tick(double dt_seconds) {
   tick_pool_offers_ = 0;
   tick_pool_shrinks_ = 0;
   tick_sorted_entries_ = 0;
+  tick_dense_words_skipped_ = 0;
   // Pages enter DRAM outside the daemon only by allocation, at any id and
-  // with heat 0: after any, the zero walk starts again from id 0.
+  // with heat 0: after any, the zero walk starts again from id 0, and no
+  // word's lower bound is above 0.
   if (allocator_.counters().pgalloc != seen_pgalloc_) {
     seen_pgalloc_ = allocator_.counters().pgalloc;
     zero_floor_ = 0;
+    std::fill(word_lo_.begin(), word_lo_.end(), 0.0f);
   }
 
   // Heat changed since the previous tick (decay, sampled accesses), so last
@@ -854,6 +928,7 @@ TieredMemory::TickResult TieredMemory::Tick(double dt_seconds) {
   result.pool_offers = tick_pool_offers_;
   result.pool_shrinks = tick_pool_shrinks_;
   result.sorted_entries = tick_sorted_entries_;
+  result.dense_words_skipped = tick_dense_words_skipped_;
   sim_seconds_ += dt_seconds;
   EmitTickTelemetry(result, dt_seconds);
   EmitTickEvents(result, watermark_demoted);
@@ -877,13 +952,17 @@ bool TieredMemory::QuarantinePage(PageId page) {
   if (page == kInvalidPage || page >= allocator_.page_count()) {
     return false;
   }
-  if (!quarantined_.insert(page).second) {
+  if (!quarantined_.emplace(page, epoch_).second) {
     return false;  // Already quarantined.
   }
   // The heat reset (and possible eviction below) perturbs the (heat, id)
   // order the demotion pool was built on.
   cold_pool_valid_ = false;
   allocator_.mutable_heat_column()[page] = 0.0f;  // Its warm bit goes stale.
+  if (page / kWordBits >= warm_.size()) {
+    GrowPageSets();
+  }
+  word_lo_[page / kWordBits] = 0.0f;
   zero_floor_ = std::min(zero_floor_, page);
   const topology::NodeId node = allocator_.NodeOf(page);
   if (node >= 0 && IsTopTier(node)) {

@@ -24,7 +24,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_set>
+#include <unordered_map>
 #include <vector>
 
 #include "src/fault/fault.h"
@@ -181,6 +181,11 @@ class TieredMemory {
     // the ranked promotion candidates. Deterministic work counters, like
     // pool_offers.
     uint64_t sorted_entries = 0;
+    // Dense words the tick's warm passes skipped whole: their heat bounds
+    // put every page above the cold pool's cut and below the candidate
+    // threshold. A deterministic work counter; the words still count in
+    // pages_visited.
+    uint64_t dense_words_skipped = 0;
   };
   TickResult Tick(double dt_seconds);
 
@@ -220,6 +225,21 @@ class TieredMemory {
   bool QuarantinePage(PageId page);
   uint64_t QuarantinedPages() const { return quarantined_.size(); }
 
+  // Whether `page` is quarantined: one empty() load on healthy runs.
+  bool IsQuarantined(PageId page) const {
+    return !quarantined_.empty() && quarantined_.count(page) != 0;
+  }
+  // The epoch (ticks so far) at which `page` was quarantined; the page
+  // must be quarantined. A promotion stamp above it would mean the daemon
+  // promoted the page afterwards (check::TieringInvariantViolations).
+  uint32_t QuarantineEpoch(PageId page) const { return quarantined_.at(page); }
+
+  // The warm set and the per-word heat bounds (see the members), read by
+  // check::TieringInvariantViolations.
+  const std::vector<uint64_t>& warm_set() const { return warm_; }
+  const std::vector<float>& word_heat_lo() const { return word_lo_; }
+  const std::vector<float>& word_heat_hi() const { return word_hi_; }
+
   // Remaining ticks of promotion-failure backoff (tests/telemetry).
   int BackoffTicksRemaining() const { return backoff_ticks_remaining_; }
 
@@ -235,6 +255,7 @@ class TieredMemory {
   double hot_threshold() const { return policy_->hot_threshold(); }
   const TieringConfig& config() const { return config_; }
   PageAllocator& allocator() { return allocator_; }
+  const PageAllocator& allocator() const { return allocator_; }
 
   // The active decision policy (the attached override, else the owned one).
   TieringPolicy& policy() { return *policy_; }
@@ -256,11 +277,6 @@ class TieredMemory {
   // warm pass — only when a tick's demotions drain the pool its candidate
   // pass built, or no candidate pass ran.
   void BuildColdPool(uint64_t k);
-
-  // Whether `page` is quarantined: one empty() load on healthy runs.
-  bool IsQuarantined(PageId page) const {
-    return !quarantined_.empty() && quarantined_.count(page) != 0;
-  }
 
   // Completes `selector`, which this tick's warm pass offered
   // `offered_dram` DRAM pages, with the zero-heat DRAM pages the pass left
@@ -288,7 +304,8 @@ class TieredMemory {
   // offered to `pool`, and the HottestFirstKeyOf keys of CXL pages passing
   // `filter` are appended to `hot` in id order. Dense words decide their 64
   // pages with masks from the residency bitsets and two vectorised heat
-  // compares. Returns the number of DRAM pages offered, counting those the
+  // compares, or are skipped whole when their heat bounds leave both masks
+  // empty. Returns the number of DRAM pages offered, counting those the
   // cut turned away before the call.
   uint64_t ScanWarm(const CandidateFilter& filter, ColdPoolSelector& pool,
                     ArenaVector<ColdPoolSelector::Key>& hot);
@@ -302,8 +319,13 @@ class TieredMemory {
   // Multiplies every warm page's heat by the decay factor.
   void DecayWarm();
 
-  // Sizes the stamp column and both page sets to cover every page slot.
+  // Sizes the stamp column, both page sets and the heat bounds to cover
+  // every page slot.
   void GrowPageSets();
+
+  // Sets word `w`'s heat bounds to the least and greatest heat of its page
+  // slots.
+  void BoundWord(size_t w);
 
   // Counts the DRAM-resident pages promoted within the stamp window, and
   // those of them touched this interval, into tick_recent_promoted_*.
@@ -357,11 +379,28 @@ class TieredMemory {
   // heat every kDenseRefreshTicks ticks. Allocate's heat reset and
   // quarantine's leave stale bits, which only cost a visit. Heat is
   // assumed non-negative, with a finite, non-negative decay factor.
+  //
+  // Each word also keeps bounds of its page slots' heat: word_lo_[w] <=
+  // heat <= word_hi_[w] for every slot of word w whenever a tick scans. A
+  // dense word whose upper bound is below the candidate threshold and whose
+  // lower bound is above the cold pool's cut holds no page the scan could
+  // select, and is skipped whole. The bounds change where heat does, with
+  // no pass of their own. Float multiplication and addition round
+  // monotonically, so decay scales both bounds and RecordAccessRun shifts
+  // those of the words it covers whole, exactly; it recomputes its two
+  // edge words, RecordAccess raises the upper bound and quarantine zeroes
+  // the lower. Allocation resets heat without the daemon, so a tick that
+  // sees one (by `pgalloc`, as for zero_floor_) first zeroes every lower
+  // bound. The others only loosen, and every kDenseRefreshTicks-th decay
+  // recomputes the exact bounds of every dense word.
   std::vector<uint64_t> warm_;
+  std::vector<float> word_lo_;
+  std::vector<float> word_hi_;
   uint64_t tick_pages_visited_ = 0;   // TickResult::pages_visited accumulator.
   uint64_t tick_pool_offers_ = 0;     // TickResult::pool_offers accumulator.
   uint64_t tick_pool_shrinks_ = 0;    // TickResult::pool_shrinks accumulator.
   uint64_t tick_sorted_entries_ = 0;  // TickResult::sorted_entries accumulator.
+  uint64_t tick_dense_words_skipped_ = 0;  // TickResult::dense_words_skipped accumulator.
   // Where the walk for zero-heat DRAM pages starts: no sparse word below it
   // holds one. A walk raises it to the first one it finds, so demoting
   // the lowest zero-heat pages does not leave a growing prefix to re-walk
@@ -417,7 +456,7 @@ class TieredMemory {
 
   // Fault handling (inert unless an enabled injector is attached).
   const fault::FaultInjector* faults_ = nullptr;
-  std::unordered_set<PageId> quarantined_;
+  std::unordered_map<PageId, uint32_t> quarantined_;  // Page -> QuarantineEpoch.
   int promotion_failure_streak_ = 0;
   int backoff_ticks_remaining_ = 0;
 };

@@ -147,6 +147,33 @@ TEST(RegionTest, AllocateAndShares) {
   EXPECT_EQ(alloc.allocated_pages(), 0u);
 }
 
+// NodeShares reads the allocator's per-node counts while the region holds
+// every allocated page, and walks its pages while another region holds
+// some: both give count / size, bit for bit.
+TEST(RegionTest, SharesFromNodeCountsEqualTheWalk) {
+  Platform platform = Platform::CxlServer(false);
+  PageAllocator alloc(platform);
+  const auto dram0 = platform.DramNodes(0)[0];
+  const auto cxl0 = platform.CxlNodes()[0];
+  auto region = MemoryRegion::Allocate(
+      alloc, NumaPolicy::WeightedInterleave({dram0}, {cxl0}, 1, 2), 1537_MiB);
+  ASSERT_TRUE(region.ok());
+  ASSERT_EQ(region->page_count(), 769u);
+  std::vector<double> want(platform.nodes().size(), 0.0);
+  for (size_t i = 0; i < region->page_count(); ++i) {
+    want[static_cast<size_t>(alloc.NodeOf(region->PageAtIndex(i)))] += 1.0;
+  }
+  for (double& s : want) {
+    s /= 769.0;
+  }
+  EXPECT_EQ(region->NodeShares(), want);  // From the counts.
+  auto other = MemoryRegion::Allocate(alloc, NumaPolicy::Bind({dram0}), 10_MiB);
+  ASSERT_TRUE(other.ok());
+  EXPECT_EQ(region->NodeShares(), want);  // By the walk.
+  other->Free();
+  EXPECT_EQ(region->NodeShares(), want);
+}
+
 TEST(RegionTest, PageAtOffset) {
   Platform platform = Platform::CxlServer(false);
   PageAllocator alloc(platform);

@@ -13,7 +13,9 @@
 //    columns and promotion stamps, and that every page the tick moved into
 //    DRAM carries this tick's stamp;
 //  - the allocator's occupancy counts, residency bitsets and free stack
-//    (check::AllocatorInvariantViolations).
+//    (check::AllocatorInvariantViolations);
+//  - the daemon's warm set, per-word heat bounds and quarantine
+//    (check::TieringInvariantViolations).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -353,9 +355,11 @@ class Harness {
              << "tick " << epoch << ": reported " << r.promoted_pages << " promoted / "
              << r.demoted_pages << " demoted, columns show " << promoted << " / " << demoted;
     }
-    const std::vector<std::string> audit = check::AllocatorInvariantViolations(alloc_);
-    if (!audit.empty()) {
-      return ::testing::AssertionFailure() << "tick " << epoch << ": " << audit.front();
+    for (const std::vector<std::string>& audit :
+         {check::AllocatorInvariantViolations(alloc_), check::TieringInvariantViolations(tiering_)}) {
+      if (!audit.empty()) {
+        return ::testing::AssertionFailure() << "tick " << epoch << ": " << audit.front();
+      }
     }
     coverage_.recent_promoted += ran ? obs.recent_promoted : 0;
     coverage_.recent_promoted_hot += ran ? obs.recent_promoted_hot : 0;
@@ -821,13 +825,89 @@ TEST(WarmSetColdPoolTest, DemotesTheLowestIdsOfATieAtTheCut) {
   EXPECT_GE(tied, r.demoted_pages + 100);  // Tied pages the demotions left.
 }
 
+// The dense pass skips a word whose heat bounds put every page above the
+// cold pool's cut and below the threshold. Each way heat changes here
+// would leave a stale bound hiding a page the tick must select: a decay
+// (refresh and straight sweep), a span's edge and interior words, a single
+// access, an allocation's heat reset and a quarantine. DRAM holds three
+// dense groups in id order, X (heat 12), Y (8) and W (16), so once the
+// pool has taken X's first 8192 pages its cut is finite and the later,
+// colder Y must still be scanned; CXL pages at 50 sit above every cut and
+// below the threshold of 100 until accesses lift some of them over it.
+// DRAM is full, so the watermark demotes the coldest pages every tick,
+// and the harness checks them and the candidate count.
+TEST(WarmSetBoundsTest, SkippedWordsHideNoSelectablePage) {
+  constexpr uint64_t kDram = 32768;
+  constexpr PageId kY = 16384;
+  constexpr PageId kW = 24576;
+  constexpr PageId kCxl = kDram;  // CXL pages follow DRAM's ids.
+  topology::PlatformOptions opt;
+  opt.sockets = 1;
+  opt.dram_per_socket = kDram * kPageBytes;
+  opt.cxl_cards = 1;
+  opt.cxl_card_capacity = 16384 * kPageBytes;
+  TieringConfig cfg;
+  cfg.hint_fault_sample_rate = 1.0;  // Heat is the access count, exactly.
+  FixedPolicy policy(/*threshold=*/100.0, /*budget_pages=*/200);
+  Harness h(cfg, fault::FaultPlan(), &policy, topology::Platform::Build(opt));
+  const auto cxl_nodes = h.platform().CxlNodes();
+  ASSERT_EQ(h.Allocate(kDram, NumaPolicy::Bind(h.platform().DramNodes())).front(), 0u);
+  ASSERT_EQ(h.Allocate(4096, NumaPolicy::Bind(cxl_nodes)).front(), kCxl);
+  h.AccessSpan(0, kY, 12);
+  h.AccessSpan(kY, kW - kY, 8);
+  h.AccessSpan(kW, kDram - kW, 16);
+  h.AccessSpan(kCxl, 4096, 50);
+  TieredMemory::TickResult r;
+  ASSERT_TRUE(h.Tick(&r));  // Epoch 0: the decay refreshes every dense word.
+  ASSERT_TRUE(h.Tick(&r));  // Y at 4 lies below X's cut at 6.
+  EXPECT_GT(r.dense_words_skipped, 0u);
+  ASSERT_GT(r.demoted_pages, 0u);
+
+  // A span from mid-word to mid-word (edge, interior, edge) and one page:
+  // 12.5 + 90 and 12.5 + 95 reach the threshold.
+  h.AccessSpan(kCxl + 64 * 10 + 32, 128, 90);
+  h.Access(kCxl + 64 * 20 + 5, 95);
+  ASSERT_TRUE(h.Tick(&r));
+  EXPECT_EQ(r.candidates, 129u);
+  EXPECT_GT(r.dense_words_skipped, 0u);
+
+  // W's last word freed and handed out again: its pages are at heat 0.
+  std::vector<PageId> z;
+  for (PageId id = kDram - 64; id < kDram; ++id) {
+    z.push_back(id);
+  }
+  h.Free(z);
+  ASSERT_EQ(h.Allocate(64, NumaPolicy::Bind(h.platform().DramNodes())),
+            std::vector<PageId>(z.rbegin(), z.rend()));
+  ASSERT_TRUE(h.Tick(&r));  // Every lower bound is 0 now: nothing is skipped.
+  EXPECT_FALSE(h.alloc().IsDramNode(h.alloc().NodeOf(z.front())));
+
+  // With CXL full a quarantined W page stays in DRAM at heat 0, below the
+  // zero-heat pages of z left in DRAM. The filler is allocated first, and
+  // the refresh at epoch 8 restores the bounds its allocation zeroed.
+  const std::vector<PageId> filler =
+      h.Allocate(h.alloc().FreePages(cxl_nodes.front()), NumaPolicy::Bind(cxl_nodes));
+  for (int epoch = 4; epoch <= 8; ++epoch) {
+    ASSERT_TRUE(h.Tick(&r));
+  }
+  const PageId quarantined = kW + 64;
+  h.Quarantine(quarantined);
+  ASSERT_TRUE(h.alloc().IsDramNode(h.alloc().NodeOf(quarantined)));
+  ASSERT_TRUE(h.alloc().IsDramNode(h.alloc().NodeOf(z.back())));
+  h.Free(filler);
+  ASSERT_TRUE(h.Tick(&r));
+  EXPECT_GT(r.dense_words_skipped, 0u);
+  EXPECT_FALSE(h.alloc().IsDramNode(h.alloc().NodeOf(quarantined)));
+}
+
 // bench_fig7's Spark shape (apps/spark/cluster.cc): 286,103 pages of 2 MiB
 // in a 1:1 weighted interleave, DRAM sized to half of them, a 1/50 window
 // advanced each 1 s tick at 400 accesses per page and recorded as id
 // spans, hot page selection at 3000 MB/s. Once every page is warm every
 // word is dense, and the pass offers the cold pool only the DRAM pages
 // whose heat reaches the cut: at most a quarter of the DRAM pages (a
-// per-page pass offers every one).
+// per-page pass offers every one). At least 4/5 of the words are skipped
+// whole on their heat bounds.
 TEST(WarmSetWorkTest, DenseStreamingTickOffersFewDramPages) {
   constexpr double kRegionBytes = 600e9;
   topology::PlatformOptions opt;
@@ -864,6 +944,10 @@ TEST(WarmSetWorkTest, DenseStreamingTickOffersFewDramPages) {
     }
     ASSERT_GE(r.pages_visited, alloc.page_count()) << "tick " << tick;  // All dense.
     EXPECT_LE(4 * r.pool_offers, alloc.DramResidentCount()) << "tick " << tick;
+    // A tick streams a 1/50 window, so most words hold nearly one heat:
+    // their bounds keep them clear of the cut and the threshold, and the
+    // pass skips them (4,112 of the 4,470 words per tick here).
+    EXPECT_GE(5 * r.dense_words_skipped, 4 * (alloc.page_count() / 64)) << "tick " << tick;
     // One pool of k = 4096 (ColdPoolSize's floor; the 1,430-page budget
     // demotes in batches of 178): a shrink per k offers at most, and one
     // sort of the pool's k keys next to the ranked candidates.
