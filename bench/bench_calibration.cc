@@ -3,9 +3,9 @@
 // fairness contract through the paper-anchored tolerance bands in src/check.
 //
 // Prints a pass/fail table (band, paper reference, tolerance, measured) and
-// exits non-zero if any band is violated, so ctest and the CI
-// calibration-gate job fail loudly when a refactor nudges the model off the
-// paper's measurements.
+// exits non-zero if any band is violated, so the calibration_gate ctest
+// fails loudly when a refactor nudges the model off the paper's
+// measurements.
 //
 //   ./bench_calibration            table + summary, exit 1 on any failure
 //   ./bench_calibration --fails    print only violated bands

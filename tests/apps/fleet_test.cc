@@ -1,5 +1,7 @@
 #include "src/apps/kv/fleet.h"
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "src/fault/fault.h"
@@ -83,12 +85,16 @@ TEST(KvFleetSimTest, DowntrainReshardsTenantsOffDegradedHost) {
   EXPECT_GT(degraded.resharded_tenants, 0u);
   EXPECT_GT(degraded.peak_latency_us, healthy.peak_latency_us);
   int reshard_events = 0;
+  int degraded_link_events = 0;
   sink.events().ForEach([&](const telemetry::Event& event) {
     if (event.kind == telemetry::EventKind::kTenantReshard) {
       ++reshard_events;
+      const std::string reason = telemetry::EventReasonName(event.kind, event.reason);
+      degraded_link_events += reason == "degraded_link" ? 1 : 0;
     }
   });
   EXPECT_GT(reshard_events, 0);
+  EXPECT_GT(degraded_link_events, 0);
 }
 
 }  // namespace

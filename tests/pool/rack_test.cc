@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/pool/scheduler.h"
+#include "src/telemetry/metrics.h"
 #include "src/util/units.h"
 
 namespace cxl::pool {
@@ -134,6 +135,45 @@ TEST(PoolSchedulerTest, MeshGrowSpillsNearestFirst) {
   EXPECT_EQ(sched.stats().spill_grants, 1u);
   EXPECT_GT(rack.MeanLeaseHops(0), 1.0);
   EXPECT_LT(rack.MeanLeaseHops(0), 2.0);
+}
+
+TEST(PoolSchedulerTest, EveryBalloonReclaimIsRecorded) {
+  // Sticky leases on a mesh: peers keep slack that starving hosts balloon
+  // back out. Each SetDemand that deflates victims records one event naming
+  // them and the MiB they gave up.
+  Rack rack(SmallRack(RackTopology::kMesh));
+  SchedulerConfig cfg;
+  cfg.sticky_release = true;
+  PoolScheduler sched(rack, cfg);
+  telemetry::MetricRegistry sink;
+  sched.AttachTelemetry(&sink);
+  size_t reclaiming_calls = 0;
+  for (int step = 0; step < 32; ++step) {
+    for (int h = 0; h < rack.hosts(); ++h) {
+      const SchedulerStats before = sched.stats();
+      const size_t events_before = sink.events().size();
+      (void)sched.SetDemand(h, ((step * 7 + h * 3) % 6) * 1_GiB);
+      const uint64_t victims = sched.stats().balloon_reclaims - before.balloon_reclaims;
+      const uint64_t bytes =
+          sched.stats().balloon_reclaimed_bytes - before.balloon_reclaimed_bytes;
+      if (victims == 0) {
+        EXPECT_EQ(sink.events().size(), events_before);
+        continue;
+      }
+      ++reclaiming_calls;
+      ASSERT_EQ(sink.events().size(), events_before + 1);
+      size_t i = 0;
+      sink.events().ForEach([&](const telemetry::Event& event) {
+        if (i++ == events_before) {
+          EXPECT_EQ(event.kind, telemetry::EventKind::kPoolBalloonReclaim);
+          EXPECT_EQ(event.b, static_cast<double>(victims));
+          EXPECT_EQ(event.a, BytesToMiB(bytes));
+        }
+      });
+    }
+    sched.EndStep();
+  }
+  EXPECT_GT(reclaiming_calls, 0u);
 }
 
 TEST(PoolSchedulerTest, DeterministicAcrossIdenticalRuns) {

@@ -144,6 +144,21 @@ TEST(ReportTest, CheckFailsOnDanglingWindowReference) {
   EXPECT_EQ(r.exit_code, 1);
 }
 
+TEST(ReportTest, CheckFailsWhenMetaEventCountDisagreesWithTheLines) {
+  // kEventsJsonl with the meta line's count off by one: a log cut short or
+  // padded after its meta line was written.
+  std::string miscounted = kEventsJsonl;
+  const std::string declared = "\"events\":4";
+  miscounted.replace(miscounted.find(declared), declared.size(), "\"events\":5");
+  ReportOptions options;
+  options.events_path = WriteTemp("report_count_events.jsonl", miscounted);
+  options.metrics_path = WriteTemp("report_count_metrics.json", kMetricsJson);
+  options.check = true;
+  const RunResult r = RunReport(options);
+  EXPECT_EQ(r.exit_code, 1);
+  EXPECT_NE(r.diagnostics.find("5 events"), std::string::npos) << r.diagnostics;
+}
+
 TEST(ReportTest, RingDropSkipsStrictChecksWithANote) {
   // Same dangling window, but dropped>0: the open may have been evicted
   // from the ring, so the reference is not treated as an error.

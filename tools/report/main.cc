@@ -8,7 +8,8 @@
 // --metrics-out and --bench-json, and emits a markdown diagnosis to stdout
 // (or --out FILE). With --check it also verifies the causal-attribution
 // contract — every degradation-response event names a fault window that
-// actually opened — and that event totals reconcile with the counters.
+// actually opened — that event totals reconcile with the counters, and that
+// the meta line's event count matches the log.
 //
 // Exit codes: 0 ok, 1 --check failed, 2 usage or I/O error.
 #include <cstring>

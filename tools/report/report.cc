@@ -112,6 +112,7 @@ int GenerateReport(const ReportOptions& options, std::ostream& out, std::ostream
   }
   const JsonValue& meta = lines[0];
   const uint64_t dropped = static_cast<uint64_t>(meta.Number("dropped"));
+  const uint64_t declared_events = static_cast<uint64_t>(meta.Number("events"));
 
   // Cell label -> merge order, for stable section ordering.
   std::map<std::string, int> cell_order;
@@ -556,6 +557,11 @@ int GenerateReport(const ReportOptions& options, std::ostream& out, std::ostream
     if (mismatch) {
       err << "cxl_report: CHECK FAILED: event totals disagree with counters "
              "(see Reconciliation)\n";
+      failed = true;
+    }
+    if (declared_events != events.size()) {
+      err << "cxl_report: CHECK FAILED: the meta line declares " << declared_events
+          << " events, the log holds " << events.size() << "\n";
       failed = true;
     }
     if (!failed) {

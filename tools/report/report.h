@@ -30,8 +30,9 @@ struct ReportOptions {
   std::string metrics_path;     // Optional: --metrics-out JSON (reconciliation).
   std::string bench_json_path;  // Optional: --bench-json summary (run header).
   // --check: exit non-zero when a degradation-response event carries no
-  // fault-window id, references a window that never opened, or a
-  // reconciliation row mismatches.
+  // fault-window id, references a window that never opened, a
+  // reconciliation row mismatches, or the meta line's "events" count
+  // differs from the number of event lines.
   bool check = false;
 };
 
