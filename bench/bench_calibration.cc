@@ -18,7 +18,7 @@
 int main(int argc, char** argv) {
   bool fails_only = false;
   auto ctx = cxl::bench::Context::FromArgs(
-      &argc, argv,
+      &argc, argv, {},
       {{"--fails", "",
         [&fails_only](const std::string&) {
           fails_only = true;

@@ -45,7 +45,7 @@ struct Cell {
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto ctx = bench::Context::FromArgs(&argc, argv);
+  auto ctx = bench::Context::FromArgs(&argc, argv, {.faults = true, .tiering = true});
   auto& bench_telemetry = ctx.telemetry();
   const int jobs = ctx.jobs();
   const auto workloads = {workload::YcsbWorkload::kA, workload::YcsbWorkload::kB,

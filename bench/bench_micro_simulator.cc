@@ -172,6 +172,67 @@ void BM_DaemonTickStreaming(benchmark::State& state) {
 }
 BENCHMARK(BM_DaemonTickStreaming)->Unit(benchmark::kMicrosecond);
 
+// The daemon of one kv-hotpromote cell (hostbench, bench_fig5): 32 GiB of
+// 1 KiB records on 16 KiB pages, the Hot-Promote platform and tiering
+// defaults under hot page selection, YCSB-A, one tick per 10,000
+// operations. The warm set stays a small fraction of the 2,097,152 page
+// slots, and the DRAM pages outside it cover the cold pool, so each tick
+// fills the pool by one id walk. One iteration times one Tick after 22
+// warming ticks; the operations run outside the timing. The warm set
+// grows for the first ~150 ticks, so the iteration count is fixed at 110
+// (132 ticks, a hostbench process's count) to keep the counters
+// independent of the machine's speed. Items are the pages the ticks
+// visited; the pool_offers, pool_shrinks and pages_visited counters are
+// per tick.
+void BM_DaemonTickKv(benchmark::State& state) {
+  constexpr uint64_t kDatasetBytes = 32 * kGiB;
+  const topology::Platform platform = core::MakeHotPromotePlatform(kDatasetBytes);
+  const core::CapacitySetup setup =
+      core::MakeCapacitySetup(core::CapacityConfig::kHotPromote, platform);
+  os::PageAllocator alloc(platform, 16 * kKiB);
+  os::TieringConfig cfg = core::DefaultTieringConfig();
+  cfg.policy = "hot-page-selection";
+  os::TieredMemory tiering(alloc, cfg);
+  apps::kv::KvStoreConfig store_cfg;
+  store_cfg.record_count = kDatasetBytes / store_cfg.value_bytes;
+  auto store = apps::kv::KvStore::Create(alloc, setup.policy, store_cfg, &tiering);
+  if (!store.ok()) {
+    state.SkipWithError("KvStore::Create failed");
+    return;
+  }
+  workload::YcsbGenerator gen(workload::YcsbWorkload::kA, store_cfg.record_count, 1);
+  const auto run_ops = [&] {
+    for (int op = 0; op < 10'000; ++op) {
+      store->Access(gen.Next());
+    }
+  };
+  for (int tick = 0; tick < 22; ++tick) {
+    run_ops();
+    tiering.Tick(0.05);
+  }
+  uint64_t visited = 0;
+  uint64_t offers = 0;
+  uint64_t shrinks = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    run_ops();
+    state.ResumeTiming();
+    const os::TieredMemory::TickResult r = tiering.Tick(0.05);
+    benchmark::DoNotOptimize(r);
+    visited += r.pages_visited;
+    offers += r.pool_offers;
+    shrinks += r.pool_shrinks;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(visited));
+  const auto per_tick = [](uint64_t total) {
+    return benchmark::Counter(static_cast<double>(total), benchmark::Counter::kAvgIterations);
+  };
+  state.counters["pool_offers"] = per_tick(offers);
+  state.counters["pool_shrinks"] = per_tick(shrinks);
+  state.counters["pages_visited"] = per_tick(visited);
+}
+BENCHMARK(BM_DaemonTickKv)->Iterations(110)->Unit(benchmark::kMicrosecond);
+
 // The cold pool's selection in that tick, alone: the 143,051 DRAM pages of
 // the interleaved region (every other id) in 5,722-page windows of equal
 // heat, each window half as hot as the one before, so every window

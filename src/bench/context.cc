@@ -36,8 +36,8 @@ std::string Usage(const std::string& program, const std::vector<Flag>& table,
 
 }  // namespace
 
-Context Context::FromArgs(int* argc, char** argv, std::vector<Flag> own_flags,
-                          std::string positionals) {
+Context Context::FromArgs(int* argc, char** argv, FlagGroups groups,
+                          std::vector<Flag> own_flags, std::string positionals) {
   Context ctx;
   const std::string_view argv0 = argv[0];
   ctx.program_ = std::string(argv0.substr(argv0.find_last_of('/') + 1));
@@ -78,53 +78,59 @@ Context Context::FromArgs(int* argc, char** argv, std::vector<Flag> own_flags,
          return Status::Ok();
        },
        "per-phase wall-clock breakdown of the epoch hot path, on stderr"},
-      {"--faults", "SPEC",
-       [&ctx](const std::string& value) {
-         auto plan = fault::FaultPlan::Parse(value);
-         if (!plan.ok()) {
-           return plan.status();
-         }
-         ctx.faults_ = std::move(plan).value();
-         return Status::Ok();
-       },
-       "fault plan: \"storm\" or an event list (docs/faults.md)"},
-      {"--fault-seed", "N",
-       [&ctx](const std::string& value) {
-         return ParseNumber(value, &ctx.fault_seed_) ? Status::Ok()
-                                                     : Want("a non-negative integer");
-       },
-       "fault injector seed (default 1)"},
-      {"--fault-knob", "K=V",
-       [&ctx](const std::string& value) {
-         const size_t eq = value.find('=');
-         double knob = 0.0;
-         if (eq == std::string::npos || eq == 0 ||
-             !ParseNumber(std::string_view(value).substr(eq + 1), &knob)) {
-           return Want("KEY=NUMBER");
-         }
-         const std::string key = value.substr(0, eq);
-         if (!ctx.knobs_.Set(key, knob).ok()) {
-           return Status::InvalidArgument("unknown fault knob \"" + key +
-                                          "\" (see fault::DeclareFaultKnobs)");
-         }
-         return Status::Ok();
-       },
-       "override a fault.* tunable (repeatable)"},
-      {"--tiering-policy", "NAME",
-       [&ctx](const std::string& value) {
-         const os::PolicyRegistry& registry = os::PolicyRegistry::BuiltIns();
-         if (registry.Has(value)) {
-           ctx.tiering_policy_ = value;
-           return Status::Ok();
-         }
-         std::string known;
-         for (const auto& name : registry.Names()) {
-           known += known.empty() ? name : ", " + name;
-         }
-         return Want("one of " + known);
-       },
-       "promotion policy for benches that run the tiering daemon"},
   };
+  if (groups.faults) {
+    table.insert(
+        table.end(),
+        {{"--faults", "SPEC",
+          [&ctx](const std::string& value) {
+            auto plan = fault::FaultPlan::Parse(value);
+            if (!plan.ok()) {
+              return plan.status();
+            }
+            ctx.faults_ = std::move(plan).value();
+            return Status::Ok();
+          },
+          "fault plan: \"storm\" or an event list (docs/faults.md)"},
+         {"--fault-seed", "N",
+          [&ctx](const std::string& value) {
+            return ParseNumber(value, &ctx.fault_seed_) ? Status::Ok()
+                                                        : Want("a non-negative integer");
+          },
+          "fault injector seed (default 1)"},
+         {"--fault-knob", "K=V",
+          [&ctx](const std::string& value) {
+            const size_t eq = value.find('=');
+            double knob = 0.0;
+            if (eq == std::string::npos || eq == 0 ||
+                !ParseNumber(std::string_view(value).substr(eq + 1), &knob)) {
+              return Want("KEY=NUMBER");
+            }
+            const std::string key = value.substr(0, eq);
+            if (!ctx.knobs_.Set(key, knob).ok()) {
+              return Status::InvalidArgument("unknown fault knob \"" + key +
+                                             "\" (see fault::DeclareFaultKnobs)");
+            }
+            return Status::Ok();
+          },
+          "override a fault.* tunable (repeatable)"}});
+  }
+  if (groups.tiering) {
+    table.push_back({"--tiering-policy", "NAME",
+                     [&ctx](const std::string& value) {
+                       const os::PolicyRegistry& registry = os::PolicyRegistry::BuiltIns();
+                       if (registry.Has(value)) {
+                         ctx.tiering_policy_ = value;
+                         return Status::Ok();
+                       }
+                       std::string known;
+                       for (const auto& name : registry.Names()) {
+                         known += known.empty() ? name : ", " + name;
+                       }
+                       return Want("one of " + known);
+                     },
+                     "promotion policy for the tiering daemon"});
+  }
   for (Flag& flag : own_flags) {
     table.push_back(std::move(flag));
   }

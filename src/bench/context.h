@@ -1,8 +1,10 @@
 // Unified bench context: the flag surface every bench_* binary shares.
 //
 // FromArgs parses argv against one flag table: the shared flags (jobs,
-// telemetry outputs, --profile-epochs, fault injection, --tiering-policy;
-// listed with their help in context.cc) plus the caller's own entries. Each
+// telemetry outputs, --profile-epochs; listed with their help in
+// context.cc), the flag groups the caller declares (fault injection,
+// --tiering-policy) and the caller's own entries. A binary declares only
+// the groups it honours, so it rejects the others' flags as unknown. Each
 // value flag takes `--flag V` or `--flag=V`; `--jobs` also takes `-j N` and
 // `-jN`. An unknown flag, a stray positional, a missing value or a malformed
 // one prints one stderr line naming the argument, then the usage generated
@@ -13,7 +15,7 @@
 //
 // Usage in a bench main:
 //
-//   auto ctx = bench::Context::FromArgs(&argc, argv);
+//   auto ctx = bench::Context::FromArgs(&argc, argv, {.faults = true, .tiering = true});
 //   auto& bench_telemetry = ctx.telemetry();
 //   ...
 //   auto grid = runner::RunSweep(cells, fn, ctx.Sweep(seed), &stats);
@@ -64,13 +66,21 @@ struct Flag {
   std::string help;
 };
 
+// The optional flag groups of the table. A binary declares a group only
+// when its runs read what the group sets.
+struct FlagGroups {
+  bool faults = false;   // --faults, --fault-seed, --fault-knob.
+  bool tiering = false;  // --tiering-policy.
+};
+
 class Context {
  public:
-  // Parses argv against the shared flags plus `own_flags`. Positionals are
-  // rejected unless `positionals` names them for the usage line (e.g.
-  // "[Rd Rc C Rt]"); then they are left in argv, compacted into *argc.
-  static Context FromArgs(int* argc, char** argv, std::vector<Flag> own_flags = {},
-                          std::string positionals = "");
+  // Parses argv against the shared flags, the declared `groups` and
+  // `own_flags`. Positionals are rejected unless `positionals` names them
+  // for the usage line (e.g. "[Rd Rc C Rt]"); then they are left in argv,
+  // compacted into *argc.
+  static Context FromArgs(int* argc, char** argv, FlagGroups groups = {},
+                          std::vector<Flag> own_flags = {}, std::string positionals = "");
 
   // Prints "<program>: <message>" and the usage to stderr, then exits 2.
   [[noreturn]] void Fail(const std::string& message) const;
@@ -88,7 +98,8 @@ class Context {
   telemetry::EpochProfiler* profiler() { return profiler_.get(); }
   bool profile_epochs() const { return profiler_ != nullptr; }
 
-  // Fault-injection surface (--faults/--fault-seed/--fault-knob).
+  // Fault-injection surface (--faults/--fault-seed/--fault-knob; the
+  // defaults unless the faults group is declared).
   const fault::FaultPlan& faults() const { return faults_; }
   uint64_t fault_seed() const { return fault_seed_; }
   const fault::FaultTunables& fault_tunables() const { return fault_tunables_; }
@@ -97,7 +108,7 @@ class Context {
   const KnobSet& knobs() const { return knobs_; }
 
   // --tiering-policy (validated against PolicyRegistry::BuiltIns(); empty
-  // when the flag was not given).
+  // when the flag was not given or the tiering group is not declared).
   const std::string& tiering_policy() const { return tiering_policy_; }
 
   // Shared experiment environment carrying this context's jobs, sink and

@@ -42,6 +42,15 @@ int WarmBits(uint64_t word) {
   return word == ~uint64_t{0} ? static_cast<int>(kWordBits) : std::popcount(word);
 }
 
+// std::popcount by its SWAR steps, which stay inline: at the baseline ISA
+// std::popcount is a library call, ~3x slower in a loop over every word.
+uint64_t CountBits(uint64_t word) {
+  word -= (word >> 1) & 0x5555555555555555u;
+  word = (word & 0x3333333333333333u) + ((word >> 2) & 0x3333333333333333u);
+  word = (word + (word >> 4)) & 0x0f0f0f0f0f0f0f0fu;
+  return (word * 0x0101010101010101u) >> 56;
+}
+
 // Whether `word`, the warm set's word `w`, is dense. Only words covering
 // existing page slots count.
 bool IsDense(uint64_t word, size_t w, uint64_t page_count) {
@@ -343,8 +352,10 @@ uint64_t TieredMemory::ScanWarm(const CandidateFilter& filter, ColdPoolSelector&
         }
         if ((dram_bits[id / kWordBits] & Bit(id)) != 0) {
           ++offered_dram;
-          ++offers;
-          pool.Offer(ColdPoolSelector::KeyOf(heat, id));
+          if (heat <= pool.cut_heat()) {
+            ++offers;
+            pool.Offer(ColdPoolSelector::KeyOf(heat, id));
+          }
         } else if ((cxl_bits[id / kWordBits] & Bit(id)) != 0 && heat >= filter.min_heat) {
           consider(id, heat);
         }
@@ -554,15 +565,76 @@ void TieredMemory::InstallColdPool(ColdPoolSelector& selector, uint64_t k,
   cold_pool_floor_ = cold_pool_.empty() ? 0 : cold_pool_.back();
 }
 
+bool TieredMemory::ZeroHeatCovers(uint64_t k) const {
+  const uint64_t* dram_bits = allocator_.dram_bits().data();
+  uint64_t warm_dram = 0;
+  for (size_t w = 0; w < warm_.size(); ++w) {
+    warm_dram += CountBits(warm_[w] & dram_bits[w]);
+  }
+  return allocator_.DramResidentCount() - warm_dram >= k;
+}
+
+void TieredMemory::InstallZeroHeatPool(uint64_t k) {
+  const uint64_t* dram_bits = allocator_.dram_bits().data();
+  const float* heat_col = allocator_.heat_column();
+  const uint64_t page_count = allocator_.page_count();
+  const size_t floor_word = zero_floor_ / kWordBits;
+  // ColdPoolSelector's one allocation: a pool grown key by key through
+  // doubling reallocations leaves freed blocks that slow the process's
+  // later allocations (kv-hotpromote set-up ran ~2x slower with them).
+  cold_pool_.clear();
+  cold_pool_.reserve(2 * k);
+  PageId first_sparse = kInvalidPage;
+  uint64_t visited = 0;
+  for (size_t w = 0; w < warm_.size() && cold_pool_.size() < k; ++w) {
+    uint64_t zero = 0;
+    if (IsDense(warm_[w], w, page_count)) {
+      if (word_lo_[w] > 0.0f) {
+        continue;  // Every page of the word is above heat 0.
+      }
+      visited += kWordBits;
+      zero = dram_bits[w] &
+             CompareHeat(heat_col + w * kWordBits, 0.0f, std::numeric_limits<float>::quiet_NaN())
+                 .below_cut;
+    } else if (w >= floor_word) {
+      // The pass left a sparse word's bit set only at heat > 0.
+      zero = dram_bits[w] & ~warm_[w];
+      if (zero != 0 && first_sparse == kInvalidPage) {
+        first_sparse = w * kWordBits + static_cast<PageId>(std::countr_zero(zero));
+      }
+    }
+    for (; zero != 0 && cold_pool_.size() < k; zero &= zero - 1) {
+      ++visited;
+      cold_pool_.push_back(ColdPoolSelector::KeyOf(
+          0.0f, w * kWordBits + static_cast<PageId>(std::countr_zero(zero))));
+    }
+  }
+  assert(cold_pool_.size() == k);
+  tick_pages_visited_ += visited;
+  if (first_sparse != kInvalidPage) {
+    // As in InstallColdPool: no sparse word below it holds a zero-heat
+    // DRAM page.
+    zero_floor_ = first_sparse;
+  }
+  cold_pool_next_ = 0;
+  cold_pool_valid_ = true;
+  cold_pool_floor_ = cold_pool_.empty() ? 0 : cold_pool_.back();
+}
+
 void TieredMemory::BuildColdPool(uint64_t k) {
   // The tick's pass without candidates. The k-smallest set does not depend
   // on the order pages are offered in.
-  ColdPoolSelector selector(cold_pool_, k);
+  const bool zero_heat = ZeroHeatCovers(k);
+  ColdPoolSelector selector(cold_pool_, zero_heat ? 0 : k);
   ArenaVector<ColdPoolSelector::Key> no_candidates{
       ArenaAllocator<ColdPoolSelector::Key>(&tick_arena_)};
   const uint64_t offered_dram = ScanWarm(
       CandidateFilter{std::numeric_limits<float>::quiet_NaN(), false}, selector, no_candidates);
-  InstallColdPool(selector, k, offered_dram);
+  if (zero_heat) {
+    InstallZeroHeatPool(k);
+  } else {
+    InstallColdPool(selector, k, offered_dram);
+  }
 }
 
 uint64_t TieredMemory::DemoteColdPages(uint64_t count) {
@@ -747,9 +819,11 @@ TieredMemory::TickResult TieredMemory::Tick(double dt_seconds) {
     // the demotion cold pool (the configs that tick the daemon over-commit
     // DRAM, so the promotion loop below demotes almost every tick).
     // Candidates are appended in id order. With nothing resident on CXL
-    // there is nothing to promote and nothing the pool is for; skip.
+    // there is nothing to promote and nothing the pool is for; skip. When
+    // zero-heat DRAM pages cover the pool, the pass offers it nothing.
     const uint64_t pool_size = ColdPoolSize(demote_batch);
-    ColdPoolSelector pool(cold_pool_, pool_size);
+    const bool zero_heat = ZeroHeatCovers(pool_size);
+    ColdPoolSelector pool(cold_pool_, zero_heat ? 0 : pool_size);
     CandidateFilter filter;
     switch (decision.scan) {
       case CandidateScan::kHotnessRanked:
@@ -789,7 +863,11 @@ TieredMemory::TickResult TieredMemory::Tick(double dt_seconds) {
         return true;
       });
     }
-    InstallColdPool(pool, pool_size, offered_dram);
+    if (zero_heat) {
+      InstallZeroHeatPool(pool_size);
+    } else {
+      InstallColdPool(pool, pool_size, offered_dram);
+    }
   }
   if (decision.scan == CandidateScan::kHotnessRanked) {
     // Hottest first, page id breaking heat ties: the rate-limit budget

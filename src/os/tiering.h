@@ -170,15 +170,18 @@ class TieredMemory {
     // deterministic work counter that tracks the warm set, not
     // page_count().
     uint64_t pages_visited = 0;
-    // ColdPoolSelector::Offer calls of the tick's pass, its cold-pool
-    // refills and their zero-heat walks: a deterministic work counter. The
-    // dense pass offers only the DRAM pages whose heat reaches the cut.
+    // ColdPoolSelector::Offer calls of the cold pools the tick selected
+    // (its pass's and its refills'), their zero-heat walks included: a
+    // deterministic work counter. The pass offers only the DRAM pages whose
+    // heat may reach the cut. A pool the zero-heat DRAM pages outside the
+    // warm set cover is filled by an id walk and offers none.
     uint64_t pool_offers = 0;
     // ColdPoolSelector::Shrink calls of those selections: at most one per
-    // k offers accepted.
+    // k offers accepted; none for a zero-heat pool.
     uint64_t pool_shrinks = 0;
     // Keys the tick sorted: each ColdPoolSelector::Finish's survivors and
-    // the ranked promotion candidates. Deterministic work counters, like
+    // the ranked promotion candidates. A zero-heat pool comes out of its
+    // walk in order and adds none. Deterministic work counters, like
     // pool_offers.
     uint64_t sorted_entries = 0;
     // Dense words the tick's warm passes skipped whole: their heat bounds
@@ -278,11 +281,24 @@ class TieredMemory {
   // pass built, or no candidate pass ran.
   void BuildColdPool(uint64_t k);
 
+  // Whether the DRAM pages outside the warm set number at least `k`. Each
+  // has heat 0, so then the `k` coldest DRAM pages by (heat, id) are the
+  // `k` lowest-id zero-heat DRAM pages: the pass offers no DRAM page (its
+  // selector has k = 0) and InstallZeroHeatPool fills the pool.
+  bool ZeroHeatCovers(uint64_t k) const;
+
   // Completes `selector`, which this tick's warm pass offered
   // `offered_dram` DRAM pages, with the zero-heat DRAM pages the pass left
   // out, and finishes it into cold_pool_ as the `k` coldest DRAM pages.
   // Resets the consumption cursor.
   void InstallColdPool(ColdPoolSelector& selector, uint64_t k, uint64_t offered_dram);
+
+  // Fills cold_pool_ with the `k` lowest-id zero-heat DRAM pages, in id
+  // order, which is key order: dense words by their heats, from word 0,
+  // and sparse words from zero_floor_'s by the warm bits this tick's pass
+  // left (it clears those of pages at heat 0). ZeroHeatCovers(k) must
+  // hold. Resets the consumption cursor.
+  void InstallZeroHeatPool(uint64_t k);
 
   // Walks the warm set in id order: `dense(w)` for every word w of a run of
   // dense words, `sparse(id)` for each set bit of a sparse word, whose bit
@@ -401,8 +417,11 @@ class TieredMemory {
   uint64_t tick_pool_shrinks_ = 0;    // TickResult::pool_shrinks accumulator.
   uint64_t tick_sorted_entries_ = 0;  // TickResult::sorted_entries accumulator.
   uint64_t tick_dense_words_skipped_ = 0;  // TickResult::dense_words_skipped accumulator.
-  // Where the walk for zero-heat DRAM pages starts: no sparse word below it
-  // holds one. A walk raises it to the first one it finds, so demoting
+  // Where the walks for zero-heat DRAM pages start on sparse words: no
+  // sparse word below it holds one. Dense words are not covered, so a
+  // dense word below it may hold zero-heat DRAM pages (the zero-heat pool
+  // walks dense words from word 0; the selector's pass offers them). Both
+  // walks raise it to the first sparse-word page they take, so demoting
   // the lowest zero-heat pages does not leave a growing prefix to re-walk
   // (from id 0, the largest kv-hotpromote tick visits 13.6% of the page
   // slots instead of 8.3%). Whatever can make a page below it a zero-heat
@@ -415,14 +434,22 @@ class TieredMemory {
   uint64_t seen_pgalloc_ = 0;
 
   // Demotion cold pool: the ColdPoolSelector keys of the coldest DRAM
-  // pages in ascending (heat, id) order, selected inside each tick's one
+  // pages in ascending (heat, id) order, built with each tick's one
   // warm-set pass and consumed across the several DemoteColdPages calls a
   // single Tick makes (heat is constant within a tick, so the remaining
-  // pool entries stay the exact k-smallest of the shrinking DRAM set). Invalidated at
-  // every tick start (decay/access change heat) and whenever a page enters
-  // DRAM whose (heat, id) sorts at or below the pool's floor — such a page
-  // would belong in the pool (cheap test, rare: promoted pages are hot by
-  // construction). An invalid or drained pool is refilled by BuildColdPool.
+  // pool entries stay the exact k-smallest of the shrinking DRAM set). It
+  // is built one of two ways. When the DRAM pages outside the warm set
+  // number at least k (every kv-hotpromote tick), the pool is the k
+  // lowest-id zero-heat DRAM pages, taken by one id walk with no selector
+  // or sort (InstallZeroHeatPool). Otherwise the pass offers the warm DRAM
+  // pages that may sort below the cut to a ColdPoolSelector, and the zero-
+  // heat pages it left out follow (InstallColdPool; most Spark ticks).
+  // Either way the buffer is reserved once at 2k keys, as the selector
+  // does. Invalidated at every tick start (decay/access change heat) and
+  // whenever a page enters DRAM whose (heat, id) sorts at or below the
+  // pool's floor — such a page would belong in the pool (cheap test, rare:
+  // promoted pages are hot by construction). An invalid or drained pool is
+  // refilled by BuildColdPool, which picks its way the same.
   std::vector<ColdPoolSelector::Key> cold_pool_;
   size_t cold_pool_next_ = 0;
   bool cold_pool_valid_ = false;

@@ -22,8 +22,10 @@ struct Argv {
   int argc = 0;
 };
 
+// Parses with both optional flag groups declared.
 Context Parse(Argv& a, std::string positionals = "") {
-  return Context::FromArgs(&a.argc, a.ptrs.data(), {}, std::move(positionals));
+  return Context::FromArgs(&a.argc, a.ptrs.data(), {.faults = true, .tiering = true}, {},
+                           std::move(positionals));
 }
 
 TEST(ContextTest, JobsParsesAndStripsTheFlag) {
@@ -153,7 +155,7 @@ TEST(ContextTest, OwnFlagsJoinTheTable) {
        },
        "a test flag"}};
   Argv a({"bench", "--fails", "--level=high", "-j3"});
-  const Context ctx = Context::FromArgs(&a.argc, a.ptrs.data(), own);
+  const Context ctx = Context::FromArgs(&a.argc, a.ptrs.data(), {}, own);
   EXPECT_TRUE(fails_only);
   EXPECT_EQ(level, "high");
   EXPECT_EQ(ctx.jobs(), 3);
@@ -189,6 +191,34 @@ TEST(ContextDeathTest, UnknownFlagsAndPositionalsExitWithUsage) {
   Argv switch_value({"bench", "--profile-epochs=1"});
   EXPECT_EXIT(Parse(switch_value), ::testing::ExitedWithCode(2),
               "'--profile-epochs' takes no value");
+}
+
+// A binary that does not declare a group rejects its flags, and its usage
+// does not list them; each group is declared on its own.
+TEST(ContextDeathTest, UndeclaredGroupsRejectTheirFlags) {
+  const auto parse = [](Argv& a, FlagGroups groups) {
+    return Context::FromArgs(&a.argc, a.ptrs.data(), groups);
+  };
+  for (const std::string name : {"--faults", "--fault-seed", "--fault-knob", "--tiering-policy"}) {
+    Argv a({"bench", name, "x"});
+    EXPECT_EXIT(parse(a, {}), ::testing::ExitedWithCode(2),
+                "bench: unknown flag '" + name + "'\nusage: bench \\[flags\\]\n");
+  }
+  // The usage ends at the shared flags.
+  Argv bad({"bench", "--jobs=x"});
+  EXPECT_EXIT(parse(bad, {}), ::testing::ExitedWithCode(2),
+              "--profile-epochs +per-phase wall-clock breakdown of the epoch hot path, on "
+              "stderr\n$");
+  Argv tiering({"bench", "--tiering-policy", "tpp-like"});
+  EXPECT_EXIT(parse(tiering, {.faults = true}), ::testing::ExitedWithCode(2),
+              "unknown flag '--tiering-policy'");
+  Argv faults({"bench", "--fault-seed", "7"});
+  EXPECT_EXIT(parse(faults, {.tiering = true}), ::testing::ExitedWithCode(2),
+              "unknown flag '--fault-seed'");
+  Argv both({"bench", "--fault-seed", "7", "--tiering-policy", "tpp-like"});
+  const Context ctx = parse(both, {.faults = true, .tiering = true});
+  EXPECT_EQ(ctx.fault_seed(), 7u);
+  EXPECT_EQ(ctx.tiering_policy(), "tpp-like");
 }
 
 TEST(ContextDeathTest, BadFaultSpecExits) {

@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -825,6 +826,123 @@ TEST(WarmSetColdPoolTest, DemotesTheLowestIdsOfATieAtTheCut) {
   EXPECT_GE(tied, r.demoted_pages + 100);  // Tied pages the demotions left.
 }
 
+// The DRAM pages outside the daemon's warm set, each at heat 0: when they
+// number at least the pool's size k, the pool is the k lowest-id zero-heat
+// DRAM pages, filled by an id walk with no selector.
+uint64_t DramOutsideWarmSet(Harness& h) {
+  const std::vector<uint64_t>& warm = h.tiering().warm_set();
+  const std::vector<uint64_t>& dram = h.alloc().dram_bits();
+  uint64_t n = 0;
+  for (size_t w = 0; w < dram.size(); ++w) {
+    n += static_cast<uint64_t>(std::popcount(dram[w] & ~(w < warm.size() ? warm[w] : 0)));
+  }
+  return n;
+}
+
+// Every demotion must take the coldest DRAM page by (heat, id), which the
+// harness checks every tick against the pre-tick columns: the pages a tick
+// demotes are the smallest keys of the DRAM set. Here the cold pool is
+// built both ways, and a tick takes the zero-heat walk (no offers) exactly
+// when the DRAM pages outside the warm set cover the pool.
+//  - At the boundary: 8,192 DRAM pages, the first 58 words warm and dense,
+//    the other 70 sparse, tuned to k - 1, k and k + 1 pages outside the
+//    warm set (k = 4096). A page of the first sparse word was quarantined
+//    while CXL was full: it stays in DRAM at heat 0 with its warm bit
+//    stale, so only a walk after the pass cleared that bit finds it.
+//  - Across a refill: the first 4,800 DRAM pages were freed and handed
+//    out again after a dense span, so they sit at heat 0 in dense words
+//    with every warm bit stale; fewer than k pages lie outside the warm
+//    set, so the tick's pool is selected and covers only 4,096 of them.
+//    The threshold of 0 promotes zero-heat CXL pages, which join the pages
+//    outside the warm set, so the refill after 3,750 demotions walks: its
+//    first pages are the dense words' last 1,050, below the zero floor the
+//    selected pool raised.
+TEST(WarmSetColdPoolTest, ZeroHeatPoolIsTheKSmallestKeys) {
+  constexpr uint64_t kPool = 4096;  // ColdPoolSize's floor.
+  TieringConfig cfg;
+  cfg.hint_fault_sample_rate = 1.0;  // Heat is the access count, exactly.
+  for (const uint64_t seed : {1, 2, 3}) {
+    for (const int64_t delta : {-1, 0, 1}) {
+      SCOPED_TRACE("boundary, seed " + std::to_string(seed) + ", delta " + std::to_string(delta));
+      FixedPolicy policy(/*threshold=*/10.0, /*budget_pages=*/976);
+      Harness h(cfg, fault::FaultPlan(), &policy);
+      const auto cxl = h.platform().CxlNodes();
+      ASSERT_EQ(h.Allocate(kDramPages, NumaPolicy::Bind(h.platform().DramNodes())).front(), 0u);
+      const std::vector<PageId> hot = h.Allocate(2048, NumaPolicy::Bind(cxl));
+      for (const PageId id : hot) {
+        h.Access(id, 50);
+      }
+      constexpr PageId kSparse = 58 * 64;
+      h.AccessSpan(0, kSparse, 4);
+      const PageId quarantined = kSparse + 10;
+      h.Access(quarantined, 4);
+      const std::vector<PageId> filler =
+          h.Allocate(h.alloc().FreePages(cxl.front()), NumaPolicy::Bind(cxl));
+      h.Quarantine(quarantined);
+      ASSERT_TRUE(h.alloc().IsDramNode(h.alloc().NodeOf(quarantined)));
+      h.Free(filler);
+      // Warm random pages of the later sparse words until k + delta pages
+      // lie outside the warm set.
+      Rng rng(seed);
+      const uint64_t target = kPool + static_cast<uint64_t>(delta);
+      while (DramOutsideWarmSet(h) > target) {
+        const PageId id = kSparse + 64 + rng.NextBounded(kDramPages - kSparse - 64);
+        if (h.alloc().page(id).heat == 0.0f) {
+          h.Access(id, 1 + rng.NextBounded(8));
+        }
+      }
+      TieredMemory::TickResult r;
+      ASSERT_TRUE(h.Tick(&r));
+      if (delta >= 0) {
+        EXPECT_EQ(r.pool_offers, 0u);
+        EXPECT_EQ(r.pool_shrinks, 0u);
+        EXPECT_EQ(r.sorted_entries, r.candidates);
+      } else {
+        EXPECT_GT(r.pool_offers, 0u);
+        EXPECT_EQ(r.sorted_entries, kPool + r.candidates);
+      }
+      EXPECT_GT(r.demoted_pages, 100u);
+      EXPECT_FALSE(h.alloc().IsDramNode(h.alloc().NodeOf(quarantined)));
+    }
+  }
+  for (const uint64_t seed : {1, 2}) {
+    SCOPED_TRACE("refill, seed " + std::to_string(seed));
+    FixedPolicy policy(/*threshold=*/0.0, /*budget_pages=*/5000);  // Batches of 625.
+    Harness h(cfg, fault::FaultPlan(), &policy);
+    const auto dram = h.platform().DramNodes();
+    constexpr PageId kStale = 75 * 64;
+    ASSERT_EQ(h.Allocate(kDramPages, NumaPolicy::Bind(dram)).front(), 0u);
+    ASSERT_EQ(h.Allocate(8192, NumaPolicy::Bind(h.platform().CxlNodes())).front(), kDramPages);
+    h.AccessSpan(0, kStale, 4);
+    std::vector<PageId> stale;
+    for (PageId id = 0; id < kStale; ++id) {
+      stale.push_back(id);
+    }
+    h.Free(stale);
+    ASSERT_EQ(h.Allocate(kStale, NumaPolicy::Bind(dram)).size(), kStale);
+    Rng rng(seed);
+    for (PageId id = kStale; id < kDramPages; ++id) {
+      if (rng.NextBounded(8) == 0) {
+        h.Access(id, 1 + rng.NextBounded(8));
+      }
+    }
+    ASSERT_LT(DramOutsideWarmSet(h), kPool);
+    ASSERT_GT(DramOutsideWarmSet(h) + 3750, kPool);
+    TieredMemory::TickResult r;
+    ASSERT_TRUE(h.Tick(&r));
+    EXPECT_EQ(r.promoted_pages, 5000u);
+    EXPECT_GE(r.demoted_pages, 5000u);  // And a watermark batch.
+    EXPECT_GT(r.pool_offers, 0u);
+    EXPECT_EQ(r.sorted_entries, kPool + r.candidates);  // The refill walked.
+    for (PageId id = 0; id < kStale; ++id) {
+      ASSERT_FALSE(h.alloc().IsDramNode(h.alloc().NodeOf(id))) << "page " << id;
+    }
+    for (int t = 0; t < 3; ++t) {
+      ASSERT_TRUE(h.Tick());
+    }
+  }
+}
+
 // The dense pass skips a word whose heat bounds put every page above the
 // cold pool's cut and below the threshold. Each way heat changes here
 // would leave a stale bound hiding a page the tick must select: a decay
@@ -963,6 +1081,9 @@ TEST(WarmSetWorkTest, DenseStreamingTickOffersFewDramPages) {
 // records on 16 KiB pages, Hot-Promote platform and tiering defaults,
 // YCSB-A, one tick per 10,000 operations. The warm set stays a small
 // fraction of the 2,097,152 page slots, and so does each tick's work.
+// About a million DRAM pages lie outside it, far more than the cold pool
+// holds, so every tick fills the pool by the zero-heat walk: no offers,
+// no shrinks, and nothing sorted but the promotion candidates.
 TEST(WarmSetWorkTest, KvHotPromoteTickVisitsAtMostATenthOfThePages) {
   constexpr uint64_t kDatasetBytes = 32ull << 30;
   const topology::Platform platform = core::MakeHotPromotePlatform(kDatasetBytes);
@@ -978,15 +1099,21 @@ TEST(WarmSetWorkTest, KvHotPromoteTickVisitsAtMostATenthOfThePages) {
   ASSERT_TRUE(store.ok());
   workload::YcsbGenerator gen(workload::YcsbWorkload::kA, store_cfg.record_count, 1);
   uint64_t promoted = 0;
+  uint64_t demoted = 0;
   for (int tick = 0; tick < 22; ++tick) {
     for (int op = 0; op < 10'000; ++op) {
       store->Access(gen.Next());
     }
     const TieredMemory::TickResult r = tiering.Tick(0.05);
     EXPECT_LE(r.pages_visited, alloc.page_count() / 10) << "tick " << tick;
+    EXPECT_EQ(r.pool_offers, 0u) << "tick " << tick;
+    EXPECT_EQ(r.pool_shrinks, 0u) << "tick " << tick;
+    EXPECT_EQ(r.sorted_entries, r.candidates) << "tick " << tick;
     promoted += r.promoted_pages;
+    demoted += r.demoted_pages;
   }
   EXPECT_GT(promoted, 0u);
+  EXPECT_GT(demoted, 0u);  // The walked pools were used.
 }
 
 }  // namespace
