@@ -48,7 +48,8 @@ core::KeyDbExperimentOptions KvOptions() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto ctx = bench::Context::FromArgs(&argc, argv, {.faults = true, .tiering = true});
+  auto ctx = bench::Context::FromArgs(&argc, argv,
+                                      {.faults = true, .fault_tuning = true, .tiering = true});
   auto& bench_telemetry = ctx.telemetry();
 
   // Windows are sub-second: the scaled run covers ~0.5 s of simulated time,

@@ -45,7 +45,8 @@ struct Cell {
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto ctx = bench::Context::FromArgs(&argc, argv, {.faults = true, .tiering = true});
+  auto ctx = bench::Context::FromArgs(&argc, argv,
+                                      {.faults = true, .fault_tuning = true, .tiering = true});
   auto& bench_telemetry = ctx.telemetry();
   const int jobs = ctx.jobs();
   const auto workloads = {workload::YcsbWorkload::kA, workload::YcsbWorkload::kB,

@@ -24,7 +24,8 @@ int main(int argc, char** argv) {
   using apps::spark::QueryResult;
   using apps::spark::SparkConfig;
 
-  auto ctx = bench::Context::FromArgs(&argc, argv, {.faults = true, .tiering = true});
+  auto ctx = bench::Context::FromArgs(&argc, argv,
+                                      {.faults = true, .fault_tuning = true, .tiering = true});
   auto& bench_telemetry = ctx.telemetry();
   const int jobs = ctx.jobs();
   const std::vector<QueryProfile> queries = apps::spark::TpchShuffleHeavyQueries();

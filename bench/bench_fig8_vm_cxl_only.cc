@@ -14,7 +14,7 @@
 int main(int argc, char** argv) {
   using namespace cxl;
 
-  auto ctx = bench::Context::FromArgs(&argc, argv, {.faults = true});
+  auto ctx = bench::Context::FromArgs(&argc, argv, {.faults = true, .fault_tuning = true});
   auto& bench_telemetry = ctx.telemetry();
   core::KeyDbExperimentOptions opt;
   opt.dataset_bytes = 12 * kGiB;  // 1/8-scale 100 GB shape.

@@ -117,7 +117,8 @@ BENCHMARK(BM_PageAllocate)->Arg(4096)->Arg(65536)->Arg(1 << 21);
 // window's accesses are recorded outside the timing, as id spans the way
 // the cluster records them. Items are the pages the ticks visited; the
 // dense_words_skipped counter is the words per tick the heat bounds let
-// the pass skip.
+// the pass skip, and heat_catch_ups the words per tick brought current
+// (by the window's spans and the tick's pass).
 void BM_DaemonTickStreaming(benchmark::State& state) {
   constexpr double kRegionBytes = 600e9;
   topology::PlatformOptions opt;
@@ -156,6 +157,7 @@ void BM_DaemonTickStreaming(benchmark::State& state) {
   }
   int64_t visited = 0;
   uint64_t skipped = 0;
+  uint64_t catch_ups = 0;
   for (auto _ : state) {
     state.PauseTiming();
     touch_window();
@@ -164,11 +166,15 @@ void BM_DaemonTickStreaming(benchmark::State& state) {
     benchmark::DoNotOptimize(r);
     visited += static_cast<int64_t>(r.pages_visited);
     skipped += r.dense_words_skipped;
+    catch_ups += r.heat_catch_ups;
   }
   state.SetItemsProcessed(visited);
-  // Dense words the pass skipped on their heat bounds, per tick.
+  // Dense words the pass skipped on their heat bounds, and words brought
+  // current (by the window's spans and the tick), per tick.
   state.counters["dense_words_skipped"] =
       benchmark::Counter(static_cast<double>(skipped), benchmark::Counter::kAvgIterations);
+  state.counters["heat_catch_ups"] =
+      benchmark::Counter(static_cast<double>(catch_ups), benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_DaemonTickStreaming)->Unit(benchmark::kMicrosecond);
 
@@ -182,8 +188,8 @@ BENCHMARK(BM_DaemonTickStreaming)->Unit(benchmark::kMicrosecond);
 // grows for the first ~150 ticks, so the iteration count is fixed at 110
 // (132 ticks, a hostbench process's count) to keep the counters
 // independent of the machine's speed. Items are the pages the ticks
-// visited; the pool_offers, pool_shrinks and pages_visited counters are
-// per tick.
+// visited; the pool_offers, pool_shrinks, pages_visited and
+// heat_catch_ups counters are per tick.
 void BM_DaemonTickKv(benchmark::State& state) {
   constexpr uint64_t kDatasetBytes = 32 * kGiB;
   const topology::Platform platform = core::MakeHotPromotePlatform(kDatasetBytes);
@@ -213,6 +219,7 @@ void BM_DaemonTickKv(benchmark::State& state) {
   uint64_t visited = 0;
   uint64_t offers = 0;
   uint64_t shrinks = 0;
+  uint64_t catch_ups = 0;
   for (auto _ : state) {
     state.PauseTiming();
     run_ops();
@@ -222,6 +229,7 @@ void BM_DaemonTickKv(benchmark::State& state) {
     visited += r.pages_visited;
     offers += r.pool_offers;
     shrinks += r.pool_shrinks;
+    catch_ups += r.heat_catch_ups;
   }
   state.SetItemsProcessed(static_cast<int64_t>(visited));
   const auto per_tick = [](uint64_t total) {
@@ -230,6 +238,7 @@ void BM_DaemonTickKv(benchmark::State& state) {
   state.counters["pool_offers"] = per_tick(offers);
   state.counters["pool_shrinks"] = per_tick(shrinks);
   state.counters["pages_visited"] = per_tick(visited);
+  state.counters["heat_catch_ups"] = per_tick(catch_ups);
 }
 BENCHMARK(BM_DaemonTickKv)->Iterations(110)->Unit(benchmark::kMicrosecond);
 

@@ -148,7 +148,7 @@ struct SparkEntry {
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto ctx = bench::Context::FromArgs(&argc, argv, {.faults = true});
+  auto ctx = bench::Context::FromArgs(&argc, argv, {.fault_tuning = true});
   auto& bench_telemetry = ctx.telemetry();
   const auto storms = FaultStates();
 

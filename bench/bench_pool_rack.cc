@@ -98,7 +98,7 @@ StatusOr<RackRun> RunCell(const RackCell& cell, uint64_t fault_seed,
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto ctx = bench::Context::FromArgs(&argc, argv, {.faults = true});
+  auto ctx = bench::Context::FromArgs(&argc, argv, {.fault_tuning = true});
   auto& bench_telemetry = ctx.telemetry();
 
   PrintSection(std::cout, "Pooled-CXL performance law (local CXL + switch hop)");

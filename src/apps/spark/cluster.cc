@@ -348,6 +348,7 @@ QueryResult SparkCluster::RunQuery(const QueryProfile& query) {
     // rate limit managed to move before it went cold (the §4.2.2 tension).
     std::vector<double> shares(platform_->nodes().size(), 0.0);
     double total_heat = 0.0;
+    tiering_->SettleHeat();  // The walk reads the heat column.
     for (size_t i = 0; i < region_->page_count(); ++i) {
       const auto pg = allocator_->page(region_->PageAtIndex(i));
       const double h = pg.heat + 0.01f;  // Floor: cold pages still get touched.

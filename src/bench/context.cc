@@ -80,19 +80,21 @@ Context Context::FromArgs(int* argc, char** argv, FlagGroups groups,
        "per-phase wall-clock breakdown of the epoch hot path, on stderr"},
   };
   if (groups.faults) {
+    table.push_back({"--faults", "SPEC",
+                     [&ctx](const std::string& value) {
+                       auto plan = fault::FaultPlan::Parse(value);
+                       if (!plan.ok()) {
+                         return plan.status();
+                       }
+                       ctx.faults_ = std::move(plan).value();
+                       return Status::Ok();
+                     },
+                     "fault plan: \"storm\" or an event list (docs/faults.md)"});
+  }
+  if (groups.fault_tuning) {
     table.insert(
         table.end(),
-        {{"--faults", "SPEC",
-          [&ctx](const std::string& value) {
-            auto plan = fault::FaultPlan::Parse(value);
-            if (!plan.ok()) {
-              return plan.status();
-            }
-            ctx.faults_ = std::move(plan).value();
-            return Status::Ok();
-          },
-          "fault plan: \"storm\" or an event list (docs/faults.md)"},
-         {"--fault-seed", "N",
+        {{"--fault-seed", "N",
           [&ctx](const std::string& value) {
             return ParseNumber(value, &ctx.fault_seed_) ? Status::Ok()
                                                         : Want("a non-negative integer");

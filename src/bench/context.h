@@ -15,7 +15,8 @@
 //
 // Usage in a bench main:
 //
-//   auto ctx = bench::Context::FromArgs(&argc, argv, {.faults = true, .tiering = true});
+//   auto ctx = bench::Context::FromArgs(&argc, argv,
+//                                       {.faults = true, .fault_tuning = true, .tiering = true});
 //   auto& bench_telemetry = ctx.telemetry();
 //   ...
 //   auto grid = runner::RunSweep(cells, fn, ctx.Sweep(seed), &stats);
@@ -69,8 +70,9 @@ struct Flag {
 // The optional flag groups of the table. A binary declares a group only
 // when its runs read what the group sets.
 struct FlagGroups {
-  bool faults = false;   // --faults, --fault-seed, --fault-knob.
-  bool tiering = false;  // --tiering-policy.
+  bool faults = false;        // --faults: the runs inject the parsed plan.
+  bool fault_tuning = false;  // --fault-seed, --fault-knob.
+  bool tiering = false;       // --tiering-policy.
 };
 
 class Context {
@@ -98,8 +100,8 @@ class Context {
   telemetry::EpochProfiler* profiler() { return profiler_.get(); }
   bool profile_epochs() const { return profiler_ != nullptr; }
 
-  // Fault-injection surface (--faults/--fault-seed/--fault-knob; the
-  // defaults unless the faults group is declared).
+  // Fault-injection surface (--faults, and --fault-seed/--fault-knob; the
+  // defaults unless the faults and fault_tuning groups are declared).
   const fault::FaultPlan& faults() const { return faults_; }
   uint64_t fault_seed() const { return fault_seed_; }
   const fault::FaultTunables& fault_tunables() const { return fault_tunables_; }

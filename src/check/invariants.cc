@@ -185,16 +185,28 @@ std::vector<std::string> TieringInvariantViolations(const os::TieredMemory& tier
   std::vector<std::string> violations;
   const os::PageAllocator& alloc = tiering.allocator();
   const uint64_t n = alloc.page_count();
-  const float* heat = alloc.heat_column();
   const std::vector<uint64_t>& warm = tiering.warm_set();
   const std::vector<float>& lo = tiering.word_heat_lo();
   const std::vector<float>& hi = tiering.word_heat_hi();
+  const std::vector<uint32_t>& decays = tiering.word_decays();
   const size_t words = (n + 63) / 64;
-  if (warm.size() != words || lo.size() != words || hi.size() != words) {
-    violations.push_back("warm set / heat bounds span " + std::to_string(warm.size()) + " / " +
-                         std::to_string(lo.size()) + " / " + std::to_string(hi.size()) +
+  if (warm.size() != words || lo.size() != words || hi.size() != words ||
+      decays.size() != words) {
+    violations.push_back("warm set / heat bounds / decay counts span " +
+                         std::to_string(warm.size()) + " / " + std::to_string(lo.size()) + " / " +
+                         std::to_string(hi.size()) + " / " + std::to_string(decays.size()) +
                          " words, page slots need " + std::to_string(words));
     return violations;
+  }
+  for (size_t w = 0; w < words; ++w) {
+    if (decays[w] > tiering.decays()) {
+      violations.push_back("word " + std::to_string(w) + " has had " + std::to_string(decays[w]) +
+                           " decays, the daemon made " + std::to_string(tiering.decays()));
+    }
+  }
+  std::vector<float> heat(n);
+  for (uint64_t id = 0; id < n; ++id) {
+    heat[id] = tiering.Heat(id);
   }
   const auto page = [&](const char* what, uint64_t id) {
     return std::string(what) + " (page " + std::to_string(id) + ", heat " +

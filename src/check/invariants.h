@@ -32,6 +32,9 @@
 //   warm set       a superset of the pages with heat > 0;
 //   heat bounds    every word's [lo, hi] brackets the heat of each of its
 //                  page slots;
+//   decay counts   no word has had more decays than the daemon has made.
+// Heat here is each page's current heat (TieredMemory::Heat), its column
+// value with its word's pending decays applied.
 //   quarantine     no quarantined page was promoted after its quarantine
 //                  (its promotion stamp is not above its quarantine epoch).
 //                  A quarantined page can still sit in DRAM: quarantine
@@ -59,8 +62,8 @@ std::vector<std::string> SolverInvariantViolations(const mem::BandwidthSolver& s
 // against its node column, per the contract above. O(page_count()).
 std::vector<std::string> AllocatorInvariantViolations(const os::PageAllocator& alloc);
 
-// Verifies `tiering`'s warm set, heat bounds and quarantine against the
-// heat column and promotion stamps, per the contract above. Holds after
+// Verifies `tiering`'s warm set, heat bounds, decay counts and quarantine
+// against the current heats and promotion stamps, per the contract above. Holds after
 // every Tick() (an allocation since the last tick may leave lower bounds
 // stale until the next one). O(page_count()).
 std::vector<std::string> TieringInvariantViolations(const os::TieredMemory& tiering);

@@ -43,6 +43,8 @@ struct Page {
 // read-only even here: only TieredMemory writes it (sampled accesses,
 // quarantine, decay) and only PageAllocator::Allocate resets it, which is
 // what keeps the daemon's warm set a superset of the pages with heat > 0.
+// Under a daemon the stored heat lags the decays its word has pending:
+// read current heat through TieredMemory::Heat, or after SettleHeat.
 struct PageView {
   topology::NodeId& node;
   const float& heat;

@@ -78,7 +78,8 @@ class PageAllocator {
 
   // Raw read-only column access for the daemon's passes. Indexed by PageId
   // over [0, page_count()); freed slots have node < 0. The heat column is
-  // written only through TieredMemory (see PageView).
+  // written only through TieredMemory, and lags its pending decays (see
+  // PageView).
   const topology::NodeId* node_column() const { return node_.data(); }
   const float* heat_column() const { return heat_.data(); }
   const uint32_t* epoch_column() const { return last_epoch_.data(); }

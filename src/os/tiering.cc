@@ -13,6 +13,17 @@
 #include "src/os/vmstat.h"
 #include "src/util/units.h"
 
+// The lazy decay is bit-identical to a per-tick sweep only under IEEE
+// single precision with subnormals and without value-changing
+// optimisations: a page's pending halvings become one multiply exactly
+// when every step stays normal.
+#ifdef __FAST_MATH__
+#error "src/os/tiering.cc needs IEEE float semantics; build it without -ffast-math"
+#endif
+static_assert(std::numeric_limits<float>::is_iec559, "heat is an IEEE-754 binary32");
+static_assert(std::numeric_limits<float>::has_denorm == std::denorm_present,
+              "heat decays through the subnormals");
+
 namespace cxl::os {
 
 namespace {
@@ -25,22 +36,23 @@ constexpr uint32_t kPromoteStampWindowTicks = 8;
 // Warm-set geometry. A word with kDenseWordBits or more bits set is dense.
 // Every page of a dense word is handled alike, zero heat included: the
 // candidate/cold-pool pass decides a word's 64 pages with vectorised
-// compares and residency masks, and the decay sweeps them straight, which
+// compares and residency masks, and a catch-up sweeps them straight, which
 // vectorises too. Sparse words are walked bit by bit, and a page found
 // there at heat 0 leaves the set. Bit-by-bit walking of a nearly full word
 // is far slower per page than the word at a time; a sparse word taken
 // whole reads columns it need not touch.
 constexpr PageId kWordBits = 64;
 constexpr int kDenseWordBits = 16;
-constexpr uint32_t kDenseRefreshTicks = 8;
+
+// The most halvings by 2^-m one exact multiply may stand for is
+// kMaxExactShift / m: then its scale 2^-(m n) and its limit FLT_MIN * 2^(m n)
+// are both normal floats.
+constexpr int kMaxExactShift = 126;
+
+// std::ldexp(1.0f, e) for -126 <= e <= 127, from its bits.
+float Pow2(int e) { return std::bit_cast<float>(static_cast<uint32_t>(127 + e) << 23); }
 
 uint64_t Bit(PageId id) { return uint64_t{1} << (id % kWordBits); }
-
-// std::popcount is a dozen instructions without a hardware popcount in the
-// target ISA, so full words, the common dense case, skip it.
-int WarmBits(uint64_t word) {
-  return word == ~uint64_t{0} ? static_cast<int>(kWordBits) : std::popcount(word);
-}
 
 // std::popcount by its SWAR steps, which stay inline: at the baseline ISA
 // std::popcount is a library call, ~3x slower in a loop over every word.
@@ -51,18 +63,16 @@ uint64_t CountBits(uint64_t word) {
   return (word * 0x0101010101010101u) >> 56;
 }
 
+// Full words, the common dense case, skip the count. The catch-up asks
+// this of every word it brings current, RecordAccess's included.
+int WarmBits(uint64_t word) {
+  return word == ~uint64_t{0} ? static_cast<int>(kWordBits) : static_cast<int>(CountBits(word));
+}
+
 // Whether `word`, the warm set's word `w`, is dense. Only words covering
 // existing page slots count.
 bool IsDense(uint64_t word, size_t w, uint64_t page_count) {
   return WarmBits(word) >= kDenseWordBits && (w + 1) * kWordBits <= page_count;
-}
-
-// End of the run of dense words starting at the dense word `w`.
-size_t DenseRunEnd(const std::vector<uint64_t>& warm, size_t w, uint64_t page_count) {
-  do {
-    ++w;
-  } while (w < warm.size() && IsDense(warm[w], w, page_count));
-  return w;
 }
 
 // The smallest float >= `threshold`: for every float h, including +-inf
@@ -153,12 +163,72 @@ HeatBounds BoundHeat(const float* heat, size_t count) {
 }
 }  // namespace
 
+HeatDecay::HeatDecay(float factor) : factor_(factor) {
+  // A factor of exactly 2^-m: frexp gives 0.5 * 2^(1 - m).
+  int exponent = 0;
+  if (std::frexp(factor, &exponent) == 0.5f && 1 - exponent >= 1 &&
+      1 - exponent <= kMaxExactShift) {
+    shift_ = 1 - exponent;
+  }
+}
+
+float HeatDecay::ApplyMany(float heat, uint32_t n) const {
+  if (shift_ != 0) {
+    const uint32_t chunk = static_cast<uint32_t>(kMaxExactShift / shift_);
+    while (n > 0) {
+      const uint32_t c = std::min(n, chunk);
+      const int e = shift_ * static_cast<int>(c);
+      if (!(heat >= Pow2(e - kMaxExactShift))) {
+        break;
+      }
+      heat *= Pow2(-e);
+      n -= c;
+    }
+  }
+  for (; n > 0; --n) {
+    const float next = heat * factor_;
+    if (next == heat) {
+      break;  // 0, +inf or a subnormal the factor rounds back: every later step too.
+    }
+    heat = next;
+  }
+  return heat;
+}
+
+void HeatDecay::ApplyWord(float* heat, uint32_t n) const {
+  float scale = factor_;  // One decay is the one multiply.
+  if (n > 1) {
+    // One multiply by 2^-(m n) when n is one chunk and every page is 0 or
+    // within its limit; the compares OR-reduce, which vectorises.
+    uint32_t inexact = shift_ == 0 || n > static_cast<uint32_t>(kMaxExactShift / shift_) ? 1 : 0;
+    const int e = shift_ * static_cast<int>(std::min<uint32_t>(n, kMaxExactShift));
+    if (inexact == 0) {
+      const float limit = Pow2(e - kMaxExactShift);
+      for (size_t j = 0; j < kWordBits; ++j) {
+        inexact |= static_cast<uint32_t>(heat[j] != 0.0f) & static_cast<uint32_t>(heat[j] < limit);
+      }
+    }
+    if (inexact != 0) {
+      for (size_t j = 0; j < kWordBits; ++j) {
+        heat[j] = Apply(heat[j], n);
+      }
+      return;
+    }
+    scale = Pow2(-e);
+  }
+  for (size_t j = 0; j < kWordBits; ++j) {
+    heat[j] *= scale;
+  }
+}
+
 const char* TieringConfig::PolicyName() const {
   return policy.empty() ? kHotPageSelectionPolicyName : policy.c_str();
 }
 
 TieredMemory::TieredMemory(PageAllocator& allocator, TieringConfig config)
-    : allocator_(allocator), config_(std::move(config)) {
+    : allocator_(allocator),
+      config_(std::move(config)),
+      decay_(static_cast<float>(config_.heat_decay)) {
   // Pages the allocator already holds may carry heat from an earlier daemon:
   // start the warm set as their superset. A fresh allocator's heat is all
   // zero, which one vectorisable pass confirms.
@@ -195,15 +265,17 @@ bool TieredMemory::IsTopTier(topology::NodeId node) const {
 void TieredMemory::RecordAccess(PageId page, uint64_t accesses) {
   // Hint-fault sampling: only a fraction of real accesses are observed.
   const double sampled = static_cast<double>(accesses) * config_.hint_fault_sample_rate;
+  const size_t w = page / kWordBits;
+  if (w >= warm_.size()) {
+    GrowPageSets();
+  }
+  CatchUp(w);
   float& heat = allocator_.mutable_heat_column()[page];
   heat += static_cast<float>(sampled);
   allocator_.page(page).last_decay_epoch = epoch_;  // Recency stamp for the kRecency scan.
   allocator_.mutable_counters().numa_hint_faults += static_cast<uint64_t>(std::ceil(sampled));
-  if (page / kWordBits >= warm_.size()) {
-    GrowPageSets();
-  }
-  warm_[page / kWordBits] |= Bit(page);
-  word_hi_[page / kWordBits] = std::max(word_hi_[page / kWordBits], heat);
+  warm_[w] |= Bit(page);
+  word_hi_[w] = std::max(word_hi_[w], heat);
 }
 
 void TieredMemory::RecordAccessRun(PageId first, uint64_t count, uint64_t accesses) {
@@ -216,6 +288,14 @@ void TieredMemory::RecordAccessRun(PageId first, uint64_t count, uint64_t access
   // the integer fault count come out exactly as `count` calls leave them.
   const double sampled = static_cast<double>(accesses) * config_.hint_fault_sample_rate;
   const float add = static_cast<float>(sampled);
+  const size_t first_word = first / kWordBits;
+  const size_t last_word = last / kWordBits;
+  if (last_word >= warm_.size()) {
+    GrowPageSets();
+  }
+  for (size_t w = first_word; w <= last_word; ++w) {
+    CatchUp(w);
+  }
   const uint32_t epoch = epoch_;  // A local: the stores below cannot alias it.
   float* heat = allocator_.mutable_heat_column() + first;
   uint32_t* stamp = allocator_.mutable_epoch_column() + first;
@@ -225,11 +305,6 @@ void TieredMemory::RecordAccessRun(PageId first, uint64_t count, uint64_t access
   }
   allocator_.mutable_counters().numa_hint_faults +=
       count * static_cast<uint64_t>(std::ceil(sampled));
-  if (last / kWordBits >= warm_.size()) {
-    GrowPageSets();
-  }
-  const size_t first_word = first / kWordBits;
-  const size_t last_word = last / kWordBits;
   const uint64_t head = ~uint64_t{0} << (first % kWordBits);
   const uint64_t tail = ~uint64_t{0} >> (kWordBits - 1 - last % kWordBits);
   BoundWord(first_word);
@@ -259,9 +334,10 @@ void TieredMemory::GrowPageSets() {
   recently_promoted_.resize(warm_.size(), 0);
   // New slots hold heat 0. They are created only by allocation, after
   // which the next tick zeroes every lower bound, the word they extend
-  // included.
+  // included. New words start current.
   word_lo_.resize(warm_.size(), 0.0f);
   word_hi_.resize(warm_.size(), 0.0f);
+  word_decays_.resize(warm_.size(), decays_);
 }
 
 void TieredMemory::BoundWord(size_t w) {
@@ -272,24 +348,79 @@ void TieredMemory::BoundWord(size_t w) {
   word_hi_[w] = b.hi;
 }
 
+void TieredMemory::CatchUpWord(size_t w) {
+  const uint32_t n = decays_ - word_decays_[w];
+  word_decays_[w] = decays_;
+  ++heat_catch_ups_;
+  const uint64_t bits = warm_[w];
+  if (bits == 0) {
+    word_lo_[w] = 0.0f;  // Every slot holds heat 0.
+    word_hi_[w] = 0.0f;
+    return;
+  }
+  const PageId base = w * kWordBits;
+  float* heat = allocator_.mutable_heat_column() + base;
+  uint64_t zero = 0;  // The pages left at heat 0: all of a dense word's, a sparse word's warm ones.
+  if (IsDense(bits, w, allocator_.page_count())) {
+    decay_.ApplyWord(heat, n);
+    zero = CompareHeat(heat, 0.0f, std::numeric_limits<float>::quiet_NaN()).below_cut;
+    BoundWord(w);
+  } else {
+    // The word's other slots hold exactly 0, which decay keeps, so 0 is
+    // its lower bound. A short last word may have every slot warm, but it
+    // is never dense, so no pass skips it on that bound.
+    float hi = 0.0f;
+    for (uint64_t left = bits; left != 0; left &= left - 1) {
+      const int j = std::countr_zero(left);
+      const float h = decay_.Apply(heat[j], n);
+      heat[j] = h;
+      zero |= uint64_t{h == 0.0f} << j;
+      hi = std::max(hi, h);
+    }
+    word_lo_[w] = 0.0f;
+    word_hi_[w] = hi;
+  }
+  if ((bits & zero) != 0) {
+    // Pages leave the set at heat 0. A sparse word below zero_floor_ then
+    // holds zero-heat DRAM pages: those just cleared, and a dense word's
+    // earlier ones if the clearing leaves it sparse.
+    warm_[w] = bits & ~zero;
+    const uint64_t zero_dram = zero & allocator_.dram_bits()[w];
+    if (zero_dram != 0) {
+      zero_floor_ = std::min(zero_floor_, base + static_cast<PageId>(std::countr_zero(zero_dram)));
+    }
+  }
+}
+
+float TieredMemory::Heat(PageId page) const {
+  const float heat = allocator_.heat_column()[page];
+  const size_t w = page / kWordBits;
+  return w < word_decays_.size() ? decay_.Apply(heat, decays_ - word_decays_[w]) : heat;
+}
+
+void TieredMemory::SettleHeat() {
+  for (size_t w = 0; w < word_decays_.size(); ++w) {
+    CatchUp(w);
+  }
+}
+
 template <typename Dense, typename Sparse>
 void TieredMemory::VisitWarm(Dense&& dense, Sparse&& sparse) {
   const uint64_t page_count = allocator_.page_count();
   uint64_t visited = 0;
-  for (size_t w = 0; w < warm_.size();) {
-    uint64_t keep = warm_[w];
-    if (keep == 0) {
-      ++w;
+  for (size_t w = 0; w < warm_.size(); ++w) {
+    if (warm_[w] == 0) {
       continue;
     }
-    if (IsDense(keep, w, page_count)) {
-      const size_t run_end = DenseRunEnd(warm_, w, page_count);
-      visited += (run_end - w) * kWordBits;
-      for (; w < run_end; ++w) {
-        dense(w);
+    if (IsDense(warm_[w], w, page_count)) {
+      if (dense(w)) {
+        visited += kWordBits;
+        continue;
       }
-      continue;
+      // Its catch-up left the word sparse: it is walked as one.
     }
+    CatchUp(w);
+    uint64_t keep = warm_[w];
     visited += static_cast<uint64_t>(std::popcount(keep));
     for (uint64_t bits = keep; bits != 0; bits &= bits - 1) {
       const PageId id = w * kWordBits + static_cast<PageId>(std::countr_zero(bits));
@@ -298,7 +429,6 @@ void TieredMemory::VisitWarm(Dense&& dense, Sparse&& sparse) {
       }
     }
     warm_[w] = keep;
-    ++w;
   }
   tick_pages_visited_ += visited;
 }
@@ -318,19 +448,31 @@ uint64_t TieredMemory::ScanWarm(const CandidateFilter& filter, ColdPoolSelector&
       hot.push_back(HottestFirstKeyOf(heat, id));
     }
   };
+  const uint64_t page_count = allocator_.page_count();
+  // Bounds that put every page above the cut and below min_heat leave both
+  // masks empty.
+  const auto skippable = [&](size_t w) {
+    return !(word_hi_[w] >= filter.min_heat) && word_lo_[w] > pool.cut_heat();
+  };
   VisitWarm(
       [&](size_t w) {
         // Every page of a dense word, zero heat included: a page with heat
         // 0 sorts first in the pool and is a candidate only when the
         // filter admits it. Only DRAM pages that may pass the cut reach
         // Offer, and only CXL pages passing the heat test are considered.
+        // A word the bounds skip is not brought current; one whose
+        // catch-up leaves it sparse goes back to VisitWarm as sparse.
+        if (!skippable(w)) {
+          CatchUp(w);
+          if (!IsDense(warm_[w], w, page_count)) {
+            return false;
+          }
+        }
         const uint64_t dram = dram_bits[w];
         offered_dram += static_cast<uint64_t>(std::popcount(dram));
-        // Bounds that put every page above the cut and below min_heat
-        // leave both masks empty.
-        if (!(word_hi_[w] >= filter.min_heat) && word_lo_[w] > pool.cut_heat()) {
+        if (skippable(w)) {
           ++skipped;
-          return;
+          return true;
         }
         const float* heat = heat_col + w * kWordBits;
         const PageId base = w * kWordBits;
@@ -344,6 +486,7 @@ uint64_t TieredMemory::ScanWarm(const CandidateFilter& filter, ColdPoolSelector&
           const int j = std::countr_zero(bits);
           consider(base + static_cast<PageId>(j), heat[j]);
         }
+        return true;
       },
       [&](PageId id) {
         const float heat = heat_col[id];
@@ -390,77 +533,12 @@ void TieredMemory::VisitCold(PageId from, Visit&& visit) {
 }
 
 void TieredMemory::DecayWarm() {
-  float* heat_col = allocator_.mutable_heat_column();
-  const float decay = static_cast<float>(config_.heat_decay);
-  const uint64_t page_count = allocator_.page_count();
-  // Finding the zeros costs the dense sweep ~50%, so dense words look for
-  // them only every kDenseRefreshTicks-th decay.
-  const bool refresh = epoch_ % kDenseRefreshTicks == 0;
-  uint64_t visited = 0;
-  bool dense_seen = false;
-  for (size_t w = 0; w < warm_.size();) {
-    uint64_t bits = warm_[w];
-    if (bits == 0) {
-      ++w;
-      continue;
-    }
-    if (IsDense(bits, w, page_count)) {
-      if (!dense_seen) {
-        // Zeros reached in dense words go unseen: keep the zero walk's
-        // floor at or below every dense run.
-        dense_seen = true;
-        zero_floor_ = std::min<PageId>(zero_floor_, w * kWordBits);
-      }
-      const size_t run_end = DenseRunEnd(warm_, w, page_count);
-      visited += (run_end - w) * kWordBits;
-      if (!refresh) {
-        // A straight, vectorisable sweep. Unmarked ids hold exactly 0,
-        // which the multiply keeps.
-        for (PageId id = w * kWordBits; id < run_end * kWordBits; ++id) {
-          heat_col[id] *= decay;
-        }
-        for (; w < run_end; ++w) {
-          word_lo_[w] *= decay;
-          word_hi_[w] *= decay;
-        }
-        continue;
-      }
-      for (; w < run_end; ++w) {
-        // The same sweep word by word, and a word holding a 0 afterwards
-        // has its bits recomputed: dense words shed cold pages too. Each
-        // word's bounds are recomputed exactly.
-        float* word_heat = heat_col + w * kWordBits;
-        int any_zero = 0;
-        for (PageId j = 0; j < kWordBits; ++j) {
-          const float heat = word_heat[j] * decay;
-          word_heat[j] = heat;
-          any_zero |= heat == 0.0f;
-        }
-        if (any_zero != 0) {
-          uint64_t keep = 0;
-          for (PageId j = 0; j < kWordBits; ++j) {
-            keep |= uint64_t{word_heat[j] != 0.0f} << j;
-          }
-          warm_[w] = keep;
-        }
-        BoundWord(w);
-      }
-      continue;
-    }
-    visited += static_cast<uint64_t>(std::popcount(bits));
-    word_lo_[w] *= decay;
-    word_hi_[w] *= decay;
-    for (; bits != 0; bits &= bits - 1) {
-      const PageId id = w * kWordBits + static_cast<PageId>(std::countr_zero(bits));
-      heat_col[id] *= decay;
-      if (heat_col[id] == 0.0f) {
-        warm_[w] &= ~Bit(id);
-        zero_floor_ = std::min(zero_floor_, id);
-      }
-    }
-    ++w;
+  // Monotone rounding keeps each bound a bound of its word's decayed heats.
+  ++decays_;
+  for (size_t w = 0; w < word_lo_.size(); ++w) {
+    word_lo_[w] *= decay_.factor();
+    word_hi_[w] *= decay_.factor();
   }
-  tick_pages_visited_ += visited;
 }
 
 void TieredMemory::CountRecentPromotions() {
@@ -588,20 +666,25 @@ void TieredMemory::InstallZeroHeatPool(uint64_t k) {
   uint64_t visited = 0;
   for (size_t w = 0; w < warm_.size() && cold_pool_.size() < k; ++w) {
     uint64_t zero = 0;
+    bool sparse = true;
     if (IsDense(warm_[w], w, page_count)) {
       if (word_lo_[w] > 0.0f) {
         continue;  // Every page of the word is above heat 0.
       }
+      CatchUp(w);
       visited += kWordBits;
       zero = dram_bits[w] &
              CompareHeat(heat_col + w * kWordBits, 0.0f, std::numeric_limits<float>::quiet_NaN())
                  .below_cut;
+      // A catch-up that clears bits may leave the word sparse: its
+      // zero-heat pages are then a sparse word's, with clear bits.
+      sparse = !IsDense(warm_[w], w, page_count);
     } else if (w >= floor_word) {
       // The pass left a sparse word's bit set only at heat > 0.
       zero = dram_bits[w] & ~warm_[w];
-      if (zero != 0 && first_sparse == kInvalidPage) {
-        first_sparse = w * kWordBits + static_cast<PageId>(std::countr_zero(zero));
-      }
+    }
+    if (sparse && zero != 0 && first_sparse == kInvalidPage) {
+      first_sparse = w * kWordBits + static_cast<PageId>(std::countr_zero(zero));
     }
     for (; zero != 0 && cold_pool_.size() < k; zero &= zero - 1) {
       ++visited;
@@ -732,6 +815,7 @@ TieredMemory::TickResult TieredMemory::Tick(double dt_seconds) {
                 .WithWindow(faults_->ActiveWindowOf(fault::FaultType::kDaemonStall))
                 .WithReason(0));
       }
+      result.heat_catch_ups = std::exchange(heat_catch_ups_, 0);
       return result;
     }
     if (backoff_ticks_remaining_ > 0) {
@@ -748,6 +832,7 @@ TieredMemory::TickResult TieredMemory::Tick(double dt_seconds) {
                   .WithReason(1));
         }
       }
+      result.heat_catch_ups = std::exchange(heat_catch_ups_, 0);
       return result;
     }
   }
@@ -798,6 +883,7 @@ TieredMemory::TickResult TieredMemory::Tick(double dt_seconds) {
                 .WithReason(2));
       }
     }
+    result.heat_catch_ups = std::exchange(heat_catch_ups_, 0);
     return result;
   }
   const uint64_t budget_pages = decision.budget_pages;
@@ -996,9 +1082,9 @@ TieredMemory::TickResult TieredMemory::Tick(double dt_seconds) {
   policy_->Observe(obs);
   result.hot_threshold = policy_->hot_threshold();
 
-  // Decay heat for the next interval. Only warm pages hold heat != 0, so
-  // multiplying them leaves the column bit for bit where a sweep of every
-  // slot would: freed slots included, whose stale values allocation resets.
+  // Decay heat for the next interval, last, so that every read above saw
+  // pre-decay heat. Each word's pages take it when the word catches up:
+  // freed slots included, whose stale values allocation resets.
   DecayWarm();
   ++epoch_;
 
@@ -1007,6 +1093,7 @@ TieredMemory::TickResult TieredMemory::Tick(double dt_seconds) {
   result.pool_shrinks = tick_pool_shrinks_;
   result.sorted_entries = tick_sorted_entries_;
   result.dense_words_skipped = tick_dense_words_skipped_;
+  result.heat_catch_ups = std::exchange(heat_catch_ups_, 0);
   sim_seconds_ += dt_seconds;
   EmitTickTelemetry(result, dt_seconds);
   EmitTickEvents(result, watermark_demoted);
@@ -1036,7 +1123,9 @@ bool TieredMemory::QuarantinePage(PageId page) {
   // The heat reset (and possible eviction below) perturbs the (heat, id)
   // order the demotion pool was built on.
   cold_pool_valid_ = false;
-  allocator_.mutable_heat_column()[page] = 0.0f;  // Its warm bit goes stale.
+  // Its warm bit goes stale. Heat 0 stays 0 through the word's pending
+  // decays, so the word need not catch up first.
+  allocator_.mutable_heat_column()[page] = 0.0f;
   if (page / kWordBits >= warm_.size()) {
     GrowPageSets();
   }

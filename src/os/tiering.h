@@ -143,8 +143,38 @@ inline ColdPoolSelector::Key HottestFirstKeyOf(float heat, PageId id) {
   return ColdPoolSelector::KeyOf(heat, id) ^ (ColdPoolSelector::Key{0xffffffffu} << 32);
 }
 
+// Heat decay as ticks apply it: `n` decays of a heat are n sequential
+// multiplies by the factor, each rounded. When the factor is exactly 2^-m
+// (1 <= m <= 126), a heat at or above ldexp(FLT_MIN, m c) stays normal
+// through c such multiplies, each exact, so they are one multiply by
+// 2^-(m c). Decays are taken so in chunks of c <= 126 / m while the heat
+// is at its chunk's limit or above; every other heat or factor takes the
+// sequential multiplies.
+class HeatDecay {
+ public:
+  explicit HeatDecay(float factor);
+
+  float factor() const { return factor_; }
+
+  // `heat` after `n` decays. One decay, the common case of a word read
+  // every tick, is the sweep's one multiply.
+  float Apply(float heat, uint32_t n) const { return n == 1 ? heat * factor_ : ApplyMany(heat, n); }
+
+  // Applies `n` decays to each of the 64 heats at `heat` (a dense warm-set
+  // word): one vectorised multiply when every page is within the limit.
+  void ApplyWord(float* heat, uint32_t n) const;
+
+ private:
+  float ApplyMany(float heat, uint32_t n) const;
+
+  float factor_;
+  int shift_ = 0;  // m, or 0 when the factor is no such power of two.
+};
+
 class TieredMemory {
  public:
+  // Adopts the heat the allocator's column holds: an earlier daemon over
+  // the same allocator must have settled it (SettleHeat) first.
   TieredMemory(PageAllocator& allocator, TieringConfig config);
 
   // Feeds `accesses` real accesses to `page` into the (sampled) heat
@@ -165,9 +195,9 @@ class TieredMemory {
     double hot_threshold = 0.0;    // Threshold in effect after adjustment.
     uint64_t candidates = 0;       // Hot low-tier pages seen this tick.
     // Page slots whose columns this tick read: the warm-set visits of the
-    // candidate/cold-pool pass, of cold-pool refills and of the decay, the
-    // walk for zero-heat pages and the promotion-feedback count. A
-    // deterministic work counter that tracks the warm set, not
+    // candidate/cold-pool pass and of cold-pool refills, the walk for
+    // zero-heat pages and the promotion-feedback count. The decay reads no
+    // page. A deterministic work counter that tracks the warm set, not
     // page_count().
     uint64_t pages_visited = 0;
     // ColdPoolSelector::Offer calls of the cold pools the tick selected
@@ -189,6 +219,10 @@ class TieredMemory {
     // threshold. A deterministic work counter; the words still count in
     // pages_visited.
     uint64_t dense_words_skipped = 0;
+    // Warm-set words brought current (their pending decays applied) since
+    // the previous Tick returned: by accesses, SettleHeat and this tick's
+    // passes. A deterministic work counter.
+    uint64_t heat_catch_ups = 0;
   };
   TickResult Tick(double dt_seconds);
 
@@ -237,11 +271,23 @@ class TieredMemory {
   // promoted the page afterwards (check::TieringInvariantViolations).
   uint32_t QuarantineEpoch(PageId page) const { return quarantined_.at(page); }
 
-  // The warm set and the per-word heat bounds (see the members), read by
-  // check::TieringInvariantViolations.
+  // The current heat of `page`: its column value with the decays its word
+  // has pending applied, exactly as an eager per-tick decay leaves it.
+  // Changes no state.
+  float Heat(PageId page) const;
+
+  // Brings every word current, so the allocator's heat column holds every
+  // page's current heat until the next tick decays. For readers of the
+  // whole column (Spark's access-weighted shares).
+  void SettleHeat();
+
+  // The warm set, the per-word heat bounds and decay counts (see the
+  // members), read by check::TieringInvariantViolations.
   const std::vector<uint64_t>& warm_set() const { return warm_; }
   const std::vector<float>& word_heat_lo() const { return word_lo_; }
   const std::vector<float>& word_heat_hi() const { return word_hi_; }
+  const std::vector<uint32_t>& word_decays() const { return word_decays_; }
+  uint32_t decays() const { return decays_; }
 
   // Remaining ticks of promotion-failure backoff (tests/telemetry).
   int BackoffTicksRemaining() const { return backoff_ticks_remaining_; }
@@ -294,15 +340,18 @@ class TieredMemory {
   void InstallColdPool(ColdPoolSelector& selector, uint64_t k, uint64_t offered_dram);
 
   // Fills cold_pool_ with the `k` lowest-id zero-heat DRAM pages, in id
-  // order, which is key order: dense words by their heats, from word 0,
-  // and sparse words from zero_floor_'s by the warm bits this tick's pass
-  // left (it clears those of pages at heat 0). ZeroHeatCovers(k) must
-  // hold. Resets the consumption cursor.
+  // order, which is key order: dense words whose lower bound is 0 by their
+  // heats once brought current, from word 0, and sparse words from
+  // zero_floor_'s by the warm bits this tick's pass left (it clears those
+  // of pages at heat 0). ZeroHeatCovers(k) must hold. Resets the
+  // consumption cursor.
   void InstallZeroHeatPool(uint64_t k);
 
-  // Walks the warm set in id order: `dense(w)` for every word w of a run of
-  // dense words, `sparse(id)` for each set bit of a sparse word, whose bit
-  // clears when it returns false (heat read as 0).
+  // Walks the warm set in id order: `dense(w)` for every dense word w,
+  // `sparse(id)` for each set bit of a sparse word, brought current first,
+  // whose bit clears when it returns false (heat read as 0). A dense word
+  // whose `dense(w)` returns false (its catch-up cleared bits and left it
+  // sparse) is walked as a sparse word.
   template <typename Dense, typename Sparse>
   void VisitWarm(Dense&& dense, Sparse&& sparse);
 
@@ -320,9 +369,10 @@ class TieredMemory {
   // offered to `pool`, and the HottestFirstKeyOf keys of CXL pages passing
   // `filter` are appended to `hot` in id order. Dense words decide their 64
   // pages with masks from the residency bitsets and two vectorised heat
-  // compares, or are skipped whole when their heat bounds leave both masks
-  // empty. Returns the number of DRAM pages offered, counting those the
-  // cut turned away before the call.
+  // compares, or are skipped whole, still behind, when their heat bounds
+  // leave both masks empty; every other word is brought current first.
+  // Returns the number of DRAM pages offered, counting those the cut
+  // turned away before the call.
   uint64_t ScanWarm(const CandidateFilter& filter, ColdPoolSelector& pool,
                     ArenaVector<ColdPoolSelector::Key>& hot);
 
@@ -332,11 +382,22 @@ class TieredMemory {
   template <typename Visit>
   void VisitCold(PageId from, Visit&& visit);
 
-  // Multiplies every warm page's heat by the decay factor.
+  // One decay of every page's heat: counts it in decays_ and scales both
+  // bound arrays. The heats themselves decay when their words catch up.
   void DecayWarm();
 
-  // Sizes the stamp column, both page sets and the heat bounds to cover
-  // every page slot.
+  // Brings word `w` current: the one place a word's pending decays reach
+  // its heats. Every reader of a word's heats calls it first, and every
+  // writer but quarantine, whose heat 0 no decay changes.
+  void CatchUp(size_t w) {
+    if (word_decays_[w] != decays_) {
+      CatchUpWord(w);
+    }
+  }
+  void CatchUpWord(size_t w);
+
+  // Sizes the stamp column, both page sets, the heat bounds and the decay
+  // counts to cover every page slot.
   void GrowPageSets();
 
   // Sets word `w`'s heat bounds to the least and greatest heat of its page
@@ -389,29 +450,41 @@ class TieredMemory {
   // change, and every daemon pass visits only them, in id order. Words with
   // many bits set are dense: every page of them is handled, zero heat
   // included, 64 at a time by masks in the candidate/cold-pool pass and by
-  // a straight sweep in the decay. RecordAccess sets a bit, RecordAccessRun
-  // a span's bits a word at a time. A pass that reads heat 0 on a sparse
-  // word's page clears its bit, and the decay re-derives dense words from
-  // heat every kDenseRefreshTicks ticks. Allocate's heat reset and
+  // a straight sweep when the word catches up. RecordAccess sets a bit,
+  // RecordAccessRun a span's bits a word at a time. A catch-up clears the
+  // bit of every page it leaves at heat 0, and a pass that reads heat 0 on
+  // a sparse word's page clears its bit. Allocate's heat reset and
   // quarantine's leave stale bits, which only cost a visit. Heat is
   // assumed non-negative, with a finite, non-negative decay factor.
   //
-  // Each word also keeps bounds of its page slots' heat: word_lo_[w] <=
-  // heat <= word_hi_[w] for every slot of word w whenever a tick scans. A
-  // dense word whose upper bound is below the candidate threshold and whose
-  // lower bound is above the cold pool's cut holds no page the scan could
-  // select, and is skipped whole. The bounds change where heat does, with
-  // no pass of their own. Float multiplication and addition round
-  // monotonically, so decay scales both bounds and RecordAccessRun shifts
-  // those of the words it covers whole, exactly; it recomputes its two
-  // edge words, RecordAccess raises the upper bound and quarantine zeroes
-  // the lower. Allocation resets heat without the daemon, so a tick that
-  // sees one (by `pgalloc`, as for zero_floor_) first zeroes every lower
-  // bound. The others only loosen, and every kDenseRefreshTicks-th decay
-  // recomputes the exact bounds of every dense word.
+  // Decay is lazy and word-granular. decays_ counts the decays the daemon
+  // has made; word_decays_[w] those word w's heats have had. A word behind
+  // catches up (CatchUp) when its heats are next read or written: each of
+  // its pages gets the decays it missed, as the same sequential multiplies
+  // a per-tick sweep would have made. A tick's own reads see pre-decay
+  // heat, since the tick decays last. Heat(id) reads through the pending
+  // decays; SettleHeat brings every word current.
+  //
+  // Each word also keeps bounds of its page slots' current heat: word_lo_[w]
+  // <= heat <= word_hi_[w] for every slot of word w whenever a tick scans.
+  // A dense word whose upper bound is below the candidate threshold and
+  // whose lower bound is above the cold pool's cut holds no page the scan
+  // could select, and is skipped whole, without catching up. The bounds
+  // change where heat does, with no pass of their own. Float multiplication
+  // and addition round monotonically, so a decay scales both bounds of
+  // every word and RecordAccessRun shifts those of the words it covers
+  // whole, exactly; it recomputes its two edge words, RecordAccess raises
+  // the upper bound and quarantine zeroes the lower. Allocation resets heat
+  // without the daemon, so a tick that sees one (by `pgalloc`, as for
+  // zero_floor_) first zeroes every lower bound. The others only loosen,
+  // and every catch-up recomputes its word's exact bounds.
   std::vector<uint64_t> warm_;
   std::vector<float> word_lo_;
   std::vector<float> word_hi_;
+  std::vector<uint32_t> word_decays_;
+  uint32_t decays_ = 0;
+  HeatDecay decay_;
+  uint64_t heat_catch_ups_ = 0;  // TickResult::heat_catch_ups accumulator.
   uint64_t tick_pages_visited_ = 0;   // TickResult::pages_visited accumulator.
   uint64_t tick_pool_offers_ = 0;     // TickResult::pool_offers accumulator.
   uint64_t tick_pool_shrinks_ = 0;    // TickResult::pool_shrinks accumulator.
@@ -425,11 +498,12 @@ class TieredMemory {
   // the lowest zero-heat pages does not leave a growing prefix to re-walk
   // (from id 0, the largest kv-hotpromote tick visits 13.6% of the page
   // slots instead of 8.3%). Whatever can make a page below it a zero-heat
-  // DRAM page lowers it: decay reaching 0, dense runs (whose zeros decay
-  // does not look for), quarantine, promoting a zero-heat page, and
-  // placement changes made outside the daemon, which only allocation makes
-  // (seen as a change in the allocator's `pgalloc` counter). The warm-set
-  // tests fail if any of these is left out.
+  // DRAM page of a sparse word lowers it: a catch-up that clears bits (to
+  // the word's lowest zero-heat DRAM page, which also covers a dense word
+  // the clearing leaves sparse), quarantine, promoting a zero-heat page,
+  // and placement changes made outside the daemon, which only allocation
+  // makes (seen as a change in the allocator's `pgalloc` counter). The
+  // warm-set tests fail if any of these is left out.
   PageId zero_floor_ = 0;
   uint64_t seen_pgalloc_ = 0;
 

@@ -22,9 +22,10 @@ struct Argv {
   int argc = 0;
 };
 
-// Parses with both optional flag groups declared.
+// Parses with every optional flag group declared.
 Context Parse(Argv& a, std::string positionals = "") {
-  return Context::FromArgs(&a.argc, a.ptrs.data(), {.faults = true, .tiering = true}, {},
+  return Context::FromArgs(&a.argc, a.ptrs.data(),
+                           {.faults = true, .fault_tuning = true, .tiering = true}, {},
                            std::move(positionals));
 }
 
@@ -215,8 +216,15 @@ TEST(ContextDeathTest, UndeclaredGroupsRejectTheirFlags) {
   Argv faults({"bench", "--fault-seed", "7"});
   EXPECT_EXIT(parse(faults, {.tiering = true}), ::testing::ExitedWithCode(2),
               "unknown flag '--fault-seed'");
+  EXPECT_EXIT(parse(faults, {.faults = true}), ::testing::ExitedWithCode(2),
+              "unknown flag '--fault-seed'");
+  // A binary that seeds and tunes injectors of its own plans rejects a plan
+  // it would drop.
+  Argv plan({"bench", "--faults", "storm"});
+  EXPECT_EXIT(parse(plan, {.fault_tuning = true}), ::testing::ExitedWithCode(2),
+              "unknown flag '--faults'");
   Argv both({"bench", "--fault-seed", "7", "--tiering-policy", "tpp-like"});
-  const Context ctx = parse(both, {.faults = true, .tiering = true});
+  const Context ctx = parse(both, {.fault_tuning = true, .tiering = true});
   EXPECT_EQ(ctx.fault_seed(), 7u);
   EXPECT_EQ(ctx.tiering_policy(), "tpp-like");
 }

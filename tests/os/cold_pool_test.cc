@@ -318,7 +318,6 @@ TEST_P(FusedScanTest, DemotionsAreTheColdestPreTickDramPages) {
   Rng rng(99);
   ScrambledZipfianDistribution zipf(kTotalPages);
   const topology::NodeId* node_col = alloc.node_column();
-  const float* heat_col = alloc.heat_column();
   const auto in_dram = [&](topology::NodeId node) { return node >= 0 && alloc.IsDramNode(node); };
   uint64_t total_demoted = 0;
   uint64_t max_tick_demoted = 0;
@@ -336,7 +335,10 @@ TEST_P(FusedScanTest, DemotionsAreTheColdestPreTickDramPages) {
 
     const uint64_t n = alloc.page_count();
     const std::vector<topology::NodeId> node_before(node_col, node_col + n);
-    const std::vector<float> heat_before(heat_col, heat_col + n);
+    std::vector<float> heat_before(n);
+    for (PageId id = 0; id < n; ++id) {
+      heat_before[id] = tiering.Heat(id);
+    }
     std::vector<Entry> dram_order;
     for (PageId id = 0; id < n; ++id) {
       if (in_dram(node_before[id])) {

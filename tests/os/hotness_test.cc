@@ -28,7 +28,7 @@ TEST_F(HotnessTest, RecordAccessAccumulatesSampledHeat) {
   auto pages = alloc_.Allocate(NumaPolicy::Bind({0}), 1);
   ASSERT_TRUE(pages.ok());
   tiering.RecordAccess((*pages)[0], 1000);
-  EXPECT_NEAR(alloc_.page((*pages)[0]).heat, 100.0, 1.0);
+  EXPECT_NEAR(tiering.Heat((*pages)[0]), 100.0, 1.0);
   EXPECT_GE(alloc_.counters().numa_hint_faults, 100u);
 }
 
@@ -41,9 +41,9 @@ TEST_F(HotnessTest, HeatDecaysEachTick) {
   ASSERT_TRUE(pages.ok());
   tiering.RecordAccess((*pages)[0], 100);
   tiering.Tick(1.0);
-  EXPECT_NEAR(alloc_.page((*pages)[0]).heat, 50.0, 0.5);
+  EXPECT_NEAR(tiering.Heat((*pages)[0]), 50.0, 0.5);
   tiering.Tick(1.0);
-  EXPECT_NEAR(alloc_.page((*pages)[0]).heat, 25.0, 0.5);
+  EXPECT_NEAR(tiering.Heat((*pages)[0]), 25.0, 0.5);
 }
 
 TEST_F(HotnessTest, TopTierClassification) {
@@ -131,9 +131,13 @@ TEST(RecordAccessRunTest, EqualsPerPageRecordAccess) {
     }
     const uint64_t n = run.alloc.page_count();
     ASSERT_EQ(n, per_page.alloc.page_count());
-    EXPECT_EQ(std::memcmp(run.alloc.heat_column(), per_page.alloc.heat_column(),
-                          n * sizeof(float)),
-              0)
+    std::vector<float> run_heat(n);
+    std::vector<float> per_page_heat(n);
+    for (PageId id = 0; id < n; ++id) {
+      run_heat[id] = run.tiering.Heat(id);
+      per_page_heat[id] = per_page.tiering.Heat(id);
+    }
+    EXPECT_EQ(std::memcmp(run_heat.data(), per_page_heat.data(), n * sizeof(float)), 0)
         << "round " << round;
     EXPECT_EQ(std::memcmp(run.alloc.epoch_column(), per_page.alloc.epoch_column(),
                           n * sizeof(uint32_t)),
@@ -153,6 +157,7 @@ TEST(RecordAccessRunTest, EqualsPerPageRecordAccess) {
     EXPECT_EQ(a.pool_offers, b.pool_offers) << "round " << round;
     EXPECT_EQ(a.pool_shrinks, b.pool_shrinks) << "round " << round;
     EXPECT_EQ(a.sorted_entries, b.sorted_entries) << "round " << round;
+    EXPECT_EQ(a.heat_catch_ups, b.heat_catch_ups) << "round " << round;
     EXPECT_GT(a.candidates, 0u) << "round " << round;
     EXPECT_EQ(std::memcmp(run.alloc.node_column(), per_page.alloc.node_column(),
                           n * sizeof(topology::NodeId)),

@@ -223,8 +223,8 @@ TEST_F(PromotionTest, SoaScanMatchesAosReferencePromotionOrder) {
   for (PageId id = 0; id < alloc_.page_count(); ++id) {
     const auto p = alloc_.page(id);
     if (p.node >= 0 && !tiering.IsTopTier(p.node) &&
-        p.heat >= static_cast<float>(tiering.hot_threshold())) {
-      reference.emplace_back(p.heat, id);
+        tiering.Heat(id) >= static_cast<float>(tiering.hot_threshold())) {
+      reference.emplace_back(tiering.Heat(id), id);
     }
   }
   std::sort(reference.begin(), reference.end(), [](const auto& a, const auto& b) {

@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -225,7 +226,7 @@ class Harness {
     const uint32_t epoch = static_cast<uint32_t>(coverage_.ticks);
     const uint64_t n = alloc_.page_count();
     const std::vector<topology::NodeId> node(alloc_.node_column(), alloc_.node_column() + n);
-    const std::vector<float> heat(alloc_.heat_column(), alloc_.heat_column() + n);
+    const std::vector<float> heat = Heats();
     const std::vector<uint32_t> touched(alloc_.epoch_column(), alloc_.epoch_column() + n);
     std::vector<uint32_t> stamp(n);
     for (PageId id = 0; id < n; ++id) {
@@ -252,14 +253,15 @@ class Harness {
         coverage_.subnormal |= std::fpclassify(h) == FP_SUBNORMAL;
       }
     }
-    if (std::memcmp(alloc_.heat_column(), shadow_.data(), n * sizeof(float)) != 0) {
+    const std::vector<float> heat_after = Heats();
+    if (std::memcmp(heat_after.data(), shadow_.data(), n * sizeof(float)) != 0) {
       PageId first = 0;
-      while (std::memcmp(&alloc_.heat_column()[first], &shadow_[first], sizeof(float)) == 0) {
+      while (std::memcmp(&heat_after[first], &shadow_[first], sizeof(float)) == 0) {
         ++first;
       }
       return ::testing::AssertionFailure()
-             << "tick " << epoch << ": heat of page " << first << " is "
-             << alloc_.heat_column()[first] << ", the eager decay gives " << shadow_[first];
+             << "tick " << epoch << ": heat of page " << first << " is " << heat_after[first]
+             << ", the eager decay gives " << shadow_[first];
     }
 
     const auto is_dram = [&](topology::NodeId nd) { return nd >= 0 && alloc_.IsDramNode(nd); };
@@ -370,6 +372,16 @@ class Harness {
     return ::testing::AssertionSuccess();
   }
 
+  // Every page's current heat, through the daemon's pending decays.
+  std::vector<float> Heats() const {
+    std::vector<float> heat(alloc_.page_count());
+    for (PageId id = 0; id < heat.size(); ++id) {
+      heat[id] = tiering_.Heat(id);
+    }
+    return heat;
+  }
+  float Heat(PageId id) const { return tiering_.Heat(id); }
+
   const topology::Platform& platform() const { return platform_; }
   // What the policy decided at the last tick that reached it.
   const TickDecision& decision() const { return recorder_.decision; }
@@ -431,7 +443,7 @@ TEST_P(WarmSetTest, MatchesEagerReferencesEveryTick) {
     const auto warm_on = [&](bool want_dram) {
       for (const PageId id : live) {
         const topology::NodeId nd = h.alloc().NodeOf(id);
-        if (h.alloc().page(id).heat > 0.0f && h.alloc().IsDramNode(nd) == want_dram) {
+        if (h.Heat(id) > 0.0f && h.alloc().IsDramNode(nd) == want_dram) {
           return id;
         }
       }
@@ -448,7 +460,7 @@ TEST_P(WarmSetTest, MatchesEagerReferencesEveryTick) {
       std::vector<PageId> freed;
       std::vector<PageId> kept;
       for (const PageId id : live) {
-        (freed.size() < 400 && h.alloc().page(id).heat > 0.0f ? freed : kept).push_back(id);
+        (freed.size() < 400 && h.Heat(id) > 0.0f ? freed : kept).push_back(id);
       }
       h.Free(freed);
       live = kept;
@@ -512,6 +524,375 @@ std::string ScenarioName(const ::testing::TestParamInfo<Scenario>& info) {
 INSTANTIATE_TEST_SUITE_P(Policies, WarmSetTest, ::testing::ValuesIn(AllScenarios()),
                          ScenarioName);
 
+// n decays of `heat` as a per-tick sweep makes them: n multiplies.
+float SequentialDecay(float heat, float factor, uint32_t n) {
+  for (uint32_t i = 0; i < n; ++i) {
+    heat *= factor;
+  }
+  return heat;
+}
+
+bool SameBits(float a, float b) { return std::memcmp(&a, &b, sizeof(float)) == 0; }
+
+// HeatDecay takes n halvings as one multiply by 2^-n where the heat is at
+// or above ldexp(FLT_MIN, n) (in chunks of at most 126). Every heat here,
+// for n = 1..150, must come out as n sequential multiplies: 0, subnormals,
+// FLT_MIN, FLT_MAX and +inf, each chunk limit ldexp(FLT_MIN, k) and its
+// neighbouring floats, and the largest heat a binade or more below each
+// limit for which one multiply would round differently (so a limit set too
+// low fails). ApplyWord must give the same per page, for words whose pages
+// all pass the limit and for words holding one that does not. A factor of
+// 0.25 (m = 2) and one that is no power of two take the same checks.
+TEST(HeatDecayTest, ShortcutMatchesSequentialMultiplies) {
+  std::vector<float> heats = {0.0f,
+                              std::numeric_limits<float>::denorm_min(),
+                              3 * std::numeric_limits<float>::denorm_min(),
+                              std::nextafter(std::numeric_limits<float>::min(), 0.0f),
+                              std::numeric_limits<float>::min(),
+                              1.0f,
+                              20.0f,
+                              std::numeric_limits<float>::max(),
+                              std::numeric_limits<float>::infinity()};
+  for (int k = 1; k <= 126; ++k) {
+    const float limit = std::ldexp(std::numeric_limits<float>::min(), k);
+    heats.push_back(limit);
+    heats.push_back(std::nextafter(limit, 0.0f));
+    heats.push_back(std::nextafter(limit, 1e30f));
+    for (int binades = 1; binades <= 3; ++binades) {
+      heats.push_back(std::nextafter(std::ldexp(limit, -binades), 0.0f));
+      heats.push_back(std::ldexp(0x1.fffff6p0f, k - 126 - binades));
+    }
+  }
+  for (const float factor : {0.5f, 0.25f, 0.3f}) {
+    const HeatDecay decay(factor);
+    uint64_t shortcut_would_err = 0;  // Heats where one multiply differs: the test bites.
+    for (uint32_t n = 1; n <= 150; ++n) {
+      for (const float h : heats) {
+        const float want = SequentialDecay(h, factor, n);
+        EXPECT_TRUE(SameBits(decay.Apply(h, n), want))
+            << "factor " << factor << ", heat " << std::hexfloat << h << ", n " << n << ": "
+            << decay.Apply(h, n) << ", sequential " << want << std::defaultfloat;
+        if (factor != 0.3f && n <= 126 / (factor == 0.5f ? 1u : 2u)) {
+          const float one = h * std::pow(factor, static_cast<float>(n));
+          shortcut_would_err += SameBits(one, want) ? 0 : 1;
+        }
+      }
+      // Words of 64 heats, taken in order: all at or above the limit of n,
+      // and mixed ones.
+      for (size_t first = 0; first < heats.size(); first += 64) {
+        for (const bool within : {true, false}) {
+          std::array<float, 64> word{};
+          for (size_t j = 0; j < word.size(); ++j) {
+            const float h = heats[(first + j) % heats.size()];
+            word[j] = within && !(h >= std::ldexp(std::numeric_limits<float>::min(),
+                                                  static_cast<int>(std::min(n, 126u))))
+                          ? 0.0f
+                          : h;
+          }
+          std::array<float, 64> got = word;
+          decay.ApplyWord(got.data(), n);
+          for (size_t j = 0; j < word.size(); ++j) {
+            EXPECT_TRUE(SameBits(got[j], SequentialDecay(word[j], factor, n)))
+                << "factor " << factor << ", word heat " << std::hexfloat << word[j] << ", n "
+                << n << std::defaultfloat;
+          }
+        }
+      }
+    }
+    if (factor != 0.3f) {
+      EXPECT_GT(shortcut_would_err, 100u) << "factor " << factor;
+    }
+  }
+}
+
+// Two daemons take the same SplitMix64-drawn sequence of operations:
+// allocations, frees, single accesses, spans, quarantines, filling the
+// machine (so promotions fail and back off), stalls and down-trains from a
+// fault plan, and ticks. One brings every word current after every
+// operation (SettleHeat), so its heat column is what an eager per-tick
+// sweep leaves; the other never does. Before each tick the settled column
+// must hold the lazy daemon's Heat() of every page. Every tick's results
+// and what its policy decided and observed must agree bit for bit, and so
+// must every page's Heat(), placement and promotion stamp. The work
+// counters are exempt. 6,144 DRAM pages are never touched, so the pool is
+// the zero-heat walk's and its cut lets the pass skip a dense block warmed
+// once: its words fall more than a shortcut chunk (126 decays) behind
+// while their heats decay through the subnormals.
+struct LazyTwin {
+  LazyTwin(const TieringConfig& config, const fault::FaultPlan& plan,
+           const topology::PlatformOptions& on)
+      : platform(topology::Platform::Build(on)),
+        alloc(platform, kPageBytes),
+        tiering(alloc, config),
+        faults(plan),
+        recorder(tiering.policy()) {
+    TieredMemory::Observers observers;
+    observers.faults = &faults;
+    observers.policy = &recorder;
+    tiering.Attach(observers);
+  }
+  topology::Platform platform;
+  PageAllocator alloc;
+  TieredMemory tiering;
+  fault::FaultInjector faults;
+  RecordingPolicy recorder;
+};
+
+::testing::AssertionResult SameTick(const TieredMemory::TickResult& a, const LazyTwin& ta,
+                                    const TieredMemory::TickResult& b, const LazyTwin& tb) {
+  const auto bits = [](double x) { return std::bit_cast<uint64_t>(x); };
+  if (a.promoted_pages != b.promoted_pages || a.demoted_pages != b.demoted_pages ||
+      bits(a.migrated_bytes) != bits(b.migrated_bytes) ||
+      bits(a.hot_threshold) != bits(b.hot_threshold) || a.candidates != b.candidates) {
+    return ::testing::AssertionFailure()
+           << "results differ: promoted " << a.promoted_pages << "/" << b.promoted_pages
+           << ", demoted " << a.demoted_pages << "/" << b.demoted_pages << ", candidates "
+           << a.candidates << "/" << b.candidates << ", threshold " << a.hot_threshold << "/"
+           << b.hot_threshold;
+  }
+  const RecordingPolicy& pa = ta.recorder;
+  const RecordingPolicy& pb = tb.recorder;
+  const TickDecision& da = pa.decision;
+  const TickDecision& db = pb.decision;
+  if (pa.decided != pb.decided || pa.observed != pb.observed || da.scan != db.scan ||
+      bits(da.hot_threshold) != bits(db.hot_threshold) || da.budget_pages != db.budget_pages ||
+      da.skip_tick != db.skip_tick) {
+    return ::testing::AssertionFailure() << "decisions differ";
+  }
+  const TickObservation& oa = pa.observation;
+  const TickObservation& ob = pb.observation;
+  if (bits(oa.dt_seconds) != bits(ob.dt_seconds) || oa.candidates != ob.candidates ||
+      oa.promoted_pages != ob.promoted_pages || oa.demoted_pages != ob.demoted_pages ||
+      oa.budget_pages != ob.budget_pages || bits(oa.migrated_bytes) != bits(ob.migrated_bytes) ||
+      bits(oa.rate_limit_saturation) != bits(ob.rate_limit_saturation) ||
+      oa.promotion_failed != ob.promotion_failed ||
+      bits(oa.dram_free_fraction) != bits(ob.dram_free_fraction) ||
+      oa.recent_promoted != ob.recent_promoted ||
+      oa.recent_promoted_hot != ob.recent_promoted_hot ||
+      oa.ping_pong_demotions != ob.ping_pong_demotions ||
+      oa.link_degraded != ob.link_degraded ||
+      bits(oa.cxl_latency_factor) != bits(ob.cxl_latency_factor)) {
+    return ::testing::AssertionFailure() << "observations differ";
+  }
+  const uint64_t n = ta.alloc.page_count();
+  if (n != tb.alloc.page_count()) {
+    return ::testing::AssertionFailure() << "page counts differ";
+  }
+  for (PageId id = 0; id < n; ++id) {
+    if (!SameBits(ta.tiering.Heat(id), tb.tiering.Heat(id)) ||
+        ta.alloc.NodeOf(id) != tb.alloc.NodeOf(id) ||
+        ta.tiering.PromoteStamp(id) != tb.tiering.PromoteStamp(id)) {
+      return ::testing::AssertionFailure()
+             << "page " << id << ": heat " << ta.tiering.Heat(id) << "/" << tb.tiering.Heat(id)
+             << ", node " << ta.alloc.NodeOf(id) << "/" << tb.alloc.NodeOf(id);
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+class LazyDecayTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(LazyDecayTest, SettledAndUnsettledDaemonsAgreeBitForBit) {
+  for (const uint64_t seed : {1, 2}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    TieringConfig cfg;
+    cfg.policy = GetParam();
+    cfg.hint_fault_sample_rate = 0.25;
+    cfg.promote_rate_limit_mbps = 4.0;  // ~976 pages per 1 s tick.
+    fault::FaultPlan plan;
+    plan.DaemonStall(60.0, 4.0).Downtrain(150.0, 12.0, 4).DaemonStall(380.0, 2.0);
+    topology::PlatformOptions opt;
+    opt.sockets = 1;
+    opt.dram_per_socket = 16384 * kPageBytes;
+    opt.cxl_cards = 1;
+    opt.cxl_card_capacity = kCxlPages * kPageBytes;
+    LazyTwin settled(cfg, plan, opt);
+    LazyTwin lazy(cfg, plan, opt);
+    std::vector<LazyTwin*> twins = {&settled, &lazy};
+    const auto dram = settled.platform.DramNodes();
+    const auto cxl = settled.platform.CxlNodes();
+    uint64_t state = seed;
+    const auto draw = [&](uint64_t bound) {
+      state = SplitMix64(state);
+      return state % bound;
+    };
+    std::vector<PageId> live;
+    std::vector<PageId> filler;
+    const auto allocate = [&](const NumaPolicy& policy, uint64_t count, std::vector<PageId>& into) {
+      std::vector<PageId> got;
+      for (LazyTwin* t : twins) {
+        auto pages = t->alloc.Allocate(policy, count);
+        ASSERT_TRUE(pages.ok());
+        const std::vector<PageId> ids(pages->begin(), pages->end());
+        if (t == &settled) {
+          got = ids;
+        } else {
+          ASSERT_EQ(ids, got);
+        }
+      }
+      into.insert(into.end(), got.begin(), got.end());
+    };
+    std::vector<PageId> all;
+    allocate(NumaPolicy::Preferred(dram), 20480, all);
+    ASSERT_EQ(all.front(), 0u);
+    constexpr PageId kIdle = 4096;   // [kIdle, kCold): DRAM, never touched.
+    constexpr PageId kCold = 10240;  // [kCold, kCold + 1024): one span, then left.
+    for (LazyTwin* t : twins) {
+      t->tiering.RecordAccessRun(kCold, 1024, 1);
+    }
+    for (const PageId id : all) {
+      if (id < kIdle || id >= kCold + 1024) {
+        live.push_back(id);
+      }
+    }
+    bool drained = false;
+    bool refilled = false;
+    uint32_t ticks = 0;
+    uint32_t max_lag = 0;  // The most decays a warm word of the lazy daemon fell behind.
+    uint64_t demoted = 0;
+    while (ticks < 400) {
+      // Ticks 200-349 only tick, with nothing on CXL and DRAM above its
+      // watermark: no pass reads a word, so every word falls behind and
+      // heats decay through the subnormals to 0 unread. Then pages on CXL
+      // start the passes again.
+      const bool quiet = ticks >= 200 && ticks < 350;
+      if (quiet && !drained) {
+        drained = true;
+        filler.clear();
+        std::vector<PageId> kept;
+        for (const PageId id : live) {
+          if (settled.alloc.IsDramNode(settled.alloc.NodeOf(id)) && kept.size() < 6000) {
+            kept.push_back(id);
+          }
+        }
+        live = kept;
+        std::vector<PageId> freed;
+        std::sort(kept.begin(), kept.end());
+        for (PageId id = 0; id < settled.alloc.page_count(); ++id) {
+          const topology::NodeId nd = settled.alloc.NodeOf(id);
+          const bool idle_or_cold = id >= kIdle && id < kCold + 1024;
+          if (nd >= 0 && (idle_or_cold ? !settled.alloc.IsDramNode(nd)
+                                       : !std::binary_search(kept.begin(), kept.end(), id))) {
+            freed.push_back(id);
+          }
+        }
+        for (LazyTwin* t : twins) {
+          t->alloc.Free(PageRuns(freed.begin(), freed.end()));
+        }
+      } else if (!quiet && drained && !refilled) {
+        refilled = true;
+        allocate(NumaPolicy::Bind(cxl), 2000, live);
+      }
+      const uint64_t op = quiet ? 99 : draw(100);
+      uint64_t free_pages = 0;
+      for (const auto& nodes : {dram, cxl}) {
+        for (const topology::NodeId nd : nodes) {
+          free_pages += settled.alloc.FreePages(nd);
+        }
+      }
+      if (op < 2 && live.size() < 14000) {
+        const uint64_t count = std::min<uint64_t>(free_pages, 1 + draw(600));
+        if (count > 0) {
+          allocate(NumaPolicy::Preferred(dram), count, live);
+        }
+      } else if (op < 4 && live.size() > 4000) {
+        std::vector<PageId> freed;
+        const size_t count = 1 + draw(400);
+        for (size_t i = 0; i < count; ++i) {
+          const size_t at = draw(live.size());
+          freed.push_back(live[at]);
+          live[at] = live.back();
+          live.pop_back();
+        }
+        for (LazyTwin* t : twins) {
+          t->alloc.Free(PageRuns(freed.begin(), freed.end()));
+        }
+      } else if (op < 40) {
+        for (int i = 0, draws = 1 + static_cast<int>(draw(200)); i < draws; ++i) {
+          // Squared draws favour the low indices: a skewed hot set.
+          const uint64_t r = draw(live.size());
+          const PageId id = live[r * r / live.size()];
+          const uint64_t accesses = 1 + draw(16);
+          for (LazyTwin* t : twins) {
+            t->tiering.RecordAccess(id, accesses);
+          }
+        }
+      } else if (op < 55) {
+        // A window of live ids as spans, the way Spark records its stream.
+        const PageRuns runs(live.begin(), live.end());
+        const uint64_t begin = draw(live.size());
+        const uint64_t end = std::min<uint64_t>(live.size(), begin + 1 + draw(2500));
+        const uint64_t accesses = draw(3) == 0 ? 0 : 1 + draw(400);
+        runs.ForEachSpan(begin, end, [&](PageId first, uint64_t count) {
+          for (LazyTwin* t : twins) {
+            t->tiering.RecordAccessRun(first, count, accesses);
+          }
+        });
+      } else if (op < 56) {
+        const PageId id = live[draw(live.size())];
+        for (LazyTwin* t : twins) {
+          t->tiering.QuarantinePage(id);
+        }
+      } else if (op < 58) {
+        if (filler.empty()) {
+          for (const auto& nodes : {dram, cxl}) {
+            for (const topology::NodeId nd : nodes) {
+              allocate(NumaPolicy::Bind({nd}), settled.alloc.FreePages(nd), filler);
+            }
+          }
+        } else {
+          for (LazyTwin* t : twins) {
+            t->alloc.Free(PageRuns(filler.begin(), filler.end()));
+          }
+          filler.clear();
+        }
+      } else {
+        for (size_t w = 0; w < lazy.tiering.word_decays().size(); ++w) {
+          if (lazy.tiering.warm_set()[w] != 0) {
+            max_lag = std::max(max_lag, lazy.tiering.decays() - lazy.tiering.word_decays()[w]);
+          }
+        }
+        std::vector<float> heat_before_tick(settled.alloc.page_count());
+        for (PageId id = 0; id < heat_before_tick.size(); ++id) {
+          heat_before_tick[id] = lazy.tiering.Heat(id);
+        }
+        ASSERT_EQ(std::memcmp(settled.alloc.heat_column(), heat_before_tick.data(),
+                              heat_before_tick.size() * sizeof(float)),
+                  0)
+            << "tick " << ticks << ": the settled column is not the lazy daemon's heat";
+        TieredMemory::TickResult results[2];
+        for (size_t i = 0; i < twins.size(); ++i) {
+          twins[i]->faults.AdvanceTo(static_cast<double>(ticks));
+          twins[i]->recorder.decided = false;
+          twins[i]->recorder.observed = false;
+          results[i] = twins[i]->tiering.Tick(1.0);
+        }
+        ASSERT_TRUE(SameTick(results[0], settled, results[1], lazy)) << "tick " << ticks;
+        const std::vector<std::string> audit = check::TieringInvariantViolations(lazy.tiering);
+        ASSERT_TRUE(audit.empty()) << "tick " << ticks << ": " << audit.front();
+        demoted += results[0].demoted_pages;
+        ++ticks;
+      }
+      settled.tiering.SettleHeat();
+    }
+    // The lazy daemon's words fell behind by more than one chunk of the
+    // shortcut, and demotions took pages from the cold pools.
+    EXPECT_GT(max_lag, 126u);
+    EXPECT_GT(demoted, 0u);
+  }
+}
+
+std::string PolicyName(const ::testing::TestParamInfo<const char*>& param) {
+  std::string name = param.param;
+  std::replace(name.begin(), name.end(), '-', '_');
+  return name;
+}
+
+INSTANTIATE_TEST_SUITE_P(Policies, LazyDecayTest,
+                         ::testing::Values("hot-page-selection", "mru-balancing", "tpp-like",
+                                           "adaptive-feedback"),
+                         PolicyName);
+
 // One page warmed once on an all-CXL machine (nothing promotes past an
 // unreachable threshold, nothing sits in DRAM): its heat halves through the
 // subnormals to exactly 0, and then the page leaves the warm set, so a
@@ -525,9 +906,9 @@ TEST(WarmSetUnderflowTest, HeatReachesZeroThroughSubnormalsAndLeavesTheSet) {
   h.Access(pages[5], 1000);
   TieredMemory::TickResult r;
   int ticks_warm = 0;
-  while (h.alloc().page(pages[5]).heat != 0.0f) {
+  while (h.Heat(pages[5]) != 0.0f) {
     ASSERT_TRUE(h.Tick(&r));
-    EXPECT_EQ(r.pages_visited, 2u);  // The page's visit in the pass and in the decay.
+    EXPECT_EQ(r.pages_visited, 1u);  // The page's visit in the pass; the decay visits none.
     ASSERT_LT(++ticks_warm, 400);
   }
   EXPECT_TRUE(h.coverage().subnormal);
@@ -746,7 +1127,7 @@ TEST(WarmSetDenseMaskTest, ExtremeHeatsMatchTheScalarPredicates) {
         hold.live = t >= kLiveTick;
         const auto is_dram = [&](topology::NodeId nd) { return h.alloc().IsDramNode(nd); };
         const uint64_t n = h.alloc().page_count();
-        const std::vector<float> heat(h.alloc().heat_column(), h.alloc().heat_column() + n);
+        const std::vector<float> heat = h.Heats();
         const std::vector<topology::NodeId> node(h.alloc().node_column(),
                                                  h.alloc().node_column() + n);
         if (t == kLiveTick) {
@@ -887,7 +1268,7 @@ TEST(WarmSetColdPoolTest, ZeroHeatPoolIsTheKSmallestKeys) {
       const uint64_t target = kPool + static_cast<uint64_t>(delta);
       while (DramOutsideWarmSet(h) > target) {
         const PageId id = kSparse + 64 + rng.NextBounded(kDramPages - kSparse - 64);
-        if (h.alloc().page(id).heat == 0.0f) {
+        if (h.Heat(id) == 0.0f) {
           h.Access(id, 1 + rng.NextBounded(8));
         }
       }
