@@ -19,7 +19,7 @@
 using namespace cxl;
 
 int main(int argc, char** argv) {
-  auto ctx = cxl::bench::Context::FromArgs(&argc, argv);
+  auto ctx = cxl::bench::Context::FromArgs(&argc, argv, {.jobs = true});
   auto& bench_telemetry = ctx.telemetry();
   runner::SweepOptions sweep_options = ctx.Sweep();
   runner::SweepStats stats;

@@ -16,7 +16,7 @@
 int main(int argc, char** argv) {
   using namespace cxl;
 
-  auto ctx = bench::Context::FromArgs(&argc, argv, {}, {}, "[Rd Rc C Rt]");
+  auto ctx = bench::Context::FromArgs(&argc, argv, {.jobs = true}, {}, "[Rd Rc C Rt]");
 
   cost::CostModelParams params;  // Defaults: the Table 3 worked example.
   if (argc != 1 && argc != 5) {

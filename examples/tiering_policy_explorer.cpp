@@ -38,7 +38,7 @@ StatusOr<apps::kv::KvServerSim::Result> RunWithRateLimit(double rate_limit_mbps)
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto ctx = bench::Context::FromArgs(&argc, argv);
+  auto ctx = bench::Context::FromArgs(&argc, argv, {.jobs = true});
   const runner::SweepOptions sweep_options = ctx.Sweep();
 
   PrintSection(std::cout, "Promotion rate limit sweep (Hot-Promote, YCSB-B, DRAM = dataset/2)");

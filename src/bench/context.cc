@@ -50,13 +50,16 @@ Context Context::FromArgs(int* argc, char** argv, FlagGroups groups,
       return Status::Ok();
     };
   };
-  std::vector<Flag> table = {
-      {"--jobs", "N",
-       [&ctx](const std::string& value) {
-         ctx.jobs_ = runner::ParsePositiveInt(value.c_str());
-         return ctx.jobs_ > 0 ? Status::Ok() : Want("a positive integer");
-       },
-       "worker threads for sweeps (default: CXL_JOBS, then all cores)"},
+  std::vector<Flag> table;
+  if (groups.jobs) {
+    table.push_back({"--jobs", "N",
+                     [&ctx](const std::string& value) {
+                       ctx.jobs_ = runner::ParsePositiveInt(value.c_str());
+                       return ctx.jobs_ > 0 ? Status::Ok() : Want("a positive integer");
+                     },
+                     "worker threads for sweeps (default: CXL_JOBS, then all cores)"});
+  }
+  table.insert(table.end(), {
       {"--metrics-out", "FILE", set_string(&outputs.metrics_path),
        "metrics JSON, or CSV when FILE ends in .csv"},
       {"--trace-out", "FILE", set_string(&outputs.trace_path), "Chrome trace-event JSON"},
@@ -78,7 +81,7 @@ Context Context::FromArgs(int* argc, char** argv, FlagGroups groups,
          return Status::Ok();
        },
        "per-phase wall-clock breakdown of the epoch hot path, on stderr"},
-  };
+  });
   if (groups.faults) {
     table.push_back({"--faults", "SPEC",
                      [&ctx](const std::string& value) {

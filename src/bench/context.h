@@ -1,8 +1,8 @@
 // Unified bench context: the flag surface every bench_* binary shares.
 //
-// FromArgs parses argv against one flag table: the shared flags (jobs,
-// telemetry outputs, --profile-epochs; listed with their help in
-// context.cc), the flag groups the caller declares (fault injection,
+// FromArgs parses argv against one flag table: the shared flags (telemetry
+// outputs, --profile-epochs; listed with their help in context.cc), the
+// flag groups the caller declares (--jobs, fault injection,
 // --tiering-policy) and the caller's own entries. A binary declares only
 // the groups it honours, so it rejects the others' flags as unknown. Each
 // value flag takes `--flag V` or `--flag=V`; `--jobs` also takes `-j N` and
@@ -15,8 +15,8 @@
 //
 // Usage in a bench main:
 //
-//   auto ctx = bench::Context::FromArgs(&argc, argv,
-//                                       {.faults = true, .fault_tuning = true, .tiering = true});
+//   auto ctx = bench::Context::FromArgs(
+//       &argc, argv, {.jobs = true, .faults = true, .fault_tuning = true, .tiering = true});
 //   auto& bench_telemetry = ctx.telemetry();
 //   ...
 //   auto grid = runner::RunSweep(cells, fn, ctx.Sweep(seed), &stats);
@@ -70,6 +70,7 @@ struct Flag {
 // The optional flag groups of the table. A binary declares a group only
 // when its runs read what the group sets.
 struct FlagGroups {
+  bool jobs = false;          // --jobs, -j: the runs read jobs(), Sweep() or Env().
   bool faults = false;        // --faults: the runs inject the parsed plan.
   bool fault_tuning = false;  // --fault-seed, --fault-knob.
   bool tiering = false;       // --tiering-policy.
@@ -87,7 +88,8 @@ class Context {
   // Prints "<program>: <message>" and the usage to stderr, then exits 2.
   [[noreturn]] void Fail(const std::string& message) const;
 
-  // Worker threads requested via --jobs/-j (0 = auto).
+  // Worker threads requested via --jobs/-j (0 = auto, and always 0 unless
+  // the jobs group is declared).
   int jobs() const { return jobs_; }
 
   // Telemetry outputs (--metrics-out/--trace-out/--bench-json). Write() also

@@ -183,12 +183,13 @@ std::vector<std::string> AllocatorInvariantViolations(const os::PageAllocator& a
 
 std::vector<std::string> TieringInvariantViolations(const os::TieredMemory& tiering) {
   std::vector<std::string> violations;
-  const os::PageAllocator& alloc = tiering.allocator();
-  const uint64_t n = alloc.page_count();
-  const std::vector<uint64_t>& warm = tiering.warm_set();
-  const std::vector<float>& lo = tiering.word_heat_lo();
-  const std::vector<float>& hi = tiering.word_heat_hi();
-  const std::vector<uint32_t>& decays = tiering.word_decays();
+  const uint64_t n = tiering.allocator().page_count();
+  // The warm set's clauses.
+  const os::WarmSet& warm_set = tiering.warm();
+  const std::vector<uint64_t>& warm = warm_set.bits();
+  const std::vector<float>& lo = warm_set.word_lo();
+  const std::vector<float>& hi = warm_set.word_hi();
+  const std::vector<uint32_t>& decays = warm_set.word_decays();
   const size_t words = (n + 63) / 64;
   if (warm.size() != words || lo.size() != words || hi.size() != words ||
       decays.size() != words) {
@@ -199,14 +200,14 @@ std::vector<std::string> TieringInvariantViolations(const os::TieredMemory& tier
     return violations;
   }
   for (size_t w = 0; w < words; ++w) {
-    if (decays[w] > tiering.decays()) {
+    if (decays[w] > warm_set.decays()) {
       violations.push_back("word " + std::to_string(w) + " has had " + std::to_string(decays[w]) +
-                           " decays, the daemon made " + std::to_string(tiering.decays()));
+                           " decays, the daemon made " + std::to_string(warm_set.decays()));
     }
   }
   std::vector<float> heat(n);
   for (uint64_t id = 0; id < n; ++id) {
-    heat[id] = tiering.Heat(id);
+    heat[id] = warm_set.Heat(id);
   }
   const auto page = [&](const char* what, uint64_t id) {
     return std::string(what) + " (page " + std::to_string(id) + ", heat " +
@@ -221,7 +222,11 @@ std::vector<std::string> TieringInvariantViolations(const os::TieredMemory& tier
     if (!(lo[id / 64] <= heat[id] && heat[id] <= hi[id / 64])) {
       violations.push_back(page("word's heat bounds do not bracket a page's heat", id));
     }
-    if (tiering.IsQuarantined(id) && tiering.PromoteStamp(id) > tiering.QuarantineEpoch(id)) {
+  }
+  // The promotion ledger's.
+  const os::PromotionLedger& ledger = tiering.ledger();
+  for (uint64_t id = 0; id < n; ++id) {
+    if (ledger.IsQuarantined(id) && ledger.PromoteStamp(id) > ledger.QuarantineEpoch(id)) {
       violations.push_back(page("quarantined page was promoted after its quarantine", id));
     }
   }

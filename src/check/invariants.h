@@ -27,13 +27,14 @@
 //   free stack     the free PageRuns stack holds each slot with node < 0
 //                  exactly once, and nothing else.
 //
-// And the tiering daemon's, between ticks:
+// And the tiering daemon's, between ticks, its WarmSet's first and then
+// its PromotionLedger's:
 //
 //   warm set       a superset of the pages with heat > 0;
 //   heat bounds    every word's [lo, hi] brackets the heat of each of its
 //                  page slots;
 //   decay counts   no word has had more decays than the daemon has made.
-// Heat here is each page's current heat (TieredMemory::Heat), its column
+// Heat here is each page's current heat (WarmSet::Heat), its column
 // value with its word's pending decays applied.
 //   quarantine     no quarantined page was promoted after its quarantine
 //                  (its promotion stamp is not above its quarantine epoch).

@@ -40,9 +40,9 @@ struct Page {
 // Field names match `Page`, so `allocator.page(id).heat` reads identically
 // whether the backing store is AoS or SoA. Bind with `auto`; the views hold
 // references into the allocator's columns and must not outlive it. Heat is
-// read-only even here: only TieredMemory writes it (sampled accesses,
-// quarantine, decay) and only PageAllocator::Allocate resets it, which is
-// what keeps the daemon's warm set a superset of the pages with heat > 0.
+// read-only even here: only the daemon's WarmSet writes it (sampled
+// accesses, quarantine, decay) and only PageAllocator::Allocate resets it,
+// which is what keeps the warm set a superset of the pages with heat > 0.
 // Under a daemon the stored heat lags the decays its word has pending:
 // read current heat through TieredMemory::Heat, or after SettleHeat.
 struct PageView {

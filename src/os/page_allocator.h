@@ -78,8 +78,8 @@ class PageAllocator {
 
   // Raw read-only column access for the daemon's passes. Indexed by PageId
   // over [0, page_count()); freed slots have node < 0. The heat column is
-  // written only through TieredMemory, and lags its pending decays (see
-  // PageView).
+  // written only through the daemon's WarmSet, and lags its pending decays
+  // (see PageView).
   const topology::NodeId* node_column() const { return node_.data(); }
   const float* heat_column() const { return heat_.data(); }
   const uint32_t* epoch_column() const { return last_epoch_.data(); }
@@ -121,9 +121,9 @@ class PageAllocator {
   const topology::Platform& platform() const { return platform_; }
 
  private:
-  // The one heat writer: sampled accesses, quarantine and decay keep its
+  // The one heat writer: sampled accesses, quarantine and decay keep the
   // warm set in step with every write.
-  friend class TieredMemory;
+  friend class WarmSet;
   float* mutable_heat_column() { return heat_.data(); }
   uint32_t* mutable_epoch_column() { return last_epoch_.data(); }
 

@@ -26,8 +26,9 @@ namespace cxl::os {
 struct TieringConfig;
 
 // Which candidate-selection mechanism the daemon runs this tick. The fused
-// single-pass implementations stay inside TieredMemory::Tick (they touch the
-// SoA page columns directly), the policy only picks one.
+// single-pass implementations stay inside the daemon's warm pass
+// (WarmSet::ScanWarm, which touches the SoA page columns directly), the
+// policy only picks one.
 enum class CandidateScan {
   // Heat >= threshold on the low tier, promoted hottest-first (post-v6.1
   // hot page selection).

@@ -27,12 +27,6 @@ static_assert(std::numeric_limits<float>::has_denorm == std::denorm_present,
 namespace cxl::os {
 
 namespace {
-// Promote-epoch stamps age out after this many ticks: a demotion (or a
-// re-access check) further from the promotion than this no longer counts as
-// migration-outcome feedback. Small enough that the signal tracks the
-// current regime, large enough to span the heat-decay half-life.
-constexpr uint32_t kPromoteStampWindowTicks = 8;
-
 // Warm-set geometry. A word with kDenseWordBits or more bits set is dense.
 // Every page of a dense word is handled alike, zero heat included: the
 // candidate/cold-pool pass decides a word's 64 pages with vectorised
@@ -161,6 +155,20 @@ HeatBounds BoundHeat(const float* heat, size_t count) {
   }
   return out;
 }
+
+// The node of `kind` with the most free pages (the first on a tie), or -1
+// when each is full.
+topology::NodeId MostFreeNode(const PageAllocator& allocator, topology::NodeKind kind) {
+  topology::NodeId best = -1;
+  uint64_t best_free = 0;
+  for (const auto& n : allocator.platform().nodes()) {
+    if (n.kind == kind && allocator.FreePages(n.id) > best_free) {
+      best_free = allocator.FreePages(n.id);
+      best = n.id;
+    }
+  }
+  return best;
+}
 }  // namespace
 
 HeatDecay::HeatDecay(float factor) : factor_(factor) {
@@ -225,14 +233,59 @@ const char* TieringConfig::PolicyName() const {
   return policy.empty() ? kHotPageSelectionPolicyName : policy.c_str();
 }
 
-TieredMemory::TieredMemory(PageAllocator& allocator, TieringConfig config)
-    : allocator_(allocator),
-      config_(std::move(config)),
-      decay_(static_cast<float>(config_.heat_decay)) {
+TickWork& TickWork::operator+=(const TickWork& other) {
+  pages_visited += other.pages_visited;
+  pool_offers += other.pool_offers;
+  pool_shrinks += other.pool_shrinks;
+  sorted_entries += other.sorted_entries;
+  dense_words_skipped += other.dense_words_skipped;
+  heat_catch_ups += other.heat_catch_ups;
+  return *this;
+}
+
+void PromotionLedger::Promoted(PageId page, uint32_t epoch) {
+  promote_epoch_[page] = epoch + 1;  // Stamp; 0 is reserved for "never".
+  recently_promoted_[page / kWordBits] |= Bit(page);
+}
+
+void PromotionLedger::Demoted(PageId page, uint32_t epoch) {
+  const uint32_t stamp = promote_epoch_[page];
+  if (stamp != 0 && epoch - (stamp - 1) <= kStampWindowTicks) {
+    ++feedback_.ping_pong_demotions;
+  }
+}
+
+uint64_t PromotionLedger::CountRecentPromotions(const PageAllocator& allocator, uint32_t epoch) {
+  // In id order, like the warm passes; a page leaves the set once its
+  // stamp ages out of the window.
+  const uint64_t* dram_bits = allocator.dram_bits().data();
+  const uint32_t* epoch_col = allocator.epoch_column();
+  uint64_t visited = 0;
+  for (size_t w = 0; w < recently_promoted_.size(); ++w) {
+    for (uint64_t bits = recently_promoted_[w]; bits != 0; bits &= bits - 1) {
+      const PageId id = w * kWordBits + static_cast<PageId>(std::countr_zero(bits));
+      ++visited;
+      const uint32_t age = epoch - (promote_epoch_[id] - 1);
+      if (age > kStampWindowTicks) {
+        recently_promoted_[w] &= ~Bit(id);  // Aged out of the window.
+      } else if (age >= 1 && (dram_bits[w] & Bit(id)) != 0) {
+        ++feedback_.recent_promoted;
+        if (epoch_col[id] == epoch) {
+          ++feedback_.recent_promoted_hot;
+        }
+      }
+    }
+  }
+  return visited;
+}
+
+WarmSet::WarmSet(PageAllocator& allocator, PromotionLedger& ledger, float decay_factor,
+                 double sample_rate)
+    : allocator_(allocator), ledger_(ledger), sample_rate_(sample_rate), decay_(decay_factor) {
   // Pages the allocator already holds may carry heat from an earlier daemon:
   // start the warm set as their superset. A fresh allocator's heat is all
   // zero, which one vectorisable pass confirms.
-  GrowPageSets();
+  Grow();
   const float* heat_col = allocator_.heat_column();
   int any_heat = 0;
   for (PageId id = 0; id < allocator_.page_count(); ++id) {
@@ -246,39 +299,25 @@ TieredMemory::TieredMemory(PageAllocator& allocator, TieringConfig config)
   for (size_t w = 0; any_heat != 0 && w < warm_.size(); ++w) {
     BoundWord(w);
   }
-  auto policy = PolicyRegistry::BuiltIns().Create(config_.PolicyName(), config_);
-  if (!policy.ok()) {
-    // Unknown name in config_.policy: callers taking user input validate
-    // names against the registry up front, so this is a programming error —
-    // fall back to hot page selection rather than crash release builds.
-    assert(false && "unknown tiering policy name");
-    policy = PolicyRegistry::BuiltIns().Create(kHotPageSelectionPolicyName, config_);
-  }
-  owned_policy_ = std::move(policy).value();
-  policy_ = owned_policy_.get();
 }
 
-bool TieredMemory::IsTopTier(topology::NodeId node) const {
-  return allocator_.IsDramNode(node);
-}
-
-void TieredMemory::RecordAccess(PageId page, uint64_t accesses) {
+void WarmSet::RecordAccess(PageId page, uint64_t accesses, uint32_t epoch) {
   // Hint-fault sampling: only a fraction of real accesses are observed.
-  const double sampled = static_cast<double>(accesses) * config_.hint_fault_sample_rate;
+  const double sampled = static_cast<double>(accesses) * sample_rate_;
   const size_t w = page / kWordBits;
   if (w >= warm_.size()) {
-    GrowPageSets();
+    Grow();
   }
   CatchUp(w);
   float& heat = allocator_.mutable_heat_column()[page];
   heat += static_cast<float>(sampled);
-  allocator_.page(page).last_decay_epoch = epoch_;  // Recency stamp for the kRecency scan.
+  allocator_.page(page).last_decay_epoch = epoch;  // Recency stamp for the kRecency scan.
   allocator_.mutable_counters().numa_hint_faults += static_cast<uint64_t>(std::ceil(sampled));
   warm_[w] |= Bit(page);
   word_hi_[w] = std::max(word_hi_[w], heat);
 }
 
-void TieredMemory::RecordAccessRun(PageId first, uint64_t count, uint64_t accesses) {
+void WarmSet::RecordAccessRun(PageId first, uint64_t count, uint64_t accesses, uint32_t epoch) {
   if (count == 0) {
     return;
   }
@@ -286,17 +325,16 @@ void TieredMemory::RecordAccessRun(PageId first, uint64_t count, uint64_t access
   assert(last < allocator_.page_count());
   // Each page gets RecordAccess's float add and ceil, so the columns and
   // the integer fault count come out exactly as `count` calls leave them.
-  const double sampled = static_cast<double>(accesses) * config_.hint_fault_sample_rate;
+  const double sampled = static_cast<double>(accesses) * sample_rate_;
   const float add = static_cast<float>(sampled);
   const size_t first_word = first / kWordBits;
   const size_t last_word = last / kWordBits;
   if (last_word >= warm_.size()) {
-    GrowPageSets();
+    Grow();
   }
   for (size_t w = first_word; w <= last_word; ++w) {
     CatchUp(w);
   }
-  const uint32_t epoch = epoch_;  // A local: the stores below cannot alias it.
   float* heat = allocator_.mutable_heat_column() + first;
   uint32_t* stamp = allocator_.mutable_epoch_column() + first;
   for (uint64_t i = 0; i < count; ++i) {
@@ -322,16 +360,18 @@ void TieredMemory::RecordAccessRun(PageId first, uint64_t count, uint64_t access
   BoundWord(last_word);
 }
 
-void TieredMemory::GrowPageSets() {
-  // The stamp column and the page sets trail page_count(), since pages are
-  // created lazily by the allocator; new pages start unstamped (0 = never
-  // promoted), cold and not recently promoted. Each grows in one step to
-  // the current page count. Page ids must fit in the low 32 bits of a
-  // ColdPoolSelector key; the largest region in the tree has 2^21 pages.
-  assert(allocator_.page_count() <= (uint64_t{1} << 32));
-  promote_epoch_.resize(allocator_.page_count(), 0);
-  warm_.resize((allocator_.page_count() + kWordBits - 1) / kWordBits, 0);
-  recently_promoted_.resize(warm_.size(), 0);
+void WarmSet::Grow() {
+  // The ledger's columns and the warm set's trail page_count(), since
+  // pages are created lazily by the allocator. Each grows in one step to
+  // the current page count, in this order: the order they are allocated
+  // in shapes the heap, on which cell set-up times were measured. Page ids
+  // must fit in the low 32 bits of a ColdPoolSelector key; the largest
+  // region in the tree has 2^21 pages.
+  const uint64_t pages = allocator_.page_count();
+  assert(pages <= (uint64_t{1} << 32));
+  ledger_.GrowStamps(pages);
+  warm_.resize((pages + kWordBits - 1) / kWordBits, 0);
+  ledger_.GrowRecent(warm_.size());
   // New slots hold heat 0. They are created only by allocation, after
   // which the next tick zeroes every lower bound, the word they extend
   // included. New words start current.
@@ -340,7 +380,7 @@ void TieredMemory::GrowPageSets() {
   word_decays_.resize(warm_.size(), decays_);
 }
 
-void TieredMemory::BoundWord(size_t w) {
+void WarmSet::BoundWord(size_t w) {
   const PageId base = w * kWordBits;
   const HeatBounds b = BoundHeat(allocator_.heat_column() + base,
                                  std::min<uint64_t>(kWordBits, allocator_.page_count() - base));
@@ -348,10 +388,10 @@ void TieredMemory::BoundWord(size_t w) {
   word_hi_[w] = b.hi;
 }
 
-void TieredMemory::CatchUpWord(size_t w) {
+void WarmSet::CatchUpWord(size_t w) {
   const uint32_t n = decays_ - word_decays_[w];
   word_decays_[w] = decays_;
-  ++heat_catch_ups_;
+  ++work_.heat_catch_ups;
   const uint64_t bits = warm_[w];
   if (bits == 0) {
     word_lo_[w] = 0.0f;  // Every slot holds heat 0.
@@ -392,20 +432,52 @@ void TieredMemory::CatchUpWord(size_t w) {
   }
 }
 
-float TieredMemory::Heat(PageId page) const {
+float WarmSet::Heat(PageId page) const {
   const float heat = allocator_.heat_column()[page];
   const size_t w = page / kWordBits;
   return w < word_decays_.size() ? decay_.Apply(heat, decays_ - word_decays_[w]) : heat;
 }
 
-void TieredMemory::SettleHeat() {
+void WarmSet::Settle() {
   for (size_t w = 0; w < word_decays_.size(); ++w) {
     CatchUp(w);
   }
 }
 
+void WarmSet::BeginTick() {
+  Grow();
+  // Pages enter DRAM outside the daemon only by allocation, at any id and
+  // with heat 0: after any, the zero walk starts again from id 0, and no
+  // word's lower bound is above 0.
+  if (allocator_.counters().pgalloc != seen_pgalloc_) {
+    seen_pgalloc_ = allocator_.counters().pgalloc;
+    zero_floor_ = 0;
+    std::fill(word_lo_.begin(), word_lo_.end(), 0.0f);
+  }
+}
+
+void WarmSet::Decay() {
+  // Monotone rounding keeps each bound a bound of its word's decayed heats.
+  ++decays_;
+  for (size_t w = 0; w < word_lo_.size(); ++w) {
+    word_lo_[w] *= decay_.factor();
+    word_hi_[w] *= decay_.factor();
+  }
+}
+
+void WarmSet::ResetHeat(PageId page) {
+  // Its warm bit goes stale. Heat 0 stays 0 through the word's pending
+  // decays, so the word need not catch up first.
+  allocator_.mutable_heat_column()[page] = 0.0f;
+  if (page / kWordBits >= warm_.size()) {
+    Grow();
+  }
+  word_lo_[page / kWordBits] = 0.0f;
+  zero_floor_ = std::min(zero_floor_, page);
+}
+
 template <typename Dense, typename Sparse>
-void TieredMemory::VisitWarm(Dense&& dense, Sparse&& sparse) {
+void WarmSet::VisitWarm(Dense&& dense, Sparse&& sparse) {
   const uint64_t page_count = allocator_.page_count();
   uint64_t visited = 0;
   for (size_t w = 0; w < warm_.size(); ++w) {
@@ -430,11 +502,11 @@ void TieredMemory::VisitWarm(Dense&& dense, Sparse&& sparse) {
     }
     warm_[w] = keep;
   }
-  tick_pages_visited_ += visited;
+  work_.pages_visited += visited;
 }
 
-uint64_t TieredMemory::ScanWarm(const CandidateFilter& filter, ColdPoolSelector& pool,
-                                ArenaVector<ColdPoolSelector::Key>& hot) {
+uint64_t WarmSet::ScanWarm(const CandidateFilter& filter, ColdPoolSelector& pool,
+                           ArenaVector<ColdPoolSelector::Key>& hot) {
   const float* heat_col = allocator_.heat_column();
   const uint32_t* epoch_col = allocator_.epoch_column();
   const uint64_t* dram_bits = allocator_.dram_bits().data();
@@ -444,7 +516,7 @@ uint64_t TieredMemory::ScanWarm(const CandidateFilter& filter, ColdPoolSelector&
   uint64_t skipped = 0;
   // A CXL page whose heat passed the filter: the per-page tests left.
   const auto consider = [&](PageId id, float heat) {
-    if ((!filter.this_epoch_only || epoch_col[id] == epoch_) && !IsQuarantined(id)) {
+    if ((!filter.this_epoch_only || epoch_col[id] == filter.epoch) && !ledger_.IsQuarantined(id)) {
       hot.push_back(HottestFirstKeyOf(heat, id));
     }
   };
@@ -504,13 +576,13 @@ uint64_t TieredMemory::ScanWarm(const CandidateFilter& filter, ColdPoolSelector&
         }
         return true;
       });
-  tick_pool_offers_ += offers;
-  tick_dense_words_skipped_ += skipped;
+  work_.pool_offers += offers;
+  work_.dense_words_skipped += skipped;
   return offered_dram;
 }
 
 template <typename Visit>
-void TieredMemory::VisitCold(PageId from, Visit&& visit) {
+void WarmSet::VisitCold(PageId from, Visit&& visit) {
   const uint64_t page_count = allocator_.page_count();
   uint64_t visited = 0;
   for (size_t w = from / kWordBits; w < warm_.size(); ++w) {
@@ -524,53 +596,83 @@ void TieredMemory::VisitCold(PageId from, Visit&& visit) {
     for (; bits != 0; bits &= bits - 1) {
       ++visited;
       if (!visit(w * kWordBits + static_cast<PageId>(std::countr_zero(bits)))) {
-        tick_pages_visited_ += visited;
+        work_.pages_visited += visited;
         return;
       }
     }
   }
-  tick_pages_visited_ += visited;
+  work_.pages_visited += visited;
 }
 
-void TieredMemory::DecayWarm() {
-  // Monotone rounding keeps each bound a bound of its word's decayed heats.
-  ++decays_;
-  for (size_t w = 0; w < word_lo_.size(); ++w) {
-    word_lo_[w] *= decay_.factor();
-    word_hi_[w] *= decay_.factor();
-  }
-}
-
-void TieredMemory::CountRecentPromotions() {
-  // In id order, like the warm passes; a page leaves the set once its
-  // stamp ages out of the window.
+bool WarmSet::ZeroHeatCovers(uint64_t k) const {
   const uint64_t* dram_bits = allocator_.dram_bits().data();
-  const uint32_t* epoch_col = allocator_.epoch_column();
-  for (size_t w = 0; w < recently_promoted_.size(); ++w) {
-    for (uint64_t bits = recently_promoted_[w]; bits != 0; bits &= bits - 1) {
-      const PageId id = w * kWordBits + static_cast<PageId>(std::countr_zero(bits));
-      ++tick_pages_visited_;
-      const uint32_t age = epoch_ - (promote_epoch_[id] - 1);
-      if (age > kPromoteStampWindowTicks) {
-        recently_promoted_[w] &= ~Bit(id);  // Aged out of the window.
-      } else if (age >= 1 && (dram_bits[w] & Bit(id)) != 0) {
-        ++tick_recent_promoted_;
-        if (epoch_col[id] == epoch_) {
-          ++tick_recent_promoted_hot_;
-        }
-      }
-    }
+  uint64_t warm_dram = 0;
+  for (size_t w = 0; w < warm_.size(); ++w) {
+    warm_dram += CountBits(warm_[w] & dram_bits[w]);
   }
+  return allocator_.DramResidentCount() - warm_dram >= k;
 }
 
-uint64_t TieredMemory::LowTierPages() const {
-  uint64_t total = 0;
-  for (const auto& n : allocator_.platform().nodes()) {
-    if (n.kind == topology::NodeKind::kCxl) {
-      total += allocator_.UsedPages(n.id);
+void WarmSet::OfferZeroHeatDram(ColdPoolSelector& selector, uint64_t count) {
+  work_.pool_offers += count;
+  const uint64_t* dram_bits = allocator_.dram_bits().data();
+  PageId first = kInvalidPage;
+  VisitCold(zero_floor_, [&](PageId id) {
+    if ((dram_bits[id / kWordBits] & Bit(id)) != 0) {
+      first = std::min(first, id);
+      selector.Offer(ColdPoolSelector::KeyOf(0.0f, id));
+      --count;
+    }
+    return count > 0;
+  });
+  assert(count == 0);
+  // The walk found none below its first one. The pages this tick demotes
+  // from the pool become CXL pages the next walk starts at and skips.
+  zero_floor_ = first;
+}
+
+void WarmSet::TakeZeroHeatDram(uint64_t k, std::vector<ColdPoolSelector::Key>& keys) {
+  const uint64_t* dram_bits = allocator_.dram_bits().data();
+  const float* heat_col = allocator_.heat_column();
+  const uint64_t page_count = allocator_.page_count();
+  const size_t floor_word = zero_floor_ / kWordBits;
+  PageId first_sparse = kInvalidPage;
+  uint64_t visited = 0;
+  for (size_t w = 0; w < warm_.size() && keys.size() < k; ++w) {
+    uint64_t zero = 0;
+    bool sparse = true;
+    if (IsDense(warm_[w], w, page_count)) {
+      if (word_lo_[w] > 0.0f) {
+        continue;  // Every page of the word is above heat 0.
+      }
+      CatchUp(w);
+      visited += kWordBits;
+      zero = dram_bits[w] &
+             CompareHeat(heat_col + w * kWordBits, 0.0f, std::numeric_limits<float>::quiet_NaN())
+                 .below_cut;
+      // A catch-up that clears bits may leave the word sparse: its
+      // zero-heat pages are then a sparse word's, with clear bits.
+      sparse = !IsDense(warm_[w], w, page_count);
+    } else if (w >= floor_word) {
+      // The pass left a sparse word's bit set only at heat > 0.
+      zero = dram_bits[w] & ~warm_[w];
+    }
+    if (sparse && zero != 0 && first_sparse == kInvalidPage) {
+      first_sparse = w * kWordBits + static_cast<PageId>(std::countr_zero(zero));
+    }
+    for (; zero != 0 && keys.size() < k; zero &= zero - 1) {
+      ++visited;
+      keys.push_back(ColdPoolSelector::KeyOf(
+          0.0f, w * kWordBits + static_cast<PageId>(std::countr_zero(zero))));
     }
   }
-  return total;
+  assert(keys.size() == k);
+  work_.pages_visited += visited;
+  if (first_sparse != kInvalidPage) {
+    // As in OfferZeroHeatDram: no sparse word below it holds a zero-heat
+    // DRAM page.
+    zero_floor_ = first_sparse;
+  }
 }
 
 ColdPoolSelector::ColdPoolSelector(std::vector<Key>& pool, uint64_t k)
@@ -607,134 +709,56 @@ void ColdPoolSelector::Finish() {
   std::sort(pool_.begin(), pool_.end());  // Coldest first; keys are distinct.
 }
 
-uint64_t TieredMemory::ColdPoolSize(uint64_t batch) const {
-  return std::min<uint64_t>(std::max<uint64_t>(4 * batch, 4096),
-                            allocator_.DramResidentCount());
-}
-
-void TieredMemory::InstallColdPool(ColdPoolSelector& selector, uint64_t k,
-                                   uint64_t offered_dram) {
-  // The zero-heat DRAM pages left out of the pass sort below every warm
-  // page, by id. Their count is exact, so the walk offering them stops at
-  // the last one that can make the pool.
-  uint64_t wanted = std::min(k, allocator_.DramResidentCount() - offered_dram);
-  if (wanted > 0) {
-    tick_pool_offers_ += wanted;
-    const uint64_t* dram_bits = allocator_.dram_bits().data();
-    PageId first = kInvalidPage;
-    VisitCold(zero_floor_, [&](PageId id) {
-      if ((dram_bits[id / kWordBits] & Bit(id)) != 0) {
-        first = std::min(first, id);
-        selector.Offer(ColdPoolSelector::KeyOf(0.0f, id));
-        --wanted;
-      }
-      return wanted > 0;
-    });
-    assert(wanted == 0);
-    // The walk found none below its first one. The pages this tick demotes
-    // from the pool become CXL pages the next walk starts at and skips.
-    zero_floor_ = first;
-  }
-  selector.Finish();
-  tick_pool_shrinks_ += selector.shrinks();
-  tick_sorted_entries_ += cold_pool_.size();
-  cold_pool_next_ = 0;
-  cold_pool_valid_ = true;
-  cold_pool_floor_ = cold_pool_.empty() ? 0 : cold_pool_.back();
-}
-
-bool TieredMemory::ZeroHeatCovers(uint64_t k) const {
-  const uint64_t* dram_bits = allocator_.dram_bits().data();
-  uint64_t warm_dram = 0;
-  for (size_t w = 0; w < warm_.size(); ++w) {
-    warm_dram += CountBits(warm_[w] & dram_bits[w]);
-  }
-  return allocator_.DramResidentCount() - warm_dram >= k;
-}
-
-void TieredMemory::InstallZeroHeatPool(uint64_t k) {
-  const uint64_t* dram_bits = allocator_.dram_bits().data();
-  const float* heat_col = allocator_.heat_column();
-  const uint64_t page_count = allocator_.page_count();
-  const size_t floor_word = zero_floor_ / kWordBits;
-  // ColdPoolSelector's one allocation: a pool grown key by key through
-  // doubling reallocations leaves freed blocks that slow the process's
-  // later allocations (kv-hotpromote set-up ran ~2x slower with them).
-  cold_pool_.clear();
-  cold_pool_.reserve(2 * k);
-  PageId first_sparse = kInvalidPage;
-  uint64_t visited = 0;
-  for (size_t w = 0; w < warm_.size() && cold_pool_.size() < k; ++w) {
-    uint64_t zero = 0;
-    bool sparse = true;
-    if (IsDense(warm_[w], w, page_count)) {
-      if (word_lo_[w] > 0.0f) {
-        continue;  // Every page of the word is above heat 0.
-      }
-      CatchUp(w);
-      visited += kWordBits;
-      zero = dram_bits[w] &
-             CompareHeat(heat_col + w * kWordBits, 0.0f, std::numeric_limits<float>::quiet_NaN())
-                 .below_cut;
-      // A catch-up that clears bits may leave the word sparse: its
-      // zero-heat pages are then a sparse word's, with clear bits.
-      sparse = !IsDense(warm_[w], w, page_count);
-    } else if (w >= floor_word) {
-      // The pass left a sparse word's bit set only at heat > 0.
-      zero = dram_bits[w] & ~warm_[w];
-    }
-    if (sparse && zero != 0 && first_sparse == kInvalidPage) {
-      first_sparse = w * kWordBits + static_cast<PageId>(std::countr_zero(zero));
-    }
-    for (; zero != 0 && cold_pool_.size() < k; zero &= zero - 1) {
-      ++visited;
-      cold_pool_.push_back(ColdPoolSelector::KeyOf(
-          0.0f, w * kWordBits + static_cast<PageId>(std::countr_zero(zero))));
-    }
-  }
-  assert(cold_pool_.size() == k);
-  tick_pages_visited_ += visited;
-  if (first_sparse != kInvalidPage) {
-    // As in InstallColdPool: no sparse word below it holds a zero-heat
-    // DRAM page.
-    zero_floor_ = first_sparse;
-  }
-  cold_pool_next_ = 0;
-  cold_pool_valid_ = true;
-  cold_pool_floor_ = cold_pool_.empty() ? 0 : cold_pool_.back();
-}
-
-void TieredMemory::BuildColdPool(uint64_t k) {
-  // The tick's pass without candidates. The k-smallest set does not depend
-  // on the order pages are offered in.
-  const bool zero_heat = ZeroHeatCovers(k);
-  ColdPoolSelector selector(cold_pool_, zero_heat ? 0 : k);
-  ArenaVector<ColdPoolSelector::Key> no_candidates{
-      ArenaAllocator<ColdPoolSelector::Key>(&tick_arena_)};
-  const uint64_t offered_dram = ScanWarm(
-      CandidateFilter{std::numeric_limits<float>::quiet_NaN(), false}, selector, no_candidates);
+void ColdPool::Fill(uint64_t batch, WarmSet& warm, const WarmSet::CandidateFilter& filter,
+                    ArenaVector<ColdPoolSelector::Key>& hot) {
+  const uint64_t k =
+      std::min<uint64_t>(std::max<uint64_t>(4 * batch, 4096), allocator_.DramResidentCount());
+  const bool zero_heat = warm.ZeroHeatCovers(k);
+  ColdPoolSelector selector(keys_, zero_heat ? 0 : k);
+  const uint64_t offered_dram = warm.ScanWarm(filter, selector, hot);
   if (zero_heat) {
-    InstallZeroHeatPool(k);
+    // ColdPoolSelector's one allocation: a pool grown key by key through
+    // doubling reallocations leaves freed blocks that slow the process's
+    // later allocations (kv-hotpromote set-up ran ~2x slower with them).
+    keys_.clear();
+    keys_.reserve(2 * k);
+    warm.TakeZeroHeatDram(k, keys_);
   } else {
-    InstallColdPool(selector, k, offered_dram);
+    // The zero-heat DRAM pages left out of the pass sort below every warm
+    // page, by id. Their count is exact, so the walk offering them stops
+    // at the last one that can make the pool.
+    const uint64_t wanted = std::min(k, allocator_.DramResidentCount() - offered_dram);
+    if (wanted > 0) {
+      warm.OfferZeroHeatDram(selector, wanted);
+    }
+    selector.Finish();
+    work_.pool_shrinks += selector.shrinks();
+    work_.sorted_entries += keys_.size();
   }
+  next_ = 0;
+  valid_ = true;
+  floor_ = keys_.empty() ? 0 : keys_.back();
+}
+
+TieredMemory::TieredMemory(PageAllocator& allocator, TieringConfig config)
+    : allocator_(allocator),
+      config_(std::move(config)),
+      warm_(allocator_, ledger_, static_cast<float>(config_.heat_decay),
+            config_.hint_fault_sample_rate),
+      cold_pool_(allocator_) {
+  auto policy = PolicyRegistry::BuiltIns().Create(config_.PolicyName(), config_);
+  if (!policy.ok()) {
+    // Unknown name in config_.policy: callers taking user input validate
+    // names against the registry up front, so this is a programming error —
+    // fall back to hot page selection rather than crash release builds.
+    assert(false && "unknown tiering policy name");
+    policy = PolicyRegistry::BuiltIns().Create(kHotPageSelectionPolicyName, config_);
+  }
+  owned_policy_ = std::move(policy).value();
+  policy_ = owned_policy_.get();
 }
 
 uint64_t TieredMemory::DemoteColdPages(uint64_t count) {
-  // Find a demotion target (CXL node with space).
-  const auto& platform = allocator_.platform();
-  auto pick_cxl = [&]() -> topology::NodeId {
-    topology::NodeId best = -1;
-    uint64_t best_free = 0;
-    for (const auto& n : platform.nodes()) {
-      if (n.kind == topology::NodeKind::kCxl && allocator_.FreePages(n.id) > best_free) {
-        best_free = allocator_.FreePages(n.id);
-        best = n.id;
-      }
-    }
-    return best;
-  };
-
   // Heat is constant within a tick and every page the pool loses to a
   // demotion leaves DRAM with it, so the pool's unconsumed prefix remains
   // the exact k-smallest of the current DRAM set — one scan amortizes over
@@ -746,98 +770,91 @@ uint64_t TieredMemory::DemoteColdPages(uint64_t count) {
   if (want == 0) {
     return 0;
   }
-  if (!cold_pool_valid_ || cold_pool_.size() - cold_pool_next_ < want) {
-    BuildColdPool(ColdPoolSize(count));
+  if (!cold_pool_.Holds(want)) {
+    // The tick's pass without candidates. The k-smallest set does not
+    // depend on the order pages are offered in.
+    ArenaVector<ColdPoolSelector::Key> no_candidates{
+        ArenaAllocator<ColdPoolSelector::Key>(&tick_arena_)};
+    cold_pool_.Fill(count, warm_,
+                    WarmSet::CandidateFilter{std::numeric_limits<float>::quiet_NaN(), false, 0},
+                    no_candidates);
   }
 
   uint64_t demoted = 0;
-  for (uint64_t i = 0; i < want && cold_pool_next_ < cold_pool_.size(); ++i) {
-    const PageId id = ColdPoolSelector::IdOf(cold_pool_[cold_pool_next_]);
-    const topology::NodeId target = pick_cxl();
+  for (uint64_t i = 0; i < want && !cold_pool_.Drained(); ++i) {
+    // The demotion target: the CXL node with the most room.
+    const topology::NodeId target = MostFreeNode(allocator_, topology::NodeKind::kCxl);
     if (target < 0) {
       ++allocator_.mutable_counters().migrate_failed;
       break;
     }
-    ++cold_pool_next_;
+    const PageId id = cold_pool_.TakeColdest();
     if (allocator_.MovePage(id, target).ok()) {
       ++demoted;
       ++allocator_.mutable_counters().pgdemote;
-      // §4.2.3 ping-pong signature: this page was promoted within the stamp
-      // window and is already being demoted again. Observational only —
-      // feeds TickObservation, never the demotion choice itself.
-      const uint32_t stamp = promote_epoch_[id];
-      if (stamp != 0 && epoch_ - (stamp - 1) <= kPromoteStampWindowTicks) {
-        ++tick_ping_pong_;
-      }
+      ledger_.Demoted(id, epoch_);
     }
   }
   return demoted;
+}
+
+TieredMemory::TickResult TieredMemory::SkipTick(TickResult result, double dt_seconds,
+                                                int reason) {
+  static constexpr const char* kCounters[] = {
+      "tiering.stalled_ticks", "tiering.backoff_ticks", "tiering.policy_backoff_ticks"};
+  EndTick(result, dt_seconds);
+  if (telemetry_ != nullptr) {
+    telemetry_->GetCounter(kCounters[reason]).Increment();
+    // The diagnosis layer joins every degradation response back to a
+    // cause, so the event records only when a fault window is
+    // attributable: a stall to its own window, which is open while the
+    // daemon is stalled, the other skips to the responsible one.
+    const bool faulty = faults_ != nullptr && faults_->enabled();
+    const int32_t window = !faulty     ? telemetry::kNoWindow
+                           : reason == 0 ? faults_->ActiveWindowOf(fault::FaultType::kDaemonStall)
+                                         : faults_->AttributedWindow();
+    if (window != telemetry::kNoWindow) {
+      telemetry_->events().Record(
+          telemetry::Event(telemetry::EventKind::kDaemonSkippedTick, SecToMs(sim_seconds_))
+              .WithWindow(window)
+              .WithReason(reason));
+    }
+  }
+  return result;
+}
+
+void TieredMemory::EndTick(TickResult& result, double dt_seconds) {
+  ++epoch_;
+  sim_seconds_ += dt_seconds;
+  result += warm_.TakeWork();
+  result += cold_pool_.TakeWork();
 }
 
 TieredMemory::TickResult TieredMemory::Tick(double dt_seconds) {
   TickResult result;
   result.hot_threshold = policy_->hot_threshold();
 
-  GrowPageSets();
-  tick_pages_visited_ = 0;
-  tick_pool_offers_ = 0;
-  tick_pool_shrinks_ = 0;
-  tick_sorted_entries_ = 0;
-  tick_dense_words_skipped_ = 0;
-  // Pages enter DRAM outside the daemon only by allocation, at any id and
-  // with heat 0: after any, the zero walk starts again from id 0, and no
-  // word's lower bound is above 0.
-  if (allocator_.counters().pgalloc != seen_pgalloc_) {
-    seen_pgalloc_ = allocator_.counters().pgalloc;
-    zero_floor_ = 0;
-    std::fill(word_lo_.begin(), word_lo_.end(), 0.0f);
-  }
-
+  warm_.BeginTick();
   // Heat changed since the previous tick (decay, sampled accesses), so last
   // tick's cold pool no longer reflects the (heat, id) order.
-  cold_pool_valid_ = false;
+  cold_pool_.Invalidate();
 
-  // Degraded-path gates. Both branches leave page state untouched: a wedged
-  // daemon thread neither scans nor decays, and a backed-off daemon sits out
-  // the tick after repeated promotion failures. Unreachable without an
-  // enabled injector, so healthy runs are bit-for-bit unchanged. These run
-  // before the policy is consulted — a wedged kernel thread does not make
+  // Degraded-path gates. Both leave page state untouched: a wedged daemon
+  // thread neither scans nor decays, and a backed-off daemon sits out the
+  // tick after repeated promotion failures. Unreachable without an enabled
+  // injector, so healthy runs are bit-for-bit unchanged. These run before
+  // the policy is consulted — a wedged kernel thread does not make
   // decisions.
   if (faults_ != nullptr && faults_->enabled()) {
     if (faults_->DaemonStalled()) {
-      sim_seconds_ += dt_seconds;
-      ++epoch_;
-      if (telemetry_ != nullptr) {
-        telemetry_->GetCounter("tiering.stalled_ticks").Increment();
-        // A stall window is active (DaemonStalled), so the id is valid.
-        telemetry_->events().Record(
-            telemetry::Event(telemetry::EventKind::kDaemonSkippedTick, SecToMs(sim_seconds_))
-                .WithWindow(faults_->ActiveWindowOf(fault::FaultType::kDaemonStall))
-                .WithReason(0));
-      }
-      result.heat_catch_ups = std::exchange(heat_catch_ups_, 0);
-      return result;
+      return SkipTick(result, dt_seconds, 0);
     }
     if (backoff_ticks_remaining_ > 0) {
       --backoff_ticks_remaining_;
-      sim_seconds_ += dt_seconds;
-      ++epoch_;
-      if (telemetry_ != nullptr) {
-        telemetry_->GetCounter("tiering.backoff_ticks").Increment();
-        const int32_t window = faults_->AttributedWindow();
-        if (window != telemetry::kNoWindow) {
-          telemetry_->events().Record(
-              telemetry::Event(telemetry::EventKind::kDaemonSkippedTick, SecToMs(sim_seconds_))
-                  .WithWindow(window)
-                  .WithReason(1));
-        }
-      }
-      result.heat_catch_ups = std::exchange(heat_catch_ups_, 0);
-      return result;
+      return SkipTick(result, dt_seconds, 1);
     }
   }
 
-  const auto& platform = allocator_.platform();
   const double page_bytes = static_cast<double>(allocator_.page_bytes());
 
   // All of this tick's transient lists live in the arena; recycling the
@@ -864,36 +881,16 @@ TieredMemory::TickResult TieredMemory::Tick(double dt_seconds) {
   const TickDecision decision = policy_->Decide(ctx);
   if (decision.skip_tick) {
     // The policy's own backoff (e.g. adaptive feedback sitting out a
-    // degraded-link window): same no-scan/no-decay semantics as the
-    // daemon's promotion-failure backoff, with its own counter and skip
-    // reason. The event only records when a fault window is attributable —
-    // the diagnosis layer requires every degradation response to join back
-    // to a cause.
-    sim_seconds_ += dt_seconds;
-    ++epoch_;
-    if (telemetry_ != nullptr) {
-      telemetry_->GetCounter("tiering.policy_backoff_ticks").Increment();
-      const int32_t window = (faults_ != nullptr && faults_->enabled())
-                                 ? faults_->AttributedWindow()
-                                 : telemetry::kNoWindow;
-      if (window != telemetry::kNoWindow) {
-        telemetry_->events().Record(
-            telemetry::Event(telemetry::EventKind::kDaemonSkippedTick, SecToMs(sim_seconds_))
-                .WithWindow(window)
-                .WithReason(2));
-      }
-    }
-    result.heat_catch_ups = std::exchange(heat_catch_ups_, 0);
-    return result;
+    // degraded-link window): the same no-scan/no-decay semantics as the
+    // daemon's promotion-failure backoff, with its own counter and reason.
+    return SkipTick(result, dt_seconds, 2);
   }
   const uint64_t budget_pages = decision.budget_pages;
   // Cold pages freed per demotion call; the cold pool holds a few batches.
   const uint64_t demote_batch = std::clamp<uint64_t>(budget_pages / 8, 16, 4096);
 
   // Migration-outcome instrumentation for this tick (observational only).
-  tick_ping_pong_ = 0;
-  tick_recent_promoted_ = 0;
-  tick_recent_promoted_hot_ = 0;
+  ledger_.BeginTick();
 
   // Gather promotion candidates on the low tier. Quarantined pages are
   // never candidates.
@@ -905,19 +902,16 @@ TieredMemory::TickResult TieredMemory::Tick(double dt_seconds) {
     // the demotion cold pool (the configs that tick the daemon over-commit
     // DRAM, so the promotion loop below demotes almost every tick).
     // Candidates are appended in id order. With nothing resident on CXL
-    // there is nothing to promote and nothing the pool is for; skip. When
-    // zero-heat DRAM pages cover the pool, the pass offers it nothing.
-    const uint64_t pool_size = ColdPoolSize(demote_batch);
-    const bool zero_heat = ZeroHeatCovers(pool_size);
-    ColdPoolSelector pool(cold_pool_, zero_heat ? 0 : pool_size);
-    CandidateFilter filter;
+    // there is nothing to promote and nothing the pool is for; skip.
+    WarmSet::CandidateFilter filter;
+    filter.epoch = epoch_;
     switch (decision.scan) {
       case CandidateScan::kHotnessRanked:
         // Heat >= the double threshold. Rounding the threshold up to a
         // float keeps that exact: a float heat reaches the threshold
         // exactly when it reaches the smallest float at or above it.
         // Only this scan feeds the promotion-outcome observation.
-        CountRecentPromotions();
+        result.pages_visited += ledger_.CountRecentPromotions(allocator_, epoch_);
         filter.min_heat = CeilToFloat(decision.hot_threshold);
         break;
       case CandidateScan::kRecency:
@@ -937,22 +931,18 @@ TieredMemory::TickResult TieredMemory::Tick(double dt_seconds) {
         filter.min_heat = 2.0f;
         break;
     }
-    const uint64_t offered_dram = ScanWarm(filter, pool, hot);
+    cold_pool_.Fill(demote_batch, warm_, filter, hot);
     // A threshold at or below 0 also admits the zero-heat CXL pages the
-    // pass left out.
+    // pass left out. Under such a threshold the pass skips no word, so
+    // filling the pool brought none current and cleared no warm bit.
     if (decision.scan == CandidateScan::kHotnessRanked && 0.0 >= decision.hot_threshold) {
       const uint64_t* cxl_bits = allocator_.cxl_bits().data();
-      VisitCold(0, [&](PageId id) {
-        if ((cxl_bits[id / kWordBits] & Bit(id)) != 0 && !IsQuarantined(id)) {
+      warm_.VisitCold(0, [&](PageId id) {
+        if ((cxl_bits[id / kWordBits] & Bit(id)) != 0 && !ledger_.IsQuarantined(id)) {
           hot.push_back(HottestFirstKeyOf(0.0f, id));
         }
         return true;
       });
-    }
-    if (zero_heat) {
-      InstallZeroHeatPool(pool_size);
-    } else {
-      InstallColdPool(pool, pool_size, offered_dram);
     }
   }
   if (decision.scan == CandidateScan::kHotnessRanked) {
@@ -962,22 +952,10 @@ TieredMemory::TickResult TieredMemory::Tick(double dt_seconds) {
     // (caught by cxl_lint CXL-D007). The tie-break lives in the key's low
     // bits, so the keys are distinct and a plain sort is exact.
     std::sort(hot.begin(), hot.end());
-    tick_sorted_entries_ += hot.size();
+    result.sorted_entries += hot.size();
   }
   result.candidates = hot.size();
   allocator_.mutable_counters().pgpromote_candidate += hot.size();
-
-  auto pick_dram = [&]() -> topology::NodeId {
-    topology::NodeId best = -1;
-    uint64_t best_free = 0;
-    for (const auto& n : platform.nodes()) {
-      if (n.kind == topology::NodeKind::kDram && allocator_.FreePages(n.id) > best_free) {
-        best_free = allocator_.FreePages(n.id);
-        best = n.id;
-      }
-    }
-    return best;
-  };
 
   uint64_t promoted = 0;
   bool promotion_failed = false;
@@ -987,14 +965,14 @@ TieredMemory::TickResult TieredMemory::Tick(double dt_seconds) {
       allocator_.mutable_counters().promote_rate_limited += hot.size() - promoted;
       break;
     }
-    topology::NodeId target = pick_dram();
+    topology::NodeId target = MostFreeNode(allocator_, topology::NodeKind::kDram);
     if (target < 0) {
       // DRAM full: demote cold pages to make room (kswapd-style), which
       // consumes migration bandwidth too. Demote in small batches.
       const uint64_t freed = DemoteColdPages(demote_batch);
       result.demoted_pages += freed;
       result.migrated_bytes += static_cast<double>(freed) * page_bytes;
-      target = pick_dram();
+      target = MostFreeNode(allocator_, topology::NodeKind::kDram);
       if (target < 0) {
         promotion_failed = true;
         break;  // Machine genuinely full.
@@ -1004,18 +982,12 @@ TieredMemory::TickResult TieredMemory::Tick(double dt_seconds) {
       ++promoted;
       ++allocator_.mutable_counters().pgpromote_success;
       result.migrated_bytes += page_bytes;
-      promote_epoch_[id] = epoch_ + 1;  // Stamp; 0 is reserved for "never".
-      recently_promoted_[id / kWordBits] |= Bit(id);
-      if (heat_col[id] == 0.0f) {
-        zero_floor_ = std::min(zero_floor_, id);  // A zero-heat DRAM page now.
-      }
+      ledger_.Promoted(id, epoch_);
+      warm_.EnteredDram(id);
       // A page entering DRAM at or below the cold pool's floor belongs in
       // the pool — drop it so the next demotion batch rescans. Promoted
       // pages are hot by construction, so this almost never fires.
-      if (cold_pool_valid_ &&
-          (cold_pool_.empty() || ColdPoolSelector::KeyOf(heat_col[id], id) <= cold_pool_floor_)) {
-        cold_pool_valid_ = false;
-      }
+      cold_pool_.EnteredDram(ColdPoolSelector::KeyOf(heat_col[id], id));
     } else {
       promotion_failed = true;
     }
@@ -1061,6 +1033,7 @@ TieredMemory::TickResult TieredMemory::Tick(double dt_seconds) {
   // Close the loop: report the tick's outcome to the policy. This is where
   // the hot-page-selection threshold adjustment now lives (it ran at this
   // exact point in the pre-policy daemon, after the watermark demotions).
+  const PromotionLedger::Feedback& feedback = ledger_.feedback();
   TickObservation obs;
   obs.dt_seconds = dt_seconds;
   obs.candidates = result.candidates;
@@ -1074,9 +1047,9 @@ TieredMemory::TickResult TieredMemory::Tick(double dt_seconds) {
           : 0.0;
   obs.promotion_failed = promotion_failed;
   obs.dram_free_fraction = allocator_.DramFreeFraction();
-  obs.recent_promoted = tick_recent_promoted_;
-  obs.recent_promoted_hot = tick_recent_promoted_hot_;
-  obs.ping_pong_demotions = tick_ping_pong_;
+  obs.recent_promoted = feedback.recent_promoted;
+  obs.recent_promoted_hot = feedback.recent_promoted_hot;
+  obs.ping_pong_demotions = feedback.ping_pong_demotions;
   obs.link_degraded = ctx.link_degraded;
   obs.cxl_latency_factor = ctx.cxl_latency_factor;
   policy_->Observe(obs);
@@ -1085,16 +1058,8 @@ TieredMemory::TickResult TieredMemory::Tick(double dt_seconds) {
   // Decay heat for the next interval, last, so that every read above saw
   // pre-decay heat. Each word's pages take it when the word catches up:
   // freed slots included, whose stale values allocation resets.
-  DecayWarm();
-  ++epoch_;
-
-  result.pages_visited = tick_pages_visited_;
-  result.pool_offers = tick_pool_offers_;
-  result.pool_shrinks = tick_pool_shrinks_;
-  result.sorted_entries = tick_sorted_entries_;
-  result.dense_words_skipped = tick_dense_words_skipped_;
-  result.heat_catch_ups = std::exchange(heat_catch_ups_, 0);
-  sim_seconds_ += dt_seconds;
+  warm_.Decay();
+  EndTick(result, dt_seconds);
   EmitTickTelemetry(result, dt_seconds);
   EmitTickEvents(result, watermark_demoted);
   return result;
@@ -1117,33 +1082,18 @@ bool TieredMemory::QuarantinePage(PageId page) {
   if (page == kInvalidPage || page >= allocator_.page_count()) {
     return false;
   }
-  if (!quarantined_.emplace(page, epoch_).second) {
+  if (!ledger_.Quarantine(page, epoch_)) {
     return false;  // Already quarantined.
   }
   // The heat reset (and possible eviction below) perturbs the (heat, id)
   // order the demotion pool was built on.
-  cold_pool_valid_ = false;
-  // Its warm bit goes stale. Heat 0 stays 0 through the word's pending
-  // decays, so the word need not catch up first.
-  allocator_.mutable_heat_column()[page] = 0.0f;
-  if (page / kWordBits >= warm_.size()) {
-    GrowPageSets();
-  }
-  word_lo_[page / kWordBits] = 0.0f;
-  zero_floor_ = std::min(zero_floor_, page);
+  cold_pool_.Invalidate();
+  warm_.ResetHeat(page);
   const topology::NodeId node = allocator_.NodeOf(page);
-  if (node >= 0 && IsTopTier(node)) {
+  if (node >= 0 && allocator_.IsDramNode(node)) {
     // Evict the poisoned page from the hot tier: it must not occupy DRAM
     // the daemon would otherwise give to healthy hot pages.
-    const auto& platform = allocator_.platform();
-    topology::NodeId target = -1;
-    uint64_t best_free = 0;
-    for (const auto& n : platform.nodes()) {
-      if (n.kind == topology::NodeKind::kCxl && allocator_.FreePages(n.id) > best_free) {
-        best_free = allocator_.FreePages(n.id);
-        target = n.id;
-      }
-    }
+    const topology::NodeId target = MostFreeNode(allocator_, topology::NodeKind::kCxl);
     if (target >= 0 && allocator_.MovePage(page, target).ok()) {
       ++allocator_.mutable_counters().pgdemote;
     }
@@ -1167,6 +1117,7 @@ bool TieredMemory::QuarantinePage(PageId page) {
   }
   return true;
 }
+
 
 void TieredMemory::EmitTickTelemetry(const TickResult& result, double dt_seconds) {
   if (telemetry_ == nullptr || dt_seconds <= 0.0) {
@@ -1210,17 +1161,18 @@ void TieredMemory::EmitTickTelemetry(const TickResult& result, double dt_seconds
   const double saturation =
       config_.promote_rate_limit_mbps > 0.0 ? promote_mbps / config_.promote_rate_limit_mbps : 0.0;
   handles_.rate_limit_saturation->Sample(t_ms, saturation);
-  handles_.low_tier_pages->Sample(t_ms, static_cast<double>(LowTierPages()));
+  handles_.low_tier_pages->Sample(t_ms, static_cast<double>(allocator_.CxlResidentCount()));
   // Migration-outcome feedback, exposed so the diagnosis layer (and humans)
   // can see what the adaptive policy sees: the fraction of recently promoted
   // pages still being touched, and §4.2.3 ping-pong volume.
+  const PromotionLedger::Feedback& feedback = ledger_.feedback();
   const double reaccess =
-      tick_recent_promoted_ > 0
-          ? static_cast<double>(tick_recent_promoted_hot_) /
-                static_cast<double>(tick_recent_promoted_)
+      feedback.recent_promoted > 0
+          ? static_cast<double>(feedback.recent_promoted_hot) /
+                static_cast<double>(feedback.recent_promoted)
           : 0.0;
   handles_.reaccess_ratio->Sample(t_ms, reaccess);
-  handles_.ping_pong->Sample(t_ms, static_cast<double>(tick_ping_pong_));
+  handles_.ping_pong->Sample(t_ms, static_cast<double>(feedback.ping_pong_demotions));
   SampleVmCounters(handles_.vmstat, t_ms, allocator_.counters());
 
   handles_.ticks->Increment();

@@ -15,16 +15,22 @@
 //
 // *Which* pages promote, under what threshold and budget, is decided by a
 // pluggable TieringPolicy (src/os/policy.h) resolved by name through the
-// PolicyRegistry; TieredMemory owns the mechanisms (scans, migration,
-// demotion pools, fault gates) and feeds the policy per-tick observations.
+// PolicyRegistry. As the kernel keeps hotness tracking apart from
+// reclaim's cold lists and from per-folio migration state, each piece of
+// daemon state has one owner: WarmSet (per-page heat), ColdPool (the
+// demotion pool) and PromotionLedger (per-page migration history).
+// TieredMemory runs the tick over them: the policy, migration, fault gates
+// and telemetry.
 #ifndef CXL_EXPLORER_SRC_OS_TIERING_H_
 #define CXL_EXPLORER_SRC_OS_TIERING_H_
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/fault/fault.h"
@@ -171,6 +177,354 @@ class HeatDecay {
   int shift_ = 0;  // m, or 0 when the factor is no such power of two.
 };
 
+// Deterministic work counters of one daemon tick. Each owner below counts
+// its own; Tick adds them into its TickResult as it returns.
+struct TickWork {
+  // Page slots whose columns this tick read: the warm-set visits of the
+  // candidate/cold-pool pass and of cold-pool refills, the walk for
+  // zero-heat pages and the promotion-feedback count. The decay reads no
+  // page. Tracks the warm set, not page_count().
+  uint64_t pages_visited = 0;
+  // ColdPoolSelector::Offer calls of the cold pools the tick selected (its
+  // pass's and its refills'), their zero-heat walks included. The pass
+  // offers only the DRAM pages whose heat may reach the cut. A pool the
+  // zero-heat DRAM pages outside the warm set cover is filled by an id walk
+  // and offers none.
+  uint64_t pool_offers = 0;
+  // ColdPoolSelector::Shrink calls of those selections: at most one per k
+  // offers accepted; none for a zero-heat pool.
+  uint64_t pool_shrinks = 0;
+  // Keys the tick sorted: each ColdPoolSelector::Finish's survivors and the
+  // ranked promotion candidates. A zero-heat pool comes out of its walk in
+  // order and adds none.
+  uint64_t sorted_entries = 0;
+  // Dense words the tick's warm passes skipped whole: their heat bounds put
+  // every page above the cold pool's cut and below the candidate threshold.
+  // The words still count in pages_visited.
+  uint64_t dense_words_skipped = 0;
+  // Warm-set words brought current (their pending decays applied) since the
+  // previous Tick returned: by accesses, SettleHeat and this tick's passes.
+  uint64_t heat_catch_ups = 0;
+
+  TickWork& operator+=(const TickWork& other);
+};
+
+// Per-page migration history: what the daemon promoted and when, and what
+// it quarantined. Observational only: it feeds the policy's
+// TickObservation and the audit, and never decides a migration. A page id
+// keeps its history across free and re-allocation.
+class PromotionLedger {
+ public:
+  // A tick's migration-outcome feedback, as TickObservation names it.
+  struct Feedback {
+    uint64_t recent_promoted = 0;      // Recently promoted pages seen in DRAM.
+    uint64_t recent_promoted_hot = 0;  // ...of those, re-accessed this interval.
+    uint64_t ping_pong_demotions = 0;  // Demotions of recently promoted pages.
+  };
+
+  // Size the stamp column to `pages` slots and the recent set to `words`
+  // words, for WarmSet::Grow. New pages start unstamped and not recent.
+  void GrowStamps(uint64_t pages) { promote_epoch_.resize(pages, 0); }
+  void GrowRecent(size_t words) { recently_promoted_.resize(words, 0); }
+
+  // Promotion stamp of `page`: 1 + the epoch of the tick that last promoted
+  // it, 0 if none has. Freeing a page does not clear it.
+  uint32_t PromoteStamp(PageId page) const {
+    return page < promote_epoch_.size() ? promote_epoch_[page] : 0;
+  }
+
+  // Starts a tick's feedback at zero.
+  void BeginTick() { feedback_ = Feedback{}; }
+  const Feedback& feedback() const { return feedback_; }
+
+  // The tick of `epoch` promoted `page`.
+  void Promoted(PageId page, uint32_t epoch);
+
+  // The tick of `epoch` demoted `page`: the §4.2.3 ping-pong signature when
+  // the page was promoted within the stamp window.
+  void Demoted(PageId page, uint32_t epoch);
+
+  // Counts the DRAM-resident pages promoted within the stamp window, and
+  // those of them touched at `epoch`, into feedback(). Returns the pages it
+  // visited.
+  uint64_t CountRecentPromotions(const PageAllocator& allocator, uint32_t epoch);
+
+  // Records `page` as quarantined at `epoch`. Returns false when it already
+  // was.
+  bool Quarantine(PageId page, uint32_t epoch) { return quarantined_.emplace(page, epoch).second; }
+  uint64_t QuarantinedPages() const { return quarantined_.size(); }
+
+  // Whether `page` is quarantined: one empty() load on healthy runs.
+  bool IsQuarantined(PageId page) const {
+    return !quarantined_.empty() && quarantined_.count(page) != 0;
+  }
+  // The epoch (ticks so far) at which `page` was quarantined; the page
+  // must be quarantined. A promotion stamp above it would mean the daemon
+  // promoted the page afterwards (check::TieringInvariantViolations).
+  uint32_t QuarantineEpoch(PageId page) const { return quarantined_.at(page); }
+
+ private:
+  // Promote-epoch stamps age out after this many ticks: a demotion (or a
+  // re-access check) further from the promotion than this no longer counts
+  // as migration-outcome feedback. Small enough that the signal tracks the
+  // current regime, large enough to span the heat-decay half-life.
+  static constexpr uint32_t kStampWindowTicks = 8;
+
+  // Promote-epoch stamp per page, epoch + 1 at promotion time (0 = never
+  // promoted), so a demotion or re-access of a recently promoted page is
+  // recognisable within the stamp window.
+  std::vector<uint32_t> promote_epoch_;
+  // One bit per page id, set at promotion and cleared once the counting
+  // pass finds the stamp aged out of the window: a superset of the pages
+  // whose stamps can count, so the feedback counts need not visit every
+  // DRAM page.
+  std::vector<uint64_t> recently_promoted_;
+  std::unordered_map<PageId, uint32_t> quarantined_;  // Page -> QuarantineEpoch.
+  Feedback feedback_;
+};
+
+// Per-page hotness: the heat column's one writer (sampled accesses,
+// quarantine and decay) and the structures that let a tick visit only the
+// pages that may be hot.
+//
+// The warm set is one bit per page id, a superset of the pages with heat >
+// 0. Decay leaves heat 0 at exactly 0, so between accesses only warm pages
+// change, and every daemon pass visits only them, in id order. Words with
+// many bits set are dense: every page of them is handled, zero heat
+// included, 64 at a time by masks in the candidate/cold-pool pass and by a
+// straight sweep when the word catches up. RecordAccess sets a bit,
+// RecordAccessRun a span's bits a word at a time. A catch-up clears the
+// bit of every page it leaves at heat 0, and a pass that reads heat 0 on a
+// sparse word's page clears its bit. Allocate's heat reset and
+// quarantine's leave stale bits, which only cost a visit. Heat is assumed
+// non-negative, with a finite, non-negative decay factor.
+//
+// Decay is lazy and word-granular. decays_ counts the decays the daemon
+// has made; word_decays_[w] those word w's heats have had. A word behind
+// catches up (CatchUp) when its heats are next read or written: each of
+// its pages gets the decays it missed, as the same sequential multiplies a
+// per-tick sweep would have made. A tick's own reads see pre-decay heat,
+// since the tick decays last. Heat(id) reads through the pending decays;
+// Settle brings every word current.
+//
+// Each word also keeps bounds of its page slots' current heat: word_lo_[w]
+// <= heat <= word_hi_[w] for every slot of word w whenever a tick scans. A
+// dense word whose upper bound is below the candidate threshold and whose
+// lower bound is above the cold pool's cut holds no page the scan could
+// select, and is skipped whole, without catching up. The bounds change
+// where heat does, with no pass of their own. Float multiplication and
+// addition round monotonically, so a decay scales both bounds of every
+// word and RecordAccessRun shifts those of the words it covers whole,
+// exactly; it recomputes its two edge words, RecordAccess raises the upper
+// bound and quarantine zeroes the lower. Allocation resets heat without
+// the daemon, so a tick that sees one (by `pgalloc`, as for zero_floor_)
+// first zeroes every lower bound. The others only loosen, and every
+// catch-up recomputes its word's exact bounds.
+class WarmSet {
+ public:
+  // Which low-tier pages a warm pass lists as promotion candidates: heat
+  // >= min_heat (NaN lists none), touched at `epoch` if this_epoch_only,
+  // and not quarantined. One value covers every CandidateScan: a float
+  // min_heat rounded up from the double threshold selects exactly the
+  // heats the double compare does.
+  struct CandidateFilter {
+    float min_heat = 0.0f;
+    bool this_epoch_only = false;
+    uint32_t epoch = 0;
+  };
+
+  // Adopts the heat the allocator's column holds (see TieredMemory). The
+  // ledger's columns grow with the warm set's; its quarantine filters the
+  // candidates.
+  WarmSet(PageAllocator& allocator, PromotionLedger& ledger, float decay_factor,
+          double sample_rate);
+
+  // TieredMemory::RecordAccess and RecordAccessRun, stamping `epoch` as the
+  // pages' recency.
+  void RecordAccess(PageId page, uint64_t accesses, uint32_t epoch);
+  void RecordAccessRun(PageId first, uint64_t count, uint64_t accesses, uint32_t epoch);
+
+  // TieredMemory::Heat and SettleHeat.
+  float Heat(PageId page) const;
+  void Settle();
+
+  // Starts a tick: sizes the sets to every page slot and, after any
+  // allocation since the last tick, restarts the zero walk at id 0 and
+  // zeroes every lower bound.
+  void BeginTick();
+
+  // One decay of every page's heat: counts it in decays_ and scales both
+  // bound arrays. The heats themselves decay when their words catch up.
+  void Decay();
+
+  // Quarantine's heat reset: `page` goes to heat 0 and its word's lower
+  // bound to 0.
+  void ResetHeat(PageId page);
+
+  // A promotion moved `page` into DRAM, where its heat 0 would make it a
+  // zero-heat DRAM page.
+  void EnteredDram(PageId page) {
+    if (allocator_.heat_column()[page] == 0.0f) {
+      zero_floor_ = std::min(zero_floor_, page);
+    }
+  }
+
+  // The warm pass of one tick: DRAM pages that may sort below the cut are
+  // offered to `pool`, and the HottestFirstKeyOf keys of CXL pages passing
+  // `filter` are appended to `hot` in id order. Dense words decide their 64
+  // pages with masks from the residency bitsets and two vectorised heat
+  // compares, or are skipped whole, still behind, when their heat bounds
+  // leave both masks empty; every other word is brought current first.
+  // Returns the number of DRAM pages offered, counting those the cut
+  // turned away before the call.
+  uint64_t ScanWarm(const CandidateFilter& filter, ColdPoolSelector& pool,
+                    ArenaVector<ColdPoolSelector::Key>& hot);
+
+  // Calls `visit(id)`, in id order from the word of `from` until it returns
+  // false, for the pages this tick's warm pass left out: the clear bits of
+  // sparse words, which hold heat 0 once the pass cleared their stale bits.
+  template <typename Visit>
+  void VisitCold(PageId from, Visit&& visit);
+
+  // Whether the DRAM pages outside the warm set number at least `k`. Each
+  // has heat 0, so then the `k` coldest DRAM pages by (heat, id) are the
+  // `k` lowest-id zero-heat DRAM pages.
+  bool ZeroHeatCovers(uint64_t k) const;
+
+  // Offers `selector` the `count` lowest-id zero-heat DRAM pages this
+  // tick's pass left out, which exist.
+  void OfferZeroHeatDram(ColdPoolSelector& selector, uint64_t count);
+
+  // Appends the `k` lowest-id zero-heat DRAM pages to `keys`, in id order,
+  // which is key order: dense words whose lower bound is 0 by their heats
+  // once brought current, from word 0, and sparse words from zero_floor_'s
+  // by the warm bits this tick's pass left. ZeroHeatCovers(k) must hold.
+  void TakeZeroHeatDram(uint64_t k, std::vector<ColdPoolSelector::Key>& keys);
+
+  // pages_visited, pool_offers, dense_words_skipped and heat_catch_ups
+  // since the last call.
+  TickWork TakeWork() { return std::exchange(work_, TickWork{}); }
+
+  // The warm bits, per-word heat bounds and decay counts, for
+  // check::TieringInvariantViolations and tests.
+  const std::vector<uint64_t>& bits() const { return warm_; }
+  const std::vector<float>& word_lo() const { return word_lo_; }
+  const std::vector<float>& word_hi() const { return word_hi_; }
+  const std::vector<uint32_t>& word_decays() const { return word_decays_; }
+  uint32_t decays() const { return decays_; }
+
+ private:
+  // Walks the warm set in id order: `dense(w)` for every dense word w,
+  // `sparse(id)` for each set bit of a sparse word, brought current first,
+  // whose bit clears when it returns false (heat read as 0). A dense word
+  // whose `dense(w)` returns false (its catch-up cleared bits and left it
+  // sparse) is walked as a sparse word.
+  template <typename Dense, typename Sparse>
+  void VisitWarm(Dense&& dense, Sparse&& sparse);
+
+  // Brings word `w` current: the one place a word's pending decays reach
+  // its heats. Every reader of a word's heats calls it first, and every
+  // writer but quarantine, whose heat 0 no decay changes.
+  void CatchUp(size_t w) {
+    if (word_decays_[w] != decays_) {
+      CatchUpWord(w);
+    }
+  }
+  void CatchUpWord(size_t w);
+
+  // Sizes the ledger's stamp column and recent set, the warm set, the heat
+  // bounds and the decay counts to cover every page slot.
+  void Grow();
+
+  // Sets word `w`'s heat bounds to the least and greatest heat of its page
+  // slots.
+  void BoundWord(size_t w);
+
+  PageAllocator& allocator_;
+  PromotionLedger& ledger_;
+  double sample_rate_;  // TieringConfig::hint_fault_sample_rate.
+  HeatDecay decay_;
+  std::vector<uint64_t> warm_;
+  std::vector<float> word_lo_;
+  std::vector<float> word_hi_;
+  std::vector<uint32_t> word_decays_;
+  uint32_t decays_ = 0;
+  // Where the walks for zero-heat DRAM pages start on sparse words: no
+  // sparse word below it holds one. Dense words are not covered, so a
+  // dense word below it may hold zero-heat DRAM pages (the zero-heat pool
+  // walks dense words from word 0; the selector's pass offers them). Both
+  // walks raise it to the first sparse-word page they take, so demoting
+  // the lowest zero-heat pages does not leave a growing prefix to re-walk
+  // (from id 0, the largest kv-hotpromote tick visits 13.6% of the page
+  // slots instead of 8.3%). Whatever can make a page below it a zero-heat
+  // DRAM page of a sparse word lowers it: a catch-up that clears bits (to
+  // the word's lowest zero-heat DRAM page, which also covers a dense word
+  // the clearing leaves sparse), quarantine, promoting a zero-heat page,
+  // and placement changes made outside the daemon, which only allocation
+  // makes (seen as a change in the allocator's `pgalloc` counter). The
+  // warm-set tests fail if any of these is left out.
+  PageId zero_floor_ = 0;
+  uint64_t seen_pgalloc_ = 0;
+  TickWork work_;
+};
+
+// Demotion cold pool: the ColdPoolSelector keys of the coldest DRAM pages
+// in ascending (heat, id) order, built with each tick's one warm-set pass
+// and consumed across the several demotion batches a single Tick makes
+// (heat is constant within a tick, so the remaining entries stay the exact
+// k-smallest of the shrinking DRAM set). It is built one of two ways. When
+// the DRAM pages outside the warm set number at least k (every
+// kv-hotpromote tick), the pool is the k lowest-id zero-heat DRAM pages,
+// taken by one id walk with no selector or sort. Otherwise the pass offers
+// the warm DRAM pages that may sort below the cut to a ColdPoolSelector,
+// and the zero-heat pages it left out follow (most Spark ticks). Either way the buffer is reserved
+// once at 2k keys, as the selector does. Invalidated at every tick start
+// (decay and accesses change heat) and whenever a page enters DRAM whose
+// (heat, id) sorts at or below the pool's floor: such a page would belong
+// in the pool (a cheap test, and rare: promoted pages are hot by
+// construction). An invalid or drained pool is refilled, its way picked
+// the same.
+class ColdPool {
+ public:
+  explicit ColdPool(const PageAllocator& allocator) : allocator_(allocator) {}
+
+  // Fills the pool for demotion batches of `batch` pages, either way, by
+  // the tick's warm pass over `warm` (WarmSet::ScanWarm, which appends the
+  // CXL pages passing `filter` to `hot`), and resets its cursor. The pool
+  // holds four batches of headroom (at least 4096 pages), capped at the
+  // DRAM-resident count.
+  void Fill(uint64_t batch, WarmSet& warm, const WarmSet::CandidateFilter& filter,
+            ArenaVector<ColdPoolSelector::Key>& hot);
+
+  void Invalidate() { valid_ = false; }
+
+  // A page entered DRAM with (heat, id) key `key`.
+  void EnteredDram(ColdPoolSelector::Key key) {
+    if (valid_ && (keys_.empty() || key <= floor_)) {
+      valid_ = false;
+    }
+  }
+
+  // Whether the pool is valid and has `count` pages left.
+  bool Holds(uint64_t count) const { return valid_ && keys_.size() - next_ >= count; }
+  bool Drained() const { return next_ >= keys_.size(); }
+  // The coldest page left; the pool must not be drained.
+  PageId TakeColdest() { return ColdPoolSelector::IdOf(keys_[next_++]); }
+
+  // pool_shrinks and sorted_entries since the last call.
+  TickWork TakeWork() { return std::exchange(work_, TickWork{}); }
+
+ private:
+  const PageAllocator& allocator_;
+  std::vector<ColdPoolSelector::Key> keys_;
+  size_t next_ = 0;  // Consumption cursor.
+  bool valid_ = false;
+  ColdPoolSelector::Key floor_ = 0;  // The largest key, 0 when empty.
+  TickWork work_;
+};
+
+// The daemon: each Tick asks the policy for a decision, runs the warm pass,
+// promotes within the budget, demotes to make room and reports back.
 class TieredMemory {
  public:
   // Adopts the heat the allocator's column holds: an earlier daemon over
@@ -180,52 +534,24 @@ class TieredMemory {
   // Feeds `accesses` real accesses to `page` into the (sampled) heat
   // counter and marks the page warm. Called by application models once per
   // simulation step per page group.
-  void RecordAccess(PageId page, uint64_t accesses);
+  void RecordAccess(PageId page, uint64_t accesses) { warm_.RecordAccess(page, accesses, epoch_); }
 
   // The same as RecordAccess(id, accesses) for every id of
   // [first, first + count), in one straight pass over the columns and a
   // word at a time over the warm set: how a streamed window is recorded.
-  void RecordAccessRun(PageId first, uint64_t count, uint64_t accesses);
+  void RecordAccessRun(PageId first, uint64_t count, uint64_t accesses) {
+    warm_.RecordAccessRun(first, count, accesses, epoch_);
+  }
 
   // Runs one daemon interval covering `dt_seconds` of simulated time.
-  struct TickResult {
+  struct TickResult : TickWork {
     uint64_t promoted_pages = 0;
     uint64_t demoted_pages = 0;
     double migrated_bytes = 0.0;   // Promotion + demotion traffic.
     double hot_threshold = 0.0;    // Threshold in effect after adjustment.
     uint64_t candidates = 0;       // Hot low-tier pages seen this tick.
-    // Page slots whose columns this tick read: the warm-set visits of the
-    // candidate/cold-pool pass and of cold-pool refills, the walk for
-    // zero-heat pages and the promotion-feedback count. The decay reads no
-    // page. A deterministic work counter that tracks the warm set, not
-    // page_count().
-    uint64_t pages_visited = 0;
-    // ColdPoolSelector::Offer calls of the cold pools the tick selected
-    // (its pass's and its refills'), their zero-heat walks included: a
-    // deterministic work counter. The pass offers only the DRAM pages whose
-    // heat may reach the cut. A pool the zero-heat DRAM pages outside the
-    // warm set cover is filled by an id walk and offers none.
-    uint64_t pool_offers = 0;
-    // ColdPoolSelector::Shrink calls of those selections: at most one per
-    // k offers accepted; none for a zero-heat pool.
-    uint64_t pool_shrinks = 0;
-    // Keys the tick sorted: each ColdPoolSelector::Finish's survivors and
-    // the ranked promotion candidates. A zero-heat pool comes out of its
-    // walk in order and adds none. Deterministic work counters, like
-    // pool_offers.
-    uint64_t sorted_entries = 0;
-    // Dense words the tick's warm passes skipped whole: their heat bounds
-    // put every page above the cold pool's cut and below the candidate
-    // threshold. A deterministic work counter; the words still count in
-    // pages_visited.
-    uint64_t dense_words_skipped = 0;
-    // Warm-set words brought current (their pending decays applied) since
-    // the previous Tick returned: by accesses, SettleHeat and this tick's
-    // passes. A deterministic work counter.
-    uint64_t heat_catch_ups = 0;
   };
   TickResult Tick(double dt_seconds);
-
   // Everything the daemon reports to or consults besides the allocator,
   // attached in one call so future sinks extend the struct instead of each
   // growing another setter. All fields are nullable (detach by attaching a
@@ -260,153 +586,47 @@ class TieredMemory {
   // Returns true when the page was newly quarantined. Only the fault paths
   // call this; healthy runs keep the set empty.
   bool QuarantinePage(PageId page);
-  uint64_t QuarantinedPages() const { return quarantined_.size(); }
-
-  // Whether `page` is quarantined: one empty() load on healthy runs.
-  bool IsQuarantined(PageId page) const {
-    return !quarantined_.empty() && quarantined_.count(page) != 0;
-  }
-  // The epoch (ticks so far) at which `page` was quarantined; the page
-  // must be quarantined. A promotion stamp above it would mean the daemon
-  // promoted the page afterwards (check::TieringInvariantViolations).
-  uint32_t QuarantineEpoch(PageId page) const { return quarantined_.at(page); }
+  uint64_t QuarantinedPages() const { return ledger_.QuarantinedPages(); }
 
   // The current heat of `page`: its column value with the decays its word
   // has pending applied, exactly as an eager per-tick decay leaves it.
   // Changes no state.
-  float Heat(PageId page) const;
+  float Heat(PageId page) const { return warm_.Heat(page); }
 
   // Brings every word current, so the allocator's heat column holds every
   // page's current heat until the next tick decays. For readers of the
   // whole column (Spark's access-weighted shares).
-  void SettleHeat();
+  void SettleHeat() { warm_.Settle(); }
 
-  // The warm set, the per-word heat bounds and decay counts (see the
-  // members), read by check::TieringInvariantViolations.
-  const std::vector<uint64_t>& warm_set() const { return warm_; }
-  const std::vector<float>& word_heat_lo() const { return word_lo_; }
-  const std::vector<float>& word_heat_hi() const { return word_hi_; }
-  const std::vector<uint32_t>& word_decays() const { return word_decays_; }
-  uint32_t decays() const { return decays_; }
+  // The per-page state, for check::TieringInvariantViolations and tests.
+  const WarmSet& warm() const { return warm_; }
+  const PromotionLedger& ledger() const { return ledger_; }
 
   // Remaining ticks of promotion-failure backoff (tests/telemetry).
   int BackoffTicksRemaining() const { return backoff_ticks_remaining_; }
 
-  // Promotion stamp of `page` (tests): 1 + the epoch of the tick that last
-  // promoted it, 0 if none has. Freeing a page does not clear it.
-  uint32_t PromoteStamp(PageId page) const {
-    return page < promote_epoch_.size() ? promote_epoch_[page] : 0;
-  }
-
-  // DRAM nodes are the top tier; CXL nodes the low tier (§2.3).
-  bool IsTopTier(topology::NodeId node) const;
-
   double hot_threshold() const { return policy_->hot_threshold(); }
   const TieringConfig& config() const { return config_; }
-  PageAllocator& allocator() { return allocator_; }
   const PageAllocator& allocator() const { return allocator_; }
 
   // The active decision policy (the attached override, else the owned one).
   TieringPolicy& policy() { return *policy_; }
   const TieringPolicy& policy() const { return *policy_; }
 
-  // Pages currently resident on low-tier nodes (for tests/telemetry).
-  uint64_t LowTierPages() const;
-
  private:
   // Demotes up to `count` of the coldest DRAM pages to make room. Returns
   // pages actually demoted.
   uint64_t DemoteColdPages(uint64_t count);
 
-  // Pool size for demotion batches of `batch` pages: four batches of
-  // headroom (at least 4096 pages), capped at the DRAM-resident count.
-  uint64_t ColdPoolSize(uint64_t batch) const;
+  // A tick that neither scans nor decays: the daemon stalled (reason 0),
+  // backed off after promotion failures (1) or its policy skipped (2).
+  // Advances the clock and epoch, counts the reason and records its
+  // kDaemonSkippedTick event when a fault window is attributable.
+  TickResult SkipTick(TickResult result, double dt_seconds, int reason);
 
-  // Refills cold_pool_ with the `k` coldest DRAM-resident pages by its own
-  // warm pass — only when a tick's demotions drain the pool its candidate
-  // pass built, or no candidate pass ran.
-  void BuildColdPool(uint64_t k);
-
-  // Whether the DRAM pages outside the warm set number at least `k`. Each
-  // has heat 0, so then the `k` coldest DRAM pages by (heat, id) are the
-  // `k` lowest-id zero-heat DRAM pages: the pass offers no DRAM page (its
-  // selector has k = 0) and InstallZeroHeatPool fills the pool.
-  bool ZeroHeatCovers(uint64_t k) const;
-
-  // Completes `selector`, which this tick's warm pass offered
-  // `offered_dram` DRAM pages, with the zero-heat DRAM pages the pass left
-  // out, and finishes it into cold_pool_ as the `k` coldest DRAM pages.
-  // Resets the consumption cursor.
-  void InstallColdPool(ColdPoolSelector& selector, uint64_t k, uint64_t offered_dram);
-
-  // Fills cold_pool_ with the `k` lowest-id zero-heat DRAM pages, in id
-  // order, which is key order: dense words whose lower bound is 0 by their
-  // heats once brought current, from word 0, and sparse words from
-  // zero_floor_'s by the warm bits this tick's pass left (it clears those
-  // of pages at heat 0). ZeroHeatCovers(k) must hold. Resets the
-  // consumption cursor.
-  void InstallZeroHeatPool(uint64_t k);
-
-  // Walks the warm set in id order: `dense(w)` for every dense word w,
-  // `sparse(id)` for each set bit of a sparse word, brought current first,
-  // whose bit clears when it returns false (heat read as 0). A dense word
-  // whose `dense(w)` returns false (its catch-up cleared bits and left it
-  // sparse) is walked as a sparse word.
-  template <typename Dense, typename Sparse>
-  void VisitWarm(Dense&& dense, Sparse&& sparse);
-
-  // Which low-tier pages a warm pass lists as promotion candidates: heat
-  // >= min_heat (NaN lists none), touched this epoch if this_epoch_only,
-  // and not quarantined. One value covers every CandidateScan: a float
-  // min_heat rounded up from the double threshold selects exactly the
-  // heats the double compare does.
-  struct CandidateFilter {
-    float min_heat = 0.0f;
-    bool this_epoch_only = false;
-  };
-
-  // The warm pass of one tick: DRAM pages that may sort below the cut are
-  // offered to `pool`, and the HottestFirstKeyOf keys of CXL pages passing
-  // `filter` are appended to `hot` in id order. Dense words decide their 64
-  // pages with masks from the residency bitsets and two vectorised heat
-  // compares, or are skipped whole, still behind, when their heat bounds
-  // leave both masks empty; every other word is brought current first.
-  // Returns the number of DRAM pages offered, counting those the cut
-  // turned away before the call.
-  uint64_t ScanWarm(const CandidateFilter& filter, ColdPoolSelector& pool,
-                    ArenaVector<ColdPoolSelector::Key>& hot);
-
-  // Calls `visit(id)`, in id order from the word of `from` until it returns
-  // false, for the pages this tick's warm pass left out: the clear bits of
-  // sparse words, which hold heat 0 once the pass cleared their stale bits.
-  template <typename Visit>
-  void VisitCold(PageId from, Visit&& visit);
-
-  // One decay of every page's heat: counts it in decays_ and scales both
-  // bound arrays. The heats themselves decay when their words catch up.
-  void DecayWarm();
-
-  // Brings word `w` current: the one place a word's pending decays reach
-  // its heats. Every reader of a word's heats calls it first, and every
-  // writer but quarantine, whose heat 0 no decay changes.
-  void CatchUp(size_t w) {
-    if (word_decays_[w] != decays_) {
-      CatchUpWord(w);
-    }
-  }
-  void CatchUpWord(size_t w);
-
-  // Sizes the stamp column, both page sets, the heat bounds and the decay
-  // counts to cover every page slot.
-  void GrowPageSets();
-
-  // Sets word `w`'s heat bounds to the least and greatest heat of its page
-  // slots.
-  void BoundWord(size_t w);
-
-  // Counts the DRAM-resident pages promoted within the stamp window, and
-  // those of them touched this interval, into tick_recent_promoted_*.
-  void CountRecentPromotions();
+  // Ends a tick: advances the epoch and the clock by `dt_seconds` and adds
+  // the owners' work counts into `result`.
+  void EndTick(TickResult& result, double dt_seconds);
 
   // Appends one tick's worth of telemetry (no-op without a sink).
   void EmitTickTelemetry(const TickResult& result, double dt_seconds);
@@ -426,108 +646,16 @@ class TieredMemory {
   std::unique_ptr<TieringPolicy> owned_policy_;
   TieringPolicy* policy_ = nullptr;
 
-  // Migration-outcome bookkeeping feeding TickObservation (observational
-  // only — never consulted by the mechanisms themselves):
-  // promote-epoch stamp per page, epoch_ + 1 at promotion time (0 = never
-  // promoted), so a demotion or re-access of a recently promoted page is
-  // recognisable within the stamp window.
-  std::vector<uint32_t> promote_epoch_;
-  // One bit per page id, set at promotion and cleared once the counting
-  // pass finds the stamp aged out of the window: a superset of the pages
-  // whose stamps can count, so the feedback counts need not visit every
-  // DRAM page.
-  std::vector<uint64_t> recently_promoted_;
-  uint64_t tick_ping_pong_ = 0;             // Demotions of recently promoted pages.
-  uint64_t tick_recent_promoted_ = 0;       // Recently promoted pages seen in DRAM.
-  uint64_t tick_recent_promoted_hot_ = 0;   // ...of those, re-accessed this interval.
+  // The per-page state. The ledger comes first: the warm set grows its
+  // columns.
+  PromotionLedger ledger_;
+  WarmSet warm_;
+  ColdPool cold_pool_;
 
-  // Per-tick transients (candidate lists) bump-allocate here; Reset() at each Tick() entry recycles the blocks, so
-  // steady-state ticks do no heap allocation.
+  // Per-tick transients (candidate lists) bump-allocate here; Reset() at
+  // each Tick() entry recycles the blocks, so steady-state ticks do no heap
+  // allocation.
   Arena tick_arena_;
-
-  // Warm set: one bit per page id, a superset of the pages with heat > 0.
-  // Decay leaves heat 0 at exactly 0, so between accesses only warm pages
-  // change, and every daemon pass visits only them, in id order. Words with
-  // many bits set are dense: every page of them is handled, zero heat
-  // included, 64 at a time by masks in the candidate/cold-pool pass and by
-  // a straight sweep when the word catches up. RecordAccess sets a bit,
-  // RecordAccessRun a span's bits a word at a time. A catch-up clears the
-  // bit of every page it leaves at heat 0, and a pass that reads heat 0 on
-  // a sparse word's page clears its bit. Allocate's heat reset and
-  // quarantine's leave stale bits, which only cost a visit. Heat is
-  // assumed non-negative, with a finite, non-negative decay factor.
-  //
-  // Decay is lazy and word-granular. decays_ counts the decays the daemon
-  // has made; word_decays_[w] those word w's heats have had. A word behind
-  // catches up (CatchUp) when its heats are next read or written: each of
-  // its pages gets the decays it missed, as the same sequential multiplies
-  // a per-tick sweep would have made. A tick's own reads see pre-decay
-  // heat, since the tick decays last. Heat(id) reads through the pending
-  // decays; SettleHeat brings every word current.
-  //
-  // Each word also keeps bounds of its page slots' current heat: word_lo_[w]
-  // <= heat <= word_hi_[w] for every slot of word w whenever a tick scans.
-  // A dense word whose upper bound is below the candidate threshold and
-  // whose lower bound is above the cold pool's cut holds no page the scan
-  // could select, and is skipped whole, without catching up. The bounds
-  // change where heat does, with no pass of their own. Float multiplication
-  // and addition round monotonically, so a decay scales both bounds of
-  // every word and RecordAccessRun shifts those of the words it covers
-  // whole, exactly; it recomputes its two edge words, RecordAccess raises
-  // the upper bound and quarantine zeroes the lower. Allocation resets heat
-  // without the daemon, so a tick that sees one (by `pgalloc`, as for
-  // zero_floor_) first zeroes every lower bound. The others only loosen,
-  // and every catch-up recomputes its word's exact bounds.
-  std::vector<uint64_t> warm_;
-  std::vector<float> word_lo_;
-  std::vector<float> word_hi_;
-  std::vector<uint32_t> word_decays_;
-  uint32_t decays_ = 0;
-  HeatDecay decay_;
-  uint64_t heat_catch_ups_ = 0;  // TickResult::heat_catch_ups accumulator.
-  uint64_t tick_pages_visited_ = 0;   // TickResult::pages_visited accumulator.
-  uint64_t tick_pool_offers_ = 0;     // TickResult::pool_offers accumulator.
-  uint64_t tick_pool_shrinks_ = 0;    // TickResult::pool_shrinks accumulator.
-  uint64_t tick_sorted_entries_ = 0;  // TickResult::sorted_entries accumulator.
-  uint64_t tick_dense_words_skipped_ = 0;  // TickResult::dense_words_skipped accumulator.
-  // Where the walks for zero-heat DRAM pages start on sparse words: no
-  // sparse word below it holds one. Dense words are not covered, so a
-  // dense word below it may hold zero-heat DRAM pages (the zero-heat pool
-  // walks dense words from word 0; the selector's pass offers them). Both
-  // walks raise it to the first sparse-word page they take, so demoting
-  // the lowest zero-heat pages does not leave a growing prefix to re-walk
-  // (from id 0, the largest kv-hotpromote tick visits 13.6% of the page
-  // slots instead of 8.3%). Whatever can make a page below it a zero-heat
-  // DRAM page of a sparse word lowers it: a catch-up that clears bits (to
-  // the word's lowest zero-heat DRAM page, which also covers a dense word
-  // the clearing leaves sparse), quarantine, promoting a zero-heat page,
-  // and placement changes made outside the daemon, which only allocation
-  // makes (seen as a change in the allocator's `pgalloc` counter). The
-  // warm-set tests fail if any of these is left out.
-  PageId zero_floor_ = 0;
-  uint64_t seen_pgalloc_ = 0;
-
-  // Demotion cold pool: the ColdPoolSelector keys of the coldest DRAM
-  // pages in ascending (heat, id) order, built with each tick's one
-  // warm-set pass and consumed across the several DemoteColdPages calls a
-  // single Tick makes (heat is constant within a tick, so the remaining
-  // pool entries stay the exact k-smallest of the shrinking DRAM set). It
-  // is built one of two ways. When the DRAM pages outside the warm set
-  // number at least k (every kv-hotpromote tick), the pool is the k
-  // lowest-id zero-heat DRAM pages, taken by one id walk with no selector
-  // or sort (InstallZeroHeatPool). Otherwise the pass offers the warm DRAM
-  // pages that may sort below the cut to a ColdPoolSelector, and the zero-
-  // heat pages it left out follow (InstallColdPool; most Spark ticks).
-  // Either way the buffer is reserved once at 2k keys, as the selector
-  // does. Invalidated at every tick start (decay/access change heat) and
-  // whenever a page enters DRAM whose (heat, id) sorts at or below the
-  // pool's floor — such a page would belong in the pool (cheap test, rare:
-  // promoted pages are hot by construction). An invalid or drained pool is
-  // refilled by BuildColdPool, which picks its way the same.
-  std::vector<ColdPoolSelector::Key> cold_pool_;
-  size_t cold_pool_next_ = 0;
-  bool cold_pool_valid_ = false;
-  ColdPoolSelector::Key cold_pool_floor_ = 0;
 
   // Telemetry (observational only).
   telemetry::MetricRegistry* telemetry_ = nullptr;
@@ -557,7 +685,6 @@ class TieredMemory {
 
   // Fault handling (inert unless an enabled injector is attached).
   const fault::FaultInjector* faults_ = nullptr;
-  std::unordered_map<PageId, uint32_t> quarantined_;  // Page -> QuarantineEpoch.
   int promotion_failure_streak_ = 0;
   int backoff_ticks_remaining_ = 0;
 };

@@ -1,12 +1,13 @@
 # Runs a binary with malformed arguments and fails unless every run exits 2
 # with nothing on stdout and a first stderr line that names the bad
 # argument. Invoked as a ctest:
-#   cmake -DBIN=<binary> [-DREJECT_FAULTS=ON] [-DREJECT_TIERING=ON] -P bad_flags.cmake
+#   cmake -DBIN=<binary> [-DREJECT_JOBS=ON] [-DREJECT_FAULTS=ON] [-DREJECT_TIERING=ON]
+#         -P bad_flags.cmake
 #       the shared cases: a misspelled flag, a malformed --jobs and
 #       --events-ring value, a trailing --trace-out and a stray positional;
-#       with REJECT_FAULTS, `--faults storm` too, and with REJECT_TIERING
-#       `--tiering-policy tpp-like`, for a binary that does not declare
-#       that flag group;
+#       with REJECT_JOBS, `--jobs 2` too, with REJECT_FAULTS `--faults
+#       storm` and with REJECT_TIERING `--tiering-policy tpp-like`, for a
+#       binary that does not declare that flag group;
 #   cmake -DBIN=<binary> "-DARGS=3.2x 2.1 2 1.1" -DNAME=3.2x -P bad_flags.cmake
 #       one case: ARGS is one space-separated argument string and NAME the
 #       text its first stderr line must contain.
@@ -21,6 +22,10 @@ if(DEFINED ARGS)
 else()
   set(cases "--fault-sed 7" "--jobs=abc" "--events-ring x" "--trace-out" "extra")
   set(names "--fault-sed" "--jobs" "--events-ring" "--trace-out" "extra")
+  if(REJECT_JOBS)
+    list(APPEND cases "--jobs 2")
+    list(APPEND names "--jobs")
+  endif()
   if(REJECT_FAULTS)
     list(APPEND cases "--faults storm")
     list(APPEND names "--faults")

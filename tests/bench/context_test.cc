@@ -24,9 +24,10 @@ struct Argv {
 
 // Parses with every optional flag group declared.
 Context Parse(Argv& a, std::string positionals = "") {
-  return Context::FromArgs(&a.argc, a.ptrs.data(),
-                           {.faults = true, .fault_tuning = true, .tiering = true}, {},
-                           std::move(positionals));
+  return Context::FromArgs(
+      &a.argc, a.ptrs.data(),
+      {.jobs = true, .faults = true, .fault_tuning = true, .tiering = true}, {},
+      std::move(positionals));
 }
 
 TEST(ContextTest, JobsParsesAndStripsTheFlag) {
@@ -156,7 +157,7 @@ TEST(ContextTest, OwnFlagsJoinTheTable) {
        },
        "a test flag"}};
   Argv a({"bench", "--fails", "--level=high", "-j3"});
-  const Context ctx = Context::FromArgs(&a.argc, a.ptrs.data(), {}, own);
+  const Context ctx = Context::FromArgs(&a.argc, a.ptrs.data(), {.jobs = true}, own);
   EXPECT_TRUE(fails_only);
   EXPECT_EQ(level, "high");
   EXPECT_EQ(ctx.jobs(), 3);
@@ -200,11 +201,15 @@ TEST(ContextDeathTest, UndeclaredGroupsRejectTheirFlags) {
   const auto parse = [](Argv& a, FlagGroups groups) {
     return Context::FromArgs(&a.argc, a.ptrs.data(), groups);
   };
-  for (const std::string name : {"--faults", "--fault-seed", "--fault-knob", "--tiering-policy"}) {
+  for (const std::string name :
+       {"--jobs", "--faults", "--fault-seed", "--fault-knob", "--tiering-policy"}) {
     Argv a({"bench", name, "x"});
     EXPECT_EXIT(parse(a, {}), ::testing::ExitedWithCode(2),
                 "bench: unknown flag '" + name + "'\nusage: bench \\[flags\\]\n");
   }
+  Argv short_jobs({"bench", "-j4"});
+  EXPECT_EXIT(parse(short_jobs, {.faults = true}), ::testing::ExitedWithCode(2),
+              "unknown flag '-j'");
   // The usage ends at the shared flags.
   Argv bad({"bench", "--jobs=x"});
   EXPECT_EXIT(parse(bad, {}), ::testing::ExitedWithCode(2),

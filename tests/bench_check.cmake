@@ -2,8 +2,8 @@
 # fails unless every check of that step holds. Invoked as a ctest:
 #   cmake -DSTEP=golden|jobs_invariance|report_check -DBIN=<binary> -DROW=<row>
 #         -DGOLDEN=<file> -DWORK_DIR=<dir> ["-DARGS=--fault-seed 7"]
-#         [-DCONTEXT=ON] [-DCXL_REPORT=<cxl_report>] [-DREPORT_GOLDEN=<file.md>]
-#         -P bench_check.cmake
+#         [-DCONTEXT=ON [-DNO_JOBS=ON]] [-DCXL_REPORT=<cxl_report>]
+#         [-DREPORT_GOLDEN=<file.md>] -P bench_check.cmake
 # ARGS is one space-separated string of arguments. Files go to
 # WORK_DIR/<row>_*; a later step reads what an earlier one wrote (the ctests
 # are chained by fixtures).
@@ -17,14 +17,24 @@
 #   exit 0.
 # report_check: the diagnosis `cxl_report --events e8 --metrics m --check`
 #   writes must equal REPORT_GOLDEN.
+# A Context binary that does not declare the jobs flag group (NO_JOBS) runs
+# both steps without --jobs 1 and --jobs 8.
 cmake_minimum_required(VERSION 3.19)  # string(JSON)
 
 if(NOT DEFINED STEP OR NOT DEFINED BIN OR NOT DEFINED ROW OR NOT DEFINED GOLDEN
    OR NOT DEFINED WORK_DIR)
   message(FATAL_ERROR
           "usage: cmake -DSTEP=golden|jobs_invariance|report_check -DBIN=<binary> "
-          "-DROW=<row> -DGOLDEN=<file> -DWORK_DIR=<dir> [-DARGS=<args>] [-DCONTEXT=ON] "
-          "[-DCXL_REPORT=<cxl_report>] [-DREPORT_GOLDEN=<file.md>] -P bench_check.cmake")
+          "-DROW=<row> -DGOLDEN=<file> -DWORK_DIR=<dir> [-DARGS=<args>] "
+          "[-DCONTEXT=ON [-DNO_JOBS=ON]] [-DCXL_REPORT=<cxl_report>] "
+          "[-DREPORT_GOLDEN=<file.md>] -P bench_check.cmake")
+endif()
+
+set(jobs1 --jobs 1)
+set(jobs8 --jobs 8)
+if(NO_JOBS)
+  set(jobs1 "")
+  set(jobs8 "")
 endif()
 
 separate_arguments(bench_args UNIX_COMMAND "${ARGS}")
@@ -70,14 +80,14 @@ endfunction()
 
 if(STEP STREQUAL "golden")
   if(CONTEXT)
-    run_against_golden(j1 --jobs 1 --events-out "${out}_events_j1.jsonl")
+    run_against_golden(j1 ${jobs1} --events-out "${out}_events_j1.jsonl")
   else()
     run_against_golden(stdout)
   endif()
   message(STATUS "${run}: stdout matches ${GOLDEN}")
 
 elseif(STEP STREQUAL "jobs_invariance")
-  run_against_golden(j8 --jobs 8 --events-out "${out}_events.jsonl"
+  run_against_golden(j8 ${jobs8} --events-out "${out}_events.jsonl"
                      --metrics-out "${out}_metrics.json" --trace-out "${out}_trace.json"
                      --bench-json "${out}_bench.json")
   execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
@@ -96,8 +106,9 @@ elseif(STEP STREQUAL "jobs_invariance")
     endif()
   endforeach()
   run_report_check()
-  message(STATUS "${run}: stdout matches ${GOLDEN} at --jobs 8 with telemetry on, "
-                 "event log matches --jobs 1, telemetry parses, cxl_report --check passes")
+  list(JOIN jobs8 " " at)
+  message(STATUS "${run}: stdout matches ${GOLDEN} ${at} with telemetry on, event log "
+                 "matches the golden step's, telemetry parses, cxl_report --check passes")
 
 elseif(STEP STREQUAL "report_check")
   run_report_check(--out "${out}_report.md")

@@ -57,13 +57,13 @@ TEST_F(TieringFaultTest, QuarantineDemotesAndBlocksPromotion) {
   EXPECT_FALSE(tiering.QuarantinePage(victim));  // Already quarantined.
   EXPECT_EQ(tiering.QuarantinedPages(), 1u);
   // Demoted out of DRAM...
-  EXPECT_FALSE(tiering.IsTopTier(alloc_.NodeOf(victim)));
+  EXPECT_FALSE(alloc_.IsDramNode(alloc_.NodeOf(victim)));
   // ...and never promoted back, no matter how hot it runs.
   for (int tick = 0; tick < 4; ++tick) {
     tiering.RecordAccess(victim, 1000);
     tiering.Tick(1.0);
   }
-  EXPECT_FALSE(tiering.IsTopTier(alloc_.NodeOf(victim)));
+  EXPECT_FALSE(alloc_.IsDramNode(alloc_.NodeOf(victim)));
 }
 
 TEST_F(TieringFaultTest, DaemonStallFreezesTicks) {

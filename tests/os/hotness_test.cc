@@ -47,12 +47,11 @@ TEST_F(HotnessTest, HeatDecaysEachTick) {
 }
 
 TEST_F(HotnessTest, TopTierClassification) {
-  TieredMemory tiering(alloc_, TieringConfig{});
   for (const auto& n : platform_.nodes()) {
     if (n.kind == topology::NodeKind::kDram) {
-      EXPECT_TRUE(tiering.IsTopTier(n.id));
+      EXPECT_TRUE(alloc_.IsDramNode(n.id));
     } else {
-      EXPECT_FALSE(tiering.IsTopTier(n.id));
+      EXPECT_FALSE(alloc_.IsDramNode(n.id));
     }
   }
 }
@@ -62,7 +61,7 @@ TEST_F(HotnessTest, LowTierPagesCount) {
   const auto cxl0 = platform_.CxlNodes()[0];
   auto pages = alloc_.Allocate(NumaPolicy::Bind({cxl0}), 42);
   ASSERT_TRUE(pages.ok());
-  EXPECT_EQ(tiering.LowTierPages(), 42u);
+  EXPECT_EQ(alloc_.CxlResidentCount(), 42u);
 }
 
 // RecordAccessRun must leave exactly what RecordAccess page by page does.

@@ -61,7 +61,7 @@ TEST(MigrationTest, NoCxlPlatformNeverMigrates) {
   }
   const auto r = tiering.Tick(1.0);
   EXPECT_EQ(r.promoted_pages, 0u);  // Nothing on a low tier.
-  EXPECT_EQ(tiering.LowTierPages(), 0u);
+  EXPECT_EQ(alloc.CxlResidentCount(), 0u);
 }
 
 TEST(MigrationTest, RepeatedTicksRespectCumulativeBudget) {

@@ -42,7 +42,7 @@ TEST_F(PromotionTest, HotCxlPagesGetPromoted) {
   const auto result = tiering.Tick(1.0);
   EXPECT_EQ(result.promoted_pages, 5u);
   for (int i = 0; i < 5; ++i) {
-    EXPECT_TRUE(tiering.IsTopTier(alloc_.NodeOf((*pages)[static_cast<size_t>(i)])));
+    EXPECT_TRUE(alloc_.IsDramNode(alloc_.NodeOf((*pages)[static_cast<size_t>(i)])));
   }
   for (int i = 5; i < 10; ++i) {
     EXPECT_EQ(alloc_.NodeOf((*pages)[static_cast<size_t>(i)]), cxl0);
@@ -161,7 +161,7 @@ TEST_F(PromotionTest, ZipfianLocalityConverges) {
   }
   EXPECT_EQ(late_migrated, 0.0);  // Settled: no residual churn.
   for (int i = 0; i < 20; ++i) {
-    EXPECT_TRUE(tiering.IsTopTier(alloc_.NodeOf((*pages)[static_cast<size_t>(i)])));
+    EXPECT_TRUE(alloc_.IsDramNode(alloc_.NodeOf((*pages)[static_cast<size_t>(i)])));
   }
 }
 
@@ -222,7 +222,7 @@ TEST_F(PromotionTest, SoaScanMatchesAosReferencePromotionOrder) {
   std::vector<std::pair<float, PageId>> reference;
   for (PageId id = 0; id < alloc_.page_count(); ++id) {
     const auto p = alloc_.page(id);
-    if (p.node >= 0 && !tiering.IsTopTier(p.node) &&
+    if (p.node >= 0 && !alloc_.IsDramNode(p.node) &&
         tiering.Heat(id) >= static_cast<float>(tiering.hot_threshold())) {
       reference.emplace_back(tiering.Heat(id), id);
     }
@@ -236,7 +236,7 @@ TEST_F(PromotionTest, SoaScanMatchesAosReferencePromotionOrder) {
   EXPECT_EQ(result.promoted_pages, 12u);
   // Exactly the first 12 reference pages promoted, nothing else.
   for (size_t i = 0; i < reference.size(); ++i) {
-    const bool promoted = tiering.IsTopTier(alloc_.NodeOf(reference[i].second));
+    const bool promoted = alloc_.IsDramNode(alloc_.NodeOf(reference[i].second));
     EXPECT_EQ(promoted, i < 12) << "reference rank " << i;
   }
 }

@@ -33,7 +33,7 @@ TEST_F(TieringModesTest, MruPromotesRecentlyTouchedRegardlessOfHeat) {
   tiering.RecordAccess((*pages)[0], 1);
   const auto r = tiering.Tick(1.0);
   EXPECT_EQ(r.promoted_pages, 1u);
-  EXPECT_TRUE(tiering.IsTopTier(alloc_.NodeOf((*pages)[0])));
+  EXPECT_TRUE(alloc_.IsDramNode(alloc_.NodeOf((*pages)[0])));
 }
 
 TEST_F(TieringModesTest, HotPageSelectionIgnoresLukewarmPages) {
@@ -75,7 +75,7 @@ TEST_F(TieringModesTest, MruWastesBudgetOnColdishPagesUnderMixedHeat) {
     tiering.Tick(1.0);
     int hot_promoted = 0;
     for (int i = 64; i < 68; ++i) {
-      hot_promoted += tiering.IsTopTier(alloc.NodeOf((*pages)[static_cast<size_t>(i)])) ? 1 : 0;
+      hot_promoted += alloc.IsDramNode(alloc.NodeOf((*pages)[static_cast<size_t>(i)])) ? 1 : 0;
     }
     return hot_promoted;
   };
@@ -112,7 +112,7 @@ TEST_F(TieringModesTest, TppPromotesOnSecondAccess) {
   tiering.RecordAccess((*pages)[1], 2);  // Second access: active.
   const auto r = tiering.Tick(1.0);
   EXPECT_EQ(r.promoted_pages, 1u);
-  EXPECT_TRUE(tiering.IsTopTier(alloc_.NodeOf((*pages)[1])));
+  EXPECT_TRUE(alloc_.IsDramNode(alloc_.NodeOf((*pages)[1])));
   EXPECT_EQ(alloc_.NodeOf((*pages)[0]), cxl0);
 }
 

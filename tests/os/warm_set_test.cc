@@ -52,7 +52,7 @@ namespace {
 
 using Entry = std::pair<float, PageId>;
 
-// The daemon's promotion-stamp window (tiering.cc).
+// The daemon's promotion-stamp window (PromotionLedger, tiering.h).
 constexpr uint32_t kPromoteStampWindowTicks = 8;
 
 // 8192 DRAM pages of 4 KiB, so the 4096-page demotion pool is a strict
@@ -230,7 +230,7 @@ class Harness {
     const std::vector<uint32_t> touched(alloc_.epoch_column(), alloc_.epoch_column() + n);
     std::vector<uint32_t> stamp(n);
     for (PageId id = 0; id < n; ++id) {
-      stamp[id] = tiering_.PromoteStamp(id);
+      stamp[id] = tiering_.ledger().PromoteStamp(id);
     }
 
     recorder_.decided = false;
@@ -339,10 +339,10 @@ class Harness {
         coldest_kept = std::min(coldest_kept, e);
       } else if (is_dram(after[id])) {
         ++promoted;
-        if (tiering_.PromoteStamp(id) != epoch + 1) {
+        if (tiering_.ledger().PromoteStamp(id) != epoch + 1) {
           return ::testing::AssertionFailure()
                  << "tick " << epoch << ": promoted page " << id << " has stamp "
-                 << tiering_.PromoteStamp(id);
+                 << tiering_.ledger().PromoteStamp(id);
         }
       }
     }
@@ -681,7 +681,7 @@ struct LazyTwin {
   for (PageId id = 0; id < n; ++id) {
     if (!SameBits(ta.tiering.Heat(id), tb.tiering.Heat(id)) ||
         ta.alloc.NodeOf(id) != tb.alloc.NodeOf(id) ||
-        ta.tiering.PromoteStamp(id) != tb.tiering.PromoteStamp(id)) {
+        ta.tiering.ledger().PromoteStamp(id) != tb.tiering.ledger().PromoteStamp(id)) {
       return ::testing::AssertionFailure()
              << "page " << id << ": heat " << ta.tiering.Heat(id) << "/" << tb.tiering.Heat(id)
              << ", node " << ta.alloc.NodeOf(id) << "/" << tb.alloc.NodeOf(id);
@@ -847,9 +847,10 @@ TEST_P(LazyDecayTest, SettledAndUnsettledDaemonsAgreeBitForBit) {
           filler.clear();
         }
       } else {
-        for (size_t w = 0; w < lazy.tiering.word_decays().size(); ++w) {
-          if (lazy.tiering.warm_set()[w] != 0) {
-            max_lag = std::max(max_lag, lazy.tiering.decays() - lazy.tiering.word_decays()[w]);
+        const WarmSet& warm = lazy.tiering.warm();
+        for (size_t w = 0; w < warm.word_decays().size(); ++w) {
+          if (warm.bits()[w] != 0) {
+            max_lag = std::max(max_lag, warm.decays() - warm.word_decays()[w]);
           }
         }
         std::vector<float> heat_before_tick(settled.alloc.page_count());
@@ -964,6 +965,145 @@ TEST(WarmSetColdPoolTest, QuarantinedPageBelowTheWalkIsDemotedFirst) {
   ASSERT_TRUE(h.Tick(&r));
   EXPECT_GT(r.demoted_pages, 0u);
   EXPECT_EQ(h.alloc().NodeOf(quarantined), cxl.front());
+}
+
+// The same, with the page's word brought current by this interval's
+// accesses before the quarantine: no catch-up then clears its stale bit
+// and lowers the walk's start, so only the quarantine's own lowering puts
+// the page back in the walk.
+TEST(WarmSetColdPoolTest, QuarantinedCurrentPageBelowTheWalkIsDemotedFirst) {
+  TieringConfig cfg;
+  cfg.policy = "hot-page-selection";
+  cfg.hint_fault_sample_rate = 0.25;
+  cfg.initial_hot_threshold = 1.0;
+  cfg.dynamic_threshold = false;
+  cfg.promote_rate_limit_mbps = 4.0;  // ~976 pages per 1 s tick.
+  Harness h(cfg, fault::FaultPlan());
+  const auto cxl = h.platform().CxlNodes();
+  const std::vector<PageId> pages =
+      h.Allocate(kInitialPages, NumaPolicy::Preferred(h.platform().DramNodes()));
+  constexpr PageId kWarmDram = 8;
+  const PageId quarantined = pages[5];
+  PageId next_hot = kDramPages;
+  const auto interval = [&] {
+    for (PageId id = 0; id < kWarmDram; ++id) {
+      h.Access(pages[id], 4);
+    }
+    for (int i = 0; i < 500 && next_hot < kInitialPages; ++i) {
+      h.Access(pages[next_hot++], 8);
+    }
+  };
+  for (int t = 0; t < 4; ++t) {
+    interval();
+    ASSERT_TRUE(h.Tick());
+  }
+  ASSERT_EQ(h.alloc().NodeOf(pages[kWarmDram + 1000]), cxl.front());
+  const std::vector<PageId> filler =
+      h.Allocate(h.alloc().FreePages(cxl.front()), NumaPolicy::Bind(cxl));
+  ASSERT_TRUE(h.Tick());
+  interval();
+  h.Quarantine(quarantined);
+  ASSERT_TRUE(h.alloc().IsDramNode(h.alloc().NodeOf(quarantined)));
+  h.Free(filler);
+  TieredMemory::TickResult r;
+  ASSERT_TRUE(h.Tick(&r));
+  EXPECT_GT(r.demoted_pages, 0u);
+  EXPECT_EQ(h.alloc().NodeOf(quarantined), cxl.front());
+}
+
+// A page that enters DRAM mid-tick at or below the cold pool's floor
+// belongs in the pool, so the next demotion must see it. Here DRAM is full
+// of warm pages and a threshold of 0 promotes zero-heat CXL pages: each
+// batch of them is then the coldest in DRAM and goes back at the next
+// demotion, so only the tick's first batch of 122 (the 976-page budget
+// over 8) comes out of the pre-tick DRAM pages.
+TEST(WarmSetColdPoolTest, PagesPromotedBelowThePoolFloorAreDemotedNext) {
+  TieringConfig cfg;
+  cfg.policy = "hot-page-selection";
+  cfg.hint_fault_sample_rate = 0.25;
+  cfg.initial_hot_threshold = 0.0;
+  cfg.dynamic_threshold = false;
+  cfg.promote_rate_limit_mbps = 4.0;  // ~976 pages per 1 s tick.
+  Harness h(cfg, fault::FaultPlan());
+  const std::vector<PageId> pages =
+      h.Allocate(kInitialPages, NumaPolicy::Preferred(h.platform().DramNodes()));
+  ASSERT_EQ(h.alloc().DramResidentCount(), kDramPages);
+  for (PageId id = 0; id < kDramPages; ++id) {
+    h.Access(pages[id], 4);
+  }
+  TieredMemory::TickResult r;
+  ASSERT_TRUE(h.Tick(&r));
+  ASSERT_EQ(r.promoted_pages, 976u);
+  uint64_t warm_demoted = 0;
+  for (PageId id = 0; id < kDramPages; ++id) {
+    warm_demoted += h.alloc().IsDramNode(h.alloc().NodeOf(pages[id])) ? 0 : 1;
+  }
+  EXPECT_EQ(warm_demoted, 122u);
+}
+
+// A span's interior words take the span's add on both bounds, exactly, so
+// a word the span covers whole is skipped at the next tick when the add
+// puts it above the cold pool's cut and below the threshold. DRAM (room
+// for 16,384 pages, so no watermark demotion) holds 9,000 pages at heat 1,
+// which the pass offers first: the 8,192nd offer shrinks the k = 4,096 pool
+// and puts its cut at heat 1. The span then gives three CXL words heat 2,
+// under the threshold of 4. A tick first takes the allocation, which
+// zeroes every lower bound.
+TEST(WarmSetBoundsTest, SpanWordsAboveTheCutAreSkipped) {
+  TieringConfig cfg;
+  cfg.policy = "hot-page-selection";
+  cfg.hint_fault_sample_rate = 0.25;
+  cfg.initial_hot_threshold = 4.0;
+  cfg.dynamic_threshold = false;
+  cfg.promote_rate_limit_mbps = 4.0;  // Batches of 122, so k = 4,096.
+  topology::PlatformOptions opt;
+  opt.sockets = 1;
+  opt.dram_per_socket = 2 * kDramPages * kPageBytes;
+  opt.cxl_cards = 1;
+  opt.cxl_card_capacity = kCxlPages * kPageBytes;
+  Harness h(cfg, fault::FaultPlan(), nullptr, topology::Platform::Build(opt));
+  constexpr uint64_t kWarmDram = 9000;
+  const std::vector<PageId> dram =
+      h.Allocate(kWarmDram, NumaPolicy::Bind(h.platform().DramNodes()));
+  const std::vector<PageId> cxl = h.Allocate(256, NumaPolicy::Bind(h.platform().CxlNodes()));
+  ASSERT_EQ(cxl.front(), kWarmDram);
+  ASSERT_TRUE(h.Tick());
+  for (const PageId id : dram) {
+    h.Access(id, 4);
+  }
+  const PageId span = (kWarmDram + 63) / 64 * 64;  // The first whole CXL word.
+  h.AccessSpan(span, 192, 8);
+  TieredMemory::TickResult r;
+  ASSERT_TRUE(h.Tick(&r));
+  EXPECT_EQ(r.candidates, 0u);
+  EXPECT_EQ(r.demoted_pages, 0u);
+  EXPECT_EQ(r.dense_words_skipped, 3u);
+}
+
+// A promoted page leaves the recently promoted set once its stamp ages out
+// of the window, so the feedback count stops visiting it.
+TEST(WarmSetWorkTest, AgedOutPromotionsLeaveTheFeedbackCount) {
+  TieringConfig cfg;
+  cfg.policy = "hot-page-selection";
+  cfg.hint_fault_sample_rate = 0.25;
+  cfg.initial_hot_threshold = 1.0;
+  cfg.dynamic_threshold = false;
+  Harness h(cfg, fault::FaultPlan());
+  const std::vector<PageId> pages = h.Allocate(256, NumaPolicy::Bind(h.platform().CxlNodes()));
+  constexpr PageId kHot = 10;  // One sparse word.
+  for (PageId id = 0; id < kHot; ++id) {
+    h.Access(pages[id], 400);
+  }
+  TieredMemory::TickResult r;
+  ASSERT_TRUE(h.Tick(&r));
+  ASSERT_EQ(r.promoted_pages, kHot);
+  // Each later tick visits the ten warm DRAM pages, and the feedback count
+  // visits them too while their stamps are in the window (8 ticks).
+  for (int tick = 1; tick <= 12; ++tick) {
+    ASSERT_TRUE(h.Tick(&r));
+    ASSERT_EQ(r.promoted_pages, 0u);
+    EXPECT_EQ(r.pages_visited, tick <= 9 ? 2 * kHot : kHot) << "tick " << tick;
+  }
 }
 
 // The hotness-ranked scan compares float heat against a double threshold,
@@ -1211,7 +1351,7 @@ TEST(WarmSetColdPoolTest, DemotesTheLowestIdsOfATieAtTheCut) {
 // number at least the pool's size k, the pool is the k lowest-id zero-heat
 // DRAM pages, filled by an id walk with no selector.
 uint64_t DramOutsideWarmSet(Harness& h) {
-  const std::vector<uint64_t>& warm = h.tiering().warm_set();
+  const std::vector<uint64_t>& warm = h.tiering().warm().bits();
   const std::vector<uint64_t>& dram = h.alloc().dram_bits();
   uint64_t n = 0;
   for (size_t w = 0; w < dram.size(); ++w) {
