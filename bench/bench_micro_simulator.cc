@@ -118,7 +118,11 @@ BENCHMARK(BM_PageAllocate)->Arg(4096)->Arg(65536)->Arg(1 << 21);
 // the cluster records them. Items are the pages the ticks visited; the
 // dense_words_skipped counter is the words per tick the heat bounds let
 // the pass skip, and heat_catch_ups the words per tick brought current
-// (by the window's spans and the tick's pass).
+// (by the window's spans and the tick's pass). The daemon's state drifts
+// with the tick count, so the iteration count is fixed, at 4,000 ticks: a
+// whole number of 50-tick window cycles, and ~0.5 s of timed ticks (the
+// library's default minimum time) at ~130 us a tick. The counters are then
+// independent of the machine's speed and comparable across commits.
 void BM_DaemonTickStreaming(benchmark::State& state) {
   constexpr double kRegionBytes = 600e9;
   topology::PlatformOptions opt;
@@ -176,7 +180,7 @@ void BM_DaemonTickStreaming(benchmark::State& state) {
   state.counters["heat_catch_ups"] =
       benchmark::Counter(static_cast<double>(catch_ups), benchmark::Counter::kAvgIterations);
 }
-BENCHMARK(BM_DaemonTickStreaming)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_DaemonTickStreaming)->Iterations(4000)->Unit(benchmark::kMicrosecond);
 
 // The daemon of one kv-hotpromote cell (hostbench, bench_fig5): 32 GiB of
 // 1 KiB records on 16 KiB pages, the Hot-Promote platform and tiering

@@ -397,18 +397,10 @@ void KvServerSim::FlushLatencyBatch() {
   epoch_mean_latency_us_ = sum_us / static_cast<double>(epoch_latency_us_.size());
   // Completion order throughout: each histogram sees the exact Record
   // sequence per-op recording produced, so the (order-sensitive) running
-  // sums match bit for bit.
-  result_.all_latency_us.RecordBatch(epoch_latency_us_.data(), epoch_latency_us_.size());
-  for (int is_write = 0; is_write < 2; ++is_write) {
-    latency_flush_scratch_.clear();
-    for (size_t i = 0; i < epoch_latency_us_.size(); ++i) {
-      if (epoch_latency_is_write_[i] == is_write) {
-        latency_flush_scratch_.push_back(epoch_latency_us_[i]);
-      }
-    }
-    Histogram& h = is_write ? result_.update_latency_us : result_.read_latency_us;
-    h.RecordBatch(latency_flush_scratch_.data(), latency_flush_scratch_.size());
-  }
+  // sums match bit for bit. One bucket lookup per latency serves all three.
+  result_.all_latency_us.RecordBatchSplit(epoch_latency_us_.data(), epoch_latency_is_write_.data(),
+                                          epoch_latency_us_.size(), result_.read_latency_us,
+                                          result_.update_latency_us);
   epoch_latency_us_.clear();
   epoch_latency_is_write_.clear();
 }

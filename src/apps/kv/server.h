@@ -184,7 +184,6 @@ class KvServerSim {
   // snapshots are bit-identical to per-op recording).
   std::vector<double> epoch_latency_us_;
   std::vector<uint8_t> epoch_latency_is_write_;
-  std::vector<double> latency_flush_scratch_;
   // Mean of the batch most recently flushed (this epoch's latencies).
   double epoch_mean_latency_us_ = 0.0;
 

@@ -141,7 +141,8 @@ double ZetaSum(uint64_t n, double theta) {
   return z;
 }
 
-ZipfianDistribution::ZipfianDistribution(uint64_t n, double theta) : n_(n), theta_(theta) {
+ZipfianDistribution::ZipfianDistribution(uint64_t n, double theta)
+    : n_(n), theta_(theta), rank_one_bound_(1.0 + std::pow(0.5, theta)) {
   assert(n >= 1);
   assert(theta > 0.0 && theta < 1.0);
   zeta_two_ = ZetaIncremental(0, 2, theta_, 0.0);
@@ -170,7 +171,7 @@ uint64_t ZipfianDistribution::Next(Rng& rng) {
   if (uz < 1.0) {
     return 0;
   }
-  if (uz < 1.0 + std::pow(0.5, theta_)) {
+  if (uz < rank_one_bound_) {
     return 1;
   }
   const auto rank = static_cast<uint64_t>(static_cast<double>(n_) *

@@ -76,6 +76,10 @@ class ZipfianDistribution final : public KeyDistribution {
 
   uint64_t n_;
   double theta_;
+  // 1 + 0.5^theta: Next returns rank 1 below it. theta_ never changes, so
+  // the constructor computes it once (not Recompute(), which every GrowTo
+  // runs).
+  double rank_one_bound_;
   double zeta_n_ = 0.0;    // zeta(n, theta)
   double zeta_two_ = 0.0;  // zeta(2, theta)
   double alpha_ = 0.0;

@@ -46,19 +46,48 @@ void Histogram::RecordBatch(const double* values, size_t count) {
   }
 }
 
+void Histogram::RecordBatchSplit(const double* values, const uint8_t* in_second, size_t count,
+                                 Histogram& first, Histogram& second) {
+  assert(SameLayout(first) && SameLayout(second));
+  for (size_t i = 0; i < count; ++i) {
+    const double value = values[i];
+    const int bucket = CachedBucketIndex(value);
+    AddToBucket(value, bucket, 1);
+    // The bucket is a function of the value and the shared layout, so the
+    // part caches the pair its own lookup would have.
+    Histogram& part = in_second[i] != 0 ? second : first;
+    part.last_value_ = value;
+    part.last_bucket_ = bucket;
+    part.AddToBucket(value, bucket, 1);
+  }
+}
+
 void Histogram::RecordMany(double value, uint64_t n) {
   if (n == 0) {
     return;
   }
+  AddToBucket(value, CachedBucketIndex(value), n);
+}
+
+int Histogram::CachedBucketIndex(double value) {
   if (last_bucket_ < 0 || value != last_value_) {
     last_bucket_ = BucketIndex(value);
     last_value_ = value;
   }
-  buckets_[static_cast<size_t>(last_bucket_)] += n;
+  return last_bucket_;
+}
+
+void Histogram::AddToBucket(double value, int bucket, uint64_t n) {
+  buckets_[static_cast<size_t>(bucket)] += n;
   min_seen_ = std::min(min_seen_, value);
   max_seen_ = std::max(max_seen_, value);
   count_ += n;
   sum_ += value * static_cast<double>(n);
+}
+
+bool Histogram::SameLayout(const Histogram& other) const {
+  return min_value_ == other.min_value_ && max_value_ == other.max_value_ &&
+         inv_log_step_ == other.inv_log_step_;
 }
 
 void Histogram::Merge(const Histogram& other) {

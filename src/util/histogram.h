@@ -33,6 +33,17 @@ class Histogram {
   // and flush once per epoch through this.
   void RecordBatch(const double* values, size_t count);
 
+  // Records `count` samples in array order into this histogram, and sample i
+  // also into `second` if `in_second[i]` is nonzero, else into `first`.
+  // Bit-identical to RecordBatch of all samples here plus RecordBatch of
+  // each part's samples, in array order, into that part (same sums,
+  // extremes and buckets; every cache left holding a (value, bucket) pair
+  // of the last sample it took), but each sample's bucket is looked up
+  // once, through this histogram's cache. All three histograms must share
+  // one layout (min, max, buckets per decade).
+  void RecordBatchSplit(const double* values, const uint8_t* in_second, size_t count,
+                        Histogram& first, Histogram& second);
+
   // Merges another histogram with identical bucket layout.
   void Merge(const Histogram& other);
 
@@ -68,6 +79,11 @@ class Histogram {
 
  private:
   int BucketIndex(double value) const;
+  // BucketIndex through the last-value cache.
+  int CachedBucketIndex(double value);
+  // Adds `n` samples of `value` to `bucket`; the cache is the caller's.
+  void AddToBucket(double value, int bucket, uint64_t n);
+  bool SameLayout(const Histogram& other) const;
   double BucketUpperBound(int index) const;
 
   double min_value_;

@@ -89,6 +89,92 @@ TEST(ZipfianDistributionTest, GrowToExtendsRange) {
   EXPECT_TRUE(saw_big);
 }
 
+// Gray et al.'s Zipfian with the rank-1 bound 1 + 0.5^theta evaluated inline
+// on every draw, as ZipfianDistribution::Next once did. zeta(n) comes from
+// ZetaSum, whose left-to-right sum GrowTo's incremental update continues.
+class InlineBoundZipfian {
+ public:
+  InlineBoundZipfian(uint64_t n, double theta)
+      : theta_(theta), zeta_two_(0.0 + 1.0 / std::pow(1.0, theta) + 1.0 / std::pow(2.0, theta)) {
+    Resize(n);
+  }
+
+  void GrowTo(uint64_t n) {
+    if (n > n_) {
+      Resize(n);
+    }
+  }
+
+  uint64_t Next(Rng& rng) const {
+    const double u = rng.NextDouble();
+    const double uz = u * zeta_n_;
+    if (uz < 1.0) {
+      return 0;
+    }
+    if (uz < 1.0 + std::pow(0.5, theta_)) {
+      return 1;
+    }
+    const auto rank = static_cast<uint64_t>(static_cast<double>(n_) *
+                                            std::pow(eta_ * u - eta_ + 1.0, alpha_));
+    return rank >= n_ ? n_ - 1 : rank;
+  }
+
+  uint64_t n() const { return n_; }
+
+ private:
+  void Resize(uint64_t n) {
+    n_ = n;
+    zeta_n_ = ZetaSum(n, theta_);
+    alpha_ = 1.0 / (1.0 - theta_);
+    eta_ = (1.0 - std::pow(2.0 / static_cast<double>(n_), 1.0 - theta_)) /
+           (1.0 - zeta_two_ / zeta_n_);
+  }
+
+  double theta_;
+  double zeta_two_;
+  uint64_t n_ = 0;
+  double zeta_n_ = 0.0;
+  double alpha_ = 0.0;
+  double eta_ = 0.0;
+};
+
+// The rank-1 bound ZipfianDistribution computes once in its constructor
+// draws the sequence the inline bound drew, for both YCSB forms (plain and
+// LatestDistribution's inner Zipfian), across GrowTo calls.
+TEST(ZipfianDistributionTest, HoistedRankOneBoundDrawsTheInlineSequence) {
+  constexpr int kDrawsPerSize = 4000;
+  uint64_t rank_ones = 0;
+  for (const double theta : {0.5, 0.99}) {
+    for (const uint64_t n : {uint64_t{2}, uint64_t{3}, uint64_t{1} << 20, uint64_t{1} << 26}) {
+      for (const uint64_t seed : {1u, 7u, 1234567u}) {
+        SCOPED_TRACE(testing::Message() << "theta=" << theta << " n=" << n << " seed=" << seed);
+        InlineBoundZipfian reference(n, theta);
+        ZipfianDistribution zipf(n, theta);
+        LatestDistribution latest(n, theta);
+        Rng ref_rng(seed);
+        Rng zipf_rng(seed);
+        Rng latest_rng(seed);
+        for (const uint64_t grow : {uint64_t{0}, uint64_t{1}, uint64_t{2}, uint64_t{1000}}) {
+          reference.GrowTo(reference.n() + grow);
+          zipf.GrowTo(zipf.item_count() + grow);
+          latest.GrowTo(latest.item_count() + grow);
+          ASSERT_EQ(zipf.item_count(), reference.n());
+          ASSERT_EQ(latest.item_count(), reference.n());
+          for (int i = 0; i < kDrawsPerSize; ++i) {
+            const uint64_t want = reference.Next(ref_rng);
+            ASSERT_EQ(zipf.Next(zipf_rng), want) << "draw " << i << " after +" << grow;
+            // Latest's inner Zipfian consumes the twin of this stream.
+            ASSERT_EQ(latest.Next(latest_rng), reference.n() - 1 - want)
+                << "draw " << i << " after +" << grow;
+            rank_ones += want == 1 ? 1 : 0;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(rank_ones, 1000u);  // Draws landed on the bound's side.
+}
+
 std::string HexFloat(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%a", v);

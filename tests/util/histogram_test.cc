@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "src/util/rng.h"
@@ -247,6 +252,157 @@ TEST(HistogramTest, ExponentialTailQuantiles) {
     h.Record(rng.NextExponential(mean));
   }
   EXPECT_NEAR(h.p99(), mean * 4.605, mean * 0.3);
+}
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+// Every observable of `got` equals `want` bit for bit.
+void ExpectBitIdentical(const Histogram& got, const Histogram& want) {
+  EXPECT_EQ(got.count(), want.count());
+  EXPECT_EQ(Bits(got.sum()), Bits(want.sum()));
+  EXPECT_EQ(Bits(got.min()), Bits(want.min()));
+  EXPECT_EQ(Bits(got.max()), Bits(want.max()));
+  for (const double q : {0.5, 0.9, 0.99, 0.999}) {
+    EXPECT_EQ(Bits(got.ValueAtQuantile(q)), Bits(want.ValueAtQuantile(q))) << "q=" << q;
+  }
+  const auto got_cdf = got.Cdf();
+  const auto want_cdf = want.Cdf();
+  ASSERT_EQ(got_cdf.size(), want_cdf.size());
+  for (size_t k = 0; k < got_cdf.size(); ++k) {
+    EXPECT_EQ(Bits(got_cdf[k].value), Bits(want_cdf[k].value)) << "point " << k;
+    EXPECT_EQ(Bits(got_cdf[k].cumulative), Bits(want_cdf[k].cumulative)) << "point " << k;
+  }
+}
+
+// The KV server's three latency histograms: all ops, then reads (part 0)
+// and updates (part 1), one layout.
+struct SplitHistograms {
+  Histogram all{0.1, 1e7, 96};
+  Histogram first{0.1, 1e7, 96};
+  Histogram second{0.1, 1e7, 96};
+
+  // The reference: every sample into `all`, then each
+  // part's samples, gathered in array order, into that part.
+  void RecordBatchEach(const std::vector<double>& values, const std::vector<uint8_t>& in_second) {
+    all.RecordBatch(values.data(), values.size());
+    for (const uint8_t part : {0, 1}) {
+      std::vector<double> gathered;
+      for (size_t i = 0; i < values.size(); ++i) {
+        if (in_second[i] == part) {
+          gathered.push_back(values[i]);
+        }
+      }
+      (part != 0 ? second : first).RecordBatch(gathered.data(), gathered.size());
+    }
+  }
+
+  void RecordBatchSplit(const std::vector<double>& values, const std::vector<uint8_t>& in_second) {
+    all.RecordBatchSplit(values.data(), in_second.data(), values.size(), first, second);
+  }
+
+  void Record(double value, bool in_second) {
+    all.Record(value);
+    (in_second ? second : first).Record(value);
+  }
+};
+
+void ExpectBitIdentical(const SplitHistograms& got, const SplitHistograms& want) {
+  {
+    SCOPED_TRACE("all");
+    ExpectBitIdentical(got.all, want.all);
+  }
+  {
+    SCOPED_TRACE("first");
+    ExpectBitIdentical(got.first, want.first);
+  }
+  {
+    SCOPED_TRACE("second");
+    ExpectBitIdentical(got.second, want.second);
+  }
+}
+
+// One batch: continuous latencies with runs of repeats (each part sees a
+// value again after the other part took it) and values at and past both
+// ends of the covered range; each sample goes to the second part with
+// probability `second_share`.
+void MakeBatch(Rng& rng, size_t n, double second_share, std::vector<double>* values,
+               std::vector<uint8_t>* in_second) {
+  values->clear();
+  in_second->clear();
+  for (size_t i = 0; i < n; ++i) {
+    double v = 0.0;
+    switch (rng.NextBounded(8)) {
+      case 0:  // Repeat the previous sample.
+        v = values->empty() ? 5.0 : values->back();
+        break;
+      case 1:  // At, below or just above the minimum.
+        v = std::array<double, 4>{0.1, 0.05, 0.0, std::nextafter(0.1, 1.0)}[rng.NextBounded(4)];
+        break;
+      case 2:  // At, above or just below the maximum.
+        v = std::array<double, 3>{1e7, 2.5e7, std::nextafter(1e7, 0.0)}[rng.NextBounded(3)];
+        break;
+      case 3:  // A value seen a few samples back.
+        v = values->size() < 4 ? 3.0 : (*values)[values->size() - 1 - rng.NextBounded(4)];
+        break;
+      default:
+        v = rng.NextExponential(40.0);
+        break;
+    }
+    values->push_back(v);
+    in_second->push_back(rng.NextBool(second_share) ? 1 : 0);
+  }
+}
+
+// RecordBatchSplit equals RecordBatch into all three histograms, bit for
+// bit, across a run of epoch-like batches that follows per-sample Records:
+// mixed, single-part and empty batches. Records after each batch (repeats
+// of the last values included) check that every cache it left holds a true
+// (value, bucket) pair.
+TEST(HistogramTest, RecordBatchSplitEqualsRecordBatchIntoEachHistogram) {
+  for (const uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(testing::Message() << "seed=" << seed);
+    Rng rng(seed);
+    SplitHistograms split;
+    SplitHistograms each;
+    // Earlier per-sample Records leave each cache holding its own pair.
+    for (const auto& [value, in_second] :
+         {std::pair{12.5, false}, std::pair{12.5, true}, std::pair{80.0, true},
+          std::pair{3.25, false}}) {
+      split.Record(value, in_second);
+      each.Record(value, in_second);
+    }
+    std::vector<double> values;
+    std::vector<uint8_t> in_second;
+    // (samples, share of updates): mixed, empty, all-read and all-update.
+    const std::pair<size_t, double> batches[] = {
+        {500, 0.5}, {0, 0.5}, {300, 0.0}, {300, 1.0}, {1, 0.5},
+        {2000, 0.5}, {0, 1.0}, {700, 1.0}, {700, 0.5},
+    };
+    for (const auto& [n, second_share] : batches) {
+      MakeBatch(rng, n, second_share, &values, &in_second);
+      split.RecordBatchSplit(values, in_second);
+      each.RecordBatchEach(values, in_second);
+      ExpectBitIdentical(split, each);
+      // The last values again, a new value, and a repeat of it, into each
+      // part: a cache holding a stale bucket would misfile them.
+      const double last = values.empty() ? 9.0 : values.back();
+      const double before_last = values.size() < 2 ? 11.0 : values[values.size() - 2];
+      for (const double v : {last, before_last, rng.NextExponential(40.0)}) {
+        for (const bool part : {false, true}) {
+          split.Record(v, part);
+          each.Record(v, part);
+          split.Record(v, part);
+          each.Record(v, part);
+        }
+      }
+      ExpectBitIdentical(split, each);
+      if (testing::Test::HasFailure()) {
+        return;
+      }
+    }
+    EXPECT_GT(split.first.count(), 0u);
+    EXPECT_GT(split.second.count(), 0u);
+  }
 }
 
 TEST(RunningStatsTest, Moments) {
