@@ -1,6 +1,9 @@
 // Rack-scale pooling bench (§7.1, made dynamic): N hosts sharing M CXL
 // expanders through a pool scheduler, serving a multi-tenant KV fleet over a
-// simulated day — the successor of the static pooling what-if table.
+// simulated day. It opens and closes with the static pooling what-if
+// tables: the switch-hop latency law and the p99 capacity saving first,
+// then the saving against demand burstiness, a lease-churn run of a 16-host
+// pool and the saving folded into the cost model after the verdict.
 //
 // Sweep: topology {flat, star, mesh} x expander capacity {tight, ample} x
 // fault {healthy, downtrain}. Every cell runs the same seeded fleet (2M
@@ -21,6 +24,7 @@
 
 #include "src/apps/kv/fleet.h"
 #include "src/bench/context.h"
+#include "src/cost/cost_model.h"
 #include "src/fault/fault.h"
 #include "src/pool/memory_pool.h"
 #include "src/pool/rack.h"
@@ -268,6 +272,42 @@ int main(int argc, char** argv) {
         flat_ample_down.fleet.reshard_events > flat_ample.fleet.reshard_events);
   check("downtrain burns SLO budget the healthy run does not",
         flat_ample_down.fleet.slo_burned_ms > flat_ample.fleet.slo_burned_ms);
+
+  PrintSection(std::cout, "Saving vs demand burstiness (16 hosts)");
+  Table cv({"demand CV", "saving %"});
+  for (double v : {0.1, 0.2, 0.35, 0.5, 0.7}) {
+    pool::PoolingEconomicsConfig cfg;
+    cfg.demand_cv = v;
+    cv.Row().Cell(v, 2).Cell(100.0 * pool::EstimatePoolingEconomics(cfg).capacity_saving, 1);
+  }
+  cv.Print(std::cout);
+
+  PrintSection(std::cout, "Lease churn: 16 hosts on a 4 TiB pool, bursty demands");
+  pool::PoolConfig pcfg;
+  pcfg.capacity_bytes = 4 * kTiB;
+  pool::CxlMemoryPool mem_pool(pcfg);
+  pool::PoolChurnConfig churn_cfg;
+  churn_cfg.steps = 3000;
+  const auto churn_result = pool::SimulatePoolChurn(mem_pool, churn_cfg);
+  Table churn({"metric", "value"});
+  churn.Row().Cell("mean pool utilization").Cell(churn_result.mean_utilization, 3);
+  churn.Row().Cell("peak pool utilization").Cell(churn_result.peak_utilization, 3);
+  churn.Row().Cell("grow-request denial rate").Cell(churn_result.denial_rate, 4);
+  churn.Row().Cell("active hosts at end").Cell(static_cast<uint64_t>(mem_pool.ActiveHosts()));
+  churn.Print(std::cout);
+
+  PrintSection(std::cout, "Combined: pooling saving folded into the Abstract Cost Model");
+  // Pooling reduces the CXL capacity each server must own; express it as a
+  // reduction in the fixed CXL adder of the extended model.
+  const double adder = 0.10;
+  const double saving = pool::EstimatePoolingEconomics({}).capacity_saving;
+  const cost::CostModelParams table3{10.0, 8.0, 2.0, 1.1};
+  const cost::ExtendedCostModel without(cost::ExtendedCostParams{table3, adder});
+  const cost::ExtendedCostModel with(cost::ExtendedCostParams{table3, adder * (1.0 - saving)});
+  std::cout << "fixed CXL adder " << FormatDouble(adder, 2) << ": TCO saving "
+            << FormatDouble(100.0 * without.TcoSaving(), 2) << "% -> "
+            << FormatDouble(100.0 * with.TcoSaving(), 2) << "% once the pool amortizes "
+            << FormatDouble(100.0 * saving, 1) << "% of the CXL capacity\n";
 
   if (!ctx.Write("bench_pool_rack")) {
     return 1;

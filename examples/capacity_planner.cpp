@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   }
   double* const fields[] = {&params.r_d, &params.r_c, &params.c, &params.r_t};
   for (int i = 1; i < argc; ++i) {
-    if (!bench::ParseNumber(argv[i], fields[i - 1])) {
+    if (!ParseNumber(argv[i], fields[i - 1])) {
       ctx.Fail("bad number '" + std::string(argv[i]) + "'");
     }
   }

@@ -12,46 +12,79 @@
 //   ops        = 150000
 //   $ ./build/examples/cxl_lab keydb.lab
 //
-// Experiments: keydb | vm | spark | llm | mlc | cost.
+// Experiments: keydb | vm | spark | llm | mlc | cost. Each takes the keys of
+// its own table below, applied through the flag parser (src/util/flags.h):
+// a key the experiment does not take, a malformed number, an unknown name
+// or a ratio that is not N:M with positive integers exits 2 naming the key;
+// a run that fails exits 1.
 // Run with no arguments to print a self-test using built-in specs.
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 
 #include "src/core/cxl_explorer.h"
 #include "src/util/config.h"
+#include "src/util/flags.h"
 
 namespace {
 
 using namespace cxl;
 
-Status RunKeyDbLab(const Config& cfg) {
-  const std::string label = cfg.GetString("config", "MMEM");
-  core::CapacityConfig which = core::CapacityConfig::kMmem;
-  bool found = false;
-  for (core::CapacityConfig c : core::AllCapacityConfigs()) {
-    if (core::ConfigLabel(c) == label) {
-      which = c;
-      found = true;
+// Prints "cxl_lab: <message>" and exits 2: the spec cannot be run as written.
+[[noreturn]] void Reject(const std::string& message) {
+  std::cerr << "cxl_lab: " << message << "\n";
+  std::exit(2);
+}
+
+// Applies every row of `cfg` but `experiment` through `keys`, rejecting the
+// spec at a key they lack or a value they refuse.
+void ApplyKeys(const Config& cfg, const std::vector<Flag>& keys) {
+  for (const auto& [key, value] : cfg.values()) {
+    const Flag* flag = FindFlag(keys, key);
+    if (key != "experiment" && flag == nullptr) {
+      std::string known;
+      for (const Flag& k : keys) {
+        known += (known.empty() ? "" : ", ") + k.name;
+      }
+      Reject("unknown key '" + key + "' (want " + known + ")");
+    }
+    if (flag != nullptr) {
+      if (const Status applied = ApplyFlag(*flag, key, value); !applied.ok()) {
+        Reject(applied.message());
+      }
     }
   }
-  if (!found) {
-    return Status::InvalidArgument("unknown Table 1 config: " + label);
+}
+
+// Reads a ratio "N:M" of positive integers.
+bool ParseRatio(const std::string& value, int* top, int* low) {
+  const size_t colon = value.find(':');
+  return colon != std::string::npos && ParseNumber(value.substr(0, colon), top) &&
+         ParseNumber(value.substr(colon + 1), low) && *top > 0 && *low > 0;
+}
+
+Status RunKeyDbLab(const Config& cfg) {
+  std::vector<std::pair<std::string, core::CapacityConfig>> configs;
+  for (core::CapacityConfig c : core::AllCapacityConfigs()) {
+    configs.emplace_back(core::ConfigLabel(c), c);
   }
-  const std::string wl = cfg.GetString("workload", "YCSB-C");
-  workload::YcsbWorkload workload = workload::YcsbWorkload::kC;
+  std::vector<std::pair<std::string, workload::YcsbWorkload>> workloads;
   for (auto w : {workload::YcsbWorkload::kA, workload::YcsbWorkload::kB,
                  workload::YcsbWorkload::kC, workload::YcsbWorkload::kD}) {
-    if (workload::YcsbName(w) == wl) {
-      workload = w;
-    }
+    workloads.emplace_back(workload::YcsbName(w), w);
   }
+  core::CapacityConfig which = core::CapacityConfig::kMmem;
+  workload::YcsbWorkload workload = workload::YcsbWorkload::kC;
+  double dataset_gib = 16.0;
   core::KeyDbExperimentOptions opt;
-  opt.dataset_bytes = static_cast<uint64_t>(cfg.GetDouble("dataset_gib", 16.0).value_or(16.0) *
-                                            static_cast<double>(1ull << 30));
-  opt.total_ops = static_cast<uint64_t>(cfg.GetInt("ops", 150'000).value_or(150'000));
+  opt.total_ops = 150'000;
+  ApplyKeys(cfg, {{"config", "LABEL", OneOf(&which, configs), "Table 1 config"},
+                  {"workload", "NAME", OneOf(&workload, workloads), "YCSB mix"},
+                  {"dataset_gib", "GIB", Store(&dataset_gib), "dataset size"},
+                  {"ops", "N", Store(&opt.total_ops), "measured operations"},
+                  {"seed", "N", Store(&opt.env.seed), "run seed"}});
+  opt.dataset_bytes = static_cast<uint64_t>(dataset_gib * static_cast<double>(1ull << 30));
   opt.warmup_ops = opt.total_ops / 4;
-  opt.env.seed = static_cast<uint64_t>(cfg.GetInt("seed", 1).value_or(1));
   const auto res = core::RunKeyDbExperiment(which, workload, opt);
   if (!res.ok()) {
     return res.status();
@@ -69,10 +102,12 @@ Status RunKeyDbLab(const Config& cfg) {
 }
 
 Status RunVmLab(const Config& cfg) {
+  double dataset_gib = 12.0;
   core::KeyDbExperimentOptions opt;
-  opt.dataset_bytes = static_cast<uint64_t>(cfg.GetDouble("dataset_gib", 12.0).value_or(12.0) *
-                                            static_cast<double>(1ull << 30));
-  opt.total_ops = static_cast<uint64_t>(cfg.GetInt("ops", 150'000).value_or(150'000));
+  opt.total_ops = 150'000;
+  ApplyKeys(cfg, {{"dataset_gib", "GIB", Store(&dataset_gib), "dataset size"},
+                  {"ops", "N", Store(&opt.total_ops), "measured operations"}});
+  opt.dataset_bytes = static_cast<uint64_t>(dataset_gib * static_cast<double>(1ull << 30));
   opt.warmup_ops = opt.total_ops / 4;
   const auto res = core::RunVmCxlOnlyExperiment(opt);
   if (!res.ok()) {
@@ -85,34 +120,36 @@ Status RunVmLab(const Config& cfg) {
 }
 
 Status RunSparkLab(const Config& cfg) {
-  const std::string qname = cfg.GetString("query", "Q7");
-  const auto* query = apps::spark::FindQuery(qname);
-  if (query == nullptr) {
-    return Status::InvalidArgument("unknown query: " + qname);
+  std::vector<std::pair<std::string, std::string>> queries;
+  for (const auto& q : apps::spark::TpchShuffleHeavyQueries()) {
+    queries.emplace_back(q.name, q.name);
   }
-  const std::string mode = cfg.GetString("config", "MMEM");
-  apps::spark::SparkConfig scfg;
-  if (mode == "MMEM") {
-    scfg = apps::spark::SparkConfig::MmemOnly();
-  } else if (mode == "Hot-Promote") {
-    scfg = apps::spark::SparkConfig::HotPromote();
-  } else if (mode == "MMEM-SSD-0.2") {
-    scfg = apps::spark::SparkConfig::Spill(0.8);
-  } else if (mode == "MMEM-SSD-0.4") {
-    scfg = apps::spark::SparkConfig::Spill(0.6);
-  } else {
-    const size_t colon = mode.find(':');
-    if (colon == std::string::npos) {
-      return Status::InvalidArgument("unknown spark config: " + mode);
+  std::string query = "Q7";
+  std::string mode = "MMEM";
+  apps::spark::SparkConfig scfg = apps::spark::SparkConfig::MmemOnly();
+  const auto set_mode = [&](const std::string& value) {
+    mode = value;
+    int top = 0;
+    int low = 0;
+    if (value == "Hot-Promote") {
+      scfg = apps::spark::SparkConfig::HotPromote();
+    } else if (value == "MMEM-SSD-0.2" || value == "MMEM-SSD-0.4") {
+      scfg = apps::spark::SparkConfig::Spill(value == "MMEM-SSD-0.2" ? 0.8 : 0.6);
+    } else if (ParseRatio(value, &top, &low)) {
+      scfg = apps::spark::SparkConfig::Interleave(top, low);
+    } else if (value != "MMEM") {
+      return Status::InvalidArgument(
+          "want MMEM, Hot-Promote, MMEM-SSD-0.2, MMEM-SSD-0.4 or N:M with positive integers");
     }
-    scfg = apps::spark::SparkConfig::Interleave(std::atoi(mode.c_str()),
-                                                std::atoi(mode.c_str() + colon + 1));
-  }
+    return Status::Ok();
+  };
+  ApplyKeys(cfg, {{"query", "NAME", OneOf(&query, queries), "TPC-H query"},
+                  {"config", "MODE", set_mode, "memory configuration"}});
   apps::spark::SparkCluster cluster(scfg);
-  const auto r = cluster.RunQuery(*query);
+  const auto r = cluster.RunQuery(*apps::spark::FindQuery(query));
   Table t({"query", "config", "total s", "compute s", "shuffle s", "spilled GB"});
   t.Row()
-      .Cell(qname)
+      .Cell(query)
       .Cell(mode)
       .Cell(r.total_seconds, 1)
       .Cell(r.compute_seconds, 1)
@@ -123,16 +160,21 @@ Status RunSparkLab(const Config& cfg) {
 }
 
 Status RunLlmLab(const Config& cfg) {
-  apps::llm::LlmInferenceSim sim;
-  const std::string placement_str = cfg.GetString("placement", "MMEM");
   apps::llm::LlmPlacement placement = apps::llm::LlmPlacement::MmemOnly();
-  const size_t colon = placement_str.find(':');
-  if (colon != std::string::npos) {
-    placement = apps::llm::LlmPlacement::Interleave(std::atoi(placement_str.c_str()),
-                                                    std::atoi(placement_str.c_str() + colon + 1));
-  }
-  const int threads = static_cast<int>(cfg.GetInt("threads", 48).value_or(48));
-  const auto pt = sim.Solve(placement, threads);
+  int threads = 48;
+  const auto set_placement = [&placement](const std::string& value) {
+    int top = 0;
+    int low = 0;
+    if (ParseRatio(value, &top, &low)) {
+      placement = apps::llm::LlmPlacement::Interleave(top, low);
+    } else if (value != "MMEM") {
+      return Status::InvalidArgument("want MMEM or N:M with positive integers");
+    }
+    return Status::Ok();
+  };
+  ApplyKeys(cfg, {{"placement", "MODE", set_placement, "MMEM or N:M"},
+                  {"threads", "N", Store(&threads), "serving threads"}});
+  const auto pt = apps::llm::LlmInferenceSim().Solve(placement, threads);
   std::cout << placement.label << " @ " << threads
             << " threads: " << FormatDouble(pt.serving_rate_tokens_s, 1) << " tokens/s, "
             << FormatDouble(pt.mem_bandwidth_gbps, 1) << " GB/s\n";
@@ -140,14 +182,13 @@ Status RunLlmLab(const Config& cfg) {
 }
 
 Status RunMlcLab(const Config& cfg) {
-  const std::string path_str = cfg.GetString("path", "CXL");
-  mem::MemoryPath path = mem::MemoryPath::kLocalCxl;
+  std::vector<std::pair<std::string, mem::MemoryPath>> paths;
   for (auto p : {mem::MemoryPath::kLocalDram, mem::MemoryPath::kRemoteDram,
                  mem::MemoryPath::kLocalCxl, mem::MemoryPath::kRemoteCxl}) {
-    if (mem::PathLabel(p) == path_str) {
-      path = p;
-    }
+    paths.emplace_back(mem::PathLabel(p), p);
   }
+  mem::MemoryPath path = mem::MemoryPath::kLocalCxl;
+  ApplyKeys(cfg, {{"path", "NAME", OneOf(&path, paths), "memory path"}});
   workload::MlcBenchmark mlc(mem::GetProfile(path));
   Table t({"offered GB/s", "achieved GB/s", "latency ns"});
   for (const auto& pt : mlc.LoadedLatencySweep(mem::AccessMix::ReadOnly(), 10)) {
@@ -158,11 +199,11 @@ Status RunMlcLab(const Config& cfg) {
 }
 
 Status RunCostLab(const Config& cfg) {
-  cost::CostModelParams params;
-  params.r_d = cfg.GetDouble("rd", 10.0).value_or(10.0);
-  params.r_c = cfg.GetDouble("rc", 8.0).value_or(8.0);
-  params.c = cfg.GetDouble("c", 2.0).value_or(2.0);
-  params.r_t = cfg.GetDouble("rt", 1.1).value_or(1.1);
+  cost::CostModelParams params{10.0, 8.0, 2.0, 1.1};
+  ApplyKeys(cfg, {{"rd", "X", Store(&params.r_d), "throughput, MMEM vs SSD"},
+                  {"rc", "X", Store(&params.r_c), "throughput, CXL vs SSD"},
+                  {"c", "X", Store(&params.c), "MMEM:CXL capacity ratio"},
+                  {"rt", "X", Store(&params.r_t), "relative CXL server TCO"}});
   cost::AbstractCostModel model(params);
   if (const Status s = model.Validate(); !s.ok()) {
     return s;
@@ -173,42 +214,33 @@ Status RunCostLab(const Config& cfg) {
 }
 
 Status RunLab(const Config& cfg) {
-  const std::string experiment = cfg.GetString("experiment");
-  if (experiment == "keydb") {
-    return RunKeyDbLab(cfg);
+  const std::pair<const char*, Status (*)(const Config&)> labs[] = {
+      {"keydb", RunKeyDbLab}, {"vm", RunVmLab},   {"spark", RunSparkLab},
+      {"llm", RunLlmLab},     {"mlc", RunMlcLab}, {"cost", RunCostLab}};
+  const std::string experiment = cfg.Has("experiment") ? cfg.values().at("experiment") : "";
+  for (const auto& [name, run] : labs) {
+    if (experiment == name) {
+      return run(cfg);
+    }
   }
-  if (experiment == "vm") {
-    return RunVmLab(cfg);
-  }
-  if (experiment == "spark") {
-    return RunSparkLab(cfg);
-  }
-  if (experiment == "llm") {
-    return RunLlmLab(cfg);
-  }
-  if (experiment == "mlc") {
-    return RunMlcLab(cfg);
-  }
-  if (experiment == "cost") {
-    return RunCostLab(cfg);
-  }
-  return Status::InvalidArgument("unknown experiment: '" + experiment +
-                                 "' (want keydb|vm|spark|llm|mlc|cost)");
+  Reject("unknown experiment: '" + experiment + "' (want keydb|vm|spark|llm|mlc|cost)");
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc > 1) {
+  const Usage usage = ParseFlags(&argc, argv, {}, "[SPEC]");
+  if (argc > 2) {
+    usage.Fail("unexpected argument '" + std::string(argv[2]) + "'");
+  }
+  if (argc == 2) {
     std::ifstream in(argv[1]);
     if (!in) {
-      std::cerr << "cannot open " << argv[1] << "\n";
-      return 2;
+      Reject("cannot open " + std::string(argv[1]));
     }
     const auto cfg = Config::Parse(in);
     if (!cfg.ok()) {
-      std::cerr << "bad spec: " << cfg.status().ToString() << "\n";
-      return 2;
+      Reject(std::string(argv[1]) + ": " + cfg.status().message());
     }
     if (const Status s = RunLab(*cfg); !s.ok()) {
       std::cerr << "experiment failed: " << s.ToString() << "\n";

@@ -5,13 +5,10 @@
 #include <iostream>
 
 #include "src/core/cxl_explorer.h"
+#include "src/util/flags.h"
 
 int main(int argc, char** argv) {
-  if (argc > 1) {
-    std::cerr << "llm_serving: unexpected argument '" << argv[1] << "'\n"
-              << "usage: llm_serving (takes no arguments)\n";
-    return 2;
-  }
+  cxl::ParseFlags(&argc, argv, {});
   using namespace cxl;
   using apps::llm::LlmPlacement;
   using apps::llm::ServingRequest;

@@ -6,6 +6,7 @@
 #include <iostream>
 
 #include "src/core/cxl_explorer.h"
+#include "src/util/flags.h"
 
 namespace {
 
@@ -24,11 +25,7 @@ std::string Pct(double x, int precision = 1) { return FormatDouble(100.0 * x, pr
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc > 1) {
-    std::cerr << "make_report: unexpected argument '" << argv[1] << "'\n"
-              << "usage: make_report (takes no arguments)\n";
-    return 2;
-  }
+  cxl::ParseFlags(&argc, argv, {});
   std::cout << "# Measured headline numbers (live run)\n";
 
   // --- §3 device anchors ----------------------------------------------------

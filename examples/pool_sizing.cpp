@@ -5,24 +5,25 @@
 // Usage: ./build/examples/pool_sizing [hosts mean_gib cv]
 #include <iostream>
 
-#include "src/bench/context.h"
 #include "src/core/cxl_explorer.h"
 #include "src/pool/memory_pool.h"
+#include "src/util/flags.h"
 
 int main(int argc, char** argv) {
   using namespace cxl;
 
   pool::PoolingEconomicsConfig econ_cfg;
-  const bool parsed = argc == 1 || (argc == 4 && bench::ParseNumber(argv[1], &econ_cfg.hosts) &&
-                                    bench::ParseNumber(argv[2], &econ_cfg.mean_demand_gib) &&
-                                    bench::ParseNumber(argv[3], &econ_cfg.demand_cv));
-  if (!parsed) {
-    std::cerr << "usage: " << argv[0] << " [hosts mean_gib cv]\n";
-    return 2;
+  const Usage usage = ParseFlags(&argc, argv, {}, "[hosts mean_gib cv]");
+  if (argc != 1 && argc != 4) {
+    usage.Fail("want all three of hosts mean_gib cv or none");
+  }
+  if (argc == 4 && !(ParseNumber(argv[1], &econ_cfg.hosts) &&
+                     ParseNumber(argv[2], &econ_cfg.mean_demand_gib) &&
+                     ParseNumber(argv[3], &econ_cfg.demand_cv))) {
+    usage.Fail("bad number in '" + std::string(argv[1]) + " " + argv[2] + " " + argv[3] + "'");
   }
   if (econ_cfg.hosts < 1 || econ_cfg.hosts > 16) {
-    std::cerr << "CXL 2.0 supports 1-16 hosts per pooled device\n";
-    return 2;
+    usage.Fail("CXL 2.0 supports 1-16 hosts per pooled device");
   }
 
   PrintSection(std::cout, "Sizing");

@@ -10,13 +10,10 @@
 #include <iostream>
 
 #include "src/core/cxl_explorer.h"
+#include "src/util/flags.h"
 
 int main(int argc, char** argv) {
-  if (argc > 1) {
-    std::cerr << "quickstart: unexpected argument '" << argv[1] << "'\n"
-              << "usage: quickstart (takes no arguments)\n";
-    return 2;
-  }
+  cxl::ParseFlags(&argc, argv, {});
   using namespace cxl;
 
   // --- 1. Microbenchmark the device models ---------------------------------

@@ -11,6 +11,7 @@
 #include <sstream>
 
 #include "src/core/cxl_explorer.h"
+#include "src/util/flags.h"
 #include "src/workload/trace.h"
 
 namespace {
@@ -37,6 +38,11 @@ apps::kv::KvServerSim::Result RunOnce(workload::OpSource& source) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const Usage usage = ParseFlags(&argc, argv, {}, "[trace.csv]");
+  if (argc > 2) {
+    usage.Fail("unexpected argument '" + std::string(argv[2]) + "'");
+  }
+
   // 1. Live run, recording the op stream.
   workload::YcsbGenerator gen(workload::YcsbWorkload::kA, kRecords, /*seed=*/2024);
   workload::AccessTrace trace;

@@ -1,7 +1,5 @@
 #include "src/bench/context.h"
 
-#include <algorithm>
-#include <cstdlib>
 #include <iostream>
 #include <memory>
 
@@ -13,43 +11,14 @@ namespace {
 
 Status Want(const std::string& what) { return Status::InvalidArgument("want " + what); }
 
-std::string Usage(const std::string& program, const std::vector<Flag>& table,
-                  const std::string& positionals) {
-  std::string usage = "usage: " + program + " [flags]";
-  if (!positionals.empty()) {
-    usage += " " + positionals;
-  }
-  usage += "\n";
-  for (const Flag& flag : table) {
-    std::string left = "  " + flag.name;
-    if (!flag.value_name.empty()) {
-      left += " " + flag.value_name;
-    }
-    if (flag.name == "--jobs") {
-      left += ", -j N";
-    }
-    left.resize(std::max<size_t>(left.size() + 1, 28), ' ');
-    usage += left + flag.help + "\n";
-  }
-  return usage;
-}
-
 }  // namespace
 
 Context Context::FromArgs(int* argc, char** argv, FlagGroups groups,
                           std::vector<Flag> own_flags, std::string positionals) {
   Context ctx;
-  const std::string_view argv0 = argv[0];
-  ctx.program_ = std::string(argv0.substr(argv0.find_last_of('/') + 1));
   fault::DeclareFaultKnobs(ctx.knobs_);
   telemetry::BenchTelemetry::Outputs outputs;
 
-  auto set_string = [](std::string* out) {
-    return [out](const std::string& value) {
-      *out = value;
-      return Status::Ok();
-    };
-  };
   std::vector<Flag> table;
   if (groups.jobs) {
     table.push_back({"--jobs", "N",
@@ -57,21 +26,17 @@ Context Context::FromArgs(int* argc, char** argv, FlagGroups groups,
                        ctx.jobs_ = runner::ParsePositiveInt(value.c_str());
                        return ctx.jobs_ > 0 ? Status::Ok() : Want("a positive integer");
                      },
-                     "worker threads for sweeps (default: CXL_JOBS, then all cores)"});
+                     "worker threads for sweeps (default: CXL_JOBS, then all cores)", "-j"});
   }
   table.insert(table.end(), {
-      {"--metrics-out", "FILE", set_string(&outputs.metrics_path),
+      {"--metrics-out", "FILE", Store(&outputs.metrics_path),
        "metrics JSON, or CSV when FILE ends in .csv"},
-      {"--trace-out", "FILE", set_string(&outputs.trace_path), "Chrome trace-event JSON"},
-      {"--bench-json", "FILE", set_string(&outputs.bench_json_path),
+      {"--trace-out", "FILE", Store(&outputs.trace_path), "Chrome trace-event JSON"},
+      {"--bench-json", "FILE", Store(&outputs.bench_json_path),
        "one-line machine-readable bench summary"},
-      {"--events-out", "FILE", set_string(&outputs.events_path),
+      {"--events-out", "FILE", Store(&outputs.events_path),
        "structured event log, JSONL (cxl-events-v1)"},
-      {"--events-ring", "N",
-       [&outputs](const std::string& value) {
-         return ParseNumber(value, &outputs.events_ring) ? Status::Ok()
-                                                          : Want("a non-negative integer");
-       },
+      {"--events-ring", "N", Store(&outputs.events_ring),
        "keep only the latest N events per cell (0: full log)"},
       {"--profile-epochs", "",
        [&ctx](const std::string&) {
@@ -97,12 +62,7 @@ Context Context::FromArgs(int* argc, char** argv, FlagGroups groups,
   if (groups.fault_tuning) {
     table.insert(
         table.end(),
-        {{"--fault-seed", "N",
-          [&ctx](const std::string& value) {
-            return ParseNumber(value, &ctx.fault_seed_) ? Status::Ok()
-                                                        : Want("a non-negative integer");
-          },
-          "fault injector seed (default 1)"},
+        {{"--fault-seed", "N", Store(&ctx.fault_seed_), "fault injector seed (default 1)"},
          {"--fault-knob", "K=V",
           [&ctx](const std::string& value) {
             const size_t eq = value.find('=');
@@ -121,83 +81,20 @@ Context Context::FromArgs(int* argc, char** argv, FlagGroups groups,
           "override a fault.* tunable (repeatable)"}});
   }
   if (groups.tiering) {
-    table.push_back({"--tiering-policy", "NAME",
-                     [&ctx](const std::string& value) {
-                       const os::PolicyRegistry& registry = os::PolicyRegistry::BuiltIns();
-                       if (registry.Has(value)) {
-                         ctx.tiering_policy_ = value;
-                         return Status::Ok();
-                       }
-                       std::string known;
-                       for (const auto& name : registry.Names()) {
-                         known += known.empty() ? name : ", " + name;
-                       }
-                       return Want("one of " + known);
-                     },
+    std::vector<std::pair<std::string, std::string>> policies;
+    for (const std::string& name : os::PolicyRegistry::BuiltIns().Names()) {
+      policies.emplace_back(name, name);
+    }
+    table.push_back({"--tiering-policy", "NAME", OneOf(&ctx.tiering_policy_, std::move(policies)),
                      "promotion policy for the tiering daemon"});
   }
   for (Flag& flag : own_flags) {
     table.push_back(std::move(flag));
   }
-  ctx.usage_ = Usage(ctx.program_, table, positionals);
-
-  int kept = 1;
-  for (int i = 1; i < *argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.size() < 2 || arg[0] != '-') {
-      if (positionals.empty()) {
-        ctx.Fail("unexpected argument '" + arg + "'");
-      }
-      argv[kept++] = argv[i];
-      continue;
-    }
-    // `-j N` and `-jN` are `--jobs N`.
-    std::string name = arg;
-    std::string value;
-    bool has_value = false;
-    if (arg.compare(0, 2, "-j") == 0) {
-      name = "-j";
-      has_value = arg.size() > 2;
-      value = arg.substr(2);
-    } else if (const size_t eq = arg.find('='); eq != std::string::npos) {
-      name = arg.substr(0, eq);
-      has_value = true;
-      value = arg.substr(eq + 1);
-    }
-    const std::string key = name == "-j" ? "--jobs" : name;
-    const Flag* flag = nullptr;
-    for (const Flag& candidate : table) {
-      if (candidate.name == key) {
-        flag = &candidate;
-        break;
-      }
-    }
-    if (flag == nullptr) {
-      ctx.Fail("unknown flag '" + name + "'");
-    }
-    if (flag->value_name.empty() && has_value) {
-      ctx.Fail("'" + name + "' takes no value");
-    }
-    if (!flag->value_name.empty() && !has_value) {
-      if (i + 1 >= *argc) {
-        ctx.Fail("'" + name + "' needs a value (" + flag->value_name + ")");
-      }
-      value = argv[++i];
-    }
-    if (const Status set = flag->set(value); !set.ok()) {
-      ctx.Fail("bad value '" + value + "' for '" + name + "': " + set.message());
-    }
-  }
-  *argc = kept;
-
+  ctx.usage_ = ParseFlags(argc, argv, std::move(table), positionals);
   ctx.fault_tunables_ = fault::FaultTunablesFromKnobs(ctx.knobs_);
   ctx.telemetry_ = telemetry::BenchTelemetry(std::move(outputs));
   return ctx;
-}
-
-void Context::Fail(const std::string& message) const {
-  std::cerr << program_ << ": " << message << "\n" << usage_;
-  std::exit(2);
 }
 
 core::ExperimentEnv Context::Env(uint64_t seed) {

@@ -1,14 +1,13 @@
 // Unified bench context: the flag surface every bench_* binary shares.
 //
-// FromArgs parses argv against one flag table: the shared flags (telemetry
-// outputs, --profile-epochs; listed with their help in context.cc), the
-// flag groups the caller declares (--jobs, fault injection,
-// --tiering-policy) and the caller's own entries. A binary declares only
-// the groups it honours, so it rejects the others' flags as unknown. Each
-// value flag takes `--flag V` or `--flag=V`; `--jobs` also takes `-j N` and
-// `-jN`. An unknown flag, a stray positional, a missing value or a malformed
-// one prints one stderr line naming the argument, then the usage generated
-// from the table, and exits 2 with nothing on stdout.
+// FromArgs builds one flag table, the shared flags (telemetry outputs,
+// --profile-epochs; listed with their help in context.cc), the flag groups
+// the caller declares (--jobs, fault injection, --tiering-policy) and the
+// caller's own entries, and parses argv through cxl::ParseFlags
+// (src/util/flags.h), which sets the forms a flag takes and how a bad
+// argument fails. A binary declares only the groups it honours, so it
+// rejects the others' flags as unknown. `--jobs` also takes `-j N` and
+// `-jN`.
 //
 // With no flags given the context is inert: no telemetry sink, empty fault
 // plan, stdout byte-identical to a bench that never parsed these flags.
@@ -25,12 +24,9 @@
 #ifndef CXL_EXPLORER_SRC_BENCH_CONTEXT_H_
 #define CXL_EXPLORER_SRC_BENCH_CONTEXT_H_
 
-#include <charconv>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "src/core/experiment.h"
@@ -38,34 +34,11 @@
 #include "src/runner/sweep.h"
 #include "src/telemetry/bench_io.h"
 #include "src/telemetry/epoch_profiler.h"
+#include "src/util/flags.h"
 #include "src/util/knobs.h"
 #include "src/util/status.h"
 
 namespace cxl::bench {
-
-// Parses all of `text` as a T (an integer or a double). False, leaving *out
-// untouched, on an empty, partly numeric or out-of-range string.
-template <typename T>
-bool ParseNumber(std::string_view text, T* out) {
-  const char* end = text.data() + text.size();
-  T value{};
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (text.empty() || ec != std::errc() || ptr != end) {
-    return false;
-  }
-  *out = value;
-  return true;
-}
-
-// One row of the flag table.
-struct Flag {
-  std::string name;        // "--jobs"
-  std::string value_name;  // "N", "FILE", ...; empty for a switch
-  // Applies the flag (value empty for a switch). A non-ok Status rejects the
-  // value; its message says what the flag wants.
-  std::function<Status(const std::string& value)> set;
-  std::string help;
-};
 
 // The optional flag groups of the table. A binary declares a group only
 // when its runs read what the group sets.
@@ -86,7 +59,7 @@ class Context {
                           std::vector<Flag> own_flags = {}, std::string positionals = "");
 
   // Prints "<program>: <message>" and the usage to stderr, then exits 2.
-  [[noreturn]] void Fail(const std::string& message) const;
+  [[noreturn]] void Fail(const std::string& message) const { usage_.Fail(message); }
 
   // Worker threads requested via --jobs/-j (0 = auto, and always 0 unless
   // the jobs group is declared).
@@ -123,8 +96,7 @@ class Context {
   runner::SweepOptions Sweep(uint64_t base_seed = 1) const;
 
  private:
-  std::string program_;
-  std::string usage_;
+  Usage usage_;
   int jobs_ = 0;
   // Allocated when --profile-epochs is given (EpochProfiler holds atomics,
   // so it lives behind a pointer to keep Context movable).

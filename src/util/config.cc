@@ -1,7 +1,5 @@
 #include "src/util/config.h"
 
-#include <cerrno>
-#include <cstdlib>
 #include <sstream>
 
 namespace cxl {
@@ -65,54 +63,6 @@ StatusOr<Config> Config::Parse(std::istream& is) {
 StatusOr<Config> Config::ParseString(const std::string& text) {
   std::istringstream is(text);
   return Parse(is);
-}
-
-std::string Config::GetString(const std::string& key, const std::string& fallback) const {
-  auto it = values_.find(key);
-  return it == values_.end() ? fallback : it->second;
-}
-
-StatusOr<double> Config::GetDouble(const std::string& key, double fallback) const {
-  auto it = values_.find(key);
-  if (it == values_.end()) {
-    return fallback;
-  }
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  if (end == it->second.c_str() || *end != '\0' || errno == ERANGE) {
-    return Status::InvalidArgument(key + ": not a number: '" + it->second + "'");
-  }
-  return v;
-}
-
-StatusOr<int64_t> Config::GetInt(const std::string& key, int64_t fallback) const {
-  auto it = values_.find(key);
-  if (it == values_.end()) {
-    return fallback;
-  }
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(it->second.c_str(), &end, 10);
-  if (end == it->second.c_str() || *end != '\0' || errno == ERANGE) {
-    return Status::InvalidArgument(key + ": not an integer: '" + it->second + "'");
-  }
-  return static_cast<int64_t>(v);
-}
-
-StatusOr<bool> Config::GetBool(const std::string& key, bool fallback) const {
-  auto it = values_.find(key);
-  if (it == values_.end()) {
-    return fallback;
-  }
-  const std::string& v = it->second;
-  if (v == "true" || v == "1" || v == "yes") {
-    return true;
-  }
-  if (v == "false" || v == "0" || v == "no") {
-    return false;
-  }
-  return Status::InvalidArgument(key + ": not a boolean: '" + v + "'");
 }
 
 }  // namespace cxl

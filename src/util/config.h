@@ -1,7 +1,8 @@
 // Minimal experiment-spec parser: `key = value` lines (also `key value`),
 // '#' comments, no sections. Used by the cxl_lab example so experiments can
 // be described in checked-in files, mirroring how the paper's artifact
-// repository ships testing configurations.
+// repository ships testing configurations. It only splits rows; cxl_lab
+// applies each value through its experiment's flag table (src/util/flags.h).
 #ifndef CXL_EXPLORER_SRC_UTIL_CONFIG_H_
 #define CXL_EXPLORER_SRC_UTIL_CONFIG_H_
 
@@ -21,14 +22,6 @@ class Config {
   static StatusOr<Config> ParseString(const std::string& text);
 
   bool Has(const std::string& key) const { return values_.count(key) > 0; }
-
-  // Typed getters; return `fallback` for missing keys, an error Status (via
-  // assert-free StatusOr) only for present-but-unparsable values.
-  std::string GetString(const std::string& key, const std::string& fallback = "") const;
-  StatusOr<double> GetDouble(const std::string& key, double fallback) const;
-  StatusOr<int64_t> GetInt(const std::string& key, int64_t fallback) const;
-  // Accepts true/false/1/0/yes/no (case-sensitive lowercase).
-  StatusOr<bool> GetBool(const std::string& key, bool fallback) const;
 
   const std::map<std::string, std::string>& values() const { return values_; }
 

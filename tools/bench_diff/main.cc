@@ -2,7 +2,7 @@
 // summaries the benches write ({"bench", "cells", "jobs", "wall_ms",
 // "speedup"}).
 //
-// Usage:
+// Usage (`bench_diff --help` prints the flags):
 //   bench_diff BASELINE.json FRESH.json [--max-regress FRACTION]
 //
 // Compares a freshly measured summary against a committed baseline. The two
@@ -14,14 +14,12 @@
 // on shared runners — see .github/workflows/ci.yml).
 //
 // Exit codes: 0 ok / not comparable, 1 regression, 2 usage or I/O error.
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <vector>
 
+#include "src/util/flags.h"
 #include "tools/report/json_lite.h"
 
 namespace {
@@ -47,32 +45,25 @@ bool LoadSummary(const char* path, cxl::report::JsonValue* out) {
 
 int main(int argc, char** argv) {
   double max_regress = 0.25;
-  std::vector<const char*> paths;
-  for (int i = 1; i < argc; ++i) {
-    const char* value = nullptr;
-    if (std::strcmp(argv[i], "--max-regress") == 0 && i + 1 < argc) {
-      value = argv[++i];
-    } else if (std::strncmp(argv[i], "--max-regress=", 14) == 0) {
-      value = argv[i] + 14;
-    } else {
-      paths.push_back(argv[i]);
-      continue;
-    }
-    char* end = nullptr;
-    max_regress = std::strtod(value, &end);
-    if (*value == '\0' || *end != '\0' || !(max_regress >= 0.0)) {
-      std::cerr << "bench_diff: bad --max-regress value '" << value
-                << "' (want a non-negative fraction)\n";
-      return 2;
-    }
+  const cxl::Usage usage = cxl::ParseFlags(
+      &argc, argv,
+      {{"--max-regress", "FRACTION",
+        [&max_regress](const std::string& value) {
+          return cxl::ParseNumber(value, &max_regress) && max_regress >= 0.0
+                     ? cxl::Status::Ok()
+                     : cxl::Status::InvalidArgument("want a non-negative fraction");
+        },
+        "fail when fresh wall_ms exceeds baseline x (1 + FRACTION) (default 0.25)"}},
+      "BASELINE.json FRESH.json");
+  if (argc > 3) {
+    usage.Fail("unexpected argument '" + std::string(argv[3]) + "'");
   }
-  if (paths.size() != 2) {
-    std::cerr << "usage: bench_diff BASELINE.json FRESH.json [--max-regress FRACTION]\n";
-    return 2;
+  if (argc < 3) {
+    usage.Fail("want BASELINE.json and FRESH.json");
   }
   cxl::report::JsonValue baseline;
   cxl::report::JsonValue fresh;
-  if (!LoadSummary(paths[0], &baseline) || !LoadSummary(paths[1], &fresh)) {
+  if (!LoadSummary(argv[1], &baseline) || !LoadSummary(argv[2], &fresh)) {
     return 2;
   }
 

@@ -1,6 +1,7 @@
 // cxl_lint CLI — see tools/lint/lint.h for the rule set.
 //
-// Usage:
+// Usage (`cxl_lint --help` prints the flags; each value flag takes
+// `--flag V` or `--flag=V`):
 //   cxl_lint [--root=DIR] [--baseline=FILE] [--write-baseline=FILE]
 //            [--json] [--json-out=FILE] [--exclude=SUBSTR]... [--list-rules]
 //            [--rules=PREFIX[,PREFIX...]] [--strict-baseline] [paths...]
@@ -28,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "src/util/flags.h"
 #include "tools/lint/baseline.h"
 #include "tools/lint/lint.h"
 #include "tools/lint/report.h"
@@ -39,20 +41,6 @@ namespace {
 constexpr const char* kDefaultScanDirs[] = {"src", "bench", "tests", "tools",
                                             "examples"};
 constexpr const char* kAlwaysExcluded = "tests/lint/fixtures";
-
-void PrintUsage(std::ostream& os) {
-  os << "usage: cxl_lint [--root=DIR] [--baseline=FILE] "
-        "[--write-baseline=FILE]\n"
-        "                [--json] [--json-out=FILE] [--exclude=SUBSTR]...\n"
-        "                [--rules=PREFIX[,PREFIX...]] [--strict-baseline]\n"
-        "                [--list-rules] [paths...]\n"
-        "\n"
-        "Token-level determinism & sim-correctness linter. Default scan set: "
-        "src/, bench/,\n"
-        "tests/, tools/, examples/ under --root "
-        "(tests/lint/fixtures/ always excluded).\n"
-        "Exit: 0 clean, 1 findings, 2 usage/IO error.\n";
-}
 
 bool HasSuffix(const std::string& s, const char* suffix) {
   size_t n = std::strlen(suffix);
@@ -91,59 +79,43 @@ int main(int argc, char** argv) {
   bool strict_baseline = false;
   std::vector<std::string> rule_prefixes;
   std::vector<std::string> excludes = {kAlwaysExcluded};
-  std::vector<std::string> paths;
 
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto value_of = [&arg](const char* flag) {
-      return arg.substr(std::strlen(flag));
-    };
-    if (arg.rfind("--root=", 0) == 0) {
-      root = value_of("--root=");
-    } else if (arg.rfind("--baseline=", 0) == 0) {
-      baseline_path = value_of("--baseline=");
-    } else if (arg.rfind("--write-baseline=", 0) == 0) {
-      write_baseline_path = value_of("--write-baseline=");
-    } else if (arg.rfind("--json-out=", 0) == 0) {
-      json_out_path = value_of("--json-out=");
-    } else if (arg == "--json") {
-      json = true;
-    } else if (arg == "--strict-baseline") {
-      strict_baseline = true;
-    } else if (arg.rfind("--rules=", 0) == 0) {
-      std::string list = value_of("--rules=");
-      size_t pos = 0;
-      while (pos <= list.size()) {
-        size_t comma = list.find(',', pos);
-        std::string prefix = list.substr(
-            pos, comma == std::string::npos ? std::string::npos : comma - pos);
-        if (!prefix.empty()) {
-          rule_prefixes.push_back(prefix);
-        }
-        if (comma == std::string::npos) {
-          break;
-        }
-        pos = comma + 1;
+  const auto set_root = [&root](const std::string& value) {
+    root = value;
+    return cxl::Status::Ok();
+  };
+  const auto add_rules = [&rule_prefixes](const std::string& list) {
+    std::istringstream prefixes(list);
+    for (std::string prefix; std::getline(prefixes, prefix, ',');) {
+      if (!prefix.empty()) {
+        rule_prefixes.push_back(prefix);
       }
-      if (rule_prefixes.empty()) {
-        std::cerr << "error: --rules= needs at least one rule-ID prefix\n";
-        return 2;
-      }
-    } else if (arg == "--list-rules") {
-      list_rules = true;
-    } else if (arg.rfind("--exclude=", 0) == 0) {
-      excludes.push_back(value_of("--exclude="));
-    } else if (arg == "--help" || arg == "-h") {
-      PrintUsage(std::cout);
-      return 0;
-    } else if (arg.rfind("--", 0) == 0) {
-      std::cerr << "error: unknown flag '" << arg << "'\n";
-      PrintUsage(std::cerr);
-      return 2;
-    } else {
-      paths.push_back(arg);
     }
-  }
+    return rule_prefixes.empty()
+               ? cxl::Status::InvalidArgument("want at least one rule-ID prefix")
+               : cxl::Status::Ok();
+  };
+  const auto add_exclude = [&excludes](const std::string& value) {
+    excludes.push_back(value);
+    return cxl::Status::Ok();
+  };
+  cxl::ParseFlags(
+      &argc, argv,
+      {{"--root", "DIR", set_root,
+        "scan src/, bench/, tests/, tools/, examples/ under DIR (default: .)"},
+       {"--baseline", "FILE", cxl::Store(&baseline_path), "silence the findings FILE lists"},
+       {"--write-baseline", "FILE", cxl::Store(&write_baseline_path),
+        "write every finding to FILE as a baseline"},
+       {"--json", "", cxl::Store(&json), "print the findings as JSON"},
+       {"--json-out", "FILE", cxl::Store(&json_out_path), "also write the JSON report to FILE"},
+       {"--exclude", "SUBSTR", add_exclude,
+        "skip paths containing SUBSTR (repeatable; tests/lint/fixtures always)"},
+       {"--rules", "PREFIX[,PREFIX...]", add_rules, "run only the rules with these ID prefixes"},
+       {"--strict-baseline", "", cxl::Store(&strict_baseline),
+        "fail on baseline entries no finding matches"},
+       {"--list-rules", "", cxl::Store(&list_rules), "print the rule catalogue and exit"}},
+      "[paths...]");
+  const std::vector<std::string> paths(argv + 1, argv + argc);
 
   if (list_rules) {
     for (const cxl::lint::RuleInfo& r : cxl::lint::RuleCatalogue()) {

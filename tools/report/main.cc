@@ -1,6 +1,7 @@
 // cxl_report CLI — see tools/report/report.h for what the report contains.
 //
-// Usage:
+// Usage (`cxl_report --help` prints the flags; each value flag takes
+// `--flag FILE` or `--flag=FILE`):
 //   cxl_report --events FILE [--metrics FILE] [--bench-json FILE]
 //              [--out FILE] [--check]
 //
@@ -12,76 +13,29 @@
 // the meta line's event count matches the log.
 //
 // Exit codes: 0 ok, 1 --check failed, 2 usage or I/O error.
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
 
+#include "src/util/flags.h"
 #include "tools/report/report.h"
-
-namespace {
-
-constexpr char kUsage[] =
-    "usage: cxl_report --events FILE [--metrics FILE] [--bench-json FILE] [--out FILE] "
-    "[--check]\n";
-
-// Matches `--flag=VALUE` or `--flag VALUE`; advances *i past a consumed
-// separate value. A flag with nothing after it takes the empty value.
-bool TakeFlag(const char* flag, int* i, int argc, char** argv, std::string* out) {
-  const char* arg = argv[*i];
-  const size_t flag_len = std::strlen(flag);
-  if (std::strncmp(arg, flag, flag_len) != 0) {
-    return false;
-  }
-  if (arg[flag_len] == '=') {
-    *out = arg + flag_len + 1;
-    return true;
-  }
-  if (arg[flag_len] == '\0') {
-    *out = *i + 1 < argc ? argv[++*i] : "";
-    return true;
-  }
-  return false;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   cxl::report::ReportOptions options;
   std::string out_path;
-  const struct {
-    const char* flag;
-    std::string* value;
-  } value_flags[] = {{"--events", &options.events_path},
-                     {"--metrics", &options.metrics_path},
-                     {"--bench-json", &options.bench_json_path},
-                     {"--out", &out_path}};
-  for (int i = 1; i < argc; ++i) {
-    bool matched = false;
-    for (const auto& f : value_flags) {
-      if (TakeFlag(f.flag, &i, argc, argv, f.value)) {
-        if (f.value->empty()) {
-          // A dropped value would silently skip what the flag asks for.
-          std::cerr << "cxl_report: " << f.flag << " needs a value\n" << kUsage;
-          return 2;
-        }
-        matched = true;
-        break;
-      }
-    }
-    if (matched) {
-      continue;
-    }
-    if (std::strcmp(argv[i], "--check") == 0) {
-      options.check = true;
-      continue;
-    }
-    std::cerr << "cxl_report: unknown argument '" << argv[i] << "'\n" << kUsage;
-    return 2;
-  }
+  const cxl::Usage usage = cxl::ParseFlags(
+      &argc, argv,
+      {{"--events", "FILE", cxl::Store(&options.events_path),
+        "the bench's --events-out log (required)"},
+       {"--metrics", "FILE", cxl::Store(&options.metrics_path),
+        "the bench's --metrics-out JSON: reconcile event totals with its counters"},
+       {"--bench-json", "FILE", cxl::Store(&options.bench_json_path),
+        "the bench's --bench-json summary, for the run header"},
+       {"--out", "FILE", cxl::Store(&out_path), "write the report here, not to stdout"},
+       {"--check", "", cxl::Store(&options.check),
+        "exit 1 unless causes, totals and the event count check out"}});
   if (options.events_path.empty()) {
-    std::cerr << "cxl_report: --events FILE is required\n";
-    return 2;
+    usage.Fail("--events FILE is required");
   }
   if (!out_path.empty()) {
     std::ofstream os(out_path);
