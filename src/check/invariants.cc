@@ -100,7 +100,7 @@ std::vector<std::string> SolverInvariantViolations(const mem::BandwidthSolver& s
 std::vector<std::string> AllocatorInvariantViolations(const os::PageAllocator& alloc) {
   std::vector<std::string> violations;
   const uint64_t n = alloc.page_count();
-  const topology::NodeId* node = alloc.node_column();
+  const int8_t* node = alloc.node_column();
   const auto page = [](const char* what, uint64_t id) {
     return std::string(what) + " (page " + std::to_string(id) + ")";
   };
@@ -192,11 +192,17 @@ std::vector<std::string> TieringInvariantViolations(const os::TieredMemory& tier
   const std::vector<uint32_t>& decays = warm_set.word_decays();
   const size_t words = (n + 63) / 64;
   if (warm.size() != words || lo.size() != words || hi.size() != words ||
-      decays.size() != words) {
-    violations.push_back("warm set / heat bounds / decay counts span " +
+      decays.size() != words || warm_set.touched().size() != words) {
+    violations.push_back("warm set / heat bounds / decay counts / touched bits span " +
                          std::to_string(warm.size()) + " / " + std::to_string(lo.size()) + " / " +
                          std::to_string(hi.size()) + " / " + std::to_string(decays.size()) +
+                         " / " + std::to_string(warm_set.touched().size()) +
                          " words, page slots need " + std::to_string(words));
+    return violations;
+  }
+  if (tiering.allocator().heat_slots() != n) {
+    violations.push_back("heat column spans " + std::to_string(tiering.allocator().heat_slots()) +
+                         " pages under a daemon, page slots number " + std::to_string(n));
     return violations;
   }
   for (size_t w = 0; w < words; ++w) {

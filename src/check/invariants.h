@@ -30,6 +30,9 @@
 // And the tiering daemon's, between ticks, its WarmSet's first and then
 // its PromotionLedger's:
 //
+//   spans          the heat column spans page_count(), and the warm set,
+//                  heat bounds, decay counts and touched bits a word per
+//                  64 page slots;
 //   warm set       a superset of the pages with heat > 0;
 //   heat bounds    every word's [lo, hi] brackets the heat of each of its
 //                  page slots;

@@ -25,36 +25,28 @@ inline constexpr PageId kInvalidPage = std::numeric_limits<PageId>::max();
 inline constexpr uint64_t kDefaultPageBytes = 2 * kMiB;
 
 // Per-page metadata, as a value type. PageAllocator stores these fields
-// structure-of-arrays (packed node/heat/recency columns, so daemon scans
-// stream instead of striding); the struct remains the canonical record shape
-// for tests and documentation.
+// structure-of-arrays (a one-byte node column, and a heat column only while
+// a daemon tracks the allocator); the struct remains the canonical record
+// shape for tests and documentation. Whether a page was touched since the
+// daemon's last tick is one bit of the daemon's own (WarmSet::touched()).
 struct Page {
   topology::NodeId node = -1;  // Current placement.
   float heat = 0.0f;           // Decayed (sampled) access count.
-  // Daemon epoch of the most recent observed access; drives the
-  // MRU-balancing promotion mode (§2.3's earlier NUMA-balancing patch).
-  uint32_t last_decay_epoch = 0;
 };
 
-// Reference views over one page's columns, returned by PageAllocator::page().
+// A read-only view of one page's columns, returned by PageAllocator::page().
 // Field names match `Page`, so `allocator.page(id).heat` reads identically
-// whether the backing store is AoS or SoA. Bind with `auto`; the views hold
-// references into the allocator's columns and must not outlive it. Heat is
-// read-only even here: only the daemon's WarmSet writes it (sampled
-// accesses, quarantine, decay) and only PageAllocator::Allocate resets it,
-// which is what keeps the warm set a superset of the pages with heat > 0.
-// Under a daemon the stored heat lags the decays its word has pending:
-// read current heat through TieredMemory::Heat, or after SettleHeat.
+// whether the backing store is AoS or SoA. Bind with `auto`; the view holds
+// references into the allocator's columns and must not outlive it. Only
+// the allocator places pages, only the daemon's WarmSet writes heat
+// (sampled accesses, quarantine, decay) and only PageAllocator::Allocate
+// resets it, which keeps the warm set a superset of the pages with heat >
+// 0. Under a daemon the stored heat lags the decays its word has pending:
+// read current heat through TieredMemory::Heat, or after SettleHeat. An
+// allocator no daemon tracks stores no heat, and its views read heat 0.
 struct PageView {
-  topology::NodeId& node;
+  const int8_t& node;
   const float& heat;
-  uint32_t& last_decay_epoch;
-};
-
-struct ConstPageView {
-  const topology::NodeId& node;
-  const float& heat;
-  const uint32_t& last_decay_epoch;
 };
 
 // vmstat-style counters exposed by the tiering subsystem, named after their

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 
 namespace cxl::os {
 
@@ -12,6 +13,7 @@ PageAllocator::PageAllocator(const topology::Platform& platform, uint64_t page_b
   node_capacity_.resize(platform.nodes().size(), 0);
   node_is_dram_.resize(platform.nodes().size(), 0);
   for (const auto& n : platform.nodes()) {
+    assert(n.id >= 0 && n.id <= std::numeric_limits<int8_t>::max() && "node id overflows a byte");
     node_capacity_[static_cast<size_t>(n.id)] = n.capacity_bytes / page_bytes;
     node_is_dram_[static_cast<size_t>(n.id)] = n.kind == topology::NodeKind::kDram ? 1 : 0;
   }
@@ -87,6 +89,22 @@ topology::NodeId PageAllocator::FallbackNode() const {
 }
 
 StatusOr<PageRuns> PageAllocator::Allocate(const NumaPolicy& policy, uint64_t count) {
+  // Placement page by page succeeds exactly while a node it may use has
+  // room: for kBind the bound nodes, otherwise every node (FallbackNode
+  // reaches DRAM and CXL alike). So the request fails here, before any
+  // column grows, or not at all.
+  const bool bind = policy.mode() == PolicyMode::kBind;
+  uint64_t room = 0;
+  const std::vector<topology::NodeId>& bound = policy.nodes();
+  for (const auto& n : platform_.nodes()) {
+    if (!bind || std::find(bound.begin(), bound.end(), n.id) != bound.end()) {
+      room += FreePages(n.id);
+    }
+  }
+  if (count > room) {
+    return Status::ResourceExhausted(bind ? "bind policy: bound nodes are full"
+                                          : "machine out of memory");
+  }
   // The most recently freed ids first, then fresh slots as one run; the
   // columns grow once for the fresh slots instead of page by page.
   const uint64_t recycled = std::min(count, free_.size());
@@ -95,10 +113,15 @@ StatusOr<PageRuns> PageAllocator::Allocate(const NumaPolicy& policy, uint64_t co
   if (count > recycled) {
     const uint64_t grown = base + (count - recycled);
     node_.resize(grown, -1);
-    heat_.resize(grown, 0.0f);
-    last_epoch_.resize(grown, 0);
     ResizeBits();
     out.Append(base, count - recycled, /*descending=*/false);
+  }
+  if (heat_tracked_) {
+    // Fresh slots and recycled ids alike start at heat 0.
+    heat_.resize(node_.size(), 0.0f);
+    out.ForEachSpan(0, recycled, [&](PageId first, uint64_t n) {
+      std::fill_n(heat_.begin() + static_cast<std::ptrdiff_t>(first), n, 0.0f);
+    });
   }
   // Per-call allocation index drives the policy's round-robin; continuing a
   // global index would skew small allocations, and the kernel's interleave
@@ -108,7 +131,6 @@ StatusOr<PageRuns> PageAllocator::Allocate(const NumaPolicy& policy, uint64_t co
   const std::vector<topology::NodeId> pattern = policy.PeriodPattern();
   const size_t period = pattern.size();
   size_t pattern_i = 0;
-  uint64_t placed = 0;
   // Residency masks of a whole word whose first id the cursor places at
   // phase p, built at the first whole word a batch covers.
   std::vector<uint64_t> phase_dram;
@@ -174,14 +196,11 @@ StatusOr<PageRuns> PageAllocator::Allocate(const NumaPolicy& policy, uint64_t co
         }
         mark_batch(run, j, batch, pattern_i);
         for (const uint64_t end = j + batch; j < end; ++j) {
-          const PageId id = run.at(j);
-          node_[id] = pattern[pattern_i];
-          heat_[id] = 0.0f;
+          node_[run.at(j)] = static_cast<int8_t>(pattern[pattern_i]);
           if (++pattern_i == period) {
             pattern_i = 0;
           }
         }
-        placed += batch;
         continue;
       }
       // A node of the pattern is full: this page takes the fallback rules.
@@ -190,57 +209,23 @@ StatusOr<PageRuns> PageAllocator::Allocate(const NumaPolicy& policy, uint64_t co
         pattern_i = 0;
       }
       if (FreePages(target) == 0) {
-        if (policy.mode() == PolicyMode::kBind) {
-          // Try the other bound nodes before failing.
-          target = -1;
-          for (topology::NodeId n : policy.nodes()) {
-            if (FreePages(n) > 0) {
-              target = n;
-              break;
-            }
-          }
-          if (target < 0) {
-            UndoAllocate(out, placed, recycled, base);
-            return Status::ResourceExhausted("bind policy: bound nodes are full");
-          }
-        } else {
-          target = FallbackNode();
-          if (target < 0) {
-            UndoAllocate(out, placed, recycled, base);
-            return Status::ResourceExhausted("machine out of memory");
-          }
-        }
+        // The first bound node with room, or the fallback; the check above
+        // guarantees one.
+        target = bind ? *std::find_if(bound.begin(), bound.end(),
+                                      [&](topology::NodeId n) { return FreePages(n) > 0; })
+                      : FallbackNode();
+        assert(target >= 0);
       }
       const PageId id = run.at(j);
-      node_[id] = target;
-      heat_[id] = 0.0f;
+      node_[id] = static_cast<int8_t>(target);
       MarkResident(id, target);
       ++node_used_[static_cast<size_t>(target)];
       ++j;
-      ++placed;
     }
   }
   allocated_ += count;
   counters_.pgalloc += count;
   return out;
-}
-
-void PageAllocator::UndoAllocate(PageRuns& out, uint64_t placed, uint64_t recycled,
-                                 uint64_t base) {
-  // Leave the allocator as placing page by page and freeing the placed
-  // pages would: fresh slots never placed were never created, recycled ids
-  // never placed are still on the stack where they were, and the placed
-  // pages are freed in placement order.
-  const uint64_t kept = std::max(placed, recycled);
-  out.TakeBack(out.size() - kept);
-  free_.Append(out.TakeBack(kept - placed));
-  node_.resize(base + (kept - recycled));
-  heat_.resize(node_.size());
-  last_epoch_.resize(node_.size());
-  ResizeBits();
-  allocated_ += placed;
-  counters_.pgalloc += placed;
-  Free(out);
 }
 
 void PageAllocator::Free(const PageRuns& pages) {
@@ -289,7 +274,7 @@ Status PageAllocator::MovePage(PageId id, topology::NodeId target) {
   }
   --node_used_[static_cast<size_t>(from)];
   ++node_used_[static_cast<size_t>(target)];
-  node_[id] = target;
+  node_[id] = static_cast<int8_t>(target);
   if (IsDramNode(from) != IsDramNode(target)) {
     const uint64_t bit = uint64_t{1} << (id % 64);
     dram_bits_[id / 64] ^= bit;

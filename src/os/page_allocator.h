@@ -6,16 +6,17 @@
 // to the node with the most free pages (same-socket DRAM first, then remote
 // DRAM, then CXL), while kBind allocations fail.
 //
-// Page metadata is stored structure-of-arrays: the placement, hotness and
-// recency columns are separate dense vectors indexed by PageId, so the
+// Page metadata is stored structure-of-arrays, each column sized to its
+// readers: a one-byte node id per page, and a four-byte heat only once a
+// daemon's WarmSet tracks the allocator (nothing else reads heat). The
 // tiering daemon reads a page's columns by id without striding through
 // per-page structs. It visits only the pages its warm set marks (the ones
 // that may have heat > 0), in id order; when nearly every page is warm,
 // those visits are runs of consecutive ids over the packed columns. Callers
 // keep the record-like view through page(), which returns a PageView of
-// references into the columns (same field names as the old `Page` struct,
-// so call sites read unchanged). Freed slots have node < 0; per-tier
-// occupancy is derived from per-node counts.
+// references into the columns (same field names as the `Page` struct, so
+// call sites read unchanged). Freed slots have node < 0; per-tier occupancy
+// is derived from per-node counts.
 //
 // Allocations and frees are PageRuns (runs of consecutive ids), not one
 // entry per page: fresh slots come out as one ascending run, and freed ids
@@ -54,7 +55,8 @@ class PageAllocator {
   // Allocates `count` pages under `policy`: the most recently freed ids
   // first, then fresh slots. Returns the page ids, or RESOURCE_EXHAUSTED if
   // the policy cannot be satisfied (kBind with full nodes, or the whole
-  // machine is full); a failed call frees the pages it placed.
+  // machine is full). A request is checked against the free pages it could
+  // ever reach before any column grows, so a failed call changes nothing.
   StatusOr<PageRuns> Allocate(const NumaPolicy& policy, uint64_t count);
 
   // Frees previously allocated pages; their ids are recycled last first.
@@ -68,21 +70,19 @@ class PageAllocator {
   // Current placement of a page.
   topology::NodeId NodeOf(PageId page) const { return node_[page]; }
 
-  // Mutable / const reference views over one page's metadata columns. Field
-  // names match the historical `Page` struct; bind with `auto` (the views
-  // are proxies of references, cheap to copy, never stored).
-  PageView page(PageId id) { return PageView{node_[id], heat_[id], last_epoch_[id]}; }
-  ConstPageView page(PageId id) const {
-    return ConstPageView{node_[id], heat_[id], last_epoch_[id]};
+  // A view over one page's metadata columns (see PageView): bind with
+  // `auto`; cheap to copy, never stored.
+  PageView page(PageId id) const {
+    return PageView{node_[id], heat_tracked_ ? heat_[id] : kNoHeat};
   }
 
   // Raw read-only column access for the daemon's passes. Indexed by PageId
-  // over [0, page_count()); freed slots have node < 0. The heat column is
-  // written only through the daemon's WarmSet, and lags its pending decays
-  // (see PageView).
-  const topology::NodeId* node_column() const { return node_.data(); }
+  // over [0, page_count()); freed slots have node < 0. The heat column spans
+  // heat_slots() pages (page_count() under a daemon, else 0), is written
+  // only through the daemon's WarmSet and lags its pending decays.
+  const int8_t* node_column() const { return node_.data(); }
   const float* heat_column() const { return heat_.data(); }
-  const uint32_t* epoch_column() const { return last_epoch_.data(); }
+  uint64_t heat_slots() const { return heat_.size(); }
 
   // Residency bitsets (see the header comment): bit id % 64 of word id / 64
   // is set when page `id` is resident on a DRAM / a non-DRAM node. Both
@@ -125,14 +125,15 @@ class PageAllocator {
   // warm set in step with every write.
   friend class WarmSet;
   float* mutable_heat_column() { return heat_.data(); }
-  uint32_t* mutable_epoch_column() { return last_epoch_.data(); }
+  // Switches the heat column on for good: from now on it spans
+  // page_count(), at heat 0 until the daemon writes it.
+  void TrackHeat() {
+    heat_tracked_ = true;
+    heat_.resize(node_.size(), 0.0f);
+  }
 
   // Picks a fallback node with space, preferring DRAM over CXL.
   topology::NodeId FallbackNode() const;
-  // Unwinds an Allocate that placed the first `placed` of `out`'s ids, the
-  // first `recycled` of which came off the free stack and the rest from
-  // fresh slots at `base`.
-  void UndoAllocate(PageRuns& out, uint64_t placed, uint64_t recycled, uint64_t base);
 
   // Sets the residency bit of page `id`, now placed on `node`.
   void MarkResident(PageId id, topology::NodeId node) {
@@ -144,9 +145,10 @@ class PageAllocator {
   const topology::Platform& platform_;
   uint64_t page_bytes_;
   // Page metadata columns, indexed by PageId; grow monotonically.
-  std::vector<topology::NodeId> node_;
-  std::vector<float> heat_;
-  std::vector<uint32_t> last_epoch_;
+  std::vector<int8_t> node_;  // The constructor asserts every node id fits.
+  std::vector<float> heat_;  // Empty until TrackHeat().
+  bool heat_tracked_ = false;
+  static constexpr float kNoHeat = 0.0f;  // What page().heat reads untracked.
   std::vector<uint8_t> node_is_dram_;
   std::vector<uint64_t> dram_bits_;  // Residency bitsets, see dram_bits().
   std::vector<uint64_t> cxl_bits_;

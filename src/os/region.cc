@@ -39,7 +39,7 @@ std::vector<double> MemoryRegion::NodeShares() const {
   }
   // Each run reads the node column in id order: sequential streaming, no
   // indirection through an id vector.
-  const topology::NodeId* node_col = allocator_->node_column();
+  const int8_t* node_col = allocator_->node_column();
   for (const PageRuns::Run& run : pages_.runs()) {
     for (uint64_t i = 0; i < run.count; ++i) {
       const topology::NodeId n = node_col[run.at(i)];

@@ -255,11 +255,12 @@ void PromotionLedger::Demoted(PageId page, uint32_t epoch) {
   }
 }
 
-uint64_t PromotionLedger::CountRecentPromotions(const PageAllocator& allocator, uint32_t epoch) {
+uint64_t PromotionLedger::CountRecentPromotions(const PageAllocator& allocator,
+                                                const std::vector<uint64_t>& touched,
+                                                uint32_t epoch) {
   // In id order, like the warm passes; a page leaves the set once its
   // stamp ages out of the window.
   const uint64_t* dram_bits = allocator.dram_bits().data();
-  const uint32_t* epoch_col = allocator.epoch_column();
   uint64_t visited = 0;
   for (size_t w = 0; w < recently_promoted_.size(); ++w) {
     for (uint64_t bits = recently_promoted_[w]; bits != 0; bits &= bits - 1) {
@@ -270,7 +271,7 @@ uint64_t PromotionLedger::CountRecentPromotions(const PageAllocator& allocator, 
         recently_promoted_[w] &= ~Bit(id);  // Aged out of the window.
       } else if (age >= 1 && (dram_bits[w] & Bit(id)) != 0) {
         ++feedback_.recent_promoted;
-        if (epoch_col[id] == epoch) {
+        if ((touched[w] & Bit(id)) != 0) {
           ++feedback_.recent_promoted_hot;
         }
       }
@@ -285,6 +286,7 @@ WarmSet::WarmSet(PageAllocator& allocator, PromotionLedger& ledger, float decay_
   // Pages the allocator already holds may carry heat from an earlier daemon:
   // start the warm set as their superset. A fresh allocator's heat is all
   // zero, which one vectorisable pass confirms.
+  allocator_.TrackHeat();
   Grow();
   const float* heat_col = allocator_.heat_column();
   int any_heat = 0;
@@ -301,7 +303,7 @@ WarmSet::WarmSet(PageAllocator& allocator, PromotionLedger& ledger, float decay_
   }
 }
 
-void WarmSet::RecordAccess(PageId page, uint64_t accesses, uint32_t epoch) {
+void WarmSet::RecordAccess(PageId page, uint64_t accesses) {
   // Hint-fault sampling: only a fraction of real accesses are observed.
   const double sampled = static_cast<double>(accesses) * sample_rate_;
   const size_t w = page / kWordBits;
@@ -311,20 +313,20 @@ void WarmSet::RecordAccess(PageId page, uint64_t accesses, uint32_t epoch) {
   CatchUp(w);
   float& heat = allocator_.mutable_heat_column()[page];
   heat += static_cast<float>(sampled);
-  allocator_.page(page).last_decay_epoch = epoch;  // Recency stamp for the kRecency scan.
   allocator_.mutable_counters().numa_hint_faults += static_cast<uint64_t>(std::ceil(sampled));
   warm_[w] |= Bit(page);
+  touched_[w] |= Bit(page);
   word_hi_[w] = std::max(word_hi_[w], heat);
 }
 
-void WarmSet::RecordAccessRun(PageId first, uint64_t count, uint64_t accesses, uint32_t epoch) {
+void WarmSet::RecordAccessRun(PageId first, uint64_t count, uint64_t accesses) {
   if (count == 0) {
     return;
   }
   const PageId last = first + count - 1;
   assert(last < allocator_.page_count());
-  // Each page gets RecordAccess's float add and ceil, so the columns and
-  // the integer fault count come out exactly as `count` calls leave them.
+  // Each page gets RecordAccess's float add and ceil, so the heats and the
+  // integer fault count come out exactly as `count` calls leave them.
   const double sampled = static_cast<double>(accesses) * sample_rate_;
   const float add = static_cast<float>(sampled);
   const size_t first_word = first / kWordBits;
@@ -336,27 +338,29 @@ void WarmSet::RecordAccessRun(PageId first, uint64_t count, uint64_t accesses, u
     CatchUp(w);
   }
   float* heat = allocator_.mutable_heat_column() + first;
-  uint32_t* stamp = allocator_.mutable_epoch_column() + first;
   for (uint64_t i = 0; i < count; ++i) {
     heat[i] += add;
-    stamp[i] = epoch;
   }
   allocator_.mutable_counters().numa_hint_faults +=
       count * static_cast<uint64_t>(std::ceil(sampled));
   const uint64_t head = ~uint64_t{0} << (first % kWordBits);
   const uint64_t tail = ~uint64_t{0} >> (kWordBits - 1 - last % kWordBits);
+  const auto mark = [&](size_t w, uint64_t bits) {
+    warm_[w] |= bits;
+    touched_[w] |= bits;
+  };
   BoundWord(first_word);
   if (first_word == last_word) {
-    warm_[first_word] |= head & tail;
+    mark(first_word, head & tail);
     return;
   }
-  warm_[first_word] |= head;
+  mark(first_word, head);
   for (size_t w = first_word + 1; w < last_word; ++w) {
-    warm_[w] = ~uint64_t{0};
+    mark(w, ~uint64_t{0});
     word_lo_[w] += add;
     word_hi_[w] += add;
   }
-  warm_[last_word] |= tail;
+  mark(last_word, tail);
   BoundWord(last_word);
 }
 
@@ -371,6 +375,7 @@ void WarmSet::Grow() {
   assert(pages <= (uint64_t{1} << 32));
   ledger_.GrowStamps(pages);
   warm_.resize((pages + kWordBits - 1) / kWordBits, 0);
+  touched_.resize(warm_.size(), 0);
   ledger_.GrowRecent(warm_.size());
   // New slots hold heat 0. They are created only by allocation, after
   // which the next tick zeroes every lower bound, the word they extend
@@ -508,15 +513,18 @@ void WarmSet::VisitWarm(Dense&& dense, Sparse&& sparse) {
 uint64_t WarmSet::ScanWarm(const CandidateFilter& filter, ColdPoolSelector& pool,
                            ArenaVector<ColdPoolSelector::Key>& hot) {
   const float* heat_col = allocator_.heat_column();
-  const uint32_t* epoch_col = allocator_.epoch_column();
   const uint64_t* dram_bits = allocator_.dram_bits().data();
   const uint64_t* cxl_bits = allocator_.cxl_bits().data();
   uint64_t offered_dram = 0;
   uint64_t offers = 0;
   uint64_t skipped = 0;
-  // A CXL page whose heat passed the filter: the per-page tests left.
+  // The CXL pages of word w the filter's touched test admits.
+  const auto eligible = [&](size_t w) {
+    return cxl_bits[w] & (filter.touched_only ? touched_[w] : ~uint64_t{0});
+  };
+  // An eligible page whose heat passed the filter: the quarantine test left.
   const auto consider = [&](PageId id, float heat) {
-    if ((!filter.this_epoch_only || epoch_col[id] == filter.epoch) && !ledger_.IsQuarantined(id)) {
+    if (!ledger_.IsQuarantined(id)) {
       hot.push_back(HottestFirstKeyOf(heat, id));
     }
   };
@@ -554,7 +562,7 @@ uint64_t WarmSet::ScanWarm(const CandidateFilter& filter, ColdPoolSelector& pool
           ++offers;
           pool.Offer(ColdPoolSelector::KeyOf(heat[j], base + static_cast<PageId>(j)));
         }
-        for (uint64_t bits = cxl_bits[w] & masks.candidate; bits != 0; bits &= bits - 1) {
+        for (uint64_t bits = eligible(w) & masks.candidate; bits != 0; bits &= bits - 1) {
           const int j = std::countr_zero(bits);
           consider(base + static_cast<PageId>(j), heat[j]);
         }
@@ -571,7 +579,7 @@ uint64_t WarmSet::ScanWarm(const CandidateFilter& filter, ColdPoolSelector& pool
             ++offers;
             pool.Offer(ColdPoolSelector::KeyOf(heat, id));
           }
-        } else if ((cxl_bits[id / kWordBits] & Bit(id)) != 0 && heat >= filter.min_heat) {
+        } else if ((eligible(id / kWordBits) & Bit(id)) != 0 && heat >= filter.min_heat) {
           consider(id, heat);
         }
         return true;
@@ -776,7 +784,7 @@ uint64_t TieredMemory::DemoteColdPages(uint64_t count) {
     ArenaVector<ColdPoolSelector::Key> no_candidates{
         ArenaAllocator<ColdPoolSelector::Key>(&tick_arena_)};
     cold_pool_.Fill(count, warm_,
-                    WarmSet::CandidateFilter{std::numeric_limits<float>::quiet_NaN(), false, 0},
+                    WarmSet::CandidateFilter{std::numeric_limits<float>::quiet_NaN(), false},
                     no_candidates);
   }
 
@@ -826,6 +834,7 @@ TieredMemory::TickResult TieredMemory::SkipTick(TickResult result, double dt_sec
 void TieredMemory::EndTick(TickResult& result, double dt_seconds) {
   ++epoch_;
   sim_seconds_ += dt_seconds;
+  warm_.EndTick();
   result += warm_.TakeWork();
   result += cold_pool_.TakeWork();
 }
@@ -904,14 +913,13 @@ TieredMemory::TickResult TieredMemory::Tick(double dt_seconds) {
     // Candidates are appended in id order. With nothing resident on CXL
     // there is nothing to promote and nothing the pool is for; skip.
     WarmSet::CandidateFilter filter;
-    filter.epoch = epoch_;
     switch (decision.scan) {
       case CandidateScan::kHotnessRanked:
         // Heat >= the double threshold. Rounding the threshold up to a
         // float keeps that exact: a float heat reaches the threshold
         // exactly when it reaches the smallest float at or above it.
         // Only this scan feeds the promotion-outcome observation.
-        result.pages_visited += ledger_.CountRecentPromotions(allocator_, epoch_);
+        result.pages_visited += ledger_.CountRecentPromotions(allocator_, warm_.touched(), epoch_);
         filter.min_heat = CeilToFloat(decision.hot_threshold);
         break;
       case CandidateScan::kRecency:
@@ -921,7 +929,7 @@ TieredMemory::TickResult TieredMemory::Tick(double dt_seconds) {
         // (§2.3): the budget is spent on recently-touched pages regardless
         // of their heat. Heat > 0 is heat >= the smallest subnormal.
         filter.min_heat = std::numeric_limits<float>::denorm_min();
-        filter.this_epoch_only = true;
+        filter.touched_only = true;
         break;
       case CandidateScan::kSecondAccess:
         // TPP-like: second observed access promotes. With the default

@@ -244,10 +244,11 @@ class PromotionLedger {
   // the page was promoted within the stamp window.
   void Demoted(PageId page, uint32_t epoch);
 
-  // Counts the DRAM-resident pages promoted within the stamp window, and
-  // those of them touched at `epoch`, into feedback(). Returns the pages it
-  // visited.
-  uint64_t CountRecentPromotions(const PageAllocator& allocator, uint32_t epoch);
+  // Counts the DRAM-resident pages promoted within the stamp window of
+  // `epoch`, and those of them set in `touched` (WarmSet::touched()), into
+  // feedback(). Returns the pages it visited.
+  uint64_t CountRecentPromotions(const PageAllocator& allocator,
+                                 const std::vector<uint64_t>& touched, uint32_t epoch);
 
   // Records `page` as quarantined at `epoch`. Returns false when it already
   // was.
@@ -299,6 +300,11 @@ class PromotionLedger {
 // quarantine's leave stale bits, which only cost a visit. Heat is assumed
 // non-negative, with a finite, non-negative decay factor.
 //
+// Accesses also set a second bitset, touched(): the pages accessed since the
+// last tick ended, which TieredMemory::EndTick clears (skipped ticks too).
+// Recency is read only as that question (the mru-balancing filter and the
+// promotion feedback), so one bit per page answers it.
+//
 // Decay is lazy and word-granular. decays_ counts the decays the daemon
 // has made; word_decays_[w] those word w's heats have had. A word behind
 // catches up (CatchUp) when its heats are next read or written: each of
@@ -323,26 +329,27 @@ class PromotionLedger {
 class WarmSet {
  public:
   // Which low-tier pages a warm pass lists as promotion candidates: heat
-  // >= min_heat (NaN lists none), touched at `epoch` if this_epoch_only,
-  // and not quarantined. One value covers every CandidateScan: a float
-  // min_heat rounded up from the double threshold selects exactly the
-  // heats the double compare does.
+  // >= min_heat (NaN lists none), touched since the last tick if
+  // touched_only, and not quarantined. One value covers every
+  // CandidateScan: a float min_heat rounded up from the double threshold
+  // selects exactly the heats the double compare does.
   struct CandidateFilter {
     float min_heat = 0.0f;
-    bool this_epoch_only = false;
-    uint32_t epoch = 0;
+    bool touched_only = false;
   };
 
-  // Adopts the heat the allocator's column holds (see TieredMemory). The
-  // ledger's columns grow with the warm set's; its quarantine filters the
-  // candidates.
+  // Switches the allocator's heat column on and adopts the heat it holds
+  // (see TieredMemory). The ledger's columns grow with the warm set's; its
+  // quarantine filters the candidates.
   WarmSet(PageAllocator& allocator, PromotionLedger& ledger, float decay_factor,
           double sample_rate);
 
-  // TieredMemory::RecordAccess and RecordAccessRun, stamping `epoch` as the
-  // pages' recency.
-  void RecordAccess(PageId page, uint64_t accesses, uint32_t epoch);
-  void RecordAccessRun(PageId first, uint64_t count, uint64_t accesses, uint32_t epoch);
+  // TieredMemory::RecordAccess and RecordAccessRun; both set touched bits.
+  void RecordAccess(PageId page, uint64_t accesses);
+  void RecordAccessRun(PageId first, uint64_t count, uint64_t accesses);
+
+  // Ends a tick: no page has been touched since.
+  void EndTick() { std::fill(touched_.begin(), touched_.end(), 0); }
 
   // TieredMemory::Heat and SettleHeat.
   float Heat(PageId page) const;
@@ -408,6 +415,8 @@ class WarmSet {
   // The warm bits, per-word heat bounds and decay counts, for
   // check::TieringInvariantViolations and tests.
   const std::vector<uint64_t>& bits() const { return warm_; }
+  // The touched bits (see the class comment), as many words as bits().
+  const std::vector<uint64_t>& touched() const { return touched_; }
   const std::vector<float>& word_lo() const { return word_lo_; }
   const std::vector<float>& word_hi() const { return word_hi_; }
   const std::vector<uint32_t>& word_decays() const { return word_decays_; }
@@ -432,8 +441,8 @@ class WarmSet {
   }
   void CatchUpWord(size_t w);
 
-  // Sizes the ledger's stamp column and recent set, the warm set, the heat
-  // bounds and the decay counts to cover every page slot.
+  // Sizes the ledger's stamp column and recent set, the warm and touched
+  // sets, the heat bounds and the decay counts to cover every page slot.
   void Grow();
 
   // Sets word `w`'s heat bounds to the least and greatest heat of its page
@@ -445,6 +454,7 @@ class WarmSet {
   double sample_rate_;  // TieringConfig::hint_fault_sample_rate.
   HeatDecay decay_;
   std::vector<uint64_t> warm_;
+  std::vector<uint64_t> touched_;
   std::vector<float> word_lo_;
   std::vector<float> word_hi_;
   std::vector<uint32_t> word_decays_;
@@ -534,13 +544,13 @@ class TieredMemory {
   // Feeds `accesses` real accesses to `page` into the (sampled) heat
   // counter and marks the page warm. Called by application models once per
   // simulation step per page group.
-  void RecordAccess(PageId page, uint64_t accesses) { warm_.RecordAccess(page, accesses, epoch_); }
+  void RecordAccess(PageId page, uint64_t accesses) { warm_.RecordAccess(page, accesses); }
 
   // The same as RecordAccess(id, accesses) for every id of
   // [first, first + count), in one straight pass over the columns and a
   // word at a time over the warm set: how a streamed window is recorded.
   void RecordAccessRun(PageId first, uint64_t count, uint64_t accesses) {
-    warm_.RecordAccessRun(first, count, accesses, epoch_);
+    warm_.RecordAccessRun(first, count, accesses);
   }
 
   // Runs one daemon interval covering `dt_seconds` of simulated time.
@@ -624,8 +634,8 @@ class TieredMemory {
   // kDaemonSkippedTick event when a fault window is attributable.
   TickResult SkipTick(TickResult result, double dt_seconds, int reason);
 
-  // Ends a tick: advances the epoch and the clock by `dt_seconds` and adds
-  // the owners' work counts into `result`.
+  // Ends a tick: advances the epoch and the clock by `dt_seconds`, clears
+  // the touched bits and adds the owners' work counts into `result`.
   void EndTick(TickResult& result, double dt_seconds);
 
   // Appends one tick's worth of telemetry (no-op without a sink).
@@ -639,7 +649,7 @@ class TieredMemory {
 
   PageAllocator& allocator_;
   TieringConfig config_;
-  uint32_t epoch_ = 0;  // Scan interval counter (recency stamps).
+  uint32_t epoch_ = 0;  // Ticks so far (promotion and quarantine stamps).
 
   // Decision policy: owned instance built from config_ at construction;
   // policy_ points at it unless Attach() supplied an override.

@@ -100,7 +100,6 @@ double PercentileCeilRank(std::vector<double>& samples, double q) {
   if (samples.empty()) {
     return 0.0;
   }
-  std::sort(samples.begin(), samples.end());
   const auto n = samples.size();
   // Ceil-rank: the smallest sample v[k] with at least q*n samples <= v[k].
   // The previous floor-rank index truncated q*(n-1), returning a quantile
@@ -109,7 +108,10 @@ double PercentileCeilRank(std::vector<double>& samples, double q) {
   // contract (e.g. n=150, q=0.99 picked rank 148/150 = 98.67% coverage).
   const double rank = std::ceil(q * static_cast<double>(n));
   const size_t idx = rank <= 1.0 ? 0 : std::min(n - 1, static_cast<size_t>(rank) - 1);
-  return samples[idx];
+  // Only the idx-th smallest is read: select it, no full sort.
+  const auto kth = samples.begin() + static_cast<std::ptrdiff_t>(idx);
+  std::nth_element(samples.begin(), kth, samples.end());
+  return *kth;
 }
 
 PoolingEconomicsResult EstimatePoolingEconomics(const PoolingEconomicsConfig& config) {

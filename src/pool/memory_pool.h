@@ -102,7 +102,7 @@ struct PoolingEconomicsResult {
   double capacity_saving = 0.0;
 };
 
-// Ceil-rank empirical quantile: sorts `samples` in place and returns the
+// Ceil-rank empirical quantile: reorders `samples` and returns the
 // smallest sample v such that at least ceil(q * n) of the n samples are <= v.
 // This is the conservative direction the provisioning contract needs — a
 // floor-rank index returns a quantile <= the requested one and under-sizes.

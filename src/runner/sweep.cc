@@ -4,18 +4,16 @@
 #include <cstdlib>
 #include <thread>
 
+#include "src/util/flags.h"
+
 namespace cxl::runner {
 
 int ParsePositiveInt(const char* text) {
-  if (text == nullptr || *text == '\0') {
+  int value = 0;
+  if (text == nullptr || !ParseNumber(text, &value) || value <= 0 || value > 1 << 20) {
     return 0;
   }
-  char* end = nullptr;
-  const long value = std::strtol(text, &end, 10);
-  if (end == nullptr || *end != '\0' || value <= 0 || value > 1 << 20) {
-    return 0;
-  }
-  return static_cast<int>(value);
+  return value;
 }
 
 int ResolveJobs(int requested) {

@@ -37,7 +37,8 @@ namespace cxl::runner {
 int ResolveJobs(int requested);
 
 // Parses a strictly positive integer up to 2^20 (a worker count, from
-// --jobs or CXL_JOBS); returns 0 on any malformed input.
+// --jobs or CXL_JOBS), whole, as ParseNumber does: no sign, no blanks.
+// Returns 0 on any malformed input.
 int ParsePositiveInt(const char* text);
 
 // The seed cell `index` of a sweep draws from. Pure function of

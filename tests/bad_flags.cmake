@@ -5,7 +5,8 @@
 #   cmake -DBIN=<binary> [-DREJECT_JOBS=ON] [-DREJECT_FAULTS=ON] [-DREJECT_TIERING=ON]
 #         -P bad_flags.cmake
 #       the shared bench::Context cases: a misspelled flag, a malformed
-#       --jobs and --events-ring value, a trailing --trace-out, an empty
+#       --jobs value (`abc`, a signed `+2`, a blank-led ` 2`) and
+#       --events-ring value, a trailing --trace-out, an empty
 #       --metrics-out and a stray positional; with REJECT_JOBS, `--jobs 2`
 #       too, with REJECT_FAULTS `--faults storm` and with REJECT_TIERING
 #       `--tiering-policy tpp-like`, for a binary that does not declare
@@ -24,9 +25,10 @@ if(DEFINED ARGS)
   string(REPLACE "|" ";" cases "${ARGS}")
   string(REPLACE "|" ";" names "${NAME}")
 else()
-  set(cases "--fault-sed 7" "--jobs=abc" "--events-ring x" "--trace-out" "--metrics-out="
-            "extra")
-  set(names "--fault-sed" "--jobs" "--events-ring" "--trace-out" "--metrics-out" "extra")
+  set(cases "--fault-sed 7" "--jobs=abc" "--jobs +2" "--jobs ' 2'" "--events-ring x"
+            "--trace-out" "--metrics-out=" "extra")
+  set(names "--fault-sed" "--jobs" "--jobs" "--jobs" "--events-ring" "--trace-out"
+            "--metrics-out" "extra")
   if(REJECT_JOBS)
     list(APPEND cases "--jobs 2")
     list(APPEND names "--jobs")

@@ -278,6 +278,51 @@ TEST(PageRunsTest, ForEachSpanCoversExactlyThePositions) {
   }
 }
 
+// A request that cannot be placed fails before any column grows: the page
+// slots, counters, per-node counts and free stack are as before the call.
+// An 8 TiB request used to grow every column by its size before failing.
+TEST_F(AllocatorTest, FailedRequestLeavesNoTrace) {
+  const auto cxl0 = platform_.CxlNodes()[0];
+  auto live = alloc_.Allocate(NumaPolicy::Interleave(platform_.DramNodes()), 1000);
+  ASSERT_TRUE(live.ok());
+  alloc_.Free(live->TakeBack(300));
+  const uint64_t pages = alloc_.page_count();
+  const VmCounters before = alloc_.counters();
+  const std::vector<PageId> stack(alloc_.free_runs().begin(), alloc_.free_runs().end());
+  std::vector<uint64_t> used;
+  for (const auto& n : platform_.nodes()) {
+    used.push_back(alloc_.UsedPages(n.id));
+  }
+  const auto unchanged = [&] {
+    EXPECT_EQ(alloc_.page_count(), pages);
+    EXPECT_EQ(alloc_.allocated_pages(), 700u);
+    EXPECT_EQ(alloc_.counters().pgalloc, before.pgalloc);
+    EXPECT_EQ(alloc_.counters().pgfree, before.pgfree);
+    EXPECT_EQ(std::vector<PageId>(alloc_.free_runs().begin(), alloc_.free_runs().end()), stack);
+    for (const auto& n : platform_.nodes()) {
+      EXPECT_EQ(alloc_.UsedPages(n.id), used[static_cast<size_t>(n.id)]);
+    }
+    const std::vector<std::string> audit = check::AllocatorInvariantViolations(alloc_);
+    EXPECT_TRUE(audit.empty()) << audit.front();
+  };
+  const uint64_t huge = 8_TiB / alloc_.page_bytes();
+  for (const NumaPolicy& policy :
+       {NumaPolicy::Interleave(platform_.DramNodes()), NumaPolicy::Preferred({cxl0}),
+        NumaPolicy::Bind(platform_.DramNodes())}) {
+    const auto failed = alloc_.Allocate(policy, huge);
+    ASSERT_FALSE(failed.ok()) << policy.ToString();
+    EXPECT_EQ(failed.status().code(), StatusCode::kResourceExhausted);
+    unchanged();
+  }
+  // One page more than the bound node holds fails, a bound node listed
+  // twice included; unbound, the same request falls back and succeeds.
+  const uint64_t over = alloc_.FreePages(cxl0) + 1;
+  EXPECT_FALSE(alloc_.Allocate(NumaPolicy::Bind({cxl0}), over).ok());
+  EXPECT_FALSE(alloc_.Allocate(NumaPolicy::Bind({cxl0, cxl0}), over).ok());
+  unchanged();
+  EXPECT_TRUE(alloc_.Allocate(NumaPolicy::Preferred({cxl0}), over).ok());
+}
+
 TEST_F(AllocatorTest, FreedRegionComesBackAsOneReversedRun) {
   auto a = alloc_.Allocate(NumaPolicy::Bind({0}), 1000);
   ASSERT_TRUE(a.ok());
@@ -293,7 +338,8 @@ TEST_F(AllocatorTest, FreedRegionComesBackAsOneReversedRun) {
 
 // A per-id model of the allocator: one free-list stack entry per id, one
 // NodeForIndex call per page. The run-based allocator must match it id for
-// id on every call.
+// id on every call. A request that runs out of room part way is rolled
+// back whole: ids, free-list order, counts and counters as before the call.
 class ReferenceAllocator {
  public:
   ReferenceAllocator(const Platform& platform, uint64_t page_bytes) : platform_(platform) {
@@ -304,6 +350,10 @@ class ReferenceAllocator {
   }
 
   std::optional<std::vector<PageId>> Allocate(const NumaPolicy& policy, uint64_t count) {
+    const std::vector<topology::NodeId> saved_node = node;
+    const std::vector<PageId> saved_free_list = free_list;
+    const std::vector<uint64_t> saved_used = used;
+    const uint64_t saved_allocated = allocated;
     std::vector<PageId> out;
     for (uint64_t i = 0; i < count; ++i) {
       topology::NodeId target = policy.NodeForIndex(i);
@@ -320,8 +370,10 @@ class ReferenceAllocator {
           target = Fallback();
         }
         if (target < 0) {
-          pgalloc += out.size();
-          Free(out);
+          node = saved_node;
+          free_list = saved_free_list;
+          used = saved_used;
+          allocated = saved_allocated;
           return std::nullopt;
         }
       }

@@ -317,7 +317,7 @@ TEST_P(FusedScanTest, DemotionsAreTheColdestPreTickDramPages) {
 
   Rng rng(99);
   ScrambledZipfianDistribution zipf(kTotalPages);
-  const topology::NodeId* node_col = alloc.node_column();
+  const int8_t* node_col = alloc.node_column();
   const auto in_dram = [&](topology::NodeId node) { return node >= 0 && alloc.IsDramNode(node); };
   uint64_t total_demoted = 0;
   uint64_t max_tick_demoted = 0;

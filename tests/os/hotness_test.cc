@@ -4,6 +4,7 @@
 #include <cstring>
 #include <vector>
 
+#include "src/fault/fault.h"
 #include "src/os/page_allocator.h"
 #include "src/os/tiering.h"
 #include "src/topology/platform.h"
@@ -64,12 +65,101 @@ TEST_F(HotnessTest, LowTierPagesCount) {
   EXPECT_EQ(alloc_.CxlResidentCount(), 42u);
 }
 
+// The heat column exists only under a daemon: an allocator no daemon tracks
+// stores none through Allocate, Free and MovePage. A daemon built over it
+// sizes the column to page_count() at heat 0, allocation keeps it at
+// page_count(), and recycled ids come back at heat 0.
+TEST_F(HotnessTest, HeatColumnExistsOnlyUnderADaemon) {
+  const auto cxl0 = platform_.CxlNodes()[0];
+  auto first = alloc_.Allocate(NumaPolicy::Bind({0}), 300);
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(alloc_.MovePage((*first)[7], cxl0).ok());
+  alloc_.Free(first->TakeBack(100));
+  ASSERT_TRUE(alloc_.Allocate(NumaPolicy::Interleave(platform_.DramNodes()), 150).ok());
+  ASSERT_EQ(alloc_.page_count(), 350u);
+  EXPECT_EQ(alloc_.heat_slots(), 0u);
+  EXPECT_EQ(alloc_.page(7).heat, 0.0f);
+
+  TieringConfig cfg;
+  cfg.hint_fault_sample_rate = 1.0;
+  TieredMemory tiering(alloc_, cfg);
+  ASSERT_EQ(alloc_.heat_slots(), alloc_.page_count());
+  for (PageId id = 0; id < alloc_.page_count(); ++id) {
+    ASSERT_EQ(alloc_.heat_column()[id], 0.0f) << "page " << id;
+  }
+  auto fresh = alloc_.Allocate(NumaPolicy::Bind({0}), 64);
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ(alloc_.heat_slots(), alloc_.page_count());
+  for (const PageId id : *fresh) {
+    tiering.RecordAccess(id, 10);
+  }
+  tiering.Tick(1.0);
+  ASSERT_GT(tiering.Heat((*fresh)[0]), 0.0f);
+  alloc_.Free(*fresh);
+  auto recycled = alloc_.Allocate(NumaPolicy::Bind({0}), 64);
+  ASSERT_TRUE(recycled.ok());
+  EXPECT_EQ(alloc_.page_count(), 414u);  // No fresh slot: every id came off the free stack.
+  for (const PageId id : *recycled) {
+    EXPECT_EQ(tiering.Heat(id), 0.0f) << "page " << id;
+    EXPECT_EQ(alloc_.page(id).heat, 0.0f) << "page " << id;
+  }
+}
+
+// Touched bits last one interval, and a skipped tick ends one too: under
+// mru-balancing, pages touched before a daemon stall are not candidates
+// after it, although their heat is still above 0, while a page touched
+// after it is promoted.
+TEST(TouchedBitsTest, StalledTickClearsThem) {
+  constexpr uint64_t kPageBytes = 4096;
+  topology::PlatformOptions opt;
+  opt.sockets = 1;
+  opt.dram_per_socket = 512 * kPageBytes;
+  opt.cxl_cards = 1;
+  opt.cxl_card_capacity = 2048 * kPageBytes;
+  const Platform platform = Platform::Build(opt);
+  fault::FaultPlan plan;
+  plan.DaemonStall(1.0, 1.0);
+  fault::FaultInjector faults(std::move(plan));
+  PageAllocator alloc(platform, kPageBytes);
+  TieringConfig cfg;
+  cfg.policy = "mru-balancing";
+  TieredMemory tiering(alloc, cfg);
+  TieredMemory::Observers observers;
+  observers.faults = &faults;
+  tiering.Attach(observers);
+  auto pages = alloc.Allocate(NumaPolicy::Bind(platform.CxlNodes()), 64);
+  ASSERT_TRUE(pages.ok());
+
+  faults.AdvanceTo(0.0);
+  EXPECT_EQ(tiering.Tick(1.0).candidates, 0u);
+  for (uint64_t i = 0; i < 32; ++i) {
+    tiering.RecordAccess((*pages)[i], 100);
+  }
+  faults.AdvanceTo(1.0);
+  ASSERT_TRUE(faults.DaemonStalled());
+  EXPECT_EQ(tiering.Tick(1.0).candidates, 0u);
+  faults.AdvanceTo(2.0);
+  ASSERT_FALSE(faults.DaemonStalled());
+  ASSERT_GT(tiering.Heat((*pages)[0]), 0.0f);
+  const TieredMemory::TickResult after = tiering.Tick(1.0);
+  EXPECT_EQ(after.candidates, 0u);
+  EXPECT_EQ(after.promoted_pages, 0u);
+
+  tiering.RecordAccess((*pages)[40], 100);
+  faults.AdvanceTo(3.0);
+  const TieredMemory::TickResult next = tiering.Tick(1.0);
+  EXPECT_EQ(next.candidates, 1u);
+  EXPECT_EQ(next.promoted_pages, 1u);
+  EXPECT_TRUE(alloc.IsDramNode(alloc.NodeOf((*pages)[40])));
+  EXPECT_FALSE(alloc.IsDramNode(alloc.NodeOf((*pages)[0])));
+}
+
 // RecordAccessRun must leave exactly what RecordAccess page by page does.
 // Two twin daemons take the same spans: 0, 1, 63, 64, 65 and 200 pages at
 // word-aligned and unaligned starts, overlapping, at a sample rate whose
 // per-access heat is fractional, and one span ending past the pages the
-// daemon's warm set has grown to cover. After each round the heat and
-// epoch columns match bit for bit, the hint-fault counts match, and so do
+// daemon's warm set has grown to cover. After each round the heats and the
+// touched bits match bit for bit, the hint-fault counts match, and so do
 // the next tick's results, field by field.
 TEST(RecordAccessRunTest, EqualsPerPageRecordAccess) {
   constexpr uint64_t kPageBytes = 4096;
@@ -138,9 +228,7 @@ TEST(RecordAccessRunTest, EqualsPerPageRecordAccess) {
     }
     EXPECT_EQ(std::memcmp(run_heat.data(), per_page_heat.data(), n * sizeof(float)), 0)
         << "round " << round;
-    EXPECT_EQ(std::memcmp(run.alloc.epoch_column(), per_page.alloc.epoch_column(),
-                          n * sizeof(uint32_t)),
-              0)
+    EXPECT_EQ(run.tiering.warm().touched(), per_page.tiering.warm().touched())
         << "round " << round;
     EXPECT_EQ(run.alloc.counters().numa_hint_faults, per_page.alloc.counters().numa_hint_faults)
         << "round " << round;
@@ -159,7 +247,7 @@ TEST(RecordAccessRunTest, EqualsPerPageRecordAccess) {
     EXPECT_EQ(a.heat_catch_ups, b.heat_catch_ups) << "round " << round;
     EXPECT_GT(a.candidates, 0u) << "round " << round;
     EXPECT_EQ(std::memcmp(run.alloc.node_column(), per_page.alloc.node_column(),
-                          n * sizeof(topology::NodeId)),
+                          n * sizeof(int8_t)),
               0)
         << "round " << round;
   }

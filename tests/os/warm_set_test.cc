@@ -186,6 +186,7 @@ class Harness {
     auto pages = alloc_.Allocate(policy, count);
     EXPECT_TRUE(pages.ok());
     shadow_.resize(alloc_.page_count(), 0.0f);
+    touched_.resize(alloc_.page_count(), 0);
     for (const PageId id : *pages) {
       shadow_[id] = 0.0f;  // Allocation resets heat.
     }
@@ -200,6 +201,7 @@ class Harness {
     tiering_.RecordAccess(id, accesses);
     shadow_[id] += static_cast<float>(static_cast<double>(accesses) *
                                       tiering_.config().hint_fault_sample_rate);
+    touched_[id] = 1;
   }
 
   // Access for every id of [first, first + count), in one RecordAccessRun.
@@ -209,6 +211,7 @@ class Harness {
                                          tiering_.config().hint_fault_sample_rate);
     for (PageId id = first; id < first + count; ++id) {
       shadow_[id] += add;
+      touched_[id] = 1;
     }
   }
 
@@ -227,7 +230,9 @@ class Harness {
     const uint64_t n = alloc_.page_count();
     const std::vector<topology::NodeId> node(alloc_.node_column(), alloc_.node_column() + n);
     const std::vector<float> heat = Heats();
-    const std::vector<uint32_t> touched(alloc_.epoch_column(), alloc_.epoch_column() + n);
+    // The pages accessed since the previous tick, by the harness's own
+    // record: every tick, run or skipped, starts a new interval.
+    const std::vector<uint8_t> touched = std::exchange(touched_, std::vector<uint8_t>(n, 0));
     std::vector<uint32_t> stamp(n);
     for (PageId id = 0; id < n; ++id) {
       stamp[id] = tiering_.ledger().PromoteStamp(id);
@@ -278,7 +283,7 @@ class Harness {
             qualifies = heat[id] >= d.hot_threshold;
             break;
           case CandidateScan::kRecency:
-            qualifies = touched[id] == epoch && heat[id] > 0.0f;
+            qualifies = touched[id] != 0 && heat[id] > 0.0f;
             break;
           case CandidateScan::kSecondAccess:
             qualifies = heat[id] >= 2.0f;
@@ -307,7 +312,7 @@ class Harness {
         if (is_dram(node[id]) && stamp[id] != 0 && age >= 1 &&
             age <= kPromoteStampWindowTicks) {
           ++expected_recent;
-          expected_recent_hot += touched[id] == epoch ? 1 : 0;
+          expected_recent_hot += touched[id];
         }
       }
     }
@@ -325,7 +330,7 @@ class Harness {
     // DRAM and came back within the tick, so the pre-tick DRAM pages
     // demoted are the coldest of them: all sort below every one kept. A
     // page promoted and demoted within the tick shows in neither count.
-    const topology::NodeId* after = alloc_.node_column();
+    const int8_t* after = alloc_.node_column();
     uint64_t demoted = 0;
     uint64_t promoted = 0;
     Entry warmest_demoted(-std::numeric_limits<float>::infinity(), 0);
@@ -396,6 +401,7 @@ class Harness {
   fault::FaultInjector faults_;
   RecordingPolicy recorder_;
   std::vector<float> shadow_;
+  std::vector<uint8_t> touched_;  // Accessed since the last Tick, by id.
   std::set<PageId> quarantined_;
   Coverage coverage_;
 };

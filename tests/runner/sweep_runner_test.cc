@@ -168,6 +168,23 @@ TEST(SweepRunnerTest, ResolveJobsPrecedence) {
   setenv("CXL_JOBS", "garbage", 1);
   EXPECT_GE(ResolveJobs(0), 1);  // Malformed env degrades to auto.
   unsetenv("CXL_JOBS");
+  const int auto_jobs = ResolveJobs(0);
+  for (const char* malformed : {"garbage", "+2", " 2", "2 "}) {
+    setenv("CXL_JOBS", malformed, 1);
+    EXPECT_EQ(ResolveJobs(0), auto_jobs) << "CXL_JOBS='" << malformed << "'";
+  }
+  unsetenv("CXL_JOBS");
+}
+
+// Worker counts parse whole, as every other numeric flag does.
+TEST(SweepRunnerTest, ParsePositiveIntTakesOnlyWholeDigits) {
+  EXPECT_EQ(ParsePositiveInt("2"), 2);
+  EXPECT_EQ(ParsePositiveInt("1048576"), 1 << 20);
+  for (const char* malformed :
+       {"", "+2", " 2", "2 ", "\t2", "0", "-1", "1048577", "0x10", "2.0", "99999999999"}) {
+    EXPECT_EQ(ParsePositiveInt(malformed), 0) << "'" << malformed << "'";
+  }
+  EXPECT_EQ(ParsePositiveInt(nullptr), 0);
 }
 
 TEST(SweepRunnerTest, CellRecordsCarryLabelsAndTimings) {
