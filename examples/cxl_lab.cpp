@@ -13,10 +13,11 @@
 //   $ ./build/examples/cxl_lab keydb.lab
 //
 // Experiments: keydb | vm | spark | llm | mlc | cost. Each takes the keys of
-// its own table below, applied through the flag parser (src/util/flags.h):
-// a key the experiment does not take, a malformed number, an unknown name
-// or a ratio that is not N:M with positive integers exits 2 naming the key;
-// a run that fails exits 1.
+// its own table below, applied through the flag parser (src/util/flags.h)
+// in file order: a key the experiment does not take, a malformed or
+// non-finite number, an unknown name or a ratio that is not N:M with
+// positive integers exits 2 naming the first such row's line and key; a run
+// that fails exits 1.
 // Run with no arguments to print a self-test using built-in specs.
 #include <cstdlib>
 #include <fstream>
@@ -36,21 +37,23 @@ using namespace cxl;
   std::exit(2);
 }
 
-// Applies every row of `cfg` but `experiment` through `keys`, rejecting the
-// spec at a key they lack or a value they refuse.
+// Applies every row of `cfg` but `experiment` through `keys`, in file
+// order, rejecting the spec at the first row whose key they lack or whose
+// value they refuse.
 void ApplyKeys(const Config& cfg, const std::vector<Flag>& keys) {
-  for (const auto& [key, value] : cfg.values()) {
-    const Flag* flag = FindFlag(keys, key);
-    if (key != "experiment" && flag == nullptr) {
+  for (const Config::Row& row : cfg.rows()) {
+    const std::string line = "line " + std::to_string(row.line) + ": ";
+    const Flag* flag = FindFlag(keys, row.key);
+    if (row.key != "experiment" && flag == nullptr) {
       std::string known;
       for (const Flag& k : keys) {
         known += (known.empty() ? "" : ", ") + k.name;
       }
-      Reject("unknown key '" + key + "' (want " + known + ")");
+      Reject(line + "unknown key '" + row.key + "' (want " + known + ")");
     }
     if (flag != nullptr) {
-      if (const Status applied = ApplyFlag(*flag, key, value); !applied.ok()) {
-        Reject(applied.message());
+      if (const Status applied = ApplyFlag(*flag, row.key, row.value); !applied.ok()) {
+        Reject(line + applied.message());
       }
     }
   }
@@ -217,7 +220,8 @@ Status RunLab(const Config& cfg) {
   const std::pair<const char*, Status (*)(const Config&)> labs[] = {
       {"keydb", RunKeyDbLab}, {"vm", RunVmLab},   {"spark", RunSparkLab},
       {"llm", RunLlmLab},     {"mlc", RunMlcLab}, {"cost", RunCostLab}};
-  const std::string experiment = cfg.Has("experiment") ? cfg.values().at("experiment") : "";
+  const Config::Row* row = cfg.Find("experiment");
+  const std::string experiment = row != nullptr ? row->value : "";
   for (const auto& [name, run] : labs) {
     if (experiment == name) {
       return run(cfg);

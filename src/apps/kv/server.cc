@@ -377,7 +377,8 @@ void KvServerSim::Dispatch() {
       continue;
     }
     const double service_ns = ServiceTimeNs(op);
-    service_stats_.Add(service_ns);
+    ++service_count_;
+    service_mean_ns_ += (service_ns - service_mean_ns_) / static_cast<double>(service_count_);
     events_.Push(events_.Now() + service_ns,
                  Completion{submit_time, op.type != YcsbOp::Type::kRead});
   }
@@ -439,7 +440,7 @@ KvServerSim::Result KvServerSim::Run() {
     result_.throughput_kops = static_cast<double>(measured_ops_) / measured_ns * kNsPerMs;
   }
   result_.dram_share = store_.DramShare();
-  result_.avg_service_us = NsToUs(service_stats_.mean());
+  result_.avg_service_us = NsToUs(service_mean_ns_);
   return result_;
 }
 

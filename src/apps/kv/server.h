@@ -188,7 +188,9 @@ class KvServerSim {
   double epoch_mean_latency_us_ = 0.0;
 
   Result result_;
-  RunningStats service_stats_;
+  // Running (Welford) mean of every dispatched op's service time.
+  double service_mean_ns_ = 0.0;
+  uint64_t service_count_ = 0;
   double measure_start_ns_ = 0.0;
   uint64_t measured_ops_ = 0;
 

@@ -121,29 +121,6 @@ FaultPlan& FaultPlan::Add(FaultEvent event) {
   return *this;
 }
 
-std::string FaultPlan::ToString() const {
-  std::string out;
-  for (const FaultEvent& e : events_) {
-    if (!out.empty()) {
-      out += ',';
-    }
-    out += FaultTypeName(e.type);
-    if (e.start_s != 0.0) {
-      out += '@';
-      out += FormatNumber(e.start_s);
-    }
-    if (e.duration_s != kInf) {
-      out += '+';
-      out += FormatNumber(e.duration_s);
-    }
-    if (e.type != FaultType::kDaemonStall) {
-      out += '=';
-      out += FormatNumber(e.severity);
-    }
-  }
-  return out;
-}
-
 StatusOr<FaultPlan> FaultPlan::Parse(std::string_view spec) {
   FaultPlan plan;
   size_t pos = 0;

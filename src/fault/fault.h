@@ -80,9 +80,6 @@ class FaultPlan {
   bool empty() const { return events_.empty(); }
   const std::vector<FaultEvent>& events() const { return events_; }
 
-  // Round-trips through Parse(): "downtrain@2+3=8,poison=0.0001".
-  std::string ToString() const;
-
   // Parses the spec grammar above. Unknown types, malformed numbers, and
   // out-of-range severities are INVALID_ARGUMENT. Empty spec -> empty plan.
   static StatusOr<FaultPlan> Parse(std::string_view spec);

@@ -41,6 +41,4 @@ std::string PathLabel(MemoryPath path) {
   return "?";
 }
 
-void PrintTo(MemoryPath path, std::ostream* os) { *os << PathLabel(path); }
-
 }  // namespace cxl::mem

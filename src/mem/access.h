@@ -3,7 +3,6 @@
 #define CXL_EXPLORER_SRC_MEM_ACCESS_H_
 
 #include <cassert>
-#include <ostream>
 #include <string>
 
 namespace cxl::mem {
@@ -52,9 +51,6 @@ enum class MemoryPath {
 
 // Short label used in tables: "MMEM", "MMEM-r", "CXL", "CXL-r", "SSD".
 std::string PathLabel(MemoryPath path);
-
-// gtest value printer so parameterized test names render as path labels.
-void PrintTo(MemoryPath path, std::ostream* os);
 
 // CXL memory-expander controller implementation. The paper measures the
 // AsteraLabs A1000 ASIC and contrasts it with Intel's FPGA prototype (§3.4):

@@ -46,11 +46,4 @@ CxlLinkConfig DegradeLink(const CxlLinkConfig& base, int active_lanes, double ex
   return degraded;
 }
 
-double WireBytesForReads(const CxlLinkConfig& config, double payload_bytes) {
-  // Downstream: data flits at the framing + slot overhead derived above.
-  const CxlLinkEfficiency eff = ComputeLinkEfficiency(config);
-  const double protocol_efficiency = eff.flit_framing * eff.slot_overhead * eff.maintenance;
-  return protocol_efficiency > 0.0 ? payload_bytes / protocol_efficiency : 0.0;
-}
-
 }  // namespace cxl::mem

@@ -54,10 +54,6 @@ CxlLinkEfficiency ComputeLinkEfficiency(const CxlLinkConfig& config);
 CxlLinkConfig AsicLinkConfig();
 CxlLinkConfig FpgaLinkConfig();
 
-// Bytes on the wire for `payload_bytes` of CXL.mem reads (requests upstream
-// + data downstream), for traffic accounting.
-double WireBytesForReads(const CxlLinkConfig& config, double payload_bytes);
-
 // A degraded copy of `base`: the physical link re-trained down to
 // `active_lanes` (of 16) and `extra_maintenance` added to the flit
 // maintenance fraction (CRC retry storms replay flits from the retry

@@ -81,12 +81,4 @@ BandwidthAwarePlanner::Plan BandwidthAwarePlanner::Recommend(
   return best;
 }
 
-NumaPolicy BandwidthAwarePlanner::MakePolicy(const Plan& plan) const {
-  if (plan.low_weight == 0 || platform_.CxlNodes().empty()) {
-    return NumaPolicy::Bind(dram_nodes_);
-  }
-  return NumaPolicy::WeightedInterleave(dram_nodes_, platform_.CxlNodes(), plan.top_weight,
-                                        plan.low_weight);
-}
-
 }  // namespace cxl::os

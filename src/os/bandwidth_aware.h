@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "src/mem/access.h"
-#include "src/os/numa_policy.h"
 #include "src/topology/platform.h"
 
 namespace cxl::os {
@@ -63,9 +62,6 @@ class BandwidthAwarePlanner {
 
   // Searches shares in [0, 1] and snaps to the best expressible N:M ratio.
   Plan Recommend(const PlacementObjective& objective) const;
-
-  // Materializes a plan as a NumaPolicy over the platform's nodes.
-  NumaPolicy MakePolicy(const Plan& plan) const;
 
  private:
   const topology::Platform& platform_;

@@ -1,8 +1,7 @@
 #include "src/os/numa_policy.h"
 
-#include <algorithm>
 #include <cassert>
-#include <sstream>
+#include <utility>
 
 namespace cxl::os {
 
@@ -82,66 +81,6 @@ std::vector<topology::NodeId> NumaPolicy::PeriodPattern() const {
     pattern[i] = NodeForIndex(i);
   }
   return pattern;
-}
-
-double NumaPolicy::SteadyStateShare(topology::NodeId node) const {
-  auto count_in = [&](const std::vector<topology::NodeId>& v) {
-    return static_cast<double>(std::count(v.begin(), v.end(), node));
-  };
-  switch (mode_) {
-    case PolicyMode::kBind:
-    case PolicyMode::kPreferred:
-    case PolicyMode::kInterleave:
-      return count_in(nodes_) / static_cast<double>(nodes_.size());
-    case PolicyMode::kWeightedInterleave: {
-      const double total = top_weight_ + low_weight_;
-      const double top_share = top_weight_ / total;
-      const double low_share = low_weight_ / total;
-      double share = 0.0;
-      if (count_in(nodes_) > 0) {
-        share += top_share * count_in(nodes_) / static_cast<double>(nodes_.size());
-      }
-      if (count_in(low_nodes_) > 0) {
-        share += low_share * count_in(low_nodes_) / static_cast<double>(low_nodes_.size());
-      }
-      return share;
-    }
-  }
-  return 0.0;
-}
-
-std::string NumaPolicy::ToString() const {
-  std::ostringstream os;
-  auto list = [&](const std::vector<topology::NodeId>& v) {
-    for (size_t i = 0; i < v.size(); ++i) {
-      os << (i ? "," : "") << v[i];
-    }
-  };
-  switch (mode_) {
-    case PolicyMode::kBind:
-      os << "bind{";
-      list(nodes_);
-      os << "}";
-      break;
-    case PolicyMode::kPreferred:
-      os << "preferred{";
-      list(nodes_);
-      os << "}";
-      break;
-    case PolicyMode::kInterleave:
-      os << "interleave{";
-      list(nodes_);
-      os << "}";
-      break;
-    case PolicyMode::kWeightedInterleave:
-      os << "weighted-interleave{top=";
-      list(nodes_);
-      os << " low=";
-      list(low_nodes_);
-      os << " " << top_weight_ << ":" << low_weight_ << "}";
-      break;
-  }
-  return os.str();
 }
 
 }  // namespace cxl::os

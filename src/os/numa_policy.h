@@ -10,7 +10,6 @@
 #define CXL_EXPLORER_SRC_OS_NUMA_POLICY_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "src/topology/platform.h"
@@ -55,12 +54,6 @@ class NumaPolicy {
   // pays one table lookup per page instead of an out-of-line call with two
   // hardware divides.
   std::vector<topology::NodeId> PeriodPattern() const;
-
-  // Fraction of pages this policy steers to `node` in steady state.
-  double SteadyStateShare(topology::NodeId node) const;
-
-  // "bind{0}", "weighted-interleave{top=0,1 low=2 3:1}", ... for logs.
-  std::string ToString() const;
 
  private:
   NumaPolicy(PolicyMode mode, std::vector<topology::NodeId> nodes,

@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <limits>
 
-#include "src/topology/platform.h"
 #include "src/util/units.h"
 
 namespace cxl::os {
@@ -24,26 +23,19 @@ inline constexpr PageId kInvalidPage = std::numeric_limits<PageId>::max();
 // Default page granularity for placement bookkeeping.
 inline constexpr uint64_t kDefaultPageBytes = 2 * kMiB;
 
-// Per-page metadata, as a value type. PageAllocator stores these fields
-// structure-of-arrays (a one-byte node column, and a heat column only while
-// a daemon tracks the allocator); the struct remains the canonical record
-// shape for tests and documentation. Whether a page was touched since the
-// daemon's last tick is one bit of the daemon's own (WarmSet::touched()).
-struct Page {
-  topology::NodeId node = -1;  // Current placement.
-  float heat = 0.0f;           // Decayed (sampled) access count.
-};
-
-// A read-only view of one page's columns, returned by PageAllocator::page().
-// Field names match `Page`, so `allocator.page(id).heat` reads identically
-// whether the backing store is AoS or SoA. Bind with `auto`; the view holds
-// references into the allocator's columns and must not outlive it. Only
-// the allocator places pages, only the daemon's WarmSet writes heat
-// (sampled accesses, quarantine, decay) and only PageAllocator::Allocate
-// resets it, which keeps the warm set a superset of the pages with heat >
-// 0. Under a daemon the stored heat lags the decays its word has pending:
-// read current heat through TieredMemory::Heat, or after SettleHeat. An
-// allocator no daemon tracks stores no heat, and its views read heat 0.
+// A read-only view of one page's metadata, returned by
+// PageAllocator::page(). The allocator stores it structure-of-arrays: a
+// one-byte node column (current placement), and a heat column (decayed,
+// sampled access count) only while a daemon tracks the allocator. Whether a
+// page was touched since the daemon's last tick is one bit of the daemon's
+// own (WarmSet::touched()). Bind with `auto`; the view holds references
+// into the allocator's columns and must not outlive it. Only the allocator
+// places pages, only the daemon's WarmSet writes heat (sampled accesses,
+// quarantine, decay) and only PageAllocator::Allocate resets it, which
+// keeps the warm set a superset of the pages with heat > 0. Under a daemon
+// the stored heat lags the decays its word has pending: read current heat
+// through TieredMemory::Heat, or after SettleHeat. An allocator no daemon
+// tracks stores no heat, and its views read heat 0.
 struct PageView {
   const int8_t& node;
   const float& heat;

@@ -13,9 +13,8 @@
 // per-page structs. It visits only the pages its warm set marks (the ones
 // that may have heat > 0), in id order; when nearly every page is warm,
 // those visits are runs of consecutive ids over the packed columns. Callers
-// keep the record-like view through page(), which returns a PageView of
-// references into the columns (same field names as the `Page` struct, so
-// call sites read unchanged). Freed slots have node < 0; per-tier occupancy
+// keep a record-like view through page(), which returns a PageView of
+// references into the columns. Freed slots have node < 0; per-tier occupancy
 // is derived from per-node counts.
 //
 // Allocations and frees are PageRuns (runs of consecutive ids), not one
@@ -35,6 +34,7 @@
 #ifndef CXL_EXPLORER_SRC_OS_PAGE_ALLOCATOR_H_
 #define CXL_EXPLORER_SRC_OS_PAGE_ALLOCATOR_H_
 
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -126,8 +126,10 @@ class PageAllocator {
   friend class WarmSet;
   float* mutable_heat_column() { return heat_.data(); }
   // Switches the heat column on for good: from now on it spans
-  // page_count(), at heat 0 until the daemon writes it.
+  // page_count(), at heat 0 until the daemon writes it. Called once, by the
+  // allocator's one daemon.
   void TrackHeat() {
+    assert(!heat_tracked_ && "one daemon per allocator");
     heat_tracked_ = true;
     heat_.resize(node_.size(), 0.0f);
   }

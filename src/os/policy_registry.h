@@ -1,6 +1,6 @@
 // Name-keyed factory for TieringPolicy implementations.
 //
-// Configs, knobs and bench flags carry a policy *name*
+// Configs and bench flags carry a policy *name*
 // ("hot-page-selection", "adaptive-feedback", ...) that resolves here.
 // Registries are plain values — BuiltIns() returns a fresh instance and
 // callers hold their own copy — because a mutable process-wide singleton in

@@ -1,7 +1,5 @@
 #include "src/os/region.h"
 
-#include <cassert>
-
 #include "src/topology/platform.h"
 
 namespace cxl::os {
@@ -15,11 +13,6 @@ StatusOr<MemoryRegion> MemoryRegion::Allocate(PageAllocator& allocator, const Nu
     return pages.status();
   }
   return MemoryRegion(&allocator, std::move(pages).value(), bytes);
-}
-
-PageId MemoryRegion::PageAtOffset(uint64_t offset) const {
-  assert(offset < bytes_);
-  return pages_[offset / allocator_->page_bytes()];
 }
 
 std::vector<double> MemoryRegion::NodeShares() const {

@@ -33,8 +33,6 @@ class MemoryRegion {
   uint64_t bytes() const { return bytes_; }
   size_t page_count() const { return pages_.size(); }
 
-  // Page backing a byte offset.
-  PageId PageAtOffset(uint64_t offset) const;
   // Page by index in [0, page_count()). A region carved out of a fresh
   // allocator is one run of consecutive ids, so the common case is an add
   // (this is KvStore::Access's hottest dependency).

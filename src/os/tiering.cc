@@ -283,24 +283,10 @@ uint64_t PromotionLedger::CountRecentPromotions(const PageAllocator& allocator,
 WarmSet::WarmSet(PageAllocator& allocator, PromotionLedger& ledger, float decay_factor,
                  double sample_rate)
     : allocator_(allocator), ledger_(ledger), sample_rate_(sample_rate), decay_(decay_factor) {
-  // Pages the allocator already holds may carry heat from an earlier daemon:
-  // start the warm set as their superset. A fresh allocator's heat is all
-  // zero, which one vectorisable pass confirms.
+  // The allocator's heat column starts here, all zero, so the warm set
+  // starts empty.
   allocator_.TrackHeat();
   Grow();
-  const float* heat_col = allocator_.heat_column();
-  int any_heat = 0;
-  for (PageId id = 0; id < allocator_.page_count(); ++id) {
-    any_heat |= heat_col[id] != 0.0f;
-  }
-  for (PageId id = 0; any_heat != 0 && id < allocator_.page_count(); ++id) {
-    if (heat_col[id] != 0.0f) {
-      warm_[id / kWordBits] |= Bit(id);
-    }
-  }
-  for (size_t w = 0; any_heat != 0 && w < warm_.size(); ++w) {
-    BoundWord(w);
-  }
 }
 
 void WarmSet::RecordAccess(PageId page, uint64_t accesses) {
@@ -1234,40 +1220,6 @@ void TieredMemory::EmitTickEvents(const TickResult& result, uint64_t watermark_d
             .WithA(static_cast<double>(watermark_demoted))
             .WithB(static_cast<double>(watermark_demoted) * page_mb));
   }
-}
-
-void DeclareTieringKnobs(KnobSet& knobs) {
-  const TieringConfig defaults;
-  knobs.Declare("kernel.numa_balancing_promote_rate_limit_MBps",
-                defaults.promote_rate_limit_mbps,
-                "maximum page promotion/demotion throughput (MB/s)");
-  knobs.Declare("vm.hot_page_threshold", defaults.initial_hot_threshold,
-                "sampled accesses per interval for a page to count as hot");
-  knobs.Declare("vm.hot_threshold_auto_adjust", defaults.dynamic_threshold ? 1.0 : 0.0,
-                "1 = adapt the hot threshold to the promotion rate limit");
-  knobs.DeclareString("vm.tiering_policy", defaults.PolicyName(),
-                      "promotion policy name, resolved through os::PolicyRegistry::BuiltIns()");
-  knobs.Declare("vm.demotion_free_watermark", defaults.demotion_free_watermark,
-                "DRAM free fraction below which cold pages demote");
-  knobs.Declare("vm.hint_fault_sample_rate", defaults.hint_fault_sample_rate,
-                "fraction of real accesses observed by page-table scanning");
-}
-
-TieringConfig TieringConfigFromKnobs(const KnobSet& knobs) {
-  TieringConfig cfg;
-  auto get = [&](const char* key, double fallback) {
-    return knobs.IsDeclared(key) ? knobs.Get(key) : fallback;
-  };
-  cfg.promote_rate_limit_mbps =
-      get("kernel.numa_balancing_promote_rate_limit_MBps", cfg.promote_rate_limit_mbps);
-  cfg.initial_hot_threshold = get("vm.hot_page_threshold", cfg.initial_hot_threshold);
-  cfg.dynamic_threshold = get("vm.hot_threshold_auto_adjust", 1.0) != 0.0;
-  if (knobs.IsDeclaredString("vm.tiering_policy")) {
-    cfg.policy = knobs.GetString("vm.tiering_policy");
-  }
-  cfg.demotion_free_watermark = get("vm.demotion_free_watermark", cfg.demotion_free_watermark);
-  cfg.hint_fault_sample_rate = get("vm.hint_fault_sample_rate", cfg.hint_fault_sample_rate);
-  return cfg;
 }
 
 }  // namespace cxl::os

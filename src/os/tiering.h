@@ -40,7 +40,6 @@
 #include "src/os/vmstat.h"
 #include "src/telemetry/metrics.h"
 #include "src/util/arena.h"
-#include "src/util/knobs.h"
 #include "src/topology/platform.h"
 
 namespace cxl::os {
@@ -70,14 +69,6 @@ struct TieringConfig {
   // empty).
   const char* PolicyName() const;
 };
-
-// Declares the sysctl-style knobs that mirror this config in `knobs`
-// (kernel.numa_balancing_promote_rate_limit_MBps, vm.tiering_policy, ...).
-void DeclareTieringKnobs(KnobSet& knobs);
-
-// Builds a TieringConfig from declared knob values (knobs not declared fall
-// back to TieringConfig defaults).
-TieringConfig TieringConfigFromKnobs(const KnobSet& knobs);
 
 // Exact k-smallest selection over unique (heat, id) pairs — how the daemon
 // picks its demotion cold pool. Each pair travels as one Key: for a heat
@@ -338,9 +329,9 @@ class WarmSet {
     bool touched_only = false;
   };
 
-  // Switches the allocator's heat column on and adopts the heat it holds
-  // (see TieredMemory). The ledger's columns grow with the warm set's; its
-  // quarantine filters the candidates.
+  // Switches the allocator's heat column on (see TieredMemory). The
+  // ledger's columns grow with the warm set's; its quarantine filters the
+  // candidates.
   WarmSet(PageAllocator& allocator, PromotionLedger& ledger, float decay_factor,
           double sample_rate);
 
@@ -537,8 +528,8 @@ class ColdPool {
 // promotes within the budget, demotes to make room and reports back.
 class TieredMemory {
  public:
-  // Adopts the heat the allocator's column holds: an earlier daemon over
-  // the same allocator must have settled it (SettleHeat) first.
+  // One daemon per allocator: `allocator` must not have had one before
+  // (PageAllocator::TrackHeat asserts it), so every page starts at heat 0.
   TieredMemory(PageAllocator& allocator, TieringConfig config);
 
   // Feeds `accesses` real accesses to `page` into the (sampled) heat
@@ -672,8 +663,7 @@ class TieredMemory {
   telemetry::TraceBuffer::TrackId telemetry_track_ = 0;
   double sim_seconds_ = 0.0;  // Sum of Tick() dt_seconds.
   // Cached metric/series handles, resolved lazily at the first emitting tick
-  // (so attaching a sink without ever ticking registers nothing, exactly as
-  // the by-name path behaved).
+  // (so attaching a sink without ever ticking registers nothing).
   struct TickTelemetryHandles {
     bool attached = false;
     telemetry::TimeSeries* hot_threshold = nullptr;

@@ -1,56 +1,6 @@
 #include "src/os/vmstat.h"
 
-#include <iomanip>
-#include <sstream>
-#include "src/util/units.h"
-
 namespace cxl::os {
-
-void PrintVmCounters(std::ostream& os, const VmCounters& counters) {
-  os << "pgalloc " << counters.pgalloc << "\n";
-  os << "pgfree " << counters.pgfree << "\n";
-  os << "pgpromote_success " << counters.pgpromote_success << "\n";
-  os << "pgpromote_candidate " << counters.pgpromote_candidate << "\n";
-  os << "pgdemote " << counters.pgdemote << "\n";
-  os << "numa_hint_faults " << counters.numa_hint_faults << "\n";
-  os << "migrate_failed " << counters.migrate_failed << "\n";
-  os << "promote_rate_limited " << counters.promote_rate_limited << "\n";
-}
-
-void PrintNodeOccupancy(std::ostream& os, const PageAllocator& allocator) {
-  const auto& platform = allocator.platform();
-  for (const auto& n : platform.nodes()) {
-    const uint64_t total = allocator.TotalPages(n.id);
-    const uint64_t used = allocator.UsedPages(n.id);
-    const double used_gib = BytesToGiB(used * allocator.page_bytes());
-    const double total_gib = BytesToGiB(total * allocator.page_bytes());
-    os << "node " << n.id << " (" << n.name << "): " << std::fixed << std::setprecision(1)
-       << used_gib << " / " << total_gib << " GiB used ("
-       << (total == 0 ? 0.0 : 100.0 * static_cast<double>(used) / static_cast<double>(total))
-       << "%)\n";
-  }
-}
-
-std::string VmstatReport(const PageAllocator& allocator) {
-  std::ostringstream os;
-  PrintVmCounters(os, allocator.counters());
-  PrintNodeOccupancy(os, allocator);
-  return os.str();
-}
-
-void SampleVmCounters(telemetry::Timeline& timeline, double t_ms, const VmCounters& counters) {
-  const auto sample = [&](const char* name, uint64_t value) {
-    timeline.Sample(std::string("vmstat.") + name, t_ms, static_cast<double>(value));
-  };
-  sample("pgalloc", counters.pgalloc);
-  sample("pgfree", counters.pgfree);
-  sample("pgpromote_success", counters.pgpromote_success);
-  sample("pgpromote_candidate", counters.pgpromote_candidate);
-  sample("pgdemote", counters.pgdemote);
-  sample("numa_hint_faults", counters.numa_hint_faults);
-  sample("migrate_failed", counters.migrate_failed);
-  sample("promote_rate_limited", counters.promote_rate_limited);
-}
 
 VmCounterSeries AttachVmCounterSeries(telemetry::Timeline& timeline) {
   VmCounterSeries s;
@@ -66,7 +16,6 @@ VmCounterSeries AttachVmCounterSeries(telemetry::Timeline& timeline) {
 }
 
 void SampleVmCounters(const VmCounterSeries& series, double t_ms, const VmCounters& counters) {
-  // Same series, same order as the by-name overload.
   series.pgalloc->Sample(t_ms, static_cast<double>(counters.pgalloc));
   series.pgfree->Sample(t_ms, static_cast<double>(counters.pgfree));
   series.pgpromote_success->Sample(t_ms, static_cast<double>(counters.pgpromote_success));

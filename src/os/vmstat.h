@@ -1,32 +1,14 @@
-// /proc/vmstat-style reporting for the tiering counters: renders VmCounters
-// (and per-node occupancy) the way an operator would read them on a real
-// tiered-memory host.
+// /proc/vmstat-style time series for the tiering counters: every VmCounters
+// field becomes series "vmstat.<counter>", sampled at daemon ticks. These
+// are the promotion time series the paper reads off /proc/vmstat to explain
+// the Spark thrashing regression (§4.2.2).
 #ifndef CXL_EXPLORER_SRC_OS_VMSTAT_H_
 #define CXL_EXPLORER_SRC_OS_VMSTAT_H_
-
-#include <ostream>
-#include <string>
 
 #include "src/os/page_allocator.h"
 #include "src/telemetry/timeline.h"
 
 namespace cxl::os {
-
-// Writes "pgpromote_success 123"-style lines for every counter.
-void PrintVmCounters(std::ostream& os, const VmCounters& counters);
-
-// Writes a numactl --hardware-style per-node occupancy table for the
-// allocator's platform.
-void PrintNodeOccupancy(std::ostream& os, const PageAllocator& allocator);
-
-// Both of the above as one string (convenient for logs and tests).
-std::string VmstatReport(const PageAllocator& allocator);
-
-// Machine-readable companion of PrintVmCounters: appends every counter into
-// `timeline` at simulated time `t_ms` as series "vmstat.<counter>". Sampled
-// at daemon ticks, these are the promotion time series the paper reads off
-// /proc/vmstat to explain the Spark thrashing regression (§4.2.2).
-void SampleVmCounters(telemetry::Timeline& timeline, double t_ms, const VmCounters& counters);
 
 // Cached series handles for per-tick sampling: one name lookup per series at
 // attach time instead of eight string lookups per daemon tick. Handles stay
@@ -42,6 +24,7 @@ struct VmCounterSeries {
   telemetry::TimeSeries* promote_rate_limited = nullptr;
 };
 VmCounterSeries AttachVmCounterSeries(telemetry::Timeline& timeline);
+// Appends every counter into its series at simulated time `t_ms`.
 void SampleVmCounters(const VmCounterSeries& series, double t_ms, const VmCounters& counters);
 
 }  // namespace cxl::os

@@ -49,14 +49,6 @@ Status CxlMemoryPool::Release(HostId host, uint64_t bytes) {
   return Status::Ok();
 }
 
-void CxlMemoryPool::ReleaseAll(HostId host) {
-  auto it = leased_slices_.find(host);
-  if (it != leased_slices_.end()) {
-    used_slices_ -= it->second;
-    leased_slices_.erase(it);
-  }
-}
-
 uint64_t CxlMemoryPool::LeasedBytes(HostId host) const {
   auto it = leased_slices_.find(host);
   return it == leased_slices_.end() ? 0 : it->second * config_.slice_bytes;

@@ -49,9 +49,6 @@ class CxlMemoryPool {
   // Returns `bytes` (rounded up to whole slices, clamped to the lease).
   Status Release(HostId host, uint64_t bytes);
 
-  // Releases everything held by `host`.
-  void ReleaseAll(HostId host);
-
   uint64_t LeasedBytes(HostId host) const;
   uint64_t FreeBytes() const { return (total_slices_ - used_slices_) * config_.slice_bytes; }
   uint64_t UsedBytes() const { return used_slices_ * config_.slice_bytes; }

@@ -16,19 +16,6 @@ const char* RackTopologyName(RackTopology topology) {
   return "flat";
 }
 
-StatusOr<RackTopology> ParseRackTopology(std::string_view name) {
-  if (name == "flat") {
-    return RackTopology::kFlat;
-  }
-  if (name == "star") {
-    return RackTopology::kStar;
-  }
-  if (name == "mesh") {
-    return RackTopology::kMesh;
-  }
-  return Status::InvalidArgument("unknown rack topology (flat|star|mesh): " + std::string(name));
-}
-
 Rack::Rack(const RackConfig& config) : config_(config) {
   PoolConfig pool_cfg;
   pool_cfg.capacity_bytes = config_.expander_capacity_bytes;
@@ -87,17 +74,6 @@ uint64_t Rack::HostLeasedBytes(int host) const {
   return total;
 }
 
-double Rack::MeanLeaseHops(int host) const {
-  uint64_t bytes = 0;
-  uint64_t weighted = 0;
-  for (int e = 0; e < config_.expanders; ++e) {
-    const uint64_t lease = expanders_[static_cast<size_t>(e)].LeasedBytes(host);
-    bytes += lease;
-    weighted += lease * static_cast<uint64_t>(SwitchHops(host, e));
-  }
-  return bytes == 0 ? 0.0 : static_cast<double>(weighted) / static_cast<double>(bytes);
-}
-
 uint64_t Rack::TotalCapacityBytes() const {
   return static_cast<uint64_t>(config_.expanders) * config_.expander_capacity_bytes;
 }
@@ -109,8 +85,6 @@ uint64_t Rack::TotalUsedBytes() const {
   }
   return total;
 }
-
-uint64_t Rack::TotalFreeBytes() const { return TotalCapacityBytes() - TotalUsedBytes(); }
 
 double Rack::Utilization() const {
   const uint64_t capacity = TotalCapacityBytes();

@@ -26,11 +26,9 @@
 #define CXL_EXPLORER_SRC_POOL_RACK_H_
 
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
 #include "src/pool/memory_pool.h"
-#include "src/util/status.h"
 #include "src/util/units.h"
 
 namespace cxl::pool {
@@ -43,7 +41,6 @@ enum class RackTopology {
 
 // Stable short names: "flat", "star", "mesh" (bench flags and tables).
 const char* RackTopologyName(RackTopology topology);
-StatusOr<RackTopology> ParseRackTopology(std::string_view name);
 
 struct RackConfig {
   int hosts = 8;
@@ -85,13 +82,9 @@ class Rack {
 
   // Pooled bytes host `h` holds across all expanders.
   uint64_t HostLeasedBytes(int host) const;
-  // Lease-weighted mean switch hops of host `h`'s pooled bytes (0 when the
-  // host holds no lease) — the latency price of spilled placement.
-  double MeanLeaseHops(int host) const;
 
   uint64_t TotalCapacityBytes() const;
   uint64_t TotalUsedBytes() const;
-  uint64_t TotalFreeBytes() const;
   double Utilization() const;
 
  private:

@@ -8,7 +8,7 @@
 //     first, so the cheap (fewest-hop) leases are the ones kept;
 //   - grow: capacity is acquired nearest-expander-first; a grant on a
 //     beyond-minimum-hop expander counts as a *spill* (it pays extra switch
-//     latency, tracked by Rack::MeanLeaseHops);
+//     latency; SchedulerStats::spill_grants counts them);
 //   - balloon: when free capacity runs out, peers holding leases above their
 //     own declared demand are deflated (their slack released) on the
 //     expanders the starved host can reach, and the grow retries. This is

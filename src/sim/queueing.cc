@@ -45,33 +45,4 @@ double QueueModel::KneeUtilization(double factor) const {
   return UtilizationForLatency(idle_ns_ * factor);
 }
 
-double ErlangC(int servers, double offered_load) {
-  assert(servers >= 1);
-  if (offered_load <= 0.0) {
-    return 0.0;
-  }
-  const double rho = offered_load / servers;
-  if (rho >= 1.0) {
-    return 1.0;  // Unstable: every arrival queues.
-  }
-  // Iterative Erlang-B, then convert to Erlang-C.
-  double erlang_b = 1.0;
-  for (int k = 1; k <= servers; ++k) {
-    erlang_b = offered_load * erlang_b / (k + offered_load * erlang_b);
-  }
-  return erlang_b / (1.0 - rho * (1.0 - erlang_b));
-}
-
-double MmcMeanWait(int servers, double arrival_rate, double mean_service_time) {
-  assert(servers >= 1 && mean_service_time > 0.0);
-  const double offered = arrival_rate * mean_service_time;
-  const double rho = offered / servers;
-  if (rho >= 1.0) {
-    // Unstable: report a large but finite wait so callers degrade gracefully.
-    return 100.0 * mean_service_time;
-  }
-  const double pw = ErlangC(servers, offered);
-  return pw * mean_service_time / (servers * (1.0 - rho));
-}
-
 }  // namespace cxl::sim

@@ -55,15 +55,6 @@ class QueueModel {
   double max_util_ = 0.995;
 };
 
-// M/M/c waiting-time helpers used by the request-level server simulation
-// (KeyDB event loops): Erlang-C probability of queueing and mean wait.
-//
-// offered_load = arrival_rate * mean_service_time (in Erlangs).
-double ErlangC(int servers, double offered_load);
-
-// Mean waiting time in queue for M/M/c (same time unit as service_time).
-double MmcMeanWait(int servers, double arrival_rate, double mean_service_time);
-
 }  // namespace cxl::sim
 
 #endif  // CXL_EXPLORER_SRC_SIM_QUEUEING_H_

@@ -127,7 +127,7 @@ void WriteMetricsCsv(std::ostream& os, const MetricRegistry& registry) {
 }
 
 void WriteChromeTrace(std::ostream& os, const MetricRegistry& registry) {
-  // tid 0 is reserved for counter tracks; spans/instants start at tid 1.
+  // tid 0 is reserved for counter tracks; span tracks start at tid 1.
   os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
   auto sep = [&] {
@@ -145,14 +145,9 @@ void WriteChromeTrace(std::ostream& os, const MetricRegistry& registry) {
   }
   for (const TraceBuffer::Event& e : trace.events()) {
     sep();
-    os << "{\"ph\":\"" << e.phase << "\",\"pid\":1,\"tid\":" << e.track + 1 << ",\"name\":\""
-       << JsonEscape(e.name) << "\",\"ts\":" << Num(MsToUs(e.ts_ms));
-    if (e.phase == 'X') {
-      os << ",\"dur\":" << Num(MsToUs(e.dur_ms));
-    }
-    if (e.phase == 'i') {
-      os << ",\"s\":\"t\"";
-    }
+    os << "{\"ph\":\"X\",\"pid\":1,\"tid\":" << e.track + 1 << ",\"name\":\""
+       << JsonEscape(e.name) << "\",\"ts\":" << Num(MsToUs(e.ts_ms))
+       << ",\"dur\":" << Num(MsToUs(e.dur_ms));
     if (!e.args.empty()) {
       os << ",\"args\":{";
       bool first_arg = true;

@@ -21,7 +21,7 @@ void WriteMetricsJson(std::ostream& os, const MetricRegistry& registry);
 // counters/gauges/histogram stats).
 void WriteMetricsCsv(std::ostream& os, const MetricRegistry& registry);
 
-// Chrome trace-event JSON: spans/instants on one tid per track (with
+// Chrome trace-event JSON: spans on one tid per track (with
 // thread_name metadata), timeline series as "C" counter events. Structured
 // events land as "i" instants on per-cell "<cell>/events" tracks, with
 // "s"/"t"/"f" flow bindings chaining each fault window's open event through

@@ -6,7 +6,7 @@
 //     pay a member add per increment, never a name lookup),
 //   - snapshot copies of util::Histograms (latency distributions),
 //   - a Timeline of probe time series (PCM bandwidth, vmstat, daemon state),
-//   - a TraceBuffer of spans/instants for Chrome trace export.
+//   - a TraceBuffer of spans for Chrome trace export.
 //
 // Concurrency model: a registry is single-writer. Under the sweep runner
 // every cell writes into its *own* registry and the bench merges them in

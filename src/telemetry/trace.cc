@@ -12,11 +12,7 @@ TraceBuffer::TrackId TraceBuffer::Track(const std::string& name) {
 
 void TraceBuffer::Span(TrackId track, std::string name, double start_ms, double dur_ms,
                        Args args) {
-  events_.push_back(Event{track, std::move(name), 'X', start_ms, dur_ms, std::move(args)});
-}
-
-void TraceBuffer::Instant(TrackId track, std::string name, double t_ms, Args args) {
-  events_.push_back(Event{track, std::move(name), 'i', t_ms, 0.0, std::move(args)});
+  events_.push_back(Event{track, std::move(name), start_ms, dur_ms, std::move(args)});
 }
 
 void TraceBuffer::MergeFrom(const TraceBuffer& other, const std::string& prefix) {

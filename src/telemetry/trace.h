@@ -1,4 +1,4 @@
-// Span/instant event buffer for Chrome trace-event export.
+// Span buffer for Chrome trace-event export.
 //
 // Components record onto named *tracks* (one per simulated component: KV
 // server, promotion daemon, Spark phases, LLM backends, sweep cells); the
@@ -28,15 +28,11 @@ class TraceBuffer {
   // A complete ("X") event covering [start_ms, start_ms + dur_ms).
   void Span(TrackId track, std::string name, double start_ms, double dur_ms, Args args = {});
 
-  // An instant ("i") event at t_ms.
-  void Instant(TrackId track, std::string name, double t_ms, Args args = {});
-
   struct Event {
     TrackId track = 0;
     std::string name;
-    char phase = 'X';  // 'X' = span, 'i' = instant.
     double ts_ms = 0.0;
-    double dur_ms = 0.0;  // Spans only.
+    double dur_ms = 0.0;
     Args args;
   };
 

@@ -1,7 +1,6 @@
 #include "src/topology/pcm.h"
 
 #include <algorithm>
-#include <iomanip>
 #include <string>
 
 namespace cxl::topology {
@@ -35,40 +34,6 @@ PcmSnapshot TakePcmSnapshot(const Platform& platform, const TrafficModel::Soluti
   }
   snap.upi = solution.upi;
   return snap;
-}
-
-void PrintPcmSnapshot(std::ostream& os, const PcmSnapshot& snapshot) {
-  os << std::fixed << std::setprecision(1);
-  for (const auto& s : snapshot.sockets) {
-    os << "SKT" << s.socket << " DRAM: " << s.dram_read_write_gbps << " GB/s ("
-       << 100.0 * s.dram_utilization << "% util)\n";
-  }
-  for (size_t i = 0; i < snapshot.upi.size(); ++i) {
-    os << "UPI->SKT" << i << ": " << snapshot.upi[i].achieved_gbps << " GB/s ("
-       << 100.0 * snapshot.upi[i].utilization << "% util)\n";
-  }
-  for (size_t i = 0; i < snapshot.cxl_cards.size(); ++i) {
-    os << "CXL" << i << ": " << snapshot.cxl_cards[i].achieved_gbps << " GB/s ("
-       << 100.0 * snapshot.cxl_cards[i].utilization << "% util)\n";
-  }
-}
-
-void SamplePcmSnapshot(telemetry::Timeline& timeline, double t_ms, const PcmSnapshot& snapshot) {
-  for (const auto& s : snapshot.sockets) {
-    const std::string base = "pcm.skt" + std::to_string(s.socket);
-    timeline.Sample(base + ".dram_gbps", t_ms, s.dram_read_write_gbps);
-    timeline.Sample(base + ".dram_util", t_ms, s.dram_utilization);
-  }
-  for (size_t i = 0; i < snapshot.upi.size(); ++i) {
-    const std::string base = "pcm.upi" + std::to_string(i);
-    timeline.Sample(base + ".gbps", t_ms, snapshot.upi[i].achieved_gbps);
-    timeline.Sample(base + ".util", t_ms, snapshot.upi[i].utilization);
-  }
-  for (size_t i = 0; i < snapshot.cxl_cards.size(); ++i) {
-    const std::string base = "pcm.cxl" + std::to_string(i);
-    timeline.Sample(base + ".gbps", t_ms, snapshot.cxl_cards[i].achieved_gbps);
-    timeline.Sample(base + ".util", t_ms, snapshot.cxl_cards[i].utilization);
-  }
 }
 
 PcmTelemetryHandles AttachPcmTelemetry(telemetry::MetricRegistry& registry,

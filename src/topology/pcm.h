@@ -10,11 +10,9 @@
 #ifndef CXL_EXPLORER_SRC_TOPOLOGY_PCM_H_
 #define CXL_EXPLORER_SRC_TOPOLOGY_PCM_H_
 
-#include <ostream>
 #include <vector>
 
 #include "src/telemetry/metrics.h"
-#include "src/telemetry/timeline.h"
 #include "src/topology/platform.h"
 
 namespace cxl::topology {
@@ -39,16 +37,6 @@ struct PcmSnapshot {
 // Builds a snapshot from a solved traffic model.
 PcmSnapshot TakePcmSnapshot(const Platform& platform, const TrafficModel::Solution& solution);
 
-// pcm-memory-style rendering.
-void PrintPcmSnapshot(std::ostream& os, const PcmSnapshot& snapshot);
-
-// Machine-readable companion of PrintPcmSnapshot: appends the snapshot into
-// `timeline` at simulated time `t_ms`, one series per path —
-// pcm.skt<i>.dram_gbps / .dram_util, pcm.upi<i>.gbps / .util,
-// pcm.cxl<i>.gbps / .util. Sampled every contention epoch, these are the
-// bandwidth-over-time plots behind Fig. 10(b)(c) and the §3.2 UPI diagnosis.
-void SamplePcmSnapshot(telemetry::Timeline& timeline, double t_ms, const PcmSnapshot& snapshot);
-
 // Cached handles for per-epoch pcm sampling: the series and gauge names are
 // built (and looked up) once per run instead of once per epoch. Handles stay
 // valid for the registry's lifetime (series and gauges are pointer-stable).
@@ -72,7 +60,11 @@ struct PcmTelemetryHandles {
 };
 PcmTelemetryHandles AttachPcmTelemetry(telemetry::MetricRegistry& registry,
                                        const PcmSnapshot& shape);
-// Same series, same order as the by-name SamplePcmSnapshot overload.
+// Appends the snapshot into the handles' timeline series at simulated time
+// `t_ms`, one series per path: pcm.skt<i>.dram_gbps / .dram_util,
+// pcm.upi<i>.gbps / .util, pcm.cxl<i>.gbps / .util. Sampled every
+// contention epoch, these are the bandwidth-over-time plots behind
+// Fig. 10(b)(c) and the §3.2 UPI diagnosis.
 void SamplePcmSnapshot(const PcmTelemetryHandles& handles, double t_ms,
                        const PcmSnapshot& snapshot);
 // Sets the end-state gauges ("latest epoch wins" semantics).

@@ -60,13 +60,6 @@ Platform Platform::CxlServer(bool snc4) {
   return Build(opt);
 }
 
-Platform Platform::BaselineServer(bool snc4) {
-  PlatformOptions opt;
-  opt.snc4 = snc4;
-  opt.cxl_cards = 0;
-  return Build(opt);
-}
-
 std::vector<NodeId> Platform::DramNodes(int socket) const {
   std::vector<NodeId> out;
   for (const auto& n : nodes_) {
@@ -85,26 +78,6 @@ std::vector<NodeId> Platform::CxlNodes() const {
     }
   }
   return out;
-}
-
-uint64_t Platform::TotalDramBytes() const {
-  uint64_t total = 0;
-  for (const auto& n : nodes_) {
-    if (n.kind == NodeKind::kDram) {
-      total += n.capacity_bytes;
-    }
-  }
-  return total;
-}
-
-uint64_t Platform::TotalCxlBytes() const {
-  uint64_t total = 0;
-  for (const auto& n : nodes_) {
-    if (n.kind == NodeKind::kCxl) {
-      total += n.capacity_bytes;
-    }
-  }
-  return total;
 }
 
 MemoryPath Platform::PathFor(int cpu_socket, NodeId node_id) const {

@@ -65,8 +65,6 @@ class Platform {
   // The paper's CXL experiment server (Fig. 2): dual SPR, 1 TiB DRAM,
   // 2 x 256 GiB A1000 cards on socket 0.
   static Platform CxlServer(bool snc4);
-  // The baseline server: identical but without CXL cards.
-  static Platform BaselineServer(bool snc4);
 
   const std::vector<NumaNode>& nodes() const { return nodes_; }
   const NumaNode& node(NodeId id) const { return nodes_[static_cast<size_t>(id)]; }
@@ -78,10 +76,6 @@ class Platform {
   std::vector<NodeId> DramNodes(int socket = -1) const;
   // All CXL nodes.
   std::vector<NodeId> CxlNodes() const;
-
-  // Total DRAM / CXL capacity in bytes.
-  uint64_t TotalDramBytes() const;
-  uint64_t TotalCxlBytes() const;
 
   // Distance class of an access from a CPU on `cpu_socket` to `node`.
   mem::MemoryPath PathFor(int cpu_socket, NodeId node) const;

@@ -52,12 +52,22 @@ StatusOr<Config> Config::Parse(std::istream& is) {
     if (key.empty() || value.empty()) {
       return Status::InvalidArgument("line " + std::to_string(line_no) + ": empty key or value");
     }
-    if (!cfg.values_.emplace(key, value).second) {
+    if (cfg.Find(key) != nullptr) {
       return Status::InvalidArgument("line " + std::to_string(line_no) + ": duplicate key '" +
                                      key + "'");
     }
+    cfg.rows_.push_back(Row{key, value, line_no});
   }
   return cfg;
+}
+
+const Config::Row* Config::Find(const std::string& key) const {
+  for (const Row& row : rows_) {
+    if (row.key == key) {
+      return &row;
+    }
+  }
+  return nullptr;
 }
 
 StatusOr<Config> Config::ParseString(const std::string& text) {

@@ -6,9 +6,10 @@
 #ifndef CXL_EXPLORER_SRC_UTIL_CONFIG_H_
 #define CXL_EXPLORER_SRC_UTIL_CONFIG_H_
 
+#include <cstddef>
 #include <istream>
-#include <map>
 #include <string>
+#include <vector>
 
 #include "src/util/status.h"
 
@@ -16,17 +17,26 @@ namespace cxl {
 
 class Config {
  public:
+  // One `key = value` row and the 1-based line it came from.
+  struct Row {
+    std::string key;
+    std::string value;
+    size_t line = 0;
+  };
+
   // Parses a stream; returns INVALID_ARGUMENT (with a line number) for
   // malformed rows or duplicate keys.
   static StatusOr<Config> Parse(std::istream& is);
   static StatusOr<Config> ParseString(const std::string& text);
 
-  bool Has(const std::string& key) const { return values_.count(key) > 0; }
+  // The row of `key`, or nullptr.
+  const Row* Find(const std::string& key) const;
 
-  const std::map<std::string, std::string>& values() const { return values_; }
+  // Every row, in file order.
+  const std::vector<Row>& rows() const { return rows_; }
 
  private:
-  std::map<std::string, std::string> values_;
+  std::vector<Row> rows_;
 };
 
 }  // namespace cxl

@@ -179,34 +179,8 @@ uint64_t ZipfianDistribution::Next(Rng& rng) {
   return rank >= n_ ? n_ - 1 : rank;
 }
 
-double ZipfianDistribution::ProbabilityOfRank(uint64_t k) const {
-  assert(k < n_);
-  return (1.0 / std::pow(static_cast<double>(k + 1), theta_)) / zeta_n_;
-}
-
-uint64_t HotSpotDistribution::Next(Rng& rng) {
-  const auto hot_items = static_cast<uint64_t>(hot_set_fraction_ * static_cast<double>(n_));
-  const uint64_t hot_n = hot_items == 0 ? 1 : hot_items;
-  if (rng.NextBool(hot_fraction_)) {
-    return rng.NextBounded(hot_n);
-  }
-  const uint64_t cold_n = n_ - hot_n;
-  if (cold_n == 0) {
-    return rng.NextBounded(hot_n);
-  }
-  return hot_n + rng.NextBounded(cold_n);
-}
-
-std::unique_ptr<KeyDistribution> MakeUniform(uint64_t n) {
-  return std::make_unique<UniformDistribution>(n);
-}
-
 std::unique_ptr<KeyDistribution> MakeZipfian(uint64_t n, double theta) {
   return std::make_unique<ZipfianDistribution>(n, theta);
-}
-
-std::unique_ptr<KeyDistribution> MakeScrambledZipfian(uint64_t n, double theta) {
-  return std::make_unique<ScrambledZipfianDistribution>(n, theta);
 }
 
 std::unique_ptr<KeyDistribution> MakeLatest(uint64_t n, double theta) {

@@ -66,8 +66,6 @@ class ZipfianDistribution final : public KeyDistribution {
   uint64_t item_count() const override { return n_; }
   void GrowTo(uint64_t new_count) override;
 
-  // Probability mass of rank `k` under the current parameters (for tests).
-  double ProbabilityOfRank(uint64_t k) const;
   // zeta(n, theta), the normalising constant.
   double zeta_n() const { return zeta_n_; }
 
@@ -127,28 +125,9 @@ class LatestDistribution final : public KeyDistribution {
   uint64_t n_;
 };
 
-// Hotspot: `hot_fraction` of draws hit the first `hot_set_fraction * n`
-// items uniformly; the rest hit the remaining items uniformly.
-class HotSpotDistribution final : public KeyDistribution {
- public:
-  HotSpotDistribution(uint64_t n, double hot_set_fraction, double hot_fraction)
-      : n_(n), hot_set_fraction_(hot_set_fraction), hot_fraction_(hot_fraction) {}
-
-  uint64_t Next(Rng& rng) override;
-  uint64_t item_count() const override { return n_; }
-
- private:
-  uint64_t n_;
-  double hot_set_fraction_;
-  double hot_fraction_;
-};
-
 // Factory helpers.
-std::unique_ptr<KeyDistribution> MakeUniform(uint64_t n);
 std::unique_ptr<KeyDistribution> MakeZipfian(uint64_t n,
                                              double theta = ZipfianDistribution::kDefaultTheta);
-std::unique_ptr<KeyDistribution> MakeScrambledZipfian(
-    uint64_t n, double theta = ZipfianDistribution::kDefaultTheta);
 std::unique_ptr<KeyDistribution> MakeLatest(uint64_t n,
                                             double theta = ZipfianDistribution::kDefaultTheta);
 

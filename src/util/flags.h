@@ -22,6 +22,7 @@
 #define CXL_EXPLORER_SRC_UTIL_FLAGS_H_
 
 #include <charconv>
+#include <cmath>
 #include <functional>
 #include <string>
 #include <string_view>
@@ -34,7 +35,9 @@
 namespace cxl {
 
 // Parses all of `text` as a T (an integer or a double). False, leaving *out
-// untouched, on an empty, partly numeric or out-of-range string.
+// untouched, on an empty, partly numeric or out-of-range string, and for a
+// floating-point T on "nan", "inf" or "infinity": every number a flag or a
+// spec takes is finite.
 template <typename T>
 bool ParseNumber(std::string_view text, T* out) {
   const char* end = text.data() + text.size();
@@ -42,6 +45,11 @@ bool ParseNumber(std::string_view text, T* out) {
   const auto [ptr, ec] = std::from_chars(text.data(), end, value);
   if (text.empty() || ec != std::errc() || ptr != end) {
     return false;
+  }
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) {
+      return false;
+    }
   }
   *out = value;
   return true;

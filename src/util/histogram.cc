@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 
 namespace cxl {
@@ -35,16 +34,6 @@ double Histogram::BucketUpperBound(int index) const {
 }
 
 void Histogram::Record(double value) { RecordMany(value, 1); }
-
-void Histogram::RecordBatch(const double* values, size_t count) {
-  // Left-to-right, one sample at a time: the running sum_ must see the same
-  // addition order an unbatched producer would, or snapshots drift in the
-  // last ulps. The last-bucket cache still collapses the common runs of
-  // identical quantized latencies.
-  for (size_t i = 0; i < count; ++i) {
-    RecordMany(values[i], 1);
-  }
-}
 
 void Histogram::RecordBatchSplit(const double* values, const uint8_t* in_second, size_t count,
                                  Histogram& first, Histogram& second) {
@@ -120,42 +109,5 @@ double Histogram::ValueAtQuantile(double q) const {
   }
   return max_seen_;
 }
-
-void Histogram::Reset() {
-  std::fill(buckets_.begin(), buckets_.end(), 0);
-  count_ = 0;
-  sum_ = 0.0;
-  min_seen_ = std::numeric_limits<double>::infinity();
-  max_seen_ = -std::numeric_limits<double>::infinity();
-  last_value_ = 0.0;
-  last_bucket_ = -1;
-}
-
-std::vector<Histogram::CdfPoint> Histogram::Cdf() const {
-  std::vector<CdfPoint> points;
-  if (count_ == 0) {
-    return points;
-  }
-  uint64_t cum = 0;
-  for (size_t i = 0; i < buckets_.size(); ++i) {
-    if (buckets_[i] == 0) {
-      continue;
-    }
-    cum += buckets_[i];
-    points.push_back(CdfPoint{BucketUpperBound(static_cast<int>(i)),
-                              static_cast<double>(cum) / static_cast<double>(count_)});
-  }
-  return points;
-}
-
-std::string Histogram::Summary(const std::string& unit) const {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf), "n=%llu mean=%.1f%s p50=%.1f%s p99=%.1f%s p999=%.1f%s max=%.1f%s",
-                static_cast<unsigned long long>(count_), mean(), unit.c_str(), p50(), unit.c_str(),
-                p99(), unit.c_str(), p999(), unit.c_str(), max(), unit.c_str());
-  return buf;
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 }  // namespace cxl

@@ -1,11 +1,10 @@
-// Log-bucketed latency histogram (HdrHistogram-style) for percentiles and
-// CDF export, plus a small exact-running-statistics accumulator.
+// Log-bucketed latency histogram (HdrHistogram-style) for percentiles.
 #ifndef CXL_EXPLORER_SRC_UTIL_HISTOGRAM_H_
 #define CXL_EXPLORER_SRC_UTIL_HISTOGRAM_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
 
 namespace cxl {
@@ -26,21 +25,15 @@ class Histogram {
   // Records `count` identical samples.
   void RecordMany(double value, uint64_t count);
 
-  // Records `count` samples in array order. Equivalent to calling Record on
-  // each element left to right — same buckets AND the same sum (double
-  // accumulation is order-sensitive), so a batched producer snapshots
-  // bit-identically to an unbatched one. The epoch paths buffer latencies
-  // and flush once per epoch through this.
-  void RecordBatch(const double* values, size_t count);
-
   // Records `count` samples in array order into this histogram, and sample i
   // also into `second` if `in_second[i]` is nonzero, else into `first`.
-  // Bit-identical to RecordBatch of all samples here plus RecordBatch of
-  // each part's samples, in array order, into that part (same sums,
-  // extremes and buckets; every cache left holding a (value, bucket) pair
-  // of the last sample it took), but each sample's bucket is looked up
-  // once, through this histogram's cache. All three histograms must share
-  // one layout (min, max, buckets per decade).
+  // Bit-identical to calling Record on every sample here plus on each
+  // part's samples, in array order, in that part (same sums, extremes and
+  // buckets, as double accumulation is order-sensitive; every cache left
+  // holding a (value, bucket) pair of the last sample it took), but each
+  // sample's bucket is looked up once, through this histogram's cache. All
+  // three histograms must share one layout (min, max, buckets per decade).
+  // The KV server buffers an epoch's latencies and flushes them here.
   void RecordBatchSplit(const double* values, const uint8_t* in_second, size_t count,
                         Histogram& first, Histogram& second);
 
@@ -63,20 +56,6 @@ class Histogram {
   double min() const { return count_ == 0 ? 0.0 : min_seen_; }
   double max() const { return count_ == 0 ? 0.0 : max_seen_; }
 
-  // Empties the histogram.
-  void Reset();
-
-  // One (value, cumulative_fraction) point per non-empty bucket, suitable for
-  // plotting a CDF like Fig. 5(c) / Fig. 8(a).
-  struct CdfPoint {
-    double value;
-    double cumulative;
-  };
-  std::vector<CdfPoint> Cdf() const;
-
-  // Formats "p50=... p99=... p999=... max=..." with the given unit suffix.
-  std::string Summary(const std::string& unit = "ns") const;
-
  private:
   int BucketIndex(double value) const;
   // BucketIndex through the last-value cache.
@@ -94,8 +73,6 @@ class Histogram {
   // Last (value -> bucket) mapping. Identical consecutive latencies are
   // common in the simulator (quantized service times, RecordMany batches),
   // and the cache turns the log10() in BucketIndex into a compare.
-  // Reset() clears it so a reset histogram is indistinguishable from a
-  // freshly constructed one.
   double last_value_ = 0.0;
   int last_bucket_ = -1;
   std::vector<uint64_t> buckets_;
@@ -105,40 +82,6 @@ class Histogram {
   // min()/max() translate them back to 0.0 for callers.
   double min_seen_ = std::numeric_limits<double>::infinity();
   double max_seen_ = -std::numeric_limits<double>::infinity();
-};
-
-// Welford running mean/variance for quick aggregate statistics.
-class RunningStats {
- public:
-  void Add(double x) {
-    ++n_;
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (x - mean_);
-    if (n_ == 1 || x < min_) {
-      min_ = x;
-    }
-    if (n_ == 1 || x > max_) {
-      max_ = x;
-    }
-    sum_ += x;
-  }
-
-  uint64_t count() const { return n_; }
-  double mean() const { return mean_; }
-  double sum() const { return sum_; }
-  double variance() const { return n_ < 2 ? 0.0 : m2_ / static_cast<double>(n_ - 1); }
-  double stddev() const;
-  double min() const { return min_; }
-  double max() const { return max_; }
-
- private:
-  uint64_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
 };
 
 }  // namespace cxl

@@ -8,7 +8,6 @@ void KnobSet::Declare(const std::string& key, double default_value,
                       const std::string& description) {
   Entry entry;
   entry.value = default_value;
-  entry.default_value = default_value;
   entry.description = description;
   entries_[key] = std::move(entry);
 }
@@ -29,38 +28,6 @@ double KnobSet::Get(const std::string& key) const {
     return 0.0;
   }
   return it->second.value;
-}
-
-void KnobSet::DeclareString(const std::string& key, const std::string& default_value,
-                            const std::string& description) {
-  string_entries_[key] = StringEntry{default_value, default_value, description};
-}
-
-Status KnobSet::SetString(const std::string& key, const std::string& value) {
-  auto it = string_entries_.find(key);
-  if (it == string_entries_.end()) {
-    return Status::NotFound("unknown knob: " + key);
-  }
-  it->second.value = value;
-  return Status::Ok();
-}
-
-std::string KnobSet::GetString(const std::string& key) const {
-  auto it = string_entries_.find(key);
-  assert(it != string_entries_.end() && "knob not declared");
-  if (it == string_entries_.end()) {
-    return std::string();
-  }
-  return it->second.value;
-}
-
-void KnobSet::ResetAll() {
-  for (auto& [key, entry] : entries_) {
-    entry.value = entry.default_value;
-  }
-  for (auto& [key, entry] : string_entries_) {
-    entry.value = entry.default_value;
-  }
 }
 
 }  // namespace cxl

@@ -1,7 +1,6 @@
-// sysctl-style tunables. The kernel patches the paper evaluates are all
-// configured through sysctl knobs (vm.numa_tier_interleave,
-// kernel.numa_balancing_promote_rate_limit_MBps, ...); KnobSet reproduces
-// that configuration surface so experiments read like the paper's setups.
+// sysctl-style tunables: named numeric knobs with declared defaults. The
+// fault layer declares its degradation-response tunables here ("fault.*",
+// src/fault/fault.h), and a bench's --fault-knob sets them by name.
 #ifndef CXL_EXPLORER_SRC_UTIL_KNOBS_H_
 #define CXL_EXPLORER_SRC_UTIL_KNOBS_H_
 
@@ -12,10 +11,9 @@
 
 namespace cxl {
 
-// String-keyed knob registry with typed accessors and defaults. Unknown keys
-// are rejected at Set() time once the knob has been Declared, mirroring
-// sysctl's behaviour of only accepting registered entries. Numeric and
-// string knobs live in separate namespaces (a key is one or the other).
+// String-keyed numeric knob registry with defaults. Unknown keys are
+// rejected at Set() time once the knob has been Declared, mirroring sysctl's
+// behaviour of only accepting registered entries.
 class KnobSet {
  public:
   // Registers a knob with its default value and a one-line description.
@@ -30,37 +28,15 @@ class KnobSet {
 
   bool IsDeclared(const std::string& key) const { return entries_.count(key) > 0; }
 
-  // String-valued knobs (e.g. vm.tiering_policy): same Declare/Set/Get
-  // contract as the numeric surface.
-  void DeclareString(const std::string& key, const std::string& default_value,
-                     const std::string& description);
-  Status SetString(const std::string& key, const std::string& value);
-  std::string GetString(const std::string& key) const;
-  bool IsDeclaredString(const std::string& key) const {
-    return string_entries_.count(key) > 0;
-  }
-
-  // Restores every knob (numeric and string) to its declared default.
-  void ResetAll();
-
   // For documentation dumps.
   struct Entry {
     double value = 0.0;
-    double default_value = 0.0;
     std::string description;
   };
   const std::map<std::string, Entry>& entries() const { return entries_; }
 
-  struct StringEntry {
-    std::string value;
-    std::string default_value;
-    std::string description;
-  };
-  const std::map<std::string, StringEntry>& string_entries() const { return string_entries_; }
-
  private:
   std::map<std::string, Entry> entries_;
-  std::map<std::string, StringEntry> string_entries_;
 };
 
 }  // namespace cxl

@@ -56,22 +56,6 @@ void Table::Print(std::ostream& os) const {
   }
 }
 
-void Table::PrintCsv(std::ostream& os) const {
-  auto print_row = [&](const std::vector<std::string>& cells) {
-    for (size_t c = 0; c < cells.size(); ++c) {
-      if (c > 0) {
-        os << ",";
-      }
-      os << cells[c];
-    }
-    os << "\n";
-  };
-  print_row(columns_);
-  for (const auto& row : rows_) {
-    print_row(row);
-  }
-}
-
 void PrintSection(std::ostream& os, const std::string& title) {
   os << "\n== " << title << " ==\n";
 }

@@ -1,4 +1,4 @@
-// Fixed-width ASCII table / CSV emitter used by the benchmark harnesses to
+// Fixed-width ASCII table emitter used by the benchmark harnesses to
 // print paper-style tables and figure series.
 #ifndef CXL_EXPLORER_SRC_UTIL_TABLE_H_
 #define CXL_EXPLORER_SRC_UTIL_TABLE_H_
@@ -28,9 +28,6 @@ class Table {
 
   // Pretty-prints with aligned columns and a header rule.
   void Print(std::ostream& os) const;
-
-  // Emits RFC-4180-ish CSV (no quoting needed for our content).
-  void PrintCsv(std::ostream& os) const;
 
  private:
   std::vector<std::string> columns_;

@@ -18,16 +18,6 @@ double AccessTrace::WriteFraction() const {
   return writes / static_cast<double>(ops_.size());
 }
 
-uint64_t AccessTrace::KeySpace() const {
-  uint64_t max_key = 0;
-  bool any = false;
-  for (const YcsbOp& op : ops_) {
-    max_key = std::max(max_key, op.key);
-    any = true;
-  }
-  return any ? max_key + 1 : 0;
-}
-
 namespace {
 
 char OpCode(YcsbOp::Type type) {

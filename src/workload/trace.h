@@ -31,10 +31,6 @@ class AccessTrace {
 
   // Fraction of operations that write.
   double WriteFraction() const;
-  // Highest key referenced + 1 (0 for an empty trace) — handy for sizing a
-  // store that will replay this trace.
-  uint64_t KeySpace() const;
-
   // CSV: header "op,key", one row per op, op in {R, U, I}.
   void SaveCsv(std::ostream& os) const;
   static StatusOr<AccessTrace> LoadCsv(std::istream& is);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 namespace cxl::core {
 namespace {
 
@@ -42,10 +45,14 @@ TEST(ConfigsTest, SsdConfigsEnableFlash) {
 TEST(ConfigsTest, InterleaveRatios) {
   const Platform p = Platform::CxlServer(false);
   const auto cxl0 = p.CxlNodes()[0];
-  EXPECT_NEAR(MakeCapacitySetup(CapacityConfig::kInterleave31, p).policy.SteadyStateShare(cxl0),
-              0.25 / 2.0, 1e-9);  // 25% split over two cards.
-  EXPECT_NEAR(MakeCapacitySetup(CapacityConfig::kInterleave13, p).policy.SteadyStateShare(cxl0),
-              0.75 / 2.0, 1e-9);
+  // Share of one period's pages the setup's policy places on the first card.
+  const auto cxl0_share = [&](CapacityConfig config) {
+    const std::vector<topology::NodeId> period = MakeCapacitySetup(config, p).policy.PeriodPattern();
+    return static_cast<double>(std::count(period.begin(), period.end(), cxl0)) /
+           static_cast<double>(period.size());
+  };
+  EXPECT_DOUBLE_EQ(cxl0_share(CapacityConfig::kInterleave31), 0.25 / 2.0);  // Over two cards.
+  EXPECT_DOUBLE_EQ(cxl0_share(CapacityConfig::kInterleave13), 0.75 / 2.0);
 }
 
 TEST(ConfigsTest, HotPromoteUsesDaemonWithOneToOneStart) {
@@ -60,7 +67,11 @@ TEST(ConfigsTest, HotPromoteUsesDaemonWithOneToOneStart) {
 TEST(ConfigsTest, HotPromotePlatformCapsDramAtHalfDataset) {
   const uint64_t dataset = 64ull << 30;
   const Platform p = MakeHotPromotePlatform(dataset);
-  EXPECT_EQ(p.TotalDramBytes(), dataset / 2);
+  uint64_t dram_bytes = 0;
+  for (const topology::NodeId n : p.DramNodes()) {
+    dram_bytes += p.node(n).capacity_bytes;
+  }
+  EXPECT_EQ(dram_bytes, dataset / 2);
   EXPECT_FALSE(p.CxlNodes().empty());
 }
 

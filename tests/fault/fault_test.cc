@@ -37,17 +37,22 @@ TEST(FaultPlanTest, BuildersRecordEvents) {
   EXPECT_EQ(plan.events()[2].end_s(), kInf);
 }
 
-TEST(FaultPlanTest, ToStringRoundTripsThroughParse) {
-  const FaultPlan plan = FaultPlan().Downtrain(2.0, 3.0, 8).Poison(0.0, kInf, 1e-4);
-  const auto reparsed = FaultPlan::Parse(plan.ToString());
-  ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
-  ASSERT_EQ(reparsed->events().size(), plan.events().size());
-  for (size_t i = 0; i < plan.events().size(); ++i) {
-    EXPECT_EQ(reparsed->events()[i].type, plan.events()[i].type);
-    EXPECT_DOUBLE_EQ(reparsed->events()[i].start_s, plan.events()[i].start_s);
-    EXPECT_DOUBLE_EQ(reparsed->events()[i].duration_s, plan.events()[i].duration_s);
-    EXPECT_DOUBLE_EQ(reparsed->events()[i].severity, plan.events()[i].severity);
-  }
+TEST(FaultPlanTest, ParseReadsEveryFieldAndDefaultsTheOmittedOnes) {
+  // The same plan as Downtrain(2, 3, 8).Poison(0, kInf, 1e-4): an omitted
+  // start is 0 and an omitted duration is open-ended.
+  const auto plan = FaultPlan::Parse("downtrain@2+3=8,poison=0.0001");
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ASSERT_EQ(plan->events().size(), 2u);
+  const FaultEvent& downtrain = plan->events()[0];
+  EXPECT_EQ(downtrain.type, FaultType::kLaneDowntrain);
+  EXPECT_EQ(downtrain.start_s, 2.0);
+  EXPECT_EQ(downtrain.duration_s, 3.0);
+  EXPECT_EQ(downtrain.severity, 8.0);
+  const FaultEvent& poison = plan->events()[1];
+  EXPECT_EQ(poison.type, FaultType::kPoisonedCacheline);
+  EXPECT_EQ(poison.start_s, 0.0);
+  EXPECT_EQ(poison.duration_s, kInf);
+  EXPECT_EQ(poison.severity, 1e-4);
 }
 
 TEST(FaultPlanTest, ParseSpecGrammar) {

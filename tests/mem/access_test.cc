@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/mem/memory_path_printer.h"
+
 namespace cxl::mem {
 namespace {
 

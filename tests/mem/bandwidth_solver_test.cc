@@ -7,6 +7,7 @@
 #include "src/mem/access.h"
 #include "src/mem/profiles.h"
 #include "src/util/rng.h"
+#include "tests/mem/memory_path_printer.h"
 
 namespace cxl::mem {
 namespace {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/mem/profiles.h"
+#include "tests/mem/memory_path_printer.h"
 
 namespace cxl::mem {
 namespace {
@@ -45,19 +46,6 @@ TEST(CxlLinkTest, ControllerBubblesOnlyHurt) {
   const double base = ComputeLinkEfficiency(cfg).total;
   cfg.controller_bubble_fraction = 0.10;
   EXPECT_LT(ComputeLinkEfficiency(cfg).total, base);
-}
-
-TEST(CxlLinkTest, WireBytesExceedPayload) {
-  const CxlLinkConfig cfg = AsicLinkConfig();
-  const double wire = WireBytesForReads(cfg, 1e9);
-  EXPECT_GT(wire, 1e9);
-  EXPECT_LT(wire, 1.5e9);  // Protocol tax, not a blowup.
-  // Independent of controller bubbles (those waste time, not bytes).
-  EXPECT_NEAR(WireBytesForReads(FpgaLinkConfig(), 1e9), wire, 1e-6);
-}
-
-TEST(CxlLinkTest, ZeroPayloadZeroWire) {
-  EXPECT_DOUBLE_EQ(WireBytesForReads(AsicLinkConfig(), 0.0), 0.0);
 }
 
 }  // namespace

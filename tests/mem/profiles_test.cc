@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "src/mem/access.h"
+#include "tests/mem/memory_path_printer.h"
 
 namespace cxl::mem {
 namespace {

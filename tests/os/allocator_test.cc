@@ -174,16 +174,6 @@ TEST(RegionTest, SharesFromNodeCountsEqualTheWalk) {
   EXPECT_EQ(region->NodeShares(), want);
 }
 
-TEST(RegionTest, PageAtOffset) {
-  Platform platform = Platform::CxlServer(false);
-  PageAllocator alloc(platform);
-  auto region = MemoryRegion::Allocate(alloc, NumaPolicy::Bind({0}), 10_MiB);
-  ASSERT_TRUE(region.ok());
-  EXPECT_EQ(region->PageAtOffset(0), region->PageAtIndex(0));
-  EXPECT_EQ(region->PageAtOffset(2_MiB), region->PageAtIndex(1));
-  EXPECT_EQ(region->PageAtOffset(2_MiB - 1), region->PageAtIndex(0));
-}
-
 TEST(RegionTest, RoundsUpPartialPage) {
   Platform platform = Platform::CxlServer(false);
   PageAllocator alloc(platform);
@@ -310,7 +300,7 @@ TEST_F(AllocatorTest, FailedRequestLeavesNoTrace) {
        {NumaPolicy::Interleave(platform_.DramNodes()), NumaPolicy::Preferred({cxl0}),
         NumaPolicy::Bind(platform_.DramNodes())}) {
     const auto failed = alloc_.Allocate(policy, huge);
-    ASSERT_FALSE(failed.ok()) << policy.ToString();
+    ASSERT_FALSE(failed.ok()) << "mode " << static_cast<int>(policy.mode());
     EXPECT_EQ(failed.status().code(), StatusCode::kResourceExhausted);
     unchanged();
   }

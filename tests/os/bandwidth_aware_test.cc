@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "src/mem/profiles.h"
+#include "src/os/numa_policy.h"
 #include "src/topology/platform.h"
+#include "tests/mem/memory_path_printer.h"
 
 namespace cxl::os {
 namespace {
@@ -86,13 +91,17 @@ TEST_F(PlannerTest, MakePolicyMatchesPlan) {
   obj.demand_gbps = 300.0;
   const auto plan = planner_.Recommend(obj);
   ASSERT_GT(plan.low_weight, 0);
-  const NumaPolicy policy = planner_.MakePolicy(plan);
-  EXPECT_EQ(policy.mode(), PolicyMode::kWeightedInterleave);
-  double dram_share = 0.0;
-  for (auto n : platform_.DramNodes(0)) {
-    dram_share += policy.SteadyStateShare(n);
-  }
-  EXPECT_NEAR(dram_share, plan.mmem_share, 1e-9);
+  // The plan as a placement: its N:M interleave over the socket's DRAM and
+  // the CXL cards puts mmem_share of each period's pages on DRAM.
+  const std::vector<topology::NodeId> dram = platform_.DramNodes(0);
+  const NumaPolicy policy =
+      NumaPolicy::WeightedInterleave(dram, platform_.CxlNodes(), plan.top_weight, plan.low_weight);
+  const std::vector<topology::NodeId> period = policy.PeriodPattern();
+  const auto on_dram = std::count_if(period.begin(), period.end(), [&](topology::NodeId n) {
+    return std::find(dram.begin(), dram.end(), n) != dram.end();
+  });
+  EXPECT_NEAR(static_cast<double>(on_dram) / static_cast<double>(period.size()), plan.mmem_share,
+              1e-9);
 }
 
 TEST(PlannerScopeTest, SingleDomainScopeOffloadsEarlier) {
@@ -107,20 +116,17 @@ TEST(PlannerScopeTest, SingleDomainScopeOffloadsEarlier) {
   const auto plan = one_domain.Recommend(obj);
   EXPECT_GT(plan.low_weight, 0);
   EXPECT_GT(plan.gain, 0.02);
-  // The materialized policy binds to the scoped domain only.
-  const NumaPolicy policy = one_domain.MakePolicy(plan);
-  EXPECT_NEAR(policy.SteadyStateShare(platform.DramNodes(0)[0]), plan.mmem_share, 1e-9);
-  EXPECT_NEAR(policy.SteadyStateShare(platform.DramNodes(0)[1]), 0.0, 1e-9);
 }
 
 TEST(PlannerNoCxlTest, BaselineServerAlwaysMmem) {
-  const Platform baseline = Platform::BaselineServer(false);
+  topology::PlatformOptions no_cxl;
+  no_cxl.cxl_cards = 0;
+  const Platform baseline = Platform::Build(no_cxl);
   BandwidthAwarePlanner planner(baseline, 0);
   PlacementObjective obj;
   obj.demand_gbps = 500.0;  // Hopelessly oversubscribed.
   const auto plan = planner.Recommend(obj);
   EXPECT_EQ(plan.low_weight, 0);
-  EXPECT_EQ(planner.MakePolicy(plan).mode(), PolicyMode::kBind);
 }
 
 // Property sweep: the recommended plan never scores below MMEM-only.

@@ -49,7 +49,9 @@ TEST(MigrationTest, TickWithNoPagesIsNoop) {
 }
 
 TEST(MigrationTest, NoCxlPlatformNeverMigrates) {
-  Platform platform = Platform::BaselineServer(false);
+  topology::PlatformOptions no_cxl;
+  no_cxl.cxl_cards = 0;
+  Platform platform = Platform::Build(no_cxl);
   PageAllocator alloc(platform);
   TieringConfig cfg;
   cfg.hint_fault_sample_rate = 1.0;

@@ -7,13 +7,24 @@
 namespace cxl::os {
 namespace {
 
+using Counts = std::map<topology::NodeId, int>;
+
+// Pages the policy places on each node over one period of its placement
+// sequence.
+Counts PeriodCounts(const NumaPolicy& p) {
+  Counts counts;
+  for (const topology::NodeId n : p.PeriodPattern()) {
+    ++counts[n];
+  }
+  return counts;
+}
+
 TEST(NumaPolicyTest, BindAlwaysTargetsBoundNodes) {
   const NumaPolicy p = NumaPolicy::Bind({3});
   for (uint64_t i = 0; i < 10; ++i) {
     EXPECT_EQ(p.NodeForIndex(i), 3);
   }
-  EXPECT_DOUBLE_EQ(p.SteadyStateShare(3), 1.0);
-  EXPECT_DOUBLE_EQ(p.SteadyStateShare(0), 0.0);
+  EXPECT_EQ(PeriodCounts(p), (Counts{{3, 1}}));
 }
 
 TEST(NumaPolicyTest, InterleaveRoundRobins) {
@@ -21,7 +32,7 @@ TEST(NumaPolicyTest, InterleaveRoundRobins) {
   EXPECT_EQ(p.NodeForIndex(0), 0);
   EXPECT_EQ(p.NodeForIndex(1), 1);
   EXPECT_EQ(p.NodeForIndex(2), 0);
-  EXPECT_DOUBLE_EQ(p.SteadyStateShare(0), 0.5);
+  EXPECT_EQ(PeriodCounts(p), (Counts{{0, 1}, {1, 1}}));
 }
 
 TEST(NumaPolicyTest, WeightedInterleave3To1) {
@@ -33,14 +44,12 @@ TEST(NumaPolicyTest, WeightedInterleave3To1) {
   }
   EXPECT_EQ(counts[0], 3000);
   EXPECT_EQ(counts[1], 1000);
-  EXPECT_DOUBLE_EQ(p.SteadyStateShare(0), 0.75);
-  EXPECT_DOUBLE_EQ(p.SteadyStateShare(1), 0.25);
+  EXPECT_EQ(PeriodCounts(p), (Counts{{0, 3}, {1, 1}}));
 }
 
 TEST(NumaPolicyTest, WeightedInterleave1To3) {
   const NumaPolicy p = NumaPolicy::WeightedInterleave({0}, {1}, 1, 3);
-  EXPECT_DOUBLE_EQ(p.SteadyStateShare(0), 0.25);
-  EXPECT_DOUBLE_EQ(p.SteadyStateShare(1), 0.75);
+  EXPECT_EQ(PeriodCounts(p), (Counts{{0, 1}, {1, 3}}));
 }
 
 TEST(NumaPolicyTest, WeightedInterleaveCycleOrder) {
@@ -61,23 +70,14 @@ TEST(NumaPolicyTest, WeightedInterleaveMultipleNodesPerTier) {
   }
   for (topology::NodeId n : {0, 1, 2, 3}) {
     EXPECT_EQ(counts[n], 1000) << "node " << n;
-    EXPECT_DOUBLE_EQ(p.SteadyStateShare(n), 0.25);
   }
 }
 
 TEST(NumaPolicyTest, SharesSumToOne) {
+  // 3 of every 5 pages go to the top tier, split evenly over its two
+  // nodes, and 2 of every 5 to node 2: shares 0.3 + 0.3 + 0.4.
   const NumaPolicy p = NumaPolicy::WeightedInterleave({0, 1}, {2}, 3, 2);
-  double total = 0.0;
-  for (topology::NodeId n : {0, 1, 2, 3}) {
-    total += p.SteadyStateShare(n);
-  }
-  EXPECT_NEAR(total, 1.0, 1e-12);
-}
-
-TEST(NumaPolicyTest, ToStringIsDescriptive) {
-  EXPECT_EQ(NumaPolicy::Bind({2}).ToString(), "bind{2}");
-  EXPECT_EQ(NumaPolicy::WeightedInterleave({0, 1}, {2}, 3, 1).ToString(),
-            "weighted-interleave{top=0,1 low=2 3:1}");
+  EXPECT_EQ(PeriodCounts(p), (Counts{{0, 3}, {1, 3}, {2, 4}}));
 }
 
 }  // namespace

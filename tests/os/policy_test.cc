@@ -1,4 +1,4 @@
-// Pluggable tiering-policy surface: registry resolution, knob plumbing, and
+// Pluggable tiering-policy surface: registry resolution and
 // the AdaptiveFeedbackPolicy feedback loops (thrash-driven budget cuts,
 // degraded-link backoff).
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 #include "src/os/policy_registry.h"
 #include "src/os/tiering.h"
 #include "src/topology/platform.h"
-#include "src/util/knobs.h"
 
 namespace cxl::os {
 namespace {
@@ -60,27 +59,6 @@ TEST(PolicyRegistryTest, RejectsDuplicatesAndEmptyNames) {
   EXPECT_FALSE(registry.Register("", make).ok());
   ASSERT_TRUE(registry.Register("third-party", make).ok());
   EXPECT_TRUE(registry.Has("third-party"));
-}
-
-// --- Knob plumbing ---------------------------------------------------------
-
-TEST(PolicyKnobsTest, StringKnobSelectsPolicyByName) {
-  KnobSet knobs;
-  DeclareTieringKnobs(knobs);
-  ASSERT_TRUE(knobs.SetString("vm.tiering_policy", kAdaptiveFeedbackPolicyName).ok());
-  const TieringConfig cfg = TieringConfigFromKnobs(knobs);
-  EXPECT_EQ(cfg.policy, kAdaptiveFeedbackPolicyName);
-  EXPECT_STREQ(cfg.PolicyName(), kAdaptiveFeedbackPolicyName);
-}
-
-// vm.numa_balancing_mode, the float-coded policy selector, is gone: setting
-// it is an unknown-knob error and cannot change the selected policy.
-TEST(PolicyKnobsTest, RemovedNumericModeKnobIsRejected) {
-  KnobSet knobs;
-  DeclareTieringKnobs(knobs);
-  const Status s = knobs.Set("vm.numa_balancing_mode", 2.0);
-  EXPECT_EQ(s.code(), StatusCode::kNotFound);
-  EXPECT_EQ(TieringConfigFromKnobs(knobs).policy, kHotPageSelectionPolicyName);
 }
 
 // --- Daemon integration ----------------------------------------------------

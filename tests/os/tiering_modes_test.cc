@@ -6,7 +6,6 @@
 #include "src/os/policy_registry.h"
 #include "src/os/tiering.h"
 #include "src/topology/platform.h"
-#include "src/util/knobs.h"
 
 namespace cxl::os {
 namespace {
@@ -163,37 +162,15 @@ TEST_F(TieringModesTest, TppChurnsUnderStreaming) {
   EXPECT_GE(migrated, 512.0 * 2e6);
 }
 
-TEST(TieringKnobsTest, DeclareThenRoundTrip) {
-  KnobSet knobs;
-  DeclareTieringKnobs(knobs);
-  ASSERT_TRUE(knobs.Set("kernel.numa_balancing_promote_rate_limit_MBps", 123.0).ok());
-  ASSERT_TRUE(knobs.Set("vm.hot_page_threshold", 9.0).ok());
-  ASSERT_TRUE(knobs.Set("vm.hot_threshold_auto_adjust", 0.0).ok());
-  ASSERT_TRUE(knobs.SetString("vm.tiering_policy", kMruBalancingPolicyName).ok());
-  ASSERT_TRUE(knobs.Set("vm.hint_fault_sample_rate", 0.5).ok());
-  const TieringConfig cfg = TieringConfigFromKnobs(knobs);
-  EXPECT_DOUBLE_EQ(cfg.promote_rate_limit_mbps, 123.0);
-  EXPECT_DOUBLE_EQ(cfg.initial_hot_threshold, 9.0);
-  EXPECT_FALSE(cfg.dynamic_threshold);
-  EXPECT_EQ(cfg.policy, kMruBalancingPolicyName);
-  EXPECT_DOUBLE_EQ(cfg.hint_fault_sample_rate, 0.5);
-}
-
-TEST(TieringKnobsTest, DefaultsMatchConfigDefaults) {
-  KnobSet knobs;
-  DeclareTieringKnobs(knobs);
-  const TieringConfig from_knobs = TieringConfigFromKnobs(knobs);
-  const TieringConfig defaults;
-  EXPECT_DOUBLE_EQ(from_knobs.promote_rate_limit_mbps, defaults.promote_rate_limit_mbps);
-  EXPECT_DOUBLE_EQ(from_knobs.initial_hot_threshold, defaults.initial_hot_threshold);
-  EXPECT_EQ(from_knobs.dynamic_threshold, defaults.dynamic_threshold);
-  EXPECT_STREQ(from_knobs.PolicyName(), defaults.PolicyName());
-}
-
-TEST(TieringKnobsTest, EmptyKnobSetFallsBackToDefaults) {
-  KnobSet empty;
-  const TieringConfig cfg = TieringConfigFromKnobs(empty);
-  EXPECT_DOUBLE_EQ(cfg.promote_rate_limit_mbps, TieringConfig{}.promote_rate_limit_mbps);
+TEST_F(TieringModesTest, ConfigPolicyNameSelectsTheDaemonsPolicy) {
+  // Empty selects hot-page-selection, the patch the paper's experiments use.
+  EXPECT_STREQ(TieringConfig{}.PolicyName(), kHotPageSelectionPolicyName);
+  EXPECT_STREQ(TieredMemory(alloc_, TieringConfig{}).policy().name(),
+               kHotPageSelectionPolicyName);
+  PageAllocator other(platform_);
+  TieringConfig cfg;
+  cfg.policy = kMruBalancingPolicyName;
+  EXPECT_STREQ(TieredMemory(other, cfg).policy().name(), kMruBalancingPolicyName);
 }
 
 }  // namespace

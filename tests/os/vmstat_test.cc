@@ -2,61 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
-#include "src/os/numa_policy.h"
-#include "src/topology/platform.h"
-
 namespace cxl::os {
 namespace {
-
-TEST(VmstatTest, CountersRenderAllFields) {
-  VmCounters c;
-  c.pgpromote_success = 7;
-  c.numa_hint_faults = 1234;
-  std::ostringstream os;
-  PrintVmCounters(os, c);
-  const std::string out = os.str();
-  EXPECT_NE(out.find("pgpromote_success 7"), std::string::npos);
-  EXPECT_NE(out.find("numa_hint_faults 1234"), std::string::npos);
-  EXPECT_NE(out.find("pgdemote 0"), std::string::npos);
-  EXPECT_NE(out.find("promote_rate_limited 0"), std::string::npos);
-}
-
-TEST(VmstatTest, NodeOccupancyShowsEveryNode) {
-  const auto platform = topology::Platform::CxlServer(false);
-  PageAllocator alloc(platform);
-  auto pages = alloc.Allocate(NumaPolicy::Bind(platform.CxlNodes()), 512);  // 1 GiB at 2 MiB.
-  ASSERT_TRUE(pages.ok());
-  std::ostringstream os;
-  PrintNodeOccupancy(os, alloc);
-  const std::string out = os.str();
-  for (const auto& n : platform.nodes()) {
-    EXPECT_NE(out.find(n.name), std::string::npos) << n.name;
-  }
-  // Bind round-robins across both CXL cards: 0.5 GiB each.
-  EXPECT_NE(out.find("0.5 / 256.0 GiB"), std::string::npos);
-}
-
-TEST(VmstatTest, ReportCombinesBoth) {
-  const auto platform = topology::Platform::BaselineServer(false);
-  PageAllocator alloc(platform);
-  const std::string report = VmstatReport(alloc);
-  EXPECT_NE(report.find("pgalloc 0"), std::string::npos);
-  EXPECT_NE(report.find("node 0"), std::string::npos);
-}
-
-TEST(VmstatTest, ReportRendersEndStateAfterActivity) {
-  // After real allocator activity the report reads like /proc/vmstat at the
-  // end of a run: allocation counters up, occupancy non-zero.
-  const auto platform = topology::Platform::CxlServer(false);
-  PageAllocator alloc(platform);
-  auto pages = alloc.Allocate(NumaPolicy::Bind(platform.DramNodes(/*socket=*/0)), 256);
-  ASSERT_TRUE(pages.ok());
-  const std::string report = VmstatReport(alloc);
-  EXPECT_NE(report.find("pgalloc 256"), std::string::npos);
-  EXPECT_NE(report.find("pgfree 0"), std::string::npos);
-}
 
 TEST(VmstatTest, SampleVmCountersFillsTimelineSeries) {
   VmCounters c;
@@ -64,9 +11,10 @@ TEST(VmstatTest, SampleVmCountersFillsTimelineSeries) {
   c.pgdemote = 4;
   c.promote_rate_limited = 2;
   telemetry::Timeline timeline;
-  SampleVmCounters(timeline, 250.0, c);
+  const VmCounterSeries series = AttachVmCounterSeries(timeline);
+  SampleVmCounters(series, 250.0, c);
   c.pgpromote_success = 17;
-  SampleVmCounters(timeline, 500.0, c);
+  SampleVmCounters(series, 500.0, c);
   // Every counter becomes a "vmstat.<name>" series with one point per call.
   EXPECT_EQ(timeline.series().size(), 8u);
   const auto& promote = timeline.series().at("vmstat.pgpromote_success");

@@ -1112,87 +1112,13 @@ TEST(WarmSetWorkTest, AgedOutPromotionsLeaveTheFeedbackCount) {
   }
 }
 
-// A daemon built over an allocator that already holds heat adopts it: daemon
-// A heats DRAM and CXL pages across two ticks that promote nothing (so A
-// leaves pending decays), settles and is destroyed; daemon B, built over the
-// same allocator, starts with warm bits over every nonzero heat and heat
-// bounds that hold, and promotes the CXL pages A heated.
-TEST(WarmSetAdoptionTest, SecondDaemonAdoptsASettledDaemonsHeat) {
+// One daemon per allocator: a second daemon over the same allocator would
+// start from heat it never tracked, so building one asserts.
+TEST(WarmSetDeathTest, SecondDaemonOverOneAllocatorAsserts) {
   const topology::Platform platform = SmallPlatform();
   PageAllocator alloc(platform, kPageBytes);
-  auto allocated = alloc.Allocate(NumaPolicy::Preferred(platform.DramNodes()), kInitialPages);
-  ASSERT_TRUE(allocated.ok());
-  ASSERT_EQ(alloc.DramResidentCount(), kDramPages);
-  // Pages 0..8191 are on DRAM, the rest on CXL. A heats every 7th DRAM page
-  // of the first 1,000, and the CXL pages of three sparse words and one
-  // dense word.
-  std::vector<PageId> hot_cxl;
-  for (const PageId first : {kDramPages + 3, kDramPages + 200, kDramPages + 1000}) {
-    for (PageId id = first; id < first + 20; ++id) {
-      hot_cxl.push_back(id);
-    }
-  }
-  for (PageId id = kDramPages + 2048; id < kDramPages + 2048 + 64; ++id) {
-    hot_cxl.push_back(id);
-  }
-  {
-    TieringConfig cfg_a;
-    cfg_a.policy = "hot-page-selection";
-    cfg_a.hint_fault_sample_rate = 0.25;
-    cfg_a.initial_hot_threshold = 1e9;  // A promotes nothing.
-    cfg_a.dynamic_threshold = false;
-    TieredMemory a(alloc, cfg_a);
-    const auto heat_all = [&] {
-      for (PageId id = 0; id < 1000; id += 7) {
-        a.RecordAccess(id, 40);
-      }
-      for (const PageId id : hot_cxl) {
-        a.RecordAccess(id, 400);
-      }
-    };
-    heat_all();
-    for (int tick = 0; tick < 2; ++tick) {
-      const TieredMemory::TickResult r = a.Tick(1.0);
-      ASSERT_EQ(r.promoted_pages, 0u);
-    }
-    heat_all();
-    a.Tick(1.0);  // Leaves every warm word one decay behind.
-    a.SettleHeat();
-  }
-  const float* heat = alloc.heat_column();
-  for (const PageId id : hot_cxl) {
-    ASSERT_GT(heat[id], 1.0f) << "page " << id;
-    ASSERT_FALSE(alloc.IsDramNode(alloc.NodeOf(id))) << "page " << id;
-  }
-
-  TieringConfig cfg_b;
-  cfg_b.policy = "hot-page-selection";
-  cfg_b.hint_fault_sample_rate = 0.25;
-  cfg_b.initial_hot_threshold = 1.0;
-  cfg_b.dynamic_threshold = false;
-  TieredMemory b(alloc, cfg_b);
-  const std::vector<uint64_t>& warm = b.warm().bits();
-  uint64_t heated = 0;
-  for (PageId id = 0; id < alloc.page_count(); ++id) {
-    if (heat[id] != 0.0f) {
-      ++heated;
-      EXPECT_NE(warm[id / 64] & (uint64_t{1} << (id % 64)), 0u) << "page " << id;
-    }
-    EXPECT_EQ(std::bit_cast<uint32_t>(b.Heat(id)), std::bit_cast<uint32_t>(heat[id]))
-        << "page " << id;
-  }
-  EXPECT_EQ(heated, hot_cxl.size() + (1000 + 6) / 7);
-  EXPECT_EQ(check::TieringInvariantViolations(b), std::vector<std::string>{});
-  uint64_t promoted = 0;
-  for (int tick = 0; tick < 3; ++tick) {
-    promoted += b.Tick(1.0).promoted_pages;
-    EXPECT_EQ(check::TieringInvariantViolations(b), std::vector<std::string>{})
-        << "tick " << tick;
-  }
-  EXPECT_EQ(promoted, hot_cxl.size());
-  for (const PageId id : hot_cxl) {
-    EXPECT_TRUE(alloc.IsDramNode(alloc.NodeOf(id))) << "page " << id;
-  }
+  { TieredMemory first(alloc, TieringConfig{}); }
+  EXPECT_DEBUG_DEATH(TieredMemory(alloc, TieringConfig{}), "one daemon per allocator");
 }
 
 // The hotness-ranked scan compares float heat against a double threshold,

@@ -4,6 +4,7 @@
 
 #include "src/mem/access.h"
 #include "src/util/units.h"
+#include "tests/mem/memory_path_printer.h"
 
 namespace cxl::pool {
 namespace {
@@ -75,7 +76,7 @@ TEST(CxlMemoryPoolTest, ReleaseAllAndActiveHosts) {
   ASSERT_TRUE(pool.Acquire(0, 2_GiB).ok());
   ASSERT_TRUE(pool.Acquire(1, 2_GiB).ok());
   EXPECT_EQ(pool.ActiveHosts(), 2);
-  pool.ReleaseAll(0);
+  ASSERT_TRUE(pool.Release(0, 2_GiB).ok());
   EXPECT_EQ(pool.ActiveHosts(), 1);
   EXPECT_EQ(pool.UsedBytes(), 2_GiB);
 }

@@ -52,13 +52,10 @@ TEST(RackTest, MeshSpillsThroughSecondStage) {
   }
 }
 
-TEST(RackTest, ParseTopologyRoundTrips) {
-  for (auto t : {RackTopology::kFlat, RackTopology::kStar, RackTopology::kMesh}) {
-    const auto parsed = ParseRackTopology(RackTopologyName(t));
-    ASSERT_TRUE(parsed.ok());
-    EXPECT_EQ(parsed.value(), t);
-  }
-  EXPECT_FALSE(ParseRackTopology("ring").ok());
+TEST(RackTest, TopologyNames) {
+  EXPECT_STREQ(RackTopologyName(RackTopology::kFlat), "flat");
+  EXPECT_STREQ(RackTopologyName(RackTopology::kStar), "star");
+  EXPECT_STREQ(RackTopologyName(RackTopology::kMesh), "mesh");
 }
 
 TEST(PoolSchedulerTest, GrowThenShrinkConvergesLeases) {
@@ -133,8 +130,6 @@ TEST(PoolSchedulerTest, MeshGrowSpillsNearestFirst) {
   EXPECT_EQ(rack.expander(0).LeasedBytes(0), 8_GiB);
   EXPECT_EQ(rack.expander(1).LeasedBytes(0), 2_GiB);
   EXPECT_EQ(sched.stats().spill_grants, 1u);
-  EXPECT_GT(rack.MeanLeaseHops(0), 1.0);
-  EXPECT_LT(rack.MeanLeaseHops(0), 2.0);
 }
 
 TEST(PoolSchedulerTest, EveryBalloonReclaimIsRecorded) {

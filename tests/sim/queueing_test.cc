@@ -68,45 +68,5 @@ TEST(QueueModelTest, ClampsOverUtilization) {
   EXPECT_DOUBLE_EQ(m.LatencyAt(-0.5), 100.0);
 }
 
-TEST(ErlangCTest, NoLoadNoQueueing) { EXPECT_DOUBLE_EQ(ErlangC(4, 0.0), 0.0); }
-
-TEST(ErlangCTest, SingleServerMatchesMm1) {
-  // For c=1, Erlang-C probability of waiting equals rho.
-  for (double rho : {0.1, 0.5, 0.9}) {
-    EXPECT_NEAR(ErlangC(1, rho), rho, 1e-9);
-  }
-}
-
-TEST(ErlangCTest, OverloadAlwaysQueues) { EXPECT_DOUBLE_EQ(ErlangC(2, 2.5), 1.0); }
-
-TEST(ErlangCTest, MoreServersLessQueueing) {
-  // Same per-server load, more servers -> lower delay probability (pooling).
-  EXPECT_GT(ErlangC(1, 0.8), ErlangC(4, 3.2));
-  EXPECT_GT(ErlangC(4, 3.2), ErlangC(16, 12.8));
-}
-
-TEST(MmcMeanWaitTest, Mm1ClosedForm) {
-  // M/M/1: W_q = rho/(mu - lambda) = rho * s / (1 - rho).
-  const double s = 10.0;
-  const double lambda = 0.05;  // rho = 0.5
-  EXPECT_NEAR(MmcMeanWait(1, lambda, s), 0.5 * s / 0.5, 1e-9);
-}
-
-TEST(MmcMeanWaitTest, UnstableReturnsLargeFinite) {
-  const double w = MmcMeanWait(2, 1.0, 10.0);  // offered 10 >> 2 servers.
-  EXPECT_GT(w, 100.0);
-  EXPECT_LT(w, 1e9);
-}
-
-TEST(MmcMeanWaitTest, WaitGrowsWithLoad) {
-  const double s = 10.0;
-  double prev = -1.0;
-  for (double lam : {0.01, 0.05, 0.08, 0.095}) {
-    const double w = MmcMeanWait(1, lam, s);
-    EXPECT_GT(w, prev);
-    prev = w;
-  }
-}
-
 }  // namespace
 }  // namespace cxl::sim

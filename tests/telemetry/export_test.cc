@@ -5,6 +5,7 @@
 #include <sstream>
 #include <string>
 
+#include "src/telemetry/events.h"
 #include "src/util/histogram.h"
 
 namespace cxl::telemetry {
@@ -22,7 +23,7 @@ MetricRegistry FilledRegistry() {
   reg.timeline().Sample("tiering.promote_mbps", 500.0, 1500.0);
   const auto kv = reg.trace().Track("kv-server");
   reg.trace().Span(kv, "epoch 0", 0.0, 250.0, {{"kops", 880.0}});
-  reg.trace().Instant(kv, "converged", 250.0);
+  reg.events().Record(Event(EventKind::kPagePromote, 250.0));
   return reg;
 }
 
@@ -69,7 +70,7 @@ TEST(ExportTest, ChromeTraceShape) {
   // The span: ph X at ts 0 with dur 250 ms = 250000 us.
   EXPECT_NE(out.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(out.find("\"dur\":250000"), std::string::npos);
-  // The instant and the series-as-counter events.
+  // The structured event (an instant) and the series-as-counter events.
   EXPECT_NE(out.find("\"ph\":\"i\""), std::string::npos);
   EXPECT_NE(out.find("\"ph\":\"C\""), std::string::npos);
 }

@@ -68,10 +68,10 @@ TEST(MetricRegistryTest, TraceTracksAreDenseAndReused) {
   EXPECT_NE(a, b);
   EXPECT_EQ(reg.trace().Track("kv-server"), a);
   reg.trace().Span(a, "epoch 0", 0.0, 5.0, {{"kops", 12.0}});
-  reg.trace().Instant(b, "tick", 5.0);
+  reg.trace().Span(b, "tick", 5.0, 1.0);
   ASSERT_EQ(reg.trace().events().size(), 2u);
-  EXPECT_EQ(reg.trace().events()[0].phase, 'X');
-  EXPECT_EQ(reg.trace().events()[1].phase, 'i');
+  EXPECT_EQ(reg.trace().events()[0].track, a);
+  EXPECT_EQ(reg.trace().events()[1].track, b);
 }
 
 TEST(MetricRegistryTest, MergeFromPrefixesEveryKind) {

@@ -3,10 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <sstream>
 
 #include "src/mem/access.h"
-#include "src/telemetry/timeline.h"
+#include "src/telemetry/metrics.h"
 
 namespace cxl::topology {
 namespace {
@@ -76,9 +75,11 @@ TEST(PcmTest, SampleSnapshotFillsPerPathSeries) {
   tm.AddMemoryTraffic(0, p.CxlNodes()[0], AccessMix::ReadOnly(), 10.0);
   const auto snap = TakePcmSnapshot(p, tm.Solve());
 
-  telemetry::Timeline timeline;
-  SamplePcmSnapshot(timeline, 100.0, snap);
-  SamplePcmSnapshot(timeline, 200.0, snap);
+  telemetry::MetricRegistry registry;
+  const PcmTelemetryHandles handles = AttachPcmTelemetry(registry, snap);
+  SamplePcmSnapshot(handles, 100.0, snap);
+  SamplePcmSnapshot(handles, 200.0, snap);
+  const telemetry::Timeline& timeline = registry.timeline();
 
   // One bandwidth + one utilization series per socket, UPI link, and card.
   const size_t expected =
@@ -91,18 +92,6 @@ TEST(PcmTest, SampleSnapshotFillsPerPathSeries) {
   EXPECT_NEAR(timeline.series().at("pcm.cxl0.gbps").Latest(),
               snap.cxl_cards[0].achieved_gbps, 1e-12);
   EXPECT_NEAR(timeline.series().at("pcm.upi0.util").Latest(), snap.upi[0].utilization, 1e-12);
-}
-
-TEST(PcmTest, PrintRendersAllCounters) {
-  const Platform p = Platform::CxlServer(false);
-  TrafficModel tm(p);
-  tm.AddMemoryTraffic(0, p.CxlNodes()[0], AccessMix::ReadOnly(), 10.0);
-  std::ostringstream os;
-  PrintPcmSnapshot(os, TakePcmSnapshot(p, tm.Solve()));
-  const std::string out = os.str();
-  EXPECT_NE(out.find("SKT0 DRAM"), std::string::npos);
-  EXPECT_NE(out.find("UPI->SKT0"), std::string::npos);
-  EXPECT_NE(out.find("CXL0"), std::string::npos);
 }
 
 }  // namespace

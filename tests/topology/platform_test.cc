@@ -3,12 +3,22 @@
 #include <gtest/gtest.h>
 
 #include "src/mem/access.h"
+#include "tests/mem/memory_path_printer.h"
 
 namespace cxl::topology {
 namespace {
 
 using mem::AccessMix;
 using mem::MemoryPath;
+
+// Capacity of the platform's nodes of one kind, in bytes.
+uint64_t TotalBytes(const Platform& p, NodeKind kind) {
+  uint64_t total = 0;
+  for (const NumaNode& n : p.nodes()) {
+    total += n.kind == kind ? n.capacity_bytes : 0;
+  }
+  return total;
+}
 
 TEST(PlatformTest, PaperCxlServerLayoutSncOff) {
   const Platform p = Platform::CxlServer(/*snc4=*/false);
@@ -18,8 +28,8 @@ TEST(PlatformTest, PaperCxlServerLayoutSncOff) {
   for (NodeId id : p.CxlNodes()) {
     EXPECT_EQ(p.node(id).socket, 0);
   }
-  EXPECT_EQ(p.TotalDramBytes(), 1024ull << 30);  // 1 TiB.
-  EXPECT_EQ(p.TotalCxlBytes(), 512ull << 30);    // 2 x 256 GiB.
+  EXPECT_EQ(TotalBytes(p, NodeKind::kDram), 1024ull << 30);  // 1 TiB.
+  EXPECT_EQ(TotalBytes(p, NodeKind::kCxl), 512ull << 30);    // 2 x 256 GiB.
 }
 
 TEST(PlatformTest, PaperCxlServerLayoutSnc4) {
@@ -30,9 +40,12 @@ TEST(PlatformTest, PaperCxlServerLayoutSnc4) {
 }
 
 TEST(PlatformTest, BaselineServerHasNoCxl) {
-  const Platform p = Platform::BaselineServer(false);
+  PlatformOptions baseline;  // The CXL server without its cards.
+  baseline.cxl_cards = 0;
+  const Platform p = Platform::Build(baseline);
   EXPECT_TRUE(p.CxlNodes().empty());
-  EXPECT_EQ(p.TotalCxlBytes(), 0u);
+  EXPECT_EQ(TotalBytes(p, NodeKind::kCxl), 0u);
+  EXPECT_EQ(TotalBytes(p, NodeKind::kDram), 1024ull << 30);
 }
 
 TEST(PlatformTest, PathResolution) {

@@ -8,16 +8,30 @@ namespace {
 TEST(ConfigTest, ParsesEqualsAndSpaceForms) {
   const auto cfg = Config::ParseString("a = 1\nb 2\nc=hello\n");
   ASSERT_TRUE(cfg.ok());
-  EXPECT_EQ(cfg->values().at("a"), "1");
-  EXPECT_EQ(cfg->values().at("b"), "2");
-  EXPECT_EQ(cfg->values().at("c"), "hello");
+  EXPECT_EQ(cfg->Find("a")->value, "1");
+  EXPECT_EQ(cfg->Find("b")->value, "2");
+  EXPECT_EQ(cfg->Find("c")->value, "hello");
+  EXPECT_EQ(cfg->Find("d"), nullptr);
 }
 
 TEST(ConfigTest, CommentsAndBlanksIgnored) {
   const auto cfg = Config::ParseString("# header\n\na = 1  # trailing\n   \n");
   ASSERT_TRUE(cfg.ok());
-  EXPECT_EQ(cfg->values().at("a"), "1");
-  EXPECT_EQ(cfg->values().size(), 1u);
+  EXPECT_EQ(cfg->Find("a")->value, "1");
+  EXPECT_EQ(cfg->rows().size(), 1u);
+}
+
+TEST(ConfigTest, RowsKeepFileOrderAndLineNumbers) {
+  const auto cfg = Config::ParseString("zeta = 1\n# comment\n\nalpha = 2\nmid 3\n");
+  ASSERT_TRUE(cfg.ok());
+  ASSERT_EQ(cfg->rows().size(), 3u);
+  EXPECT_EQ(cfg->rows()[0].key, "zeta");
+  EXPECT_EQ(cfg->rows()[0].line, 1u);
+  EXPECT_EQ(cfg->rows()[1].key, "alpha");
+  EXPECT_EQ(cfg->rows()[1].line, 4u);
+  EXPECT_EQ(cfg->rows()[2].key, "mid");
+  EXPECT_EQ(cfg->rows()[2].value, "3");
+  EXPECT_EQ(cfg->rows()[2].line, 5u);
 }
 
 TEST(ConfigTest, RejectsMalformedRows) {

@@ -114,6 +114,25 @@ TEST(FlagsTest, OneOfStoresTheNamedChoice) {
   EXPECT_EQ(level, 2);
 }
 
+// from_chars reads "nan", "inf" and "infinity" as doubles; no flag or spec
+// value means one, so a floating-point parse refuses them.
+TEST(FlagsTest, ParseNumberRejectsNonFiniteFloatingPoint) {
+  for (const char* text : {"nan", "NaN", "-nan", "inf", "-inf", "INF", "infinity", "-Infinity"}) {
+    double d = 7.0;
+    EXPECT_FALSE(ParseNumber(text, &d)) << text;
+    EXPECT_EQ(d, 7.0) << text;  // Untouched on failure.
+    float f = 7.0f;
+    EXPECT_FALSE(ParseNumber(text, &f)) << text;
+  }
+  double d = 0.0;
+  EXPECT_TRUE(ParseNumber("1.7976931348623157e308", &d));  // DBL_MAX is finite.
+  EXPECT_FALSE(ParseNumber("1e309", &d));                   // Out of range, as before.
+  double rd = 10.0;
+  const std::vector<Flag> keys = {{"rd", "X", Store(&rd), "a spec key"}};
+  EXPECT_EQ(ApplyFlag(keys[0], "rd", "nan").message(), "bad value 'nan' for 'rd': want a number");
+  EXPECT_EQ(rd, 10.0);
+}
+
 TEST(FlagsTest, FindAndApplyServeNamesOutsideArgv) {
   double rd = 10.0;
   const std::vector<Flag> keys = {{"rd", "X", Store(&rd), "a spec key"}};

@@ -20,12 +20,12 @@ TEST(TableTest, PrintsHeaderAndRows) {
   EXPECT_NE(out.find("1.35"), std::string::npos);
 }
 
-TEST(TableTest, CsvOutput) {
+TEST(TableTest, PadsEachColumnToItsWidestCell) {
   Table t({"a", "b"});
-  t.Row().Cell(uint64_t{1}).Cell(uint64_t{2});
+  t.Row().Cell(uint64_t{1}).Cell(uint64_t{22});
   std::ostringstream os;
-  t.PrintCsv(os);
-  EXPECT_EQ(os.str(), "a,b\n1,2\n");
+  t.Print(os);
+  EXPECT_EQ(os.str(), "a  b   \n-------\n1  22  \n");
 }
 
 TEST(TableTest, RowCount) {

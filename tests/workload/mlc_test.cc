@@ -4,6 +4,7 @@
 
 #include "src/mem/access.h"
 #include "src/mem/profiles.h"
+#include "tests/mem/memory_path_printer.h"
 
 namespace cxl::workload {
 namespace {

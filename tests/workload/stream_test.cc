@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/mem/profiles.h"
+#include "tests/mem/memory_path_printer.h"
 
 namespace cxl::workload {
 namespace {

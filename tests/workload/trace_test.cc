@@ -13,17 +13,15 @@ TEST(AccessTraceTest, EmptyTrace) {
   AccessTrace trace;
   EXPECT_TRUE(trace.empty());
   EXPECT_DOUBLE_EQ(trace.WriteFraction(), 0.0);
-  EXPECT_EQ(trace.KeySpace(), 0u);
 }
 
-TEST(AccessTraceTest, WriteFractionAndKeySpace) {
+TEST(AccessTraceTest, WriteFractionCountsUpdatesAndInserts) {
   AccessTrace trace;
   trace.Append(YcsbOp{YcsbOp::Type::kRead, 10});
   trace.Append(YcsbOp{YcsbOp::Type::kUpdate, 99});
   trace.Append(YcsbOp{YcsbOp::Type::kRead, 5});
   trace.Append(YcsbOp{YcsbOp::Type::kInsert, 100});
   EXPECT_DOUBLE_EQ(trace.WriteFraction(), 0.5);
-  EXPECT_EQ(trace.KeySpace(), 101u);
 }
 
 TEST(AccessTraceTest, CsvRoundTrip) {
