@@ -6,6 +6,8 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/bench/context.h"
@@ -371,11 +373,32 @@ BENCHMARK(BM_KeyDbExperimentEndToEnd)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
+// The row that points the usage at google-benchmark's own flags, which
+// benchmark::Initialize takes out of argv before the table sees it.
+std::vector<Flag> BenchmarkFlagRows() {
+  return {{"--benchmark_*", "",
+           [](const std::string&) {
+             return Status::InvalidArgument("name a google-benchmark flag, such as "
+                                            "--benchmark_filter=REGEX");
+           },
+           "google-benchmark's flags, such as --benchmark_filter=REGEX"}};
+}
+
 // Expanded BENCHMARK_MAIN(): google-benchmark strips its --benchmark_*
 // flags first, then the bench Context parses (and checks) the rest.
 int main(int argc, char** argv) {
+  // --help prints the table's usage; benchmark::Initialize would answer it
+  // with google-benchmark's flags alone.
+  if (std::any_of(argv + 1, argv + argc, [](const char* arg) {
+        return std::string_view(arg) == "--help" || std::string_view(arg) == "-h";
+      })) {
+    std::string help = "--help";
+    char* help_argv[] = {argv[0], help.data()};
+    int help_argc = 2;
+    cxl::bench::Context::FromArgs(&help_argc, help_argv, {}, BenchmarkFlagRows());  // Exits 0.
+  }
   benchmark::Initialize(&argc, argv);
-  auto ctx = cxl::bench::Context::FromArgs(&argc, argv);
+  auto ctx = cxl::bench::Context::FromArgs(&argc, argv, {}, BenchmarkFlagRows());
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   if (!ctx.Write("bench_micro_simulator")) {

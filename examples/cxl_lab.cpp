@@ -15,9 +15,10 @@
 // Experiments: keydb | vm | spark | llm | mlc | cost. Each takes the keys of
 // its own table below, applied through the flag parser (src/util/flags.h)
 // in file order: a key the experiment does not take, a malformed or
-// non-finite number, an unknown name or a ratio that is not N:M with
-// positive integers exits 2 naming the first such row's line and key; a run
-// that fails exits 1.
+// non-finite number, an unknown name, a ratio that is not N:M with
+// positive integers, a dataset_gib that holds no record or 2^64 bytes or
+// more, or threads below 1 exits 2 naming the first such row's line and
+// key; a run that fails exits 1.
 // Run with no arguments to print a self-test using built-in specs.
 #include <cstdlib>
 #include <fstream>
@@ -66,6 +67,22 @@ bool ParseRatio(const std::string& value, int* top, int* low) {
          ParseNumber(value.substr(colon + 1), low) && *top > 0 && *low > 0;
 }
 
+// A setter that reads a dataset size in GiB into `*bytes`: at least one
+// record of `record_bytes` and under 2^64 bytes. Both compares fail on NaN.
+FlagSetter StoreDatasetGiB(uint64_t* bytes, uint64_t record_bytes) {
+  return [bytes, record_bytes](const std::string& value) {
+    double gib = 0.0;
+    const double b = ParseNumber(value, &gib) ? gib * static_cast<double>(kGiB) : 0.0;
+    if (!(b >= static_cast<double>(record_bytes) && b < 0x1p64)) {
+      return Status::InvalidArgument("want a size in GiB of at least one " +
+                                     std::to_string(record_bytes) +
+                                     "-byte record and under 2^64 bytes");
+    }
+    *bytes = static_cast<uint64_t>(b);
+    return Status::Ok();
+  };
+}
+
 Status RunKeyDbLab(const Config& cfg) {
   std::vector<std::pair<std::string, core::CapacityConfig>> configs;
   for (core::CapacityConfig c : core::AllCapacityConfigs()) {
@@ -78,15 +95,15 @@ Status RunKeyDbLab(const Config& cfg) {
   }
   core::CapacityConfig which = core::CapacityConfig::kMmem;
   workload::YcsbWorkload workload = workload::YcsbWorkload::kC;
-  double dataset_gib = 16.0;
   core::KeyDbExperimentOptions opt;
+  opt.dataset_bytes = 16 * kGiB;
   opt.total_ops = 150'000;
   ApplyKeys(cfg, {{"config", "LABEL", OneOf(&which, configs), "Table 1 config"},
                   {"workload", "NAME", OneOf(&workload, workloads), "YCSB mix"},
-                  {"dataset_gib", "GIB", Store(&dataset_gib), "dataset size"},
+                  {"dataset_gib", "GIB", StoreDatasetGiB(&opt.dataset_bytes, opt.value_bytes),
+                   "dataset size"},
                   {"ops", "N", Store(&opt.total_ops), "measured operations"},
                   {"seed", "N", Store(&opt.env.seed), "run seed"}});
-  opt.dataset_bytes = static_cast<uint64_t>(dataset_gib * static_cast<double>(1ull << 30));
   opt.warmup_ops = opt.total_ops / 4;
   const auto res = core::RunKeyDbExperiment(which, workload, opt);
   if (!res.ok()) {
@@ -105,12 +122,12 @@ Status RunKeyDbLab(const Config& cfg) {
 }
 
 Status RunVmLab(const Config& cfg) {
-  double dataset_gib = 12.0;
   core::KeyDbExperimentOptions opt;
+  opt.dataset_bytes = 12 * kGiB;
   opt.total_ops = 150'000;
-  ApplyKeys(cfg, {{"dataset_gib", "GIB", Store(&dataset_gib), "dataset size"},
+  ApplyKeys(cfg, {{"dataset_gib", "GIB", StoreDatasetGiB(&opt.dataset_bytes, opt.value_bytes),
+                   "dataset size"},
                   {"ops", "N", Store(&opt.total_ops), "measured operations"}});
-  opt.dataset_bytes = static_cast<uint64_t>(dataset_gib * static_cast<double>(1ull << 30));
   opt.warmup_ops = opt.total_ops / 4;
   const auto res = core::RunVmCxlOnlyExperiment(opt);
   if (!res.ok()) {
@@ -175,8 +192,14 @@ Status RunLlmLab(const Config& cfg) {
     }
     return Status::Ok();
   };
+  const auto set_threads = [&threads](const std::string& value) {
+    if (!ParseNumber(value, &threads) || !(threads >= 1)) {
+      return Status::InvalidArgument("want a whole number of threads, at least 1");
+    }
+    return Status::Ok();
+  };
   ApplyKeys(cfg, {{"placement", "MODE", set_placement, "MMEM or N:M"},
-                  {"threads", "N", Store(&threads), "serving threads"}});
+                  {"threads", "N", set_threads, "serving threads"}});
   const auto pt = apps::llm::LlmInferenceSim().Solve(placement, threads);
   std::cout << placement.label << " @ " << threads
             << " threads: " << FormatDouble(pt.serving_rate_tokens_s, 1) << " tokens/s, "

@@ -23,6 +23,10 @@ KvStoreConfig KvStoreConfig::Fig8Preset(uint64_t record_count) {
 
 StatusOr<KvStore> KvStore::Create(os::PageAllocator& allocator, const os::NumaPolicy& policy,
                                   const KvStoreConfig& config, os::TieredMemory* tiering) {
+  if (config.record_count == 0) {
+    // No record to index: a key maps to no slot and no page.
+    return Status::InvalidArgument("kv store: record_count must be above 0");
+  }
   const uint64_t dataset = config.DatasetBytes();
   uint64_t resident = dataset;
   uint64_t cached_records = config.record_count;

@@ -59,7 +59,8 @@ class KvStore {
  public:
   // Allocates the in-memory region under `policy`. With flash enabled, only
   // min(maxmemory, dataset) bytes are resident. `tiering` (optional)
-  // receives access heat so a promotion daemon can rearrange pages.
+  // receives access heat so a promotion daemon can rearrange pages. A
+  // config with no record is an InvalidArgument, before any allocation.
   static StatusOr<KvStore> Create(os::PageAllocator& allocator, const os::NumaPolicy& policy,
                                   const KvStoreConfig& config,
                                   os::TieredMemory* tiering = nullptr);

@@ -231,10 +231,26 @@ std::vector<std::string> TieringInvariantViolations(const os::TieredMemory& tier
   }
   // The promotion ledger's.
   const os::PromotionLedger& ledger = tiering.ledger();
-  for (uint64_t id = 0; id < n; ++id) {
-    if (ledger.IsQuarantined(id) && ledger.PromoteStamp(id) > ledger.QuarantineEpoch(id)) {
-      violations.push_back(page("quarantined page was promoted after its quarantine", id));
+  const std::vector<uint64_t>& recent = ledger.recent();
+  for (uint32_t epoch = 0; epoch < os::PromotionLedger::kSlots; ++epoch) {
+    const std::vector<uint64_t>& slot = ledger.promoted_at(epoch);
+    if (slot.size() != words || recent.size() != words) {
+      violations.push_back("promotion ring slot / recent set span " + std::to_string(slot.size()) +
+                           " / " + std::to_string(recent.size()) + " words, page slots need " +
+                           std::to_string(words));
+      return violations;
     }
+    for (size_t w = 0; w < words; ++w) {
+      if (const uint64_t missing = slot[w] & ~recent[w]; missing != 0) {
+        violations.push_back(
+            "page " + std::to_string(w * 64 + static_cast<uint64_t>(std::countr_zero(missing))) +
+            " is in the promotion ring's slot " + std::to_string(epoch) +
+            " but not in the recent set");
+      }
+    }
+  }
+  for (const os::PageId id : ledger.quarantined_promotions()) {
+    violations.push_back(page("quarantined page was promoted after its quarantine", id));
   }
   return violations;
 }

@@ -39,8 +39,12 @@
 //   decay counts   no word has had more decays than the daemon has made.
 // Heat here is each page's current heat (WarmSet::Heat), its column
 // value with its word's pending decays applied.
+//   ring           the promotion ring's slots and the recent set span a
+//                  word per 64 page slots, and the recent set holds every
+//                  page of every slot;
 //   quarantine     no quarantined page was promoted after its quarantine
-//                  (its promotion stamp is not above its quarantine epoch).
+//                  (the ledger keeps every promotion of a page quarantined
+//                  at the time).
 //                  A quarantined page can still sit in DRAM: quarantine
 //                  leaves it there when the low tier is full, and a freed
 //                  quarantined id can be allocated to DRAM again.
@@ -66,10 +70,10 @@ std::vector<std::string> SolverInvariantViolations(const mem::BandwidthSolver& s
 // against its node column, per the contract above. O(page_count()).
 std::vector<std::string> AllocatorInvariantViolations(const os::PageAllocator& alloc);
 
-// Verifies `tiering`'s warm set, heat bounds, decay counts and quarantine
-// against the current heats and promotion stamps, per the contract above. Holds after
-// every Tick() (an allocation since the last tick may leave lower bounds
-// stale until the next one). O(page_count()).
+// Verifies `tiering`'s warm set, heat bounds, decay counts, promotion ring
+// and quarantine against the current heats, per the contract above. Holds
+// after every Tick() (an allocation since the last tick may leave lower
+// bounds stale until the next one). O(page_count()).
 std::vector<std::string> TieringInvariantViolations(const os::TieredMemory& tiering);
 
 }  // namespace cxl::check

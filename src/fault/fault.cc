@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <string>
 
+#include "src/util/flags.h"
 #include "src/util/units.h"
 
 namespace cxl::fault {
@@ -23,16 +23,6 @@ std::string FormatNumber(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%g", v);
   return buf;
-}
-
-StatusOr<double> ParseNumber(std::string_view text, std::string_view what) {
-  // std::from_chars<double> handles "1e-4" etc. without locale surprises.
-  double value = 0.0;
-  const auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec != std::errc() || ptr != text.data() + text.size()) {
-    return Status::InvalidArgument("bad " + std::string(what) + " '" + std::string(text) + "'");
-  }
-  return value;
 }
 
 struct SeverityRange {
@@ -171,20 +161,22 @@ StatusOr<FaultPlan> FaultPlan::Parse(std::string_view spec) {
       const size_t next = rest.find_first_of("@+=");
       const std::string_view number = rest.substr(0, next);
       rest = next == std::string_view::npos ? "" : rest.substr(next);
-      StatusOr<double> value = ParseNumber(
-          number, tag == '@' ? "start" : tag == '+' ? "duration" : "severity");
-      if (!value.ok()) {
-        return value.status();
+      // Whole and finite: "nan" and "inf" are no start, duration or severity.
+      double value = 0.0;
+      if (!ParseNumber(number, &value)) {
+        const char* what = tag == '@' ? "start" : tag == '+' ? "duration" : "severity";
+        return Status::InvalidArgument("bad " + std::string(what) + " '" + std::string(number) +
+                                       "'");
       }
       switch (tag) {
         case '@':
-          event.start_s = *value;
+          event.start_s = value;
           break;
         case '+':
-          event.duration_s = *value;
+          event.duration_s = value;
           break;
         case '=':
-          event.severity = *value;
+          event.severity = value;
           break;
         default:
           return Status::InvalidArgument("bad fault event syntax");

@@ -243,14 +243,38 @@ TickWork& TickWork::operator+=(const TickWork& other) {
   return *this;
 }
 
-void PromotionLedger::Promoted(PageId page, uint32_t epoch) {
-  promote_epoch_[page] = epoch + 1;  // Stamp; 0 is reserved for "never".
-  recently_promoted_[page / kWordBits] |= Bit(page);
+void PromotionLedger::Grow(size_t words) {
+  for (std::vector<uint64_t>& slot : slots_) {
+    slot.resize(words, 0);
+  }
+  recently_promoted_.resize(words, 0);
 }
 
-void PromotionLedger::Demoted(PageId page, uint32_t epoch) {
-  const uint32_t stamp = promote_epoch_[page];
-  if (stamp != 0 && epoch - (stamp - 1) <= kStampWindowTicks) {
+void PromotionLedger::EndTick(uint32_t next_epoch) {
+  std::vector<uint64_t>& slot = slots_[next_epoch % kSlots];
+  std::fill(slot.begin(), slot.end(), 0);
+}
+
+void PromotionLedger::Promoted(PageId page, uint32_t epoch) {
+  slots_[epoch % kSlots][page / kWordBits] |= Bit(page);
+  recently_promoted_[page / kWordBits] |= Bit(page);
+  if (IsQuarantined(page)) {
+    quarantined_promotions_.push_back(page);
+  }
+}
+
+void PromotionLedger::Demoted(PageId page) {
+  // The slots hold the window's past ticks and this one; the recent set
+  // covers them all.
+  const size_t w = page / kWordBits;
+  if ((recently_promoted_[w] & Bit(page)) == 0) {
+    return;
+  }
+  uint64_t window = 0;
+  for (const std::vector<uint64_t>& slot : slots_) {
+    window |= slot[w];
+  }
+  if ((window & Bit(page)) != 0) {
     ++feedback_.ping_pong_demotions;
   }
 }
@@ -258,24 +282,24 @@ void PromotionLedger::Demoted(PageId page, uint32_t epoch) {
 uint64_t PromotionLedger::CountRecentPromotions(const PageAllocator& allocator,
                                                 const std::vector<uint64_t>& touched,
                                                 uint32_t epoch) {
-  // In id order, like the warm passes; a page leaves the set once its
-  // stamp ages out of the window.
+  // Word by word over the recent set; the tick of `epoch` has promoted
+  // nothing yet, so the window is the other slots.
   const uint64_t* dram_bits = allocator.dram_bits().data();
+  const size_t current = epoch % kSlots;
   uint64_t visited = 0;
   for (size_t w = 0; w < recently_promoted_.size(); ++w) {
-    for (uint64_t bits = recently_promoted_[w]; bits != 0; bits &= bits - 1) {
-      const PageId id = w * kWordBits + static_cast<PageId>(std::countr_zero(bits));
-      ++visited;
-      const uint32_t age = epoch - (promote_epoch_[id] - 1);
-      if (age > kStampWindowTicks) {
-        recently_promoted_[w] &= ~Bit(id);  // Aged out of the window.
-      } else if (age >= 1 && (dram_bits[w] & Bit(id)) != 0) {
-        ++feedback_.recent_promoted;
-        if ((touched[w] & Bit(id)) != 0) {
-          ++feedback_.recent_promoted_hot;
-        }
-      }
+    if (recently_promoted_[w] == 0) {
+      continue;
     }
+    visited += static_cast<uint64_t>(std::popcount(recently_promoted_[w]));
+    uint64_t window = 0;
+    for (size_t s = 0; s < kSlots; ++s) {
+      window |= s != current ? slots_[s][w] : 0;
+    }
+    recently_promoted_[w] = window;  // Pages aged out of the window leave.
+    const uint64_t resident = window & dram_bits[w];
+    feedback_.recent_promoted += static_cast<uint64_t>(std::popcount(resident));
+    feedback_.recent_promoted_hot += static_cast<uint64_t>(std::popcount(resident & touched[w]));
   }
   return visited;
 }
@@ -351,7 +375,7 @@ void WarmSet::RecordAccessRun(PageId first, uint64_t count, uint64_t accesses) {
 }
 
 void WarmSet::Grow() {
-  // The ledger's columns and the warm set's trail page_count(), since
+  // The ledger's bitsets and the warm set's trail page_count(), since
   // pages are created lazily by the allocator. Each grows in one step to
   // the current page count, in this order: the order they are allocated
   // in shapes the heap, on which cell set-up times were measured. Page ids
@@ -359,10 +383,9 @@ void WarmSet::Grow() {
   // region in the tree has 2^21 pages.
   const uint64_t pages = allocator_.page_count();
   assert(pages <= (uint64_t{1} << 32));
-  ledger_.GrowStamps(pages);
   warm_.resize((pages + kWordBits - 1) / kWordBits, 0);
   touched_.resize(warm_.size(), 0);
-  ledger_.GrowRecent(warm_.size());
+  ledger_.Grow(warm_.size());
   // New slots hold heat 0. They are created only by allocation, after
   // which the next tick zeroes every lower bound, the word they extend
   // included. New words start current.
@@ -786,7 +809,7 @@ uint64_t TieredMemory::DemoteColdPages(uint64_t count) {
     if (allocator_.MovePage(id, target).ok()) {
       ++demoted;
       ++allocator_.mutable_counters().pgdemote;
-      ledger_.Demoted(id, epoch_);
+      ledger_.Demoted(id);
     }
   }
   return demoted;
@@ -821,6 +844,7 @@ void TieredMemory::EndTick(TickResult& result, double dt_seconds) {
   ++epoch_;
   sim_seconds_ += dt_seconds;
   warm_.EndTick();
+  ledger_.EndTick(epoch_);
   result += warm_.TakeWork();
   result += cold_pool_.TakeWork();
 }
@@ -1076,7 +1100,7 @@ bool TieredMemory::QuarantinePage(PageId page) {
   if (page == kInvalidPage || page >= allocator_.page_count()) {
     return false;
   }
-  if (!ledger_.Quarantine(page, epoch_)) {
+  if (!ledger_.Quarantine(page)) {
     return false;  // Already quarantined.
   }
   // The heat reset (and possible eviction below) perturbs the (heat, id)

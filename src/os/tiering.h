@@ -25,11 +25,12 @@
 #define CXL_EXPLORER_SRC_OS_TIERING_H_
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -204,6 +205,16 @@ struct TickWork {
 // it quarantined. Observational only: it feeds the policy's
 // TickObservation and the audit, and never decides a migration. A page id
 // keeps its history across free and re-allocation.
+//
+// The history is a ring of kSlots per-tick promotion bitsets, one bit per
+// page slot each: slot e % kSlots holds the pages the tick of epoch e
+// promoted. TieredMemory::EndTick clears the slot of the next epoch at
+// every tick, skipped ones included, so between ticks the ring holds the
+// last kWindowTicks epochs and the next tick starts on an empty slot. Both
+// feedback questions ask whether a page's last promotion lies in a window
+// that ends at the current epoch, which holds exactly when some promotion
+// does: the ring answers them at every epoch, in 10 bits per page slot with
+// the recent set.
 class PromotionLedger {
  public:
   // A tick's migration-outcome feedback, as TickObservation names it.
@@ -213,65 +224,73 @@ class PromotionLedger {
     uint64_t ping_pong_demotions = 0;  // Demotions of recently promoted pages.
   };
 
-  // Size the stamp column to `pages` slots and the recent set to `words`
-  // words, for WarmSet::Grow. New pages start unstamped and not recent.
-  void GrowStamps(uint64_t pages) { promote_epoch_.resize(pages, 0); }
-  void GrowRecent(size_t words) { recently_promoted_.resize(words, 0); }
+  // Promotions count as recent for this many ticks: a demotion (or a
+  // re-access check) further from the promotion than this no longer counts
+  // as migration-outcome feedback. Small enough that the signal tracks the
+  // current regime, large enough to span the heat-decay half-life.
+  static constexpr uint32_t kWindowTicks = 8;
+  // The ring's slots: the window's past ticks and the current one.
+  static constexpr uint32_t kSlots = kWindowTicks + 1;
 
-  // Promotion stamp of `page`: 1 + the epoch of the tick that last promoted
-  // it, 0 if none has. Freeing a page does not clear it.
-  uint32_t PromoteStamp(PageId page) const {
-    return page < promote_epoch_.size() ? promote_epoch_[page] : 0;
-  }
+  // Sizes the ring and the recent set to `words` words of 64 page slots,
+  // for WarmSet::Grow. New pages start with no promotion.
+  void Grow(size_t words);
 
   // Starts a tick's feedback at zero.
   void BeginTick() { feedback_ = Feedback{}; }
   const Feedback& feedback() const { return feedback_; }
 
-  // The tick of `epoch` promoted `page`.
+  // Ends the tick before `next_epoch`: its slot drops the promotions made
+  // kSlots epochs before it.
+  void EndTick(uint32_t next_epoch);
+
+  // The tick of `epoch` promoted `page`. A quarantined page's promotion is
+  // also kept in quarantined_promotions().
   void Promoted(PageId page, uint32_t epoch);
 
-  // The tick of `epoch` demoted `page`: the §4.2.3 ping-pong signature when
-  // the page was promoted within the stamp window.
-  void Demoted(PageId page, uint32_t epoch);
+  // The running tick demoted `page`: the §4.2.3 ping-pong signature when
+  // the page was promoted within the window, this tick included. Reads the
+  // ring only for a page in the recent set.
+  void Demoted(PageId page);
 
-  // Counts the DRAM-resident pages promoted within the stamp window of
+  // Counts the DRAM-resident pages promoted within the window before
   // `epoch`, and those of them set in `touched` (WarmSet::touched()), into
-  // feedback(). Returns the pages it visited.
+  // feedback(), before the tick of `epoch` promotes. Visits only the words
+  // of the recent set that hold a bit, and prunes the set to the window.
+  // Returns the pages the set held: the pages it visited.
   uint64_t CountRecentPromotions(const PageAllocator& allocator,
                                  const std::vector<uint64_t>& touched, uint32_t epoch);
 
-  // Records `page` as quarantined at `epoch`. Returns false when it already
-  // was.
-  bool Quarantine(PageId page, uint32_t epoch) { return quarantined_.emplace(page, epoch).second; }
+  // Records `page` as quarantined. Returns false when it already was.
+  bool Quarantine(PageId page) { return quarantined_.insert(page).second; }
   uint64_t QuarantinedPages() const { return quarantined_.size(); }
 
   // Whether `page` is quarantined: one empty() load on healthy runs.
   bool IsQuarantined(PageId page) const {
     return !quarantined_.empty() && quarantined_.count(page) != 0;
   }
-  // The epoch (ticks so far) at which `page` was quarantined; the page
-  // must be quarantined. A promotion stamp above it would mean the daemon
-  // promoted the page afterwards (check::TieringInvariantViolations).
-  uint32_t QuarantineEpoch(PageId page) const { return quarantined_.at(page); }
+  // Every promotion of a page that was quarantined at the time, in order:
+  // empty unless the daemon let a quarantined page through
+  // (check::TieringInvariantViolations).
+  const std::vector<PageId>& quarantined_promotions() const { return quarantined_promotions_; }
+
+  // The pages the tick of `epoch` promoted, for one of the last kSlots
+  // epochs, and the recent set: a superset of the ring's pages, bit for bit
+  // the set a counting pass visits. For the audit and tests.
+  const std::vector<uint64_t>& promoted_at(uint32_t epoch) const {
+    return slots_[epoch % kSlots];
+  }
+  const std::vector<uint64_t>& recent() const { return recently_promoted_; }
 
  private:
-  // Promote-epoch stamps age out after this many ticks: a demotion (or a
-  // re-access check) further from the promotion than this no longer counts
-  // as migration-outcome feedback. Small enough that the signal tracks the
-  // current regime, large enough to span the heat-decay half-life.
-  static constexpr uint32_t kStampWindowTicks = 8;
-
-  // Promote-epoch stamp per page, epoch + 1 at promotion time (0 = never
-  // promoted), so a demotion or re-access of a recently promoted page is
-  // recognisable within the stamp window.
-  std::vector<uint32_t> promote_epoch_;
+  std::array<std::vector<uint64_t>, kSlots> slots_;
   // One bit per page id, set at promotion and cleared once the counting
-  // pass finds the stamp aged out of the window: a superset of the pages
-  // whose stamps can count, so the feedback counts need not visit every
-  // DRAM page.
+  // pass finds no promotion of the page in the window: the union of the
+  // slots and of the promotions aged out since the last count, so a count
+  // and a demotion visit only pages promoted lately.
   std::vector<uint64_t> recently_promoted_;
-  std::unordered_map<PageId, uint32_t> quarantined_;  // Page -> QuarantineEpoch.
+  std::unordered_set<PageId> quarantined_;
+  std::vector<PageId> quarantined_promotions_;
   Feedback feedback_;
 };
 
@@ -432,8 +451,8 @@ class WarmSet {
   }
   void CatchUpWord(size_t w);
 
-  // Sizes the ledger's stamp column and recent set, the warm and touched
-  // sets, the heat bounds and the decay counts to cover every page slot.
+  // Sizes the ledger's ring and recent set, the warm and touched sets, the
+  // heat bounds and the decay counts to cover every page slot.
   void Grow();
 
   // Sets word `w`'s heat bounds to the least and greatest heat of its page
@@ -626,7 +645,8 @@ class TieredMemory {
   TickResult SkipTick(TickResult result, double dt_seconds, int reason);
 
   // Ends a tick: advances the epoch and the clock by `dt_seconds`, clears
-  // the touched bits and adds the owners' work counts into `result`.
+  // the touched bits and the ledger's slot for the next epoch, and adds the
+  // owners' work counts into `result`.
   void EndTick(TickResult& result, double dt_seconds);
 
   // Appends one tick's worth of telemetry (no-op without a sink).
@@ -640,7 +660,7 @@ class TieredMemory {
 
   PageAllocator& allocator_;
   TieringConfig config_;
-  uint32_t epoch_ = 0;  // Ticks so far (promotion and quarantine stamps).
+  uint32_t epoch_ = 0;  // Ticks so far (the ledger's ring slots).
 
   // Decision policy: owned instance built from config_ at construction;
   // policy_ points at it unless Attach() supplied an override.

@@ -40,6 +40,15 @@ TEST_F(KvStoreTest, CreateAllocatesDataset) {
   store->Free();
 }
 
+TEST_F(KvStoreTest, CreateRejectsAStoreWithNoRecord) {
+  KvStoreConfig cfg = SmallConfig();
+  cfg.record_count = 0;
+  const auto store = KvStore::Create(alloc_, os::NumaPolicy::Bind(platform_.DramNodes()), cfg);
+  ASSERT_FALSE(store.ok());
+  EXPECT_EQ(store.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(alloc_.page_count(), 0u);  // Nothing was allocated.
+}
+
 TEST_F(KvStoreTest, ReadCostIsLighterThanUpdate) {
   auto store = KvStore::Create(alloc_, os::NumaPolicy::Bind({0}), SmallConfig());
   ASSERT_TRUE(store.ok());

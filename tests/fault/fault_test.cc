@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/mem/cxl_link.h"
@@ -98,6 +100,24 @@ TEST(FaultPlanTest, ParseRejectsMalformedSpecs) {
   EXPECT_FALSE(FaultPlan::Parse("poison=abc").ok());
   EXPECT_FALSE(FaultPlan::Parse("downtrain@,poison").ok());
   EXPECT_FALSE(FaultPlan::Parse(",").ok());
+}
+
+// NaN passes no range check and an infinite window never closes: a spec
+// number is finite, and the error names the field and the text.
+TEST(FaultPlanTest, ParseRejectsNonFiniteNumbers) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"poison=nan", "bad severity 'nan'"},
+      {"downtrain@nan", "bad start 'nan'"},
+      {"poison+inf", "bad duration 'inf'"},
+      {"crc@1+2=infinity", "bad severity 'infinity'"},
+      {"downtrain@-inf", "bad start '-inf'"},
+  };
+  for (const auto& [spec, message] : cases) {
+    const auto plan = FaultPlan::Parse(spec);
+    ASSERT_FALSE(plan.ok()) << spec;
+    EXPECT_NE(plan.status().message().find(message), std::string::npos)
+        << spec << ": " << plan.status().message();
+  }
 }
 
 TEST(FaultInjectorTest, AggregatesOverlappingWindows) {

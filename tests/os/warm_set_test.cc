@@ -9,14 +9,16 @@
 //  - the candidate count against a brute-force count of the policy's
 //    predicate over the pre-tick columns;
 //  - the promotion feedback the policy observes (recent_promoted,
-//    recent_promoted_hot) against a brute-force count over the pre-tick
-//    columns and promotion stamps, and that every page the tick moved into
-//    DRAM carries this tick's stamp;
+//    recent_promoted_hot, ping_pong_demotions) against a brute-force count
+//    over the pre-tick columns and the harness's own promotion record,
+//    taken from the node column before and after each tick, and the
+//    ledger's slot for the tick against the pages the tick promoted;
 //  - the allocator's occupancy counts, residency bitsets and free stack
 //    (check::AllocatorInvariantViolations);
 //  - the daemon's warm set, per-word heat bounds and quarantine
 //    (check::TieringInvariantViolations).
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <algorithm>
 #include <array>
@@ -52,8 +54,8 @@ namespace {
 
 using Entry = std::pair<float, PageId>;
 
-// The daemon's promotion-stamp window (PromotionLedger, tiering.h).
-constexpr uint32_t kPromoteStampWindowTicks = 8;
+// The daemon's promotion window (PromotionLedger, tiering.h).
+constexpr uint32_t kPromotionWindowTicks = 8;
 
 // 8192 DRAM pages of 4 KiB, so the 4096-page demotion pool is a strict
 // subset of DRAM, and room on CXL for the over-commit and a filler that
@@ -138,6 +140,8 @@ struct Coverage {
   uint64_t demoted = 0;
   uint64_t recent_promoted = 0;  // Summed promotion feedback the policy saw.
   uint64_t recent_promoted_hot = 0;
+  uint64_t ping_pong = 0;    // Summed ping-pong demotions the policy saw.
+  uint64_t round_trips = 0;  // Pages promoted and demoted within one tick.
   uint64_t zeroed = 0;  // Shadow slots decayed from heat > 0 to exactly 0.
   bool subnormal = false;
 };
@@ -187,6 +191,7 @@ class Harness {
     EXPECT_TRUE(pages.ok());
     shadow_.resize(alloc_.page_count(), 0.0f);
     touched_.resize(alloc_.page_count(), 0);
+    promoted_at_.resize(alloc_.page_count(), 0);
     for (const PageId id : *pages) {
       shadow_[id] = 0.0f;  // Allocation resets heat.
     }
@@ -233,10 +238,12 @@ class Harness {
     // The pages accessed since the previous tick, by the harness's own
     // record: every tick, run or skipped, starts a new interval.
     const std::vector<uint8_t> touched = std::exchange(touched_, std::vector<uint8_t>(n, 0));
-    std::vector<uint32_t> stamp(n);
-    for (PageId id = 0; id < n; ++id) {
-      stamp[id] = tiering_.ledger().PromoteStamp(id);
-    }
+    // Whether the record puts page `id`'s last promotion `oldest` to
+    // `newest` ticks before this one.
+    const auto promoted_within = [&](PageId id, uint32_t newest, uint32_t oldest) {
+      const uint32_t age = epoch - (promoted_at_[id] - 1);
+      return promoted_at_[id] != 0 && newest <= age && age <= oldest;
+    };
 
     recorder_.decided = false;
     recorder_.observed = false;
@@ -300,7 +307,7 @@ class Harness {
 
     // Promotion feedback: only the hotness-ranked scan counts it, and only
     // a tick with pages on CXL scans. A page counts while in DRAM within the
-    // stamp window after its promotion, and is hot if touched this interval.
+    // window after its promotion, and is hot if touched this interval.
     uint64_t expected_recent = 0;
     uint64_t expected_recent_hot = 0;
     const bool any_cxl = std::any_of(node.begin(), node.end(), [&](topology::NodeId nd) {
@@ -308,9 +315,7 @@ class Harness {
     });
     if (ran && recorder_.decision.scan == CandidateScan::kHotnessRanked && any_cxl) {
       for (PageId id = 0; id < n; ++id) {
-        const uint32_t age = epoch - (stamp[id] - 1);
-        if (is_dram(node[id]) && stamp[id] != 0 && age >= 1 &&
-            age <= kPromoteStampWindowTicks) {
+        if (is_dram(node[id]) && promoted_within(id, 1, kPromotionWindowTicks)) {
           ++expected_recent;
           expected_recent_hot += touched[id];
         }
@@ -330,7 +335,10 @@ class Harness {
     // DRAM and came back within the tick, so the pre-tick DRAM pages
     // demoted are the coldest of them: all sort below every one kept. A
     // page promoted and demoted within the tick shows in neither count.
+    // Every page the tick moved into DRAM is in the ledger's slot for it.
     const int8_t* after = alloc_.node_column();
+    const std::vector<uint64_t>& slot = tiering_.ledger().promoted_at(epoch);
+    const auto in_slot = [&](PageId id) { return (slot[id / 64] >> (id % 64) & 1) != 0; };
     uint64_t demoted = 0;
     uint64_t promoted = 0;
     Entry warmest_demoted(-std::numeric_limits<float>::infinity(), 0);
@@ -344,11 +352,12 @@ class Harness {
         coldest_kept = std::min(coldest_kept, e);
       } else if (is_dram(after[id])) {
         ++promoted;
-        if (tiering_.ledger().PromoteStamp(id) != epoch + 1) {
+        if (!in_slot(id)) {
           return ::testing::AssertionFailure()
-                 << "tick " << epoch << ": promoted page " << id << " has stamp "
-                 << tiering_.ledger().PromoteStamp(id);
+                 << "tick " << epoch << ": promoted page " << id
+                 << " is not in the ledger's slot for the tick";
         }
+        promoted_at_[id] = epoch + 1;
       }
     }
     if (demoted > 0 && !(warmest_demoted < coldest_kept)) {
@@ -363,6 +372,43 @@ class Harness {
              << "tick " << epoch << ": reported " << r.promoted_pages << " promoted / "
              << r.demoted_pages << " demoted, columns show " << promoted << " / " << demoted;
     }
+    // The pages promoted and demoted within the tick, which the columns do
+    // not show, went from CXL to CXL; the slot names them, and each is a
+    // ping-pong demotion.
+    const uint64_t round_trips = r.promoted_pages - promoted;
+    uint64_t slot_pages = 0;
+    for (PageId id = 0; id < n; ++id) {
+      if (!in_slot(id)) {
+        continue;
+      }
+      ++slot_pages;
+      if (!is_dram(after[id])) {
+        if (node[id] < 0 || is_dram(node[id])) {
+          return ::testing::AssertionFailure() << "tick " << epoch << ": page " << id
+                                               << " is in the tick's slot but was not on CXL";
+        }
+        promoted_at_[id] = epoch + 1;
+      }
+    }
+    if (slot_pages != r.promoted_pages) {
+      return ::testing::AssertionFailure() << "tick " << epoch << ": the ledger's slot holds "
+                                           << slot_pages << " pages, the tick promoted "
+                                           << r.promoted_pages;
+    }
+    // Ping-pong: each demotion of a page whose last promotion lies within
+    // the window, this tick included, by the record.
+    uint64_t expected_ping_pong = round_trips;
+    for (PageId id = 0; id < n; ++id) {
+      if (is_dram(node[id]) && !is_dram(after[id]) &&
+          promoted_within(id, 0, kPromotionWindowTicks)) {
+        ++expected_ping_pong;
+      }
+    }
+    if (ran && obs.ping_pong_demotions != expected_ping_pong) {
+      return ::testing::AssertionFailure()
+             << "tick " << epoch << ": policy observed " << obs.ping_pong_demotions
+             << " ping-pong demotions, the record counts " << expected_ping_pong;
+    }
     for (const std::vector<std::string>& audit :
          {check::AllocatorInvariantViolations(alloc_), check::TieringInvariantViolations(tiering_)}) {
       if (!audit.empty()) {
@@ -371,6 +417,8 @@ class Harness {
     }
     coverage_.recent_promoted += ran ? obs.recent_promoted : 0;
     coverage_.recent_promoted_hot += ran ? obs.recent_promoted_hot : 0;
+    coverage_.ping_pong += ran ? obs.ping_pong_demotions : 0;
+    coverage_.round_trips += round_trips;
     coverage_.candidates += r.candidates;
     coverage_.promoted += r.promoted_pages;
     coverage_.demoted += r.demoted_pages;
@@ -390,6 +438,8 @@ class Harness {
   const topology::Platform& platform() const { return platform_; }
   // What the policy decided at the last tick that reached it.
   const TickDecision& decision() const { return recorder_.decision; }
+  // What the policy was shown at the last tick that reached it.
+  const TickObservation& observation() const { return recorder_.observation; }
   PageAllocator& alloc() { return alloc_; }
   TieredMemory& tiering() { return tiering_; }
   const Coverage& coverage() const { return coverage_; }
@@ -402,6 +452,9 @@ class Harness {
   RecordingPolicy recorder_;
   std::vector<float> shadow_;
   std::vector<uint8_t> touched_;  // Accessed since the last Tick, by id.
+  // The harness's promotion record: 1 + the epoch of the last tick that
+  // promoted the page, 0 if none has. Freeing a page keeps it.
+  std::vector<uint32_t> promoted_at_;
   std::set<PageId> quarantined_;
   Coverage coverage_;
 };
@@ -498,6 +551,14 @@ TEST_P(WarmSetTest, MatchesEagerReferencesEveryTick) {
       std::string(sc.policy) == "adaptive-feedback") {
     EXPECT_GT(c.recent_promoted_hot, 0u);  // Feedback the brute force checked.
     EXPECT_GT(c.recent_promoted, c.recent_promoted_hot);
+  }
+  if (sc.regime != Regime::kSparseZipf || std::string(sc.policy) != "tpp-like") {
+    EXPECT_GT(c.ping_pong, 0u);  // Ping-pong demotions the record checked.
+  }
+  if (sc.zero_threshold && sc.regime != Regime::kDenseStreaming) {
+    // Zero-heat CXL pages promoted, then demoted as the coldest in DRAM
+    // within the same tick: pages the columns do not show moving.
+    EXPECT_GT(c.round_trips, 0u);
   }
   if (sc.regime == Regime::kDenseThenSparse) {
     // The dense phase's pages decay through the subnormals to exactly 0.
@@ -619,7 +680,8 @@ TEST(HeatDecayTest, ShortcutMatchesSequentialMultiplies) {
 // sweep leaves; the other never does. Before each tick the settled column
 // must hold the lazy daemon's Heat() of every page. Every tick's results
 // and what its policy decided and observed must agree bit for bit, and so
-// must every page's Heat(), placement and promotion stamp. The work
+// must every page's Heat() and placement, and the ledger's promotion ring
+// and recent set. The work
 // counters are exempt. 6,144 DRAM pages are never touched, so the pool is
 // the zero-heat walk's and its cut lets the pass skip a dense block warmed
 // once: its words fall more than a shortcut chunk (126 decays) behind
@@ -686,11 +748,20 @@ struct LazyTwin {
   }
   for (PageId id = 0; id < n; ++id) {
     if (!SameBits(ta.tiering.Heat(id), tb.tiering.Heat(id)) ||
-        ta.alloc.NodeOf(id) != tb.alloc.NodeOf(id) ||
-        ta.tiering.ledger().PromoteStamp(id) != tb.tiering.ledger().PromoteStamp(id)) {
+        ta.alloc.NodeOf(id) != tb.alloc.NodeOf(id)) {
       return ::testing::AssertionFailure()
              << "page " << id << ": heat " << ta.tiering.Heat(id) << "/" << tb.tiering.Heat(id)
              << ", node " << ta.alloc.NodeOf(id) << "/" << tb.alloc.NodeOf(id);
+    }
+  }
+  const PromotionLedger& la = ta.tiering.ledger();
+  const PromotionLedger& lb = tb.tiering.ledger();
+  if (la.recent() != lb.recent()) {
+    return ::testing::AssertionFailure() << "recent promotion sets differ";
+  }
+  for (uint32_t epoch = 0; epoch < PromotionLedger::kSlots; ++epoch) {
+    if (la.promoted_at(epoch) != lb.promoted_at(epoch)) {
+      return ::testing::AssertionFailure() << "promotion ring slot " << epoch << " differs";
     }
   }
   return ::testing::AssertionSuccess();
@@ -1086,8 +1157,8 @@ TEST(WarmSetBoundsTest, SpanWordsAboveTheCutAreSkipped) {
   EXPECT_EQ(r.dense_words_skipped, 3u);
 }
 
-// A promoted page leaves the recently promoted set once its stamp ages out
-// of the window, so the feedback count stops visiting it.
+// A promoted page leaves the recently promoted set once its promotion ages
+// out of the window, so the feedback count stops visiting it.
 TEST(WarmSetWorkTest, AgedOutPromotionsLeaveTheFeedbackCount) {
   TieringConfig cfg;
   cfg.policy = "hot-page-selection";
@@ -1104,12 +1175,174 @@ TEST(WarmSetWorkTest, AgedOutPromotionsLeaveTheFeedbackCount) {
   ASSERT_TRUE(h.Tick(&r));
   ASSERT_EQ(r.promoted_pages, kHot);
   // Each later tick visits the ten warm DRAM pages, and the feedback count
-  // visits them too while their stamps are in the window (8 ticks).
+  // visits them too until it finds them out of the window (8 ticks).
   for (int tick = 1; tick <= 12; ++tick) {
     ASSERT_TRUE(h.Tick(&r));
     ASSERT_EQ(r.promoted_pages, 0u);
     EXPECT_EQ(r.pages_visited, tick <= 9 ? 2 * kHot : kHot) << "tick " << tick;
   }
+}
+
+// The promotion window's edges. A platform of 64 DRAM and 256 CXL pages,
+// hot page selection at a fixed threshold of 8 and a budget of one page a
+// tick, and no watermark demotion: a tick demotes only to make room for a
+// promotion, 16 pages (the smallest batch) at a time.
+topology::Platform WindowPlatform() {
+  topology::PlatformOptions opt;
+  opt.sockets = 1;
+  opt.dram_per_socket = 64 * kPageBytes;
+  opt.cxl_cards = 1;
+  opt.cxl_card_capacity = 256 * kPageBytes;
+  return topology::Platform::Build(opt);
+}
+
+TieringConfig WindowConfig() {
+  TieringConfig cfg;
+  cfg.hint_fault_sample_rate = 0.25;
+  cfg.demotion_free_watermark = 0.0;
+  return cfg;
+}
+
+// Promotes one page into a DRAM with room, ticks `age` - 1 times with
+// nothing to promote, then fills DRAM, makes the promoted page its coldest
+// and promotes another: the demotion `age` ticks after the promotion.
+// Returns that tick's ping-pong count.
+uint64_t PingPongDemotionsAtAge(uint32_t age) {
+  FixedPolicy policy(8.0, 1);
+  Harness h(WindowConfig(), fault::FaultPlan(), &policy, WindowPlatform());
+  const auto dram = h.platform().DramNodes();
+  std::vector<PageId> resident = h.Allocate(32, NumaPolicy::Bind(dram));
+  const std::vector<PageId> cxl = h.Allocate(64, NumaPolicy::Bind(h.platform().CxlNodes()));
+  h.Access(cxl[0], 400);  // Heat 100.
+  TieredMemory::TickResult r;
+  EXPECT_TRUE(h.Tick(&r));
+  EXPECT_EQ(r.promoted_pages, 1u);
+  for (uint32_t t = 1; t < age; ++t) {
+    EXPECT_TRUE(h.Tick(&r));
+    EXPECT_EQ(r.demoted_pages, 0u);
+  }
+  const auto more = h.Allocate(h.alloc().FreePages(dram.front()), NumaPolicy::Bind(dram));
+  resident.insert(resident.end(), more.begin(), more.end());
+  for (const PageId id : resident) {
+    h.Access(id, 400);  // Above the promoted page's decayed heat.
+  }
+  h.Access(cxl[1], 400);
+  EXPECT_TRUE(h.Tick(&r));
+  EXPECT_EQ(r.promoted_pages, 1u);
+  EXPECT_EQ(r.demoted_pages, 16u);
+  EXPECT_FALSE(h.alloc().IsDramNode(h.alloc().NodeOf(cxl[0])));
+  return h.observation().ping_pong_demotions;
+}
+
+TEST(PromotionWindowTest, DemotionCountsAsPingPongUpToAgeEight) {
+  EXPECT_EQ(PingPongDemotionsAtAge(1), 1u);
+  EXPECT_EQ(PingPongDemotionsAtAge(8), 1u);
+  EXPECT_EQ(PingPongDemotionsAtAge(9), 0u);
+}
+
+// recent_promoted counts a page in DRAM from the tick after its promotion
+// through the eighth, and recent_promoted_hot those ticks it was touched.
+TEST(PromotionWindowTest, RecentPromotionsCountFromAgeOneToEight) {
+  FixedPolicy policy(8.0, 1);
+  Harness h(WindowConfig(), fault::FaultPlan(), &policy, WindowPlatform());
+  const std::vector<PageId> cxl = h.Allocate(64, NumaPolicy::Bind(h.platform().CxlNodes()));
+  h.Access(cxl[0], 400);
+  TieredMemory::TickResult r;
+  ASSERT_TRUE(h.Tick(&r));
+  ASSERT_EQ(r.promoted_pages, 1u);
+  EXPECT_EQ(h.observation().recent_promoted, 0u);  // Age 0: promoted by this tick.
+  for (uint32_t age = 1; age <= 10; ++age) {
+    const bool touch = age == 1 || age == 8 || age == 9;
+    if (touch) {
+      h.Access(cxl[0], 1);
+    }
+    ASSERT_TRUE(h.Tick(&r));
+    ASSERT_TRUE(h.alloc().IsDramNode(h.alloc().NodeOf(cxl[0])));
+    const bool recent = age <= 8;
+    EXPECT_EQ(h.observation().recent_promoted, recent ? 1u : 0u) << "age " << age;
+    EXPECT_EQ(h.observation().recent_promoted_hot, recent && touch ? 1u : 0u) << "age " << age;
+  }
+}
+
+// Pages promoted and then demoted by one tick are ping-pong demotions:
+// with DRAM full of warm pages and a threshold of 0, the zero-heat CXL pages
+// the tick promotes are the coldest in DRAM, so the second batch of 16
+// promotions first demotes the 16 pages of the first.
+TEST(PromotionWindowTest, PagesPromotedAndDemotedInOneTickArePingPong) {
+  FixedPolicy policy(0.0, 32);
+  Harness h(WindowConfig(), fault::FaultPlan(), &policy, WindowPlatform());
+  const auto dram = h.platform().DramNodes();
+  const std::vector<PageId> warm = h.Allocate(h.alloc().FreePages(dram.front()),
+                                              NumaPolicy::Bind(dram));
+  for (const PageId id : warm) {
+    h.Access(id, 400);
+  }
+  const std::vector<PageId> cxl = h.Allocate(64, NumaPolicy::Bind(h.platform().CxlNodes()));
+  TieredMemory::TickResult r;
+  ASSERT_TRUE(h.Tick(&r));
+  ASSERT_EQ(r.promoted_pages, 32u);
+  ASSERT_EQ(r.demoted_pages, 32u);
+  uint64_t kept = 0;
+  for (const PageId id : cxl) {
+    kept += h.alloc().IsDramNode(h.alloc().NodeOf(id)) ? 1 : 0;
+  }
+  EXPECT_EQ(kept, 16u);
+  EXPECT_EQ(h.observation().ping_pong_demotions, 16u);
+}
+
+// Skipped ticks end their epochs too: a daemon stall of nine or more ticks
+// after a promotion leaves nothing recent for the tick after it, although
+// the stalled ticks never counted.
+TEST(PromotionWindowTest, StallOfNineTicksAgesAPromotionOut) {
+  for (const double stall : {9.0, 10.0, 17.0}) {
+    SCOPED_TRACE("stall " + std::to_string(stall));
+    FixedPolicy policy(8.0, 1);
+    fault::FaultPlan plan;
+    plan.DaemonStall(1.0, stall);
+    Harness h(WindowConfig(), std::move(plan), &policy, WindowPlatform());
+    const std::vector<PageId> cxl = h.Allocate(64, NumaPolicy::Bind(h.platform().CxlNodes()));
+    h.Access(cxl[0], 400);
+    TieredMemory::TickResult r;
+    ASSERT_TRUE(h.Tick(&r));
+    ASSERT_EQ(r.promoted_pages, 1u);
+    for (int t = 0; t < stall; ++t) {
+      ASSERT_TRUE(h.Tick());
+    }
+    ASSERT_EQ(h.coverage().daemon_skips, static_cast<uint64_t>(stall));
+    h.Access(cxl[0], 1);
+    ASSERT_TRUE(h.Tick());
+    EXPECT_EQ(h.decision().scan, CandidateScan::kHotnessRanked);
+    EXPECT_EQ(h.observation().recent_promoted, 0u);
+    EXPECT_EQ(h.observation().recent_promoted_hot, 0u);
+  }
+}
+
+// A quarantined page is never a candidate, however hot: the audit keeps
+// every promotion of a quarantined page, and finds none. A sparse and a
+// dense word each hold one quarantined page beside hot ones.
+TEST(PromotionWindowTest, QuarantinedPagesAreNotPromoted) {
+  const topology::Platform platform = WindowPlatform();
+  PageAllocator alloc(platform, kPageBytes);
+  TieringConfig cfg = WindowConfig();
+  cfg.initial_hot_threshold = 8.0;
+  cfg.dynamic_threshold = false;
+  TieredMemory tiering(alloc, cfg);
+  auto pages = alloc.Allocate(NumaPolicy::Bind(platform.CxlNodes()), 128);
+  ASSERT_TRUE(pages.ok());
+  const std::vector<PageId> cxl(pages->begin(), pages->end());
+  const PageId sparse = cxl[1];
+  const PageId dense = cxl[64 + 5];
+  ASSERT_TRUE(tiering.QuarantinePage(sparse));
+  ASSERT_TRUE(tiering.QuarantinePage(dense));
+  tiering.RecordAccess(cxl[0], 400);
+  tiering.RecordAccess(sparse, 400);
+  tiering.RecordAccessRun(cxl[64], 64, 400);
+  const TieredMemory::TickResult r = tiering.Tick(1.0);
+  EXPECT_EQ(check::TieringInvariantViolations(tiering), std::vector<std::string>{});
+  EXPECT_EQ(r.candidates, 64u);
+  EXPECT_EQ(r.promoted_pages, 64u);
+  EXPECT_FALSE(alloc.IsDramNode(alloc.NodeOf(sparse)));
+  EXPECT_FALSE(alloc.IsDramNode(alloc.NodeOf(dense)));
 }
 
 // One daemon per allocator: a second daemon over the same allocator would
@@ -1650,6 +1883,44 @@ TEST(WarmSetWorkTest, KvHotPromoteTickVisitsAtMostATenthOfThePages) {
   }
   EXPECT_GT(promoted, 0u);
   EXPECT_GT(demoted, 0u);  // The walked pools were used.
+}
+
+// The heap the daemon's per-page state takes on kv-hotpromote's shape
+// (hostbench and bench_fig5): 2,097,152 page slots of 16 KiB under the
+// Hot-Promote platform, allocator and daemon built as the cell builds them,
+// the region allocated and one tick run. Per slot that is the node column
+// (1 B), the heat column (4 B), five bitsets and the promotion ring
+// (14 bits) and three 4-byte words per 64 slots: 6.94 B. A 4-byte column
+// more would put it near 11 B. mallinfo2 sees glibc's heap, not ASan's.
+TEST(DaemonFootprintTest, KvHotPromoteStateTakesUnderSevenAndAQuarterBytesPerPage) {
+#if defined(__SANITIZE_ADDRESS__)
+  GTEST_SKIP() << "mallinfo2 does not see ASan's allocator";
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+  GTEST_SKIP() << "mallinfo2 does not see ASan's allocator";
+#endif
+#endif
+  const auto heap_bytes = [] {
+    const struct mallinfo2 info = mallinfo2();
+    return info.uordblks + info.hblkhd;
+  };
+  constexpr uint64_t kDatasetBytes = 32ull << 30;
+  const size_t before = heap_bytes();
+  const topology::Platform platform = core::MakeHotPromotePlatform(kDatasetBytes);
+  const core::CapacitySetup setup =
+      core::MakeCapacitySetup(core::CapacityConfig::kHotPromote, platform);
+  PageAllocator alloc(platform, 16 * kKiB);
+  TieringConfig cfg = core::DefaultTieringConfig();
+  cfg.policy = "hot-page-selection";
+  TieredMemory tiering(alloc, cfg);
+  auto region = MemoryRegion::Allocate(alloc, setup.policy, kDatasetBytes);
+  ASSERT_TRUE(region.ok());
+  tiering.Tick(0.05);
+  const size_t grown = heap_bytes() - before;
+  ASSERT_EQ(alloc.page_count(), uint64_t{1} << 21);
+  EXPECT_LE(static_cast<double>(grown), 7.25 * static_cast<double>(alloc.page_count()))
+      << static_cast<double>(grown) / static_cast<double>(alloc.page_count())
+      << " B per page slot";
 }
 
 }  // namespace
